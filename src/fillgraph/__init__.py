@@ -6,18 +6,16 @@ from .core import (
     DisconnectedError,
     FatGraph,
     FatGraphError,
+    InvariantError,
     MalformedGraphError,
     NotDecoratedError,
     StandardCycle,
     SurfaceSignature,
 )
 from .ops import (
-    ConnectedSumSpec,
-    JoinSpec,
     OperationError,
     OperationInvariantError,
     OperationReport,
-    PlumbSpec,
     connected_sum,
     join,
     plumbing,
@@ -48,10 +46,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryCycle", "DegreeError", "DisconnectedError", "FatGraph",
-    "FatGraphError", "MalformedGraphError", "NotDecoratedError",
+    "FatGraphError", "InvariantError", "MalformedGraphError",
+    "NotDecoratedError",
     "StandardCycle", "SurfaceSignature",
-    "ConnectedSumSpec", "JoinSpec", "OperationError",
-    "OperationInvariantError", "OperationReport", "PlumbSpec",
+    "OperationError", "OperationInvariantError", "OperationReport",
     "connected_sum", "join", "plumbing",
     "WeightedIntersectionGraph", "check_euler_identity", "check_kn_bound",
     "check_max_weight_bound", "check_prop62", "intersection_graph",

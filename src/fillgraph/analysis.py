@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FatGraph, FatGraphError
+from .core import FatGraph, FatGraphError, InvariantError
 
 
 class AnalysisPreconditionError(FatGraphError):
@@ -96,7 +96,9 @@ def intersection_graph(graph: FatGraph) -> WeightedIntersectionGraph:
     for cyc in graph.vertex_cycles:
         a = coe[cyc[0] >> 1]
         b = coe[cyc[1] >> 1]
-        assert a != b, "simple curves cannot share both strands of a vertex"
+        if a == b:
+            raise InvariantError(
+                "simple curves cannot share both strands of a vertex")
         key = (a, b) if a < b else (b, a)
         weights[key] = weights.get(key, 0) + 1
     return WeightedIntersectionGraph(len(curves), weights)

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import analysis, families, formats, oracle, synthesis
-from .core import FatGraphError, FatGraph
+from .core import FatGraphError, FatGraph, InvariantError
 from .ops import (OperationError, OperationInvariantError, connected_sum,
                   join, plumbing)
 
@@ -200,6 +200,26 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+def cmd_replay(args):
+    try:
+        plan = formats.read_plan(args.plan)
+    except (OSError, formats.FormatError) as exc:
+        _err(f"cannot read {args.plan}: {exc}")
+        return EXIT_INPUT
+    try:
+        graph, _ = plan.replay()
+    except InvariantError as exc:
+        _err(f"plan verification failed: {exc}")
+        return EXIT_VERIFY
+    except (FatGraphError, families.FamilyRangeError) as exc:
+        _err(f"cannot replay {args.plan}: {exc}")
+        return EXIT_INPUT
+    print(_sig_line(graph.signature()))
+    if args.output:
+        formats.write_graph(args.output, graph)
+    return EXIT_OK
+
+
 def cmd_enumerate(args):
     if not 1 <= args.vertices <= oracle.EXHAUSTIVE_CEILING:
         _err(f"exhaustive enumeration supports V <= "
@@ -219,7 +239,11 @@ def cmd_enumerate(args):
             else:
                 _err(f"unknown filter key {k!r} (use g, b, s, filling)")
                 return EXIT_INPUT
-    rows = oracle.census_filter(args.vertices, **flt)
+    try:
+        rows = oracle.census_filter(args.vertices, **flt)
+    except oracle.CensusError as exc:
+        _err(f"internal invariant breach: {exc}")
+        return EXIT_VERIFY
     if args.format == "json":
         sys.stdout.write(formats.census_rows_to_json(rows))
     else:
@@ -425,6 +449,11 @@ def build_parser():
     s.add_argument("-o", "--output")
     s.add_argument("--plan-out")
     s.set_defaults(func=cmd_synth)
+
+    r = sub.add_parser("replay", help="replay and verify a plan file")
+    r.add_argument("plan")
+    r.add_argument("-o", "--output")
+    r.set_defaults(func=cmd_replay)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("what", choices=("theorem1", "theorem2", "theorem3",

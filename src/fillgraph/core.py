@@ -45,6 +45,11 @@ class DisconnectedError(FatGraphError):
     pass
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a bug, not bad input.  Raised
+    explicitly so that it survives ``python -O``."""
+
+
 def _parse_token(tok):
     """Signed edge label -> (name, sign, occurrence).
 
@@ -112,6 +117,54 @@ class StandardCycle(tuple):
 
     def word(self, graph):
         return tuple(graph.dart_name(d) for d in self)
+
+
+def canonical_code(sigma0, sigma1):
+    """(code, automorphisms) of the connected map (sigma0, sigma1).
+
+    From every start dart, darts are numbered in breadth-first order of
+    first sight along sigma0 then sigma1, and the code lists the numbers
+    of each dart's two images.  The code is the lexicographically least
+    over all starts; it determines the pair of permutations up to dart
+    relabeling.  Two starts give the same code exactly when an
+    automorphism maps one to the other, so the number of starts reaching
+    the least code is the order of the automorphism group.
+    """
+    n = len(sigma0)
+    best = None
+    automorphisms = 0
+    for start in range(n):
+        newlab = [-1] * n
+        newlab[start] = 0
+        order = [start]
+        code = []
+        tied = best is not None  # equal to best on the code emitted so far
+        worse = False
+        for cur in order:  # order grows while it is walked
+            for img in (sigma0[cur], sigma1[cur]):
+                lab = newlab[img]
+                if lab < 0:
+                    lab = newlab[img] = len(order)
+                    order.append(img)
+                if tied:
+                    ref = best[len(code)]
+                    if lab > ref:
+                        worse = True
+                        break
+                    tied = lab == ref
+                code.append(lab)
+            if worse:
+                break
+        if worse:
+            continue
+        if best is None and len(order) < n:
+            raise DisconnectedError(
+                "canonical code of a disconnected graph is not defined")
+        if tied:
+            automorphisms += 1
+        else:
+            best, automorphisms = code, 1
+    return bytes(best), automorphisms
 
 
 class FatGraph:
@@ -365,7 +418,9 @@ class FatGraph:
         for orb in self.standard_orbits:
             key = frozenset(orb)
             mkey = frozenset(d ^ 1 for d in orb)
-            assert key != mkey, "orientation reversal fixes a curve orbit"
+            if key == mkey:
+                raise InvariantError(
+                    "orientation reversal fixes a curve orbit")
             if key in mirrors:
                 continue
             mirrors.add(mkey)
@@ -391,7 +446,8 @@ class FatGraph:
         m = self.num_edges
         b = len(self.boundary_cycles)
         twog = 2 - b - V + m
-        assert twog % 2 == 0 and twog >= 0, f"bad Euler data V={V} m={m} b={b}"
+        if twog % 2 or twog < 0:
+            raise InvariantError(f"bad Euler data V={V} m={m} b={b}")
         s = len(self.standard_cycles) if self.is_decorated else None
         filling, _ = self.is_filling_system()
         return SurfaceSignature(
@@ -433,46 +489,41 @@ class FatGraph:
         """Lexicographically least BFS relabeling code over all start darts.
 
         The code determines (sigma0, sigma1) up to dart relabeling, so equal
-        codes mean isomorphic fat graphs.
+        codes mean isomorphic fat graphs.  Raises :class:`DisconnectedError`
+        for a disconnected graph, whose code would describe one component.
         """
-        n = self.num_darts
-        s0 = self._sigma0
-        best = None
-        for start in range(n):
-            newlab = [-1] * n
-            order = [start]
-            newlab[start] = 0
-            code = []
-            pos = 0
-            worse = False
-            tied = True  # equal to best on the prefix emitted so far
-            while pos < len(order):
-                cur = order[pos]
-                for img in (s0[cur], cur ^ 1):
-                    if newlab[img] < 0:
-                        newlab[img] = len(order)
-                        order.append(img)
-                    code.append(newlab[img])
-                    if best is not None and tied:
-                        c, b = code[-1], best[len(code) - 1]
-                        if c > b:
-                            worse = True
-                            break
-                        if c < b:
-                            tied = False
-                if worse:
-                    break
-                pos += 1
-            if worse:
-                continue
-            if best is None or code < best:
-                best = code
-        return bytes(best)
+        return canonical_code(self._sigma0,
+                              [d ^ 1 for d in range(self.num_darts)])[0]
 
     def is_isomorphic(self, other):
         if self.num_darts != other.num_darts:
             return False
-        return self.canonical_form() == other.canonical_form()
+        return self._component_codes() == other._component_codes()
+
+    def _component_codes(self):
+        """Sorted canonical codes of the connected components."""
+        try:
+            return [self.canonical_form()]
+        except DisconnectedError:
+            pass
+        n = self.num_darts
+        s0 = self._sigma0
+        seen = [False] * n
+        codes = []
+        for s in range(n):
+            if seen[s]:
+                continue
+            comp = [s]
+            seen[s] = True
+            for d in comp:
+                for e in (s0[d], d ^ 1):
+                    if not seen[e]:
+                        seen[e] = True
+                        comp.append(e)
+            local = {d: i for i, d in enumerate(comp)}
+            codes.append(canonical_code([local[s0[d]] for d in comp],
+                                        [local[d ^ 1] for d in comp])[0])
+        return sorted(codes)
 
     # -- transformations ----------------------------------------------------
 

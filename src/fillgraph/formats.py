@@ -90,9 +90,43 @@ def plan_to_document(plan: SynthesisPlan) -> dict:
             "steps": steps}
 
 
+# the type of every step field; all but "op" may be absent or null
+_STEP_TYPES = {"op": str, "family": str, "param": int, "vertices": list,
+               "left": int, "right": int, "x": str, "y": str, "w": int,
+               "u": int, "align": int, "flip": bool, "arg": int}
+
+
+def _require(what, value, kind):
+    # bool is an int subclass; a flag is no index and an index no flag
+    if not isinstance(value, kind) or (
+            kind is int and isinstance(value, bool)):
+        raise FormatError(f"{what} must be of type {kind.__name__}, "
+                          f"got {value!r}")
+
+
+def _validate_plan(doc):
+    t = doc.get("target")
+    _require("plan target", t, dict)
+    for k in ("g", "b", "s"):
+        _require(f"target {k}", t.get(k), int)
+    _require("expect_filling", doc.get("expect_filling", True), bool)
+    if doc.get("expect_omega") is not None:
+        _require("expect_omega", doc["expect_omega"], int)
+    _require("plan steps", doc.get("steps"), list)
+    for i, d in enumerate(doc["steps"]):
+        _require(f"step {i}", d, dict)
+        _require(f"step {i} op", d.get("op"), str)
+        for k, kind in _STEP_TYPES.items():
+            if d.get(k) is not None:
+                _require(f"step {i} {k}", d[k], kind)
+        for c in d.get("vertices") or ():
+            _require(f"step {i} vertex cycle", c, list)
+
+
 def plan_from_document(doc) -> SynthesisPlan:
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise FormatError(f"not a {PLAN_FORMAT} document")
+    _validate_plan(doc)
     t = doc["target"]
     plan = SynthesisPlan(target=(t["g"], t["b"], t["s"]),
                          expect_filling=doc.get("expect_filling", True),

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FatGraph, FatGraphError, SurfaceSignature
+from .core import FatGraph, FatGraphError, InvariantError, SurfaceSignature
 
 
 class OperationError(FatGraphError):
     """Bad selector or precondition violation."""
 
 
-class OperationInvariantError(AssertionError):
+class OperationInvariantError(InvariantError):
     """Predicted and recomputed values disagree: internal breach."""
 
 
@@ -174,7 +174,9 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
         predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, -1),
         result=result, recomputed=result.signature(),
         selectors={"x": x, "y": y, "flip": flip, "new_edges": (e, f)})
-    assert rep.recomputed.is_connected
+    if not rep.recomputed.is_connected:
+        raise OperationInvariantError("join of connected graphs is "
+                                      "disconnected")
     return rep.check()
 
 
@@ -373,7 +375,9 @@ def _surgery_standard_count(left, w_darts, right, u_darts):
         while c not in seen:
             seen.add(c)
             c = succ(c)
-    assert orbits % 2 == 0
+    if orbits % 2:
+        raise OperationInvariantError(
+            "standard orbits of a connected sum do not pair up")
     return orbits // 2
 
 
@@ -510,40 +514,3 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
         selectors={"w": w, "u": u, "align": align,
                    "new_edges": tuple(gname)})
     return rep.check()
-
-
-@dataclass(frozen=True)
-class JoinSpec:
-    left: FatGraph
-    right: FatGraph
-    x: str
-    y: str
-    flip: bool = False
-
-    def apply(self):
-        return join(self.left, self.right, self.x, self.y, self.flip)
-
-
-@dataclass(frozen=True)
-class ConnectedSumSpec:
-    left: FatGraph
-    right: FatGraph
-    w: int
-    u: int
-    align: int = 0
-
-    def apply(self):
-        return connected_sum(self.left, self.right, self.w, self.u,
-                             self.align)
-
-
-@dataclass(frozen=True)
-class PlumbSpec:
-    left: FatGraph
-    right: FatGraph
-    x: str
-    y: str
-    flip: bool = False
-
-    def apply(self):
-        return plumbing(self.left, self.right, self.x, self.y, self.flip)

@@ -1,15 +1,21 @@
-"""Brute-force census of small connected 4-regular fat graphs.
+"""Census of small connected 4-regular fat graphs, grown class by class.
 
-The census enumerates rotation systems indirectly: the rotation at every
-vertex is fixed to a standard 4-cycle and the direction-reversal involution
-runs over all perfect matchings of the 4V darts, which reaches every
-isomorphism class.  The matching of dart 0 is restricted to {1, 2, 4}
-(adjacent loop, opposite loop, least dart of another vertex), a safe symmetry
-break; full isomorphism rejection happens via canonical forms afterwards.
+A census graph on V vertices keeps the rotation at every vertex fixed to a
+standard 4-cycle (vertex v owns darts 4v..4v+3) and is given by the
+direction-reversal involution, a perfect matching of the 4V darts.  The
+census at V=1 walks those matchings.  Every larger level grows from the
+class representatives one level down: a new vertex goes in across every
+pair of distinct edges (its darts joined to the four cut ends) and onto
+every single edge with a loop at the new vertex, in every way up to
+rotating the new vertex; the candidates are deduplicated by canonical
+code.  This reaches every class: deleting a suitable vertex of a connected
+graph and rejoining its partners leaves a connected graph one level down,
+and the insertions above undo every such deletion.
 
-Exhaustive mode is limited to V <= 4 (about 2 million matchings).  With
-numba available the kernel is compiled; the pure python twin is the
-reference implementation and the two are compared in the tests.
+Each level is certified by the orbit-counting mass formula: the classes'
+orbit sizes 4^V V! / |Aut| must add up to the number of connected
+matchings on 4V darts, which follows from (4V-1)!! alone.  A census that
+missed or split a class fails it and raises :class:`CensusError`.
 
 The census is the independent side of the bound checks: it never calls the
 synthesis builders, and its graphs exercise the operation formulas through
@@ -18,29 +24,27 @@ synthesis builders, and its graphs exercise the operation formulas through
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
+from math import comb, factorial, prod
 
-from .core import FatGraph
+from .core import FatGraph, InvariantError, canonical_code
 from . import families
 from .analysis import intersection_graph
 from .ops import (connected_sum, join, plumbing, new_join_boundaries,
                   OperationError)
-
-try:
-    import numpy as _np
-    from numba import njit as _njit
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _np = None
-    _HAVE_NUMBA = False
 
 EXHAUSTIVE_CEILING = 4
 
 
 class CensusRangeError(ValueError):
     pass
+
+
+class CensusError(InvariantError):
+    """The census failed its mass-formula certificate."""
 
 
 @dataclass(frozen=True)
@@ -55,26 +59,24 @@ class CensusRow:
     cycle_lengths: tuple
     filling: bool
     omega_max: int | None
-    count: int  # matchings hitting this class
-    witness: tuple  # one matching, as a partner tuple
+    count: int  # matchings of iter_matchings(V) in this class
+    witness: tuple  # the first of them, as a partner tuple
+    automorphisms: int  # order of the automorphism group
 
     def graph(self):
         return matching_to_graph(self.vertex_count, self.witness)
 
 
-def iter_matchings(V, connected_only=False, prefix=()):
-    """Yield perfect matchings of the 4V darts as partner tuples.
+def iter_matchings(V, connected_only=False):
+    """Yield perfect matchings of the 4V darts as partner tuples, in
+    lexicographic order.
 
-    ``prefix`` forces the stated (dart, partner) pairs, for splitting the
-    space across workers.  Deterministic order.
+    The partner of dart 0 is restricted to {1, 2, 4} (adjacent loop,
+    opposite loop, least dart of another vertex), a symmetry break that
+    still reaches every isomorphism class.
     """
     n = 4 * V
     match = [-1] * n
-    for d, c in prefix:
-        if match[d] >= 0 or match[c] >= 0:
-            return
-        match[d] = c
-        match[c] = d
 
     def first_free(lo):
         for k in range(lo, n):
@@ -139,17 +141,23 @@ def matching_to_graph(V, match):
     return FatGraph.from_vertex_cycles(cycles)
 
 
+def _s0(d):
+    """The standard rotation: the next dart at the same vertex."""
+    return (d & ~3) | ((d + 1) & 3)
+
+
+def standard_rotation(V):
+    return tuple(_s0(d) for d in range(4 * V))
+
+
 def _leaf_invariants(V, match):
     """(b, s, genus, filling, blengths, clengths) for one connected matching.
 
-    Mirrors the compiled kernel; sigma0 is the standard rotation and the
-    boundary successor is d -> sigma0[match[d]].
+    sigma0 is the standard rotation and the boundary successor is
+    d -> sigma0[match[d]].
     """
     n = 4 * V
-
-    def s0(d):
-        return (d & ~3) | ((d + 1) & 3)
-
+    s0 = _s0
     seen = [False] * n
     blengths = []
     for st in range(n):
@@ -163,7 +171,8 @@ def _leaf_invariants(V, match):
         blengths.append(ln)
     b = len(blengths)
     genus2 = 2 - b + V  # m = 2V
-    assert genus2 % 2 == 0
+    if genus2 % 2:
+        raise InvariantError(f"odd Euler characteristic data at V={V}")
     seen = [False] * n
     clengths = []
     simple = True
@@ -181,7 +190,8 @@ def _leaf_invariants(V, match):
             d = s0(s0(match[d]))
             ln += 1
         clengths.append(ln)
-    assert len(clengths) % 2 == 0
+    if len(clengths) % 2:
+        raise InvariantError("curve orbits do not pair up under reversal")
     filling = simple and min(blengths) >= 3
     # orbits pair up under reversal; report each curve once
     curve_lengths = sorted(clengths, reverse=True)[::2]
@@ -190,338 +200,142 @@ def _leaf_invariants(V, match):
             tuple(curve_lengths))
 
 
-def _canonical_code_py(V, match):
-    """Lexicographically least BFS code; equals FatGraph.canonical_form()."""
+def _grown(V, match):
+    """Matchings on V vertices made by inserting vertex V-1 into the
+    connected matching ``match`` on V-1 vertices.
+
+    The new vertex goes across two distinct edges, its darts joined to the
+    four cut ends, or onto one edge, its two cut ends joined to two of its
+    darts and the other two darts forming a loop.  Rotating the new vertex
+    relabels the result without changing its class, so the first cut end
+    always joins the new vertex's first dart: 6 of the 24 assignments
+    across two edges and 3 of the 12 loop placements cover them all.
+    """
+    n = 4 * (V - 1)
+    base = list(match) + [-1] * 4
+    edges = [(a, b) for a, b in enumerate(match) if a < b]
+    for (a, b), (c, d) in combinations(edges, 2):
+        for darts in permutations(range(n + 1, n + 4)):
+            m = base[:]
+            m[a], m[n] = n, a
+            for e, w in zip((b, c, d), darts):
+                m[e], m[w] = w, e
+            yield m
+    for a, b in edges:
+        for w in range(n + 1, n + 4):
+            i, j = (x for x in range(n + 1, n + 4) if x != w)
+            m = base[:]
+            m[a], m[n] = n, a
+            m[b], m[w] = w, b
+            m[i], m[j] = j, i
+            yield m
+
+
+def _least_relabeling(V, match):
+    """The lexicographically least partner tuple isomorphic to ``match``.
+
+    Trying each dart as the new dart 0, vertices are numbered in the order
+    the scan of darts 0, 1, 2, ... first reaches them, each with the
+    reaching dart at offset 0; every other choice gives a larger tuple.
+    This is the first matching :func:`iter_matchings` yields in the class.
+    """
     n = 4 * V
-
-    def s0(d):
-        return (d & ~3) | ((d + 1) & 3)
-
     best = None
     for start in range(n):
-        newlab = [-1] * n
-        order = [start]
-        newlab[start] = 0
-        code = []
-        pos = 0
-        worse = False
-        tied = best is not None
-        while pos < len(order):
-            cur = order[pos]
-            for img in (s0(cur), match[cur]):
-                if newlab[img] < 0:
-                    newlab[img] = len(order)
-                    order.append(img)
-                code.append(newlab[img])
-                if tied:
-                    c, bb = code[-1], best[len(code) - 1]
-                    if c > bb:
-                        worse = True
-                        break
-                    if c < bb:
-                        tied = False
-            if worse:
-                break
-            pos += 1
-        if worse:
-            continue
-        if best is None or code < best:
-            best = code
-    return bytes(best)
+        lab = [-1] * n  # old dart -> new dart
+        old = []  # new dart -> old dart
+        _number_vertex(start, lab, old)
+        out = []
+        for p in range(n):
+            q = match[old[p]]
+            if lab[q] < 0:
+                _number_vertex(q, lab, old)
+            out.append(lab[q])
+        if best is None or out < best:
+            best = out
+    return tuple(best)
 
 
-def _census_python(V, prefix=()):
-    rows = {}
-    for match in iter_matchings(V, connected_only=True, prefix=prefix):
-        inv = _leaf_invariants(V, match)
-        key = _canonical_code_py(V, match)
-        if key in rows:
-            rows[key][1] += 1
-        else:
-            rows[key] = [inv, 1, match]
-    return rows
+def _number_vertex(d, lab, old):
+    """Give the darts of d's vertex the next four numbers, d first."""
+    for j in range(4):
+        e = (d & ~3) | ((d + j) & 3)
+        lab[e] = len(old)
+        old.append(e)
 
 
-# --- compiled kernel -------------------------------------------------------
+def _class_count(V, match, automorphisms):
+    """Matchings of ``iter_matchings(V)`` in the class of ``match``.
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _kernel(V, prefix, out_inv, out_code, out_witness):
-        n = 4 * V
-        match = _np.full(n, -1, _np.int32)
-        for k in range(prefix.shape[0]):
-            match[prefix[k, 0]] = prefix[k, 1]
-            match[prefix[k, 1]] = prefix[k, 0]
-        dart_at = _np.full(2 * n + 2, -1, _np.int32)
-        cand = _np.full(2 * n + 2, -1, _np.int32)
-        seen = _np.zeros(n, _np.uint8)
-        visits = _np.zeros(V, _np.int32)
-        parent = _np.zeros(V, _np.int32)
-        newlab = _np.full(n, -1, _np.int32)
-        order = _np.zeros(n, _np.int32)
-        code = _np.zeros(2 * n, _np.int32)
-        best = _np.zeros(2 * n, _np.int32)
-        lens = _np.zeros(n, _np.int32)
-
-        rows = 0
-        depth = 0
-        d0 = -1
-        for k in range(n):
-            if match[k] < 0:
-                d0 = k
-                break
-        if d0 < 0:
-            return rows  # prefix already complete: degenerate, skip
-        dart_at[0] = d0
-        cand[0] = -1
-
-        while depth >= 0:
-            d = dart_at[depth]
-            c = cand[depth]
-            if c >= 0:
-                match[d] = -1
-                match[c] = -1
-            # advance candidate
-            nxt = -1
-            if d == 0:
-                if c < 1 and 1 < n and match[1] < 0:
-                    nxt = 1
-                elif c < 2 and match[2] < 0:
-                    nxt = 2
-                elif c < 4 and 4 < n and match[4] < 0:
-                    nxt = 4
-            else:
-                k = c + 1 if c > d else d + 1
-                while k < n:
-                    if match[k] < 0:
-                        nxt = k
-                        break
-                    k += 1
-            if nxt < 0:
-                depth -= 1
-                continue
-            cand[depth] = nxt
-            match[d] = nxt
-            match[nxt] = d
-            nd = -1
-            for k in range(d + 1, n):
-                if match[k] < 0:
-                    nd = k
-                    break
-            if nd >= 0:
-                depth += 1
-                dart_at[depth] = nd
-                cand[depth] = -1
-                continue
-            # leaf: connectivity
-            for v in range(V):
-                parent[v] = v
-            for a in range(n):
-                bb = match[a]
-                if bb > a:
-                    ra = a // 4
-                    while parent[ra] != ra:
-                        parent[ra] = parent[parent[ra]]
-                        ra = parent[ra]
-                    rb = bb // 4
-                    while parent[rb] != rb:
-                        parent[rb] = parent[parent[rb]]
-                        rb = parent[rb]
-                    if ra != rb:
-                        parent[ra] = rb
-            ncomp = 0
-            for v in range(V):
-                if parent[v] == v:
-                    ncomp += 1
-            if ncomp != 1:
-                continue
-            # boundary orbits
-            for k in range(n):
-                seen[k] = 0
-            b = 0
-            minblen = n + 1
-            nbl = 0
-            for st in range(n):
-                if seen[st] == 0:
-                    b += 1
-                    dd = st
-                    ln = 0
-                    while seen[dd] == 0:
-                        seen[dd] = 1
-                        mm = match[dd]
-                        dd = (mm & ~3) | ((mm + 1) & 3)
-                        ln += 1
-                    lens[nbl] = ln
-                    nbl += 1
-                    if ln < minblen:
-                        minblen = ln
-            blen_sorted = _np.sort(lens[:nbl])[::-1].copy()
-            genus = (2 - b + V) // 2
-            # standard orbits
-            for k in range(n):
-                seen[k] = 0
-            norb = 0
-            simple = 1
-            ncl = 0
-            for st in range(n):
-                if seen[st] == 0:
-                    norb += 1
-                    for v in range(V):
-                        visits[v] = 0
-                    dd = st
-                    ln = 0
-                    while seen[dd] == 0:
-                        seen[dd] = 1
-                        vv = dd // 4
-                        visits[vv] += 1
-                        if visits[vv] > 1:
-                            simple = 0
-                        mm = match[dd]
-                        mm = (mm & ~3) | ((mm + 1) & 3)
-                        dd = (mm & ~3) | ((mm + 1) & 3)
-                        ln += 1
-                    lens[ncl] = ln
-                    ncl += 1
-            filling = 1 if (simple == 1 and minblen >= 3) else 0
-            clen_sorted = _np.sort(lens[:ncl])[::-1].copy()
-            # canonical code
-            have_best = 0
-            for st in range(n):
-                for k in range(n):
-                    newlab[k] = -1
-                newlab[st] = 0
-                order[0] = st
-                cnt = 1
-                pos = 0
-                ci = 0
-                worse = 0
-                tied = 1 if have_best == 1 else 0
-                while pos < cnt:
-                    cur = order[pos]
-                    for which in range(2):
-                        if which == 0:
-                            img = (cur & ~3) | ((cur + 1) & 3)
-                        else:
-                            img = match[cur]
-                        if newlab[img] < 0:
-                            newlab[img] = cnt
-                            order[cnt] = img
-                            cnt += 1
-                        code[ci] = newlab[img]
-                        ci += 1
-                        if tied == 1:
-                            if code[ci - 1] > best[ci - 1]:
-                                worse = 1
-                                break
-                            if code[ci - 1] < best[ci - 1]:
-                                tied = 0
-                    if worse == 1:
-                        break
-                    pos += 1
-                if worse == 1:
-                    continue
-                if have_best == 0:
-                    for k in range(2 * n):
-                        best[k] = code[k]
-                    have_best = 1
-                else:
-                    for k in range(2 * n):
-                        if code[k] < best[k]:
-                            for j in range(2 * n):
-                                best[j] = code[j]
-                            break
-                        elif code[k] > best[k]:
-                            break
-            # emit row
-            out_inv[rows, 0] = b
-            out_inv[rows, 1] = norb // 2
-            out_inv[rows, 2] = genus
-            out_inv[rows, 3] = filling
-            for k in range(out_inv.shape[1] - 4):
-                out_inv[rows, 4 + k] = 0
-            for k in range(nbl):
-                out_inv[rows, 4 + k] = blen_sorted[k]
-            half = (out_inv.shape[1] - 4) // 2
-            ci2 = 0
-            for k in range(0, ncl, 2):
-                out_inv[rows, 4 + half + ci2] = clen_sorted[k]
-                ci2 += 1
-            for k in range(2 * n):
-                out_code[rows, k] = best[k]
-            for k in range(n):
-                out_witness[rows, k] = match[k]
-            rows += 1
-        return rows
+    The orbit has 4^V V! / |Aut| labelings, spread evenly over the darts
+    that can take the place of dart 0.  A darts have their partner one or
+    two steps on around their vertex (dart 0 paired with 1 or 2), B darts
+    at another vertex (dart 0 paired with 4, one of 4(V-1) places).
+    """
+    A = sum(1 for d in range(4 * V)
+            if match[d] in (_s0(d), _s0(_s0(d))))
+    B = sum(1 for d in range(4 * V) if match[d] // 4 != d // 4)
+    total = A * 4 ** (V - 1) * factorial(V - 1)
+    if B:
+        total += B * 4 ** (V - 2) * factorial(V - 2)
+    return total // automorphisms
 
 
-def _census_numba(V, prefix=()):
-    n = 4 * V
-    cap = {1: 8, 2: 300, 3: 30_000, 4: 450_000}[V]
-    out_inv = _np.zeros((cap, 4 + 2 * n), _np.int16)
-    out_code = _np.zeros((cap, 2 * n), _np.int8)
-    out_wit = _np.zeros((cap, n), _np.int8)
-    pre = _np.array(list(prefix), _np.int32).reshape(-1, 2)
-    nrows = _kernel(V, pre, out_inv, out_code, out_wit)
-    assert nrows < cap
-    rows = {}
-    half = n
-    for i in range(nrows):
-        key = out_code[i].tobytes()
-        if key in rows:
-            rows[key][1] += 1
-            continue
-        inv = out_inv[i]
-        b, s, genus, filling = int(inv[0]), int(inv[1]), int(inv[2]), int(inv[3])
-        blen = tuple(int(x) for x in inv[4:4 + half] if x > 0)
-        clen = tuple(int(x) for x in inv[4 + half:] if x > 0)
-        rows[key] = [(b, s, genus, bool(filling), blen, clen), 1,
-                     tuple(int(x) for x in out_wit[i])]
-    return rows
+def connected_matchings(V):
+    """Number of perfect matchings of 4V darts, 4 to a vertex, whose
+    vertices form a connected graph: V! [x^V] log sum (4k-1)!! x^k / k!."""
+    def all_matchings(k):
+        return prod(range(1, 4 * k, 2))  # (4k-1)!!
+
+    conn = [0]
+    for k in range(1, V + 1):
+        # a matching splits into the component of vertex 1 and the rest
+        conn.append(all_matchings(k) - sum(
+            comb(k - 1, j - 1) * conn[j] * all_matchings(k - j)
+            for j in range(1, k)))
+    return conn[V]
 
 
-def _merge(target, extra):
-    for key, val in extra.items():
-        if key in target:
-            target[key][1] += val[1]
-        else:
-            target[key] = val
-    return target
-
-
-def _census_raw(V):
-    threads = int(os.environ.get("FILLGRAPH_THREADS", "1") or "1")
-    engine = _census_numba if _HAVE_NUMBA else _census_python
-    if threads <= 1 or V < 3:
-        return engine(V)
-    # fan out over the first-level choices; merge is a plain union
-    prefixes = [((0, c),) for c in (1, 2, 4)]
-    import concurrent.futures as cf
-    out = {}
-    with cf.ProcessPoolExecutor(max_workers=min(threads, len(prefixes))) as ex:
-        for part in ex.map(_census_part, [(V, p, _HAVE_NUMBA) for p in prefixes]):
-            _merge(out, part)
-    return out
-
-
-def _census_part(args):
-    V, prefix, use_numba = args
-    engine = _census_numba if (use_numba and _HAVE_NUMBA) else _census_python
-    return engine(V, prefix=prefix)
+def _classes(V):
+    """canonical code -> (automorphisms, one matching) for level V."""
+    rot = standard_rotation(V)
+    if V == 1:
+        found = iter_matchings(1, connected_only=True)
+    else:
+        found = (m for row in census(V - 1) for m in _grown(V, row.witness))
+    classes = {}
+    for match in found:
+        key, automorphisms = canonical_code(rot, match)
+        if key not in classes:
+            classes[key] = (automorphisms, tuple(match))
+    return classes
 
 
 @lru_cache(maxsize=None)
 def census(V):
     """Complete census of connected 4-regular fat graphs on V vertices up to
-    isomorphism, as :class:`CensusRow` list sorted by canonical key."""
+    isomorphism, as :class:`CensusRow` list sorted by canonical key.
+
+    Raises :class:`CensusError` when the classes fail the mass formula.
+    """
     if not 1 <= V <= EXHAUSTIVE_CEILING:
         raise CensusRangeError(
             f"exhaustive census supports 1 <= V <= {EXHAUSTIVE_CEILING}; "
             "use synthesis.search_filling for targeted larger searches")
-    raw = _census_raw(V)
+    classes = _classes(V)
+    labelings = 4 ** V * factorial(V)
+    mass = sum(Fraction(labelings, automorphisms)
+               for automorphisms, _ in classes.values())
+    want = connected_matchings(V)
+    if mass != want:
+        raise CensusError(
+            f"census at V={V}: {len(classes)} classes of total orbit size "
+            f"{mass}, but there are {want} connected matchings")
     rows = []
-    for key in sorted(raw):
-        (b, s, genus, filling, blen, clen), count, witness = raw[key]
+    for key in sorted(classes):
+        automorphisms, match = classes[key]
+        witness = _least_relabeling(V, match)
+        b, s, genus, filling, blen, clen = _leaf_invariants(V, witness)
         omega = None
         if filling:
             omega = intersection_graph(
@@ -530,7 +344,9 @@ def census(V):
             key=key, vertex_count=V, edge_count=2 * V, genus=genus,
             boundary_count=b, standard_cycle_count=s,
             boundary_lengths=blen, cycle_lengths=clen,
-            filling=filling, omega_max=omega, count=count, witness=witness))
+            filling=filling, omega_max=omega,
+            count=_class_count(V, witness, automorphisms), witness=witness,
+            automorphisms=automorphisms))
     return tuple(rows)
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import families
 from .analysis import intersection_graph
-from .core import FatGraph, FatGraphError
+from .core import FatGraph, FatGraphError, InvariantError
 from .ops import OperationReport, connected_sum, join, plumbing
 
 
@@ -44,7 +44,7 @@ class SearchBudgetError(SynthesisError):
     """Search gave up before exhausting its space (retry with more budget)."""
 
 
-class PlanVerificationError(AssertionError):
+class PlanVerificationError(InvariantError):
     pass
 
 
@@ -80,34 +80,48 @@ class SynthesisPlan:
         """Execute the plan; returns (final graph, operation reports).
 
         Raises :class:`PlanVerificationError` when the replayed graph does
-        not meet the plan's target, filling, or weight expectations.
+        not meet the plan's target, filling, or weight expectations, and
+        :class:`SynthesisError` for a step naming no earlier step.
         """
         graphs: list[FatGraph] = []
         reports: list[OperationReport] = []
+
+        def operand(i):
+            if not isinstance(i, int) or not 0 <= i < len(graphs):
+                raise SynthesisError(
+                    f"step {len(graphs)}: operand {i!r} is not an earlier "
+                    "step")
+            return graphs[i]
+
         for st in self.steps:
             if st.op == "family":
                 graphs.append(families.build(st.family, st.param))
             elif st.op == "graph":
+                if st.vertices is None:
+                    raise SynthesisError(
+                        f"step {len(graphs)}: graph step without vertices")
                 graphs.append(FatGraph.from_vertex_cycles(st.vertices))
             elif st.op == "join":
-                rep = join(graphs[st.left], graphs[st.right], st.x, st.y,
+                rep = join(operand(st.left), operand(st.right), st.x, st.y,
                            st.flip)
                 reports.append(rep)
                 graphs.append(rep.result)
             elif st.op == "plumb":
-                rep = plumbing(graphs[st.left], graphs[st.right], st.x, st.y,
-                               st.flip)
+                rep = plumbing(operand(st.left), operand(st.right), st.x,
+                               st.y, st.flip)
                 reports.append(rep)
                 graphs.append(rep.result)
             elif st.op == "consum":
-                rep = connected_sum(graphs[st.left], graphs[st.right],
+                rep = connected_sum(operand(st.left), operand(st.right),
                                     st.w, st.u, st.align)
                 reports.append(rep)
                 graphs.append(rep.result)
             elif st.op == "smooth":
-                graphs.append(graphs[st.arg].smoothed())
+                graphs.append(operand(st.arg).smoothed())
             else:
                 raise SynthesisError(f"unknown plan step {st.op!r}")
+        if not graphs:
+            raise SynthesisError("plan has no steps")
         final = graphs[-1]
         sig = final.signature()
         if sig.triple != tuple(self.target):
@@ -392,7 +406,9 @@ def _join_torus_chain(bld, idx, count):
                 "the join construction guarantees one, so this is a bug")
         ti = bld.family(families.TORUS_PAIR)
         idx, rep = bld.join(idx, ti, x, "a")
-        assert rep.case == "SAME/SAME"
+        if rep.case != "SAME/SAME":
+            raise PlanVerificationError(
+                f"torus join expected case SAME/SAME, got {rep.case}")
     return idx
 
 
@@ -623,7 +639,9 @@ def _tight_into(bld, g, s):
         x = _diff_boundary_edge(bld.graphs[pi])
         si = bld.family(families.SPHERE_CIRCLE)
         idx, rep = bld.plumb(pi, si, x, "a")
-        assert rep.case == "ALL-DIFFERENT"
+        if rep.case != "ALL-DIFFERENT":
+            raise PlanVerificationError(
+                f"sphere plumb expected case ALL-DIFFERENT, got {rep.case}")
         return bld.smooth(idx)
     if s == 2 * g:
         return bld.family(families.GAMMA_G, g)

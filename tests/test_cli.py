@@ -156,6 +156,47 @@ class TestSynth:
         assert code == 2
 
 
+class TestReplay:
+    @pytest.fixture()
+    def plan_doc(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        run(capsys, "synth", "-g", "3", "-b", "3", "-s", "4",
+            "--plan-out", str(path))
+        return json.loads(path.read_text())
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_success(self, capsys, tmp_path, plan_doc):
+        out_file = tmp_path / "g.json"
+        code, out, _ = run(capsys, "replay", self.write(tmp_path, plan_doc),
+                           "-o", str(out_file))
+        assert code == 0
+        assert "g=3 b=3 s=4" in out
+        assert json.loads(out_file.read_text())["format"] == "fatgraph/1"
+
+    def test_missing_target_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "replay",
+                           self.write(tmp_path, {"format": "fillplan/1"}))
+        assert code == 2
+        assert "target" in err
+
+    def test_step_out_of_range_exit_2(self, capsys, tmp_path, plan_doc):
+        step = next(st for st in plan_doc["steps"] if "left" in st)
+        step["left"] = 99
+        code, _, err = run(capsys, "replay", self.write(tmp_path, plan_doc))
+        assert code == 2
+        assert "99" in err
+
+    def test_wrong_target_exit_1(self, capsys, tmp_path, plan_doc):
+        plan_doc["target"]["s"] = 5
+        code, _, err = run(capsys, "replay", self.write(tmp_path, plan_doc))
+        assert code == 1
+        assert "verification failed" in err
+
+
 class TestEnumerate:
     def test_filter_empty(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-V", "3",

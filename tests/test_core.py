@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fillgraph
 from fillgraph import families
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
                             MalformedGraphError, NotDecoratedError)
@@ -152,6 +156,20 @@ class TestSignature:
         with pytest.raises(DisconnectedError):
             g.signature()
 
+    def test_euler_check_survives_optimize(self):
+        # one boundary cycle short makes 2 - b - V + m odd; the check must
+        # still raise when python -O strips assert statements
+        code = ("from fillgraph.core import FatGraph, InvariantError\n"
+                "g = FatGraph.from_vertex_cycles([['a+', 'b+', 'a-', 'b-']])\n"
+                "g.__dict__['boundary_cycles'] = ()\n"
+                "try:\n    g.signature()\n"
+                "except InvariantError:\n    print('raised')\n")
+        src = str(Path(fillgraph.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={"PYTHONPATH": src}, capture_output=True,
+                             text=True, timeout=60)
+        assert out.stdout.strip() == "raised", out.stderr
+
 
 class TestFillingPredicate:
     def test_gamma_3_is_filling(self):
@@ -194,6 +212,24 @@ class TestIsomorphism:
         assert not t.is_isomorphic(s)
         assert len(t.boundary_cycles) == 1
         assert len(s.boundary_cycles) == 3
+
+    def test_disconnected_components_all_compared(self):
+        # planar bouquet + torus bouquet against two planar bouquets: the
+        # components of the start dart agree, the other ones do not
+        planar, torus = ("a+ a- b+ b-", "a+ b+ a- b-")
+        mixed = FatGraph.from_vertex_cycles(
+            [cyc(planar), cyc(torus.replace("a", "c").replace("b", "d"))])
+        planars = FatGraph.from_vertex_cycles(
+            [cyc(planar), cyc(planar.replace("a", "c").replace("b", "d"))])
+        assert not mixed.is_isomorphic(planars)
+        assert not planars.is_isomorphic(mixed)
+        rng = random.Random(5)
+        assert mixed.is_isomorphic(mixed.shuffled(rng))
+        swapped = FatGraph.from_vertex_cycles(
+            [cyc(torus), cyc(planar.replace("a", "c").replace("b", "d"))])
+        assert mixed.is_isomorphic(swapped)
+        with pytest.raises(DisconnectedError):
+            mixed.canonical_form()
 
     def test_invariants_respected(self):
         rng = random.Random(11)

@@ -5,8 +5,10 @@ import pytest
 
 from fillgraph import families, oracle
 from fillgraph.formats import (FormatError, census_rows_to_csv,
-                               census_rows_to_json, dumps_graph, graph_to_dot,
-                               loads_graph, read_graph, write_graph)
+                               census_rows_to_json, dumps_graph, dumps_plan,
+                               graph_to_dot, loads_graph, loads_plan,
+                               read_graph, write_graph)
+from fillgraph.synthesis import filling
 
 
 class TestGraphFile:
@@ -50,6 +52,42 @@ class TestGraphFile:
         g = loads_graph(json.dumps(doc))
         assert g.num_edges == 2
         assert g.signature().genus in (0, 1)
+
+
+class TestPlanFile:
+    @pytest.fixture()
+    def doc(self):
+        return json.loads(dumps_plan(filling(3, 3, 4)))  # steps[2]: join
+
+    def test_missing_target_and_steps(self, doc):
+        for text in ('{"format": "fillplan/1"}',
+                     '{"format": "fillplan/1", "target": {"g": 2, "b": 1, '
+                     '"s": 3}}'):
+            with pytest.raises(FormatError):
+                loads_plan(text)
+
+    @pytest.mark.parametrize("path, value", [
+        (("target",), [2, 1, 3]),
+        (("target", "s"), "3"),
+        (("target", "g"), True),
+        (("steps",), {"op": "family"}),
+        (("steps", 0), "family"),
+        (("steps", 0, "op"), None),
+        (("steps", 2, "left"), "0"),
+        (("steps", 2, "flip"), 1),
+        (("expect_filling",), "yes"),
+    ])
+    def test_ill_typed_fields(self, doc, path, value):
+        node = doc
+        for k in path[:-1]:
+            node = node[k]
+        node[path[-1]] = value
+        with pytest.raises(FormatError):
+            loads_plan(json.dumps(doc))
+
+    def test_valid_document_still_loads(self, doc):
+        text = json.dumps(doc, indent=2) + "\n"
+        assert dumps_plan(loads_plan(text)) == text
 
 
 class TestCensusExport:

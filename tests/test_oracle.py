@@ -1,9 +1,14 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from fillgraph import oracle
-from fillgraph.oracle import (CensusRangeError, census, census_filter,
-                              iter_matchings, matching_to_graph,
-                              verify_formula_by_recompute)
+from fillgraph.analysis import intersection_graph
+from fillgraph.core import canonical_code
+from fillgraph.oracle import (CensusError, CensusRangeError, census,
+                              census_filter, iter_matchings,
+                              matching_to_graph, verify_formula_by_recompute)
 
 
 class TestCensus:
@@ -65,36 +70,82 @@ class TestCensus:
             census(5)
 
 
-class TestEngineAgreement:
-    def test_python_equals_numba(self):
-        for V in (1, 2):
-            py = oracle._census_python(V)
-            assert set(py) and isinstance(py, dict)
-            if oracle._HAVE_NUMBA:
-                nb = oracle._census_numba(V)
-                assert set(py) == set(nb)
-                for k in py:
-                    assert py[k][0] == nb[k][0]
-                    assert py[k][1] == nb[k][1]
+def brute_force(V):
+    """canonical code -> [matchings, first matching] over iter_matchings."""
+    rot = oracle.standard_rotation(V)
+    classes = {}
+    for match in iter_matchings(V, connected_only=True):
+        key, _ = canonical_code(rot, match)
+        if key in classes:
+            classes[key][0] += 1
+        else:
+            classes[key] = [1, match]
+    return classes
 
-    def test_prefix_split_covers_everything(self):
-        whole = oracle._census_python(3)
-        parts = {}
-        for c in (1, 2, 4):
-            oracle._merge(parts, oracle._census_python(3, prefix=((0, c),)))
-        assert set(parts) == set(whole)
-        for k in whole:
-            assert parts[k][1] == whole[k][1]
 
-    def test_worker_fanout_matches_serial(self, monkeypatch):
-        serial = {(r.key, r.count) for r in census(3)}
+def connected_count(V):
+    """Connected matchings on 4V darts, from (4V-1)!! by the exponential
+    formula: split off the component of the first vertex."""
+    def double_factorial(k):
+        return math.prod(range(1, 4 * k, 2))
+
+    conn = {}
+    for k in range(1, V + 1):
+        conn[k] = double_factorial(k) - sum(
+            math.comb(k - 1, j - 1) * conn[j] * double_factorial(k - j)
+            for j in range(1, k))
+    return conn[V]
+
+
+class TestGrowth:
+    def test_connected_counts(self):
+        assert [connected_count(V) for V in (1, 2, 3, 4)] == \
+            [3, 96, 9504, 1880064]
+
+    def test_mass_identity(self):
+        for V in (1, 2, 3, 4):
+            mass = sum(Fraction(4 ** V * math.factorial(V), r.automorphisms)
+                       for r in census(V))
+            assert mass == connected_count(V)
+
+    def test_growth_equals_brute_force(self):
+        for V in (1, 2, 3):
+            classes = brute_force(V)
+            rows = census(V)
+            assert [r.key for r in rows] == sorted(classes)
+            for row in rows:
+                count, first = classes[row.key]
+                assert row.count == count
+                assert row.witness == first
+                g = matching_to_graph(V, first)
+                sig = g.signature()
+                assert (row.genus, row.boundary_count,
+                        row.standard_cycle_count, row.filling) == \
+                    (sig.genus, sig.boundary_count,
+                     sig.standard_cycle_count, sig.is_filling)
+                assert row.boundary_lengths == tuple(sorted(
+                    map(len, g.boundary_cycles), reverse=True))
+                assert row.cycle_lengths == tuple(sorted(
+                    map(len, g.standard_cycles), reverse=True))
+                omega = (intersection_graph(g).omega_max() if sig.is_filling
+                         else None)
+                assert row.omega_max == omega
+
+    def test_corrupt_automorphism_count_fails_certificate(self, monkeypatch):
+        victim = census(2)[3].key
+        real = oracle.canonical_code
+
+        def corrupt(sigma0, sigma1):
+            key, automorphisms = real(sigma0, sigma1)
+            return key, automorphisms + (key == victim)
+
+        monkeypatch.setattr(oracle, "canonical_code", corrupt)
         census.cache_clear()
-        monkeypatch.setenv("FILLGRAPH_THREADS", "3")
         try:
-            par = {(r.key, r.count) for r in oracle.census(3)}
+            with pytest.raises(CensusError):
+                census(2)
         finally:
             census.cache_clear()
-        assert par == serial
 
 
 class TestMatchings:

@@ -2,10 +2,11 @@ import pytest
 
 from fillgraph import families, formats
 from fillgraph.analysis import intersection_graph
-from fillgraph.synthesis import (ImpossibleSignatureError, SynthesisRangeError,
-                                 filling, lower_bound, max_filling,
-                                 minimal_filling, search_filling,
-                                 tight_omega_filling, upper_bound)
+from fillgraph.synthesis import (ImpossibleSignatureError, SynthesisError,
+                                 SynthesisPlan, SynthesisRangeError, filling,
+                                 lower_bound, max_filling, minimal_filling,
+                                 search_filling, tight_omega_filling,
+                                 upper_bound)
 
 
 def replay(plan):
@@ -171,3 +172,15 @@ class TestPlans:
         a = formats.dumps_plan(minimal_filling(5, 4))
         b = formats.dumps_plan(minimal_filling(5, 4))
         assert a == b
+
+    def test_step_index_out_of_range(self):
+        doc = formats.plan_to_document(filling(3, 3, 4))
+        op = next(st for st in doc["steps"] if "left" in st)
+        for bad in (len(doc["steps"]), -1):
+            op["left"] = bad
+            with pytest.raises(SynthesisError):
+                formats.plan_from_document(doc).replay()
+
+    def test_empty_plan(self):
+        with pytest.raises(SynthesisError):
+            SynthesisPlan(target=(2, 1, 3)).replay()
