@@ -99,6 +99,27 @@ class SurfaceSignature:
         return f"g={self.genus} b={self.boundary_count} s={s}"
 
 
+def _orbits(succ, make=tuple):
+    """Cycles of the permutation ``succ`` of 0..n-1, each starting at its
+    least element and passed through ``make``, listed in increasing order
+    of that element."""
+    n = len(succ)
+    seen = [False] * n
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        cyc = [s]
+        d = succ[s]
+        while d != s:
+            seen[d] = True
+            cyc.append(d)
+            d = succ[d]
+        out.append(make(cyc))
+    return tuple(out)
+
+
 class BoundaryCycle(tuple):
     """Orbit of the boundary permutation, as a dart tuple in word order."""
 
@@ -129,6 +150,11 @@ def canonical_code(sigma0, sigma1):
     relabeling.  Two starts give the same code exactly when an
     automorphism maps one to the other, so the number of starts reaching
     the least code is the order of the automorphism group.
+
+    The code packs one byte per number up to 256 darts and the fewest
+    big-endian bytes that hold ``n - 1`` beyond; the length of a code
+    therefore fixes its dart count and width, so codes of different sizes
+    never collide.
     """
     n = len(sigma0)
     best = None
@@ -164,7 +190,10 @@ def canonical_code(sigma0, sigma1):
             automorphisms += 1
         else:
             best, automorphisms = code, 1
-    return bytes(best), automorphisms
+    width = ((n - 1).bit_length() + 7) // 8
+    if width <= 1:
+        return bytes(best), automorphisms
+    return b"".join(lab.to_bytes(width, "big") for lab in best), automorphisms
 
 
 class FatGraph:
@@ -183,6 +212,7 @@ class FatGraph:
             raise MalformedGraphError("one label per undirected edge required")
         if len(set(self._labels)) != len(self._labels):
             raise MalformedGraphError("duplicate edge labels")
+        self._signature = None
 
     # -- construction ------------------------------------------------------
 
@@ -276,20 +306,7 @@ class FatGraph:
     def vertex_cycles(self):
         """sigma0 orbits as dart tuples, each starting at its least dart,
         listed in increasing order of that least dart."""
-        n = self.num_darts
-        seen = [False] * n
-        out = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            cyc = []
-            d = s
-            while not seen[d]:
-                seen[d] = True
-                cyc.append(d)
-                d = self._sigma0[d]
-            out.append(tuple(cyc))
-        return tuple(out)
+        return _orbits(self._sigma0)
 
     @cached_property
     def vertex_of(self):
@@ -312,29 +329,25 @@ class FatGraph:
         if nv <= 1:
             return True
         vo = self.vertex_of
-        adj = [[] for _ in range(nv)]
-        for k in range(self.num_edges):
-            a, b = vo[2 * k], vo[2 * k + 1]
-            adj[a].append(b)
-            adj[b].append(a)
+        cycles = self.vertex_cycles
         seen = [False] * nv
-        stack = [0]
         seen[0] = True
+        stack = [0]
         cnt = 1
         while stack:
-            v = stack.pop()
-            for w in adj[v]:
+            for d in cycles[stack.pop()]:
+                w = vo[d ^ 1]
                 if not seen[w]:
                     seen[w] = True
                     cnt += 1
                     stack.append(w)
         return cnt == nv
 
-    @property
+    @cached_property
     def is_decorated(self):
         return all(len(c) % 2 == 0 for c in self.vertex_cycles)
 
-    @property
+    @cached_property
     def is_four_regular(self):
         return all(len(c) == 4 for c in self.vertex_cycles)
 
@@ -345,24 +358,16 @@ class FatGraph:
     # -- derived cycles ----------------------------------------------------
 
     @cached_property
+    def boundary_successor(self):
+        """Word-order boundary successor d -> sigma0[d ^ 1], by dart."""
+        s0 = self._sigma0
+        return tuple([s0[d ^ 1] for d in range(len(s0))])
+
+    @cached_property
     def boundary_cycles(self):
         """Cycles of sigma1 * sigma0^-1 in word order (successor
         d -> sigma0[d ^ 1]), each starting at its least dart."""
-        n = self.num_darts
-        s0 = self._sigma0
-        seen = [False] * n
-        out = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            cyc = []
-            d = s
-            while not seen[d]:
-                seen[d] = True
-                cyc.append(d)
-                d = s0[d ^ 1]
-            out.append(BoundaryCycle(cyc))
-        return tuple(out)
+        return _orbits(self.boundary_successor, BoundaryCycle)
 
     @cached_property
     def boundary_component_of(self):
@@ -373,58 +378,52 @@ class FatGraph:
                 out[d] = i
         return tuple(out)
 
-    def _standard_successor(self):
-        s0 = self._sigma0
-        vo = self.vertex_of
-        half = [len(c) // 2 for c in self.vertex_cycles]
-
-        def succ(d):
-            e = d ^ 1
-            for _ in range(half[vo[e]]):
-                e = s0[e]
-            return e
-
-        return succ
-
     @cached_property
-    def standard_orbits(self):
-        """All orbits of the straight-ahead successor (2s of them)."""
+    def standard_successor(self):
+        """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
+        vertex, by dart.  Raises :class:`NotDecoratedError` when some
+        vertex has odd degree."""
         for vi, cyc in enumerate(self.vertex_cycles):
             if len(cyc) % 2:
                 raise NotDecoratedError(
                     f"vertex {vi} has odd degree {len(cyc)}")
-        succ = self._standard_successor()
-        n = self.num_darts
-        seen = [False] * n
+        s0 = self._sigma0
+        vo = self.vertex_of
+        half = [len(c) // 2 for c in self.vertex_cycles]
         out = []
-        for s in range(n):
-            if seen[s]:
-                continue
-            cyc = []
-            d = s
-            while not seen[d]:
-                seen[d] = True
-                cyc.append(d)
-                d = succ(d)
-            out.append(tuple(cyc))
+        for d in range(len(s0)):
+            e = d ^ 1
+            for _ in range(half[vo[e]]):
+                e = s0[e]
+            out.append(e)
         return tuple(out)
+
+    @cached_property
+    def standard_orbits(self):
+        """All orbits of the straight-ahead successor (2s of them)."""
+        return _orbits(self.standard_successor)
 
     @cached_property
     def standard_cycles(self):
         """Curves: orbits quotiented by orientation reversal.  Each curve is
-        reported once, traversed from its least dart."""
+        reported once, traversed from its least dart.
+
+        Reversing an orbit gives an orbit, so an orbit is kept exactly when
+        its mirror comes later in ``standard_orbits``.
+        """
+        orbits = self.standard_orbits
+        orbit_of = [0] * self.num_darts
+        for i, orb in enumerate(orbits):
+            for d in orb:
+                orbit_of[d] = i
         reps = []
-        mirrors = set()
-        for orb in self.standard_orbits:
-            key = frozenset(orb)
-            mkey = frozenset(d ^ 1 for d in orb)
-            if key == mkey:
+        for i, orb in enumerate(orbits):
+            mirror = orbit_of[orb[0] ^ 1]
+            if mirror == i:
                 raise InvariantError(
                     "orientation reversal fixes a curve orbit")
-            if key in mirrors:
-                continue
-            mirrors.add(mkey)
-            reps.append(StandardCycle(orb))
+            if mirror > i:
+                reps.append(StandardCycle(orb))
         return tuple(reps)
 
     @cached_property
@@ -439,6 +438,14 @@ class FatGraph:
     # -- signature and validity --------------------------------------------
 
     def signature(self):
+        """The graph's :class:`SurfaceSignature`, computed on the first
+        call and returned as the same value after it.  A disconnected graph
+        raises :class:`DisconnectedError` on every call."""
+        if self._signature is None:
+            self._signature = self._compute_signature()
+        return self._signature
+
+    def _compute_signature(self):
         if not self.is_connected:
             raise DisconnectedError(
                 "genus of a disconnected thickening is not defined")

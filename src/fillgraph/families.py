@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FatGraph
+from .core import FatGraph, InvariantError
 
 
 class FamilyRangeError(ValueError):
     pass
 
 
-class FamilyValidationError(AssertionError):
-    pass
+class FamilyValidationError(InvariantError):
+    """A built graph misses its documented signature: a transcription
+    bug, so an :class:`InvariantError` (and an ``AssertionError``)."""
 
 
 G1 = "g1"

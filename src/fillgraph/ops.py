@@ -5,13 +5,24 @@ the case classification, a prediction of (b, s, g) computed independently of
 the result graph, and the recomputed signature.  Prediction and recomputation
 must agree exactly; a mismatch raises :class:`OperationInvariantError`.
 
+The result is built directly on integer darts.  Every operand dart maps to
+a dart of a new edge key (the operands' edges, then the new edges), and
+the result numbers its edges in order of first appearance along the
+operands' vertex cycles, left before right, exactly as
+:meth:`FatGraph.from_vertex_cycles` would number the same cycles written
+as label tokens.  Names are applied once at the end: left labels stay,
+right labels are primed on collision, and the new edges, primed likewise,
+are ``e``/``f`` for a join, the cut edge labels with ``1``/``2`` appended
+for a plumbing, and ``g1``..``g4`` for a connected sum.
+
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
 indicator-sum table turns out to be under-determined in two of its branches (the boundary
 count also depends on how the eight darts interleave along the boundary
-words, not only on the indicator sums), so the prediction here is computed by
-boundary word surgery on the *input* words alone; the printed table is still
-evaluated and audited in the report.  See ``chi_case`` / ``printed_b``.
+words, not only on the indicator sums), so the prediction here is computed
+by splicing the *input* graphs' successor maps (boundary and straight-ahead)
+and counting the orbits; the printed table is still evaluated and audited
+in the report (``OperationReport.chi``, ``printed_b``).
 """
 
 from __future__ import annotations
@@ -77,11 +88,6 @@ class OperationReport:
         return s
 
 
-def _tokens(g: FatGraph):
-    return [[(g.labels[d >> 1], 1 - 2 * (d & 1)) for d in cyc]
-            for cyc in g.vertex_cycles]
-
-
 def _fresh(name, used):
     while name in used:
         name += "'"
@@ -89,16 +95,62 @@ def _fresh(name, used):
     return name
 
 
-def _rename_pools(left: FatGraph, right: FatGraph):
-    used = set()
-    ren_l = {nm: _fresh(nm, used) for nm in left.labels}
-    ren_r = {nm: _fresh(nm, used) for nm in right.labels}
-    return used, ren_l, ren_r
+def _edge_names(left: FatGraph, right: FatGraph, new):
+    """Names by edge key: the left labels, the right labels primed away
+    from every name before them, then the ``new`` names primed likewise.
+    Returns (names by key, the names given to ``new``)."""
+    used = set(left.labels)
+    names = list(left.labels)
+    names += [_fresh(nm, used) for nm in right.labels]
+    fresh = [_fresh(nm, used) for nm in new]
+    return names + fresh, fresh
 
 
-def _emit(cycles):
-    return FatGraph.from_vertex_cycles(
-        [[(nm, sg) for nm, sg in cyc] for cyc in cycles])
+def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
+             skip=(-1, -1), new_vertex=None):
+    """Result graph of a surgery, built on integer darts.
+
+    Edge keys number the left edges, then the right edges, then the new
+    edges; key dart ``2 * k + r`` is the forward (r = 0) or reverse dart
+    of the edge with key k.  Left dart d is key dart d and right dart d is
+    key dart ``2 * m1 + d``, except the darts that ``lmap``/``rmap`` send
+    to new edges.  The vertices with indices ``skip`` (left, right) are
+    deleted and ``new_vertex``, a cycle of key darts, is added last.  The
+    result numbers its edges in order of first appearance along these
+    cycles, as :meth:`FatGraph.from_vertex_cycles` numbers labels, and
+    names the edge with key k ``names[k]``.
+    """
+    off = 2 * left.num_edges
+    lkey = list(range(off))
+    rkey = list(range(off, off + right.num_darts))
+    for d, kd in lmap.items():
+        lkey[d] = kd
+    for d, kd in rmap.items():
+        rkey[d] = kd
+    cycles = [[lkey[d] for d in cyc]
+              for vi, cyc in enumerate(left.vertex_cycles) if vi != skip[0]]
+    cycles += [[rkey[d] for d in cyc]
+               for vi, cyc in enumerate(right.vertex_cycles) if vi != skip[1]]
+    if new_vertex is not None:
+        cycles.append(new_vertex)
+
+    edge_of = [-1] * len(names)
+    labels = []
+    for cyc in cycles:
+        for i, kd in enumerate(cyc):
+            k = kd >> 1
+            e = edge_of[k]
+            if e < 0:
+                e = edge_of[k] = len(labels)
+                labels.append(names[k])
+            cyc[i] = 2 * e + (kd & 1)
+    sigma0 = [0] * (2 * len(labels))
+    for cyc in cycles:
+        prev = cyc[-1]
+        for d in cyc:
+            sigma0[prev] = d
+            prev = d
+    return FatGraph(sigma0, labels)
 
 
 def _require_edge(g, label, side):
@@ -138,29 +190,15 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
     _require_edge(right, y, "right")
     ls, rs = left.signature(), right.signature()
 
-    used, ren_l, ren_r = _rename_pools(left, right)
-    e = _fresh("e", used)
-    f = _fresh("f", used)
-    out = []
-    for cyc in _tokens(left):
-        row = []
-        for nm, sg in cyc:
-            if nm == x:
-                row.append((e, 1) if sg > 0 else (f, -1))
-            else:
-                row.append((ren_l[nm], sg))
-        out.append(row)
-    for cyc in _tokens(right):
-        row = []
-        for nm, sg in cyc:
-            if nm == y:
-                if flip:
-                    sg = -sg
-                row.append((e, -1) if sg > 0 else (f, 1))
-            else:
-                row.append((ren_r[nm], sg))
-        out.append(row)
-    result = _emit(out)
+    names, (e, f) = _edge_names(left, right, ("e", "f"))
+    ke = 2 * (left.num_edges + right.num_edges)  # key dart e+; f+ is ke + 2
+    xp, xm = left.darts_of(x)
+    yp, ym = right.darts_of(y)
+    if flip:
+        yp, ym = ym, yp
+    # x+ -> e+, x- -> f-, y+ -> e-, y- -> f+ (y reversed first under flip)
+    result = _rewired(left, right, {xp: ke, xm: ke + 3},
+                      {yp: ke + 1, ym: ke + 2}, names)
 
     same_same = _same_component(left, x) and _same_component(right, y)
     if same_same:
@@ -210,32 +248,19 @@ def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,
     _require_edge(right, y, "right")
     ls, rs = left.signature(), right.signature()
 
-    used, ren_l, ren_r = _rename_pools(left, right)
-    x1 = _fresh(x + "1", used)
-    x2 = _fresh(x + "2", used)
-    y1 = _fresh(y + "1", used)
-    y2 = _fresh(y + "2", used)
-    out = []
-    for cyc in _tokens(left):
-        row = []
-        for nm, sg in cyc:
-            if nm == x:
-                row.append((x1, 1) if sg > 0 else (x2, -1))
-            else:
-                row.append((ren_l[nm], sg))
-        out.append(row)
-    for cyc in _tokens(right):
-        row = []
-        for nm, sg in cyc:
-            if nm == y:
-                if flip:
-                    sg = -sg
-                row.append((y1, 1) if sg > 0 else (y2, -1))
-            else:
-                row.append((ren_r[nm], sg))
-        out.append(row)
-    out.append([(x1, -1), (y1, -1), (x2, 1), (y2, 1)])
-    result = _emit(out)
+    names, (x1, x2, y1, y2) = _edge_names(
+        left, right, (x + "1", x + "2", y + "1", y + "2"))
+    k = 2 * (left.num_edges + right.num_edges)
+    kx1, kx2, ky1, ky2 = k, k + 2, k + 4, k + 6  # key darts x1+ .. y2+
+    xp, xm = left.darts_of(x)
+    yp, ym = right.darts_of(y)
+    if flip:
+        yp, ym = ym, yp
+    # x+ -> x1+, x- -> x2-, y+ -> y1+, y- -> y2- (y reversed first under
+    # flip); the new vertex is (x1-, y1-, x2+, y2+)
+    result = _rewired(left, right, {xp: kx1, xm: kx2 + 1},
+                      {yp: ky1, ym: ky2 + 1}, names,
+                      new_vertex=[kx1 + 1, ky1 + 1, kx2, ky2])
 
     all_diff = (not _same_component(left, x)) and \
         (not _same_component(right, y))
@@ -254,131 +279,44 @@ def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,
     return rep.check()
 
 
-def _word_maps(g: FatGraph):
-    nxt = {}
-    prv = {}
-    for w in g.boundary_cycles:
-        for i, d in enumerate(w):
-            nxt[d] = w[(i + 1) % len(w)]
-        for i, d in enumerate(w):
-            prv[w[(i + 1) % len(w)]] = d
-    return nxt, prv
+def _spliced_orbit_count(succ_l, w_darts, succ_r, u_darts):
+    """Number of orbits of a successor map on the connected sum, spliced
+    from the maps ``succ_l``/``succ_r`` of the *inputs* alone (never from
+    the result graph).
 
-
-def _surgery_boundary_count(left, w_darts, right, u_darts):
-    """Number of boundary components of the connected sum, computed from the
-    input boundary words alone (never from the result graph).
-
-    Strand i of w (dart e_i) merges with strand 3-i of u; in the boundary
-    words the merged edge g_i replaces the pair (rev e_i, f_{3-i}) and its
-    reverse replaces (rev f_{3-i}, e_i).
+    Darts of the combined map: left dart d is d, right dart d is n1 + d,
+    and merged edge g_i has darts g + 2i (g_i+) and g + 2i + 1 (g_i-).
+    Strand i of w (dart e_i) merges with strand 3-i of u (dart f_{3-i}):
+    g_i+ replaces the pair (rev e_i, f_{3-i}) and g_i- replaces
+    (rev f_{3-i}, e_i).  The darts of both deleted vertices and their
+    reverses drop out.  Neither vertex carries a loop, so no surviving
+    dart steps onto a dropped one.
     """
-    n1, _ = _word_maps(left)
-    n2, _ = _word_maps(right)
-    e = list(w_darts)
-    f = list(u_darts)
-    e_rev = {d ^ 1: i for i, d in enumerate(e)}
-    f_rev = {d ^ 1: j for j, d in enumerate(f)}
-
-    def step_left(x):
-        if x in e_rev:
-            return ("g", e_rev[x], 1)
-        return ("L", x)
-
-    def step_right(x):
-        if x in f_rev:
-            return ("g", 3 - f_rev[x], -1)
-        return ("R", x)
-
-    def succ(t):
-        if t[0] == "L":
-            return step_left(n1[t[1]])
-        if t[0] == "R":
-            return step_right(n2[t[1]])
-        _, i, sgn = t
-        if sgn > 0:
-            return step_right(n2[f[3 - i]])
-        return step_left(n1[e[i]])
-
-    dead1 = set(e) | set(e_rev)
-    dead2 = set(f) | set(f_rev)
-    tokens = [("L", d) for d in n1 if d not in dead1]
-    tokens += [("R", d) for d in n2 if d not in dead2]
-    tokens += [("g", i, s) for i in range(4) for s in (1, -1)]
-    seen = set()
-    b = 0
-    for t in tokens:
-        if t in seen:
-            continue
-        b += 1
-        c = t
-        while c not in seen:
-            seen.add(c)
-            c = succ(c)
-    return b
-
-
-def _standard_maps(g: FatGraph):
-    nxt = {}
-    for orb in g.standard_orbits:
-        for i, d in enumerate(orb):
-            nxt[d] = orb[(i + 1) % len(orb)]
-    return nxt
-
-
-def _surgery_standard_count(left, w_darts, right, u_darts):
-    """Curve count of the connected sum from the input curve orbits alone.
-
-    Same splice mechanism as the boundary surgery, applied to the
-    straight-ahead orbit words.  Returns the number of directed orbits
-    divided by two.  Requires both inputs decorated.
-    """
-    s1 = _standard_maps(left)
-    s2 = _standard_maps(right)
-    e = list(w_darts)
-    f = list(u_darts)
-    e_rev = {d ^ 1: i for i, d in enumerate(e)}
-    f_rev = {d ^ 1: j for j, d in enumerate(f)}
-
-    def step_left(x):
-        if x in e_rev:
-            return ("g", e_rev[x], 1)
-        return ("L", x)
-
-    def step_right(x):
-        if x in f_rev:
-            return ("g", 3 - f_rev[x], -1)
-        return ("R", x)
-
-    def succ(t):
-        if t[0] == "L":
-            return step_left(s1[t[1]])
-        if t[0] == "R":
-            return step_right(s2[t[1]])
-        _, i, sgn = t
-        if sgn > 0:
-            return step_right(s2[f[3 - i]])
-        return step_left(s1[e[i]])
-
-    dead1 = set(e) | set(e_rev)
-    dead2 = set(f) | set(f_rev)
-    tokens = [("L", d) for d in s1 if d not in dead1]
-    tokens += [("R", d) for d in s2 if d not in dead2]
-    tokens += [("g", i, s) for i in range(4) for s in (1, -1)]
-    seen = set()
+    n1 = len(succ_l)
+    g = n1 + len(succ_r)
+    to = list(range(g))
+    seen = bytearray(g + 8)
+    for i in range(4):
+        e, f = w_darts[i], n1 + u_darts[3 - i]
+        to[e ^ 1] = g + 2 * i
+        to[f ^ 1] = g + 2 * i + 1
+        for d in (e, e ^ 1, f, f ^ 1):
+            seen[d] = 1  # dropped
+    nxt = [to[d] for d in succ_l]
+    nxt += [to[n1 + d] for d in succ_r]
+    for i in range(4):
+        nxt.append(to[n1 + succ_r[u_darts[3 - i]]])
+        nxt.append(to[succ_l[w_darts[i]]])
     orbits = 0
-    for t in tokens:
-        if t in seen:
+    for s in range(len(nxt)):
+        if seen[s]:
             continue
         orbits += 1
-        c = t
-        while c not in seen:
-            seen.add(c)
-            c = succ(c)
-    if orbits % 2:
-        raise OperationInvariantError(
-            "standard orbits of a connected sum do not pair up")
-    return orbits // 2
+        d = s
+        while not seen[d]:
+            seen[d] = 1
+            d = nxt[d]
+    return orbits
 
 
 def _chi_audit(left, w_darts, right, u_darts, ls, rs):
@@ -472,41 +410,31 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
     w_darts = list(left.vertex_cycles[w])
     u_darts = list(right.vertex_cycles[u])
     u_darts = u_darts[align:] + u_darts[:align]
-    used, ren_l, ren_r = _rename_pools(left, right)
-    gname = [_fresh(f"g{i+1}", used) for i in range(4)]
-
-    # rev(e_i) -> gi+,  rev(f_j) -> g_{3-j}-   (0-based coupling)
-    sub_l = {}
-    for i, d in enumerate(w_darts):
-        nm, sg = left.labels[d >> 1], 1 - 2 * (d & 1)
-        sub_l[(nm, -sg)] = (gname[i], 1)
-    sub_r = {}
-    for j, d in enumerate(u_darts):
-        nm, sg = right.labels[d >> 1], 1 - 2 * (d & 1)
-        sub_r[(nm, -sg)] = (gname[3 - j], -1)
-    out = []
-    for vi, cyc in enumerate(_tokens(left)):
-        if vi == w:
-            continue
-        out.append([sub_l.get((nm, sg), (ren_l[nm], sg)) for nm, sg in cyc])
-    for vi, cyc in enumerate(_tokens(right)):
-        if vi == u:
-            continue
-        out.append([sub_r.get((nm, sg), (ren_r[nm], sg)) for nm, sg in cyc])
-    result = _emit(out)
+    names, gname = _edge_names(left, right, ("g1", "g2", "g3", "g4"))
+    kg = 2 * (left.num_edges + right.num_edges)  # key dart g1+; g2+ is +2
+    # rev(e_i) -> g_i+,  rev(f_j) -> g_{3-j}-   (0-based coupling)
+    lmap = {d ^ 1: kg + 2 * i for i, d in enumerate(w_darts)}
+    rmap = {d ^ 1: kg + 2 * (3 - j) + 1 for j, d in enumerate(u_darts)}
+    result = _rewired(left, right, lmap, rmap, names, skip=(w, u))
     if not result.is_connected:
         # both deleted vertices were cut vertices whose pieces pair apart
         raise OperationError(
             f"connected sum at (w={w}, u={u}) disconnects the graph")
 
-    pb = _surgery_boundary_count(left, w_darts, right, u_darts)
+    pb = _spliced_orbit_count(left.boundary_successor, w_darts,
+                              right.boundary_successor, u_darts)
     V = ls.vertex_count + rs.vertex_count - 2
     m = ls.edge_count + rs.edge_count - 4
     pg = (2 - pb - V + m) // 2
     case, chi = _chi_audit(left, w_darts, right, u_darts, ls, rs)
     ps = None
     if left.is_decorated and right.is_decorated:
-        ps = _surgery_standard_count(left, w_darts, right, u_darts)
+        orbits = _spliced_orbit_count(left.standard_successor, w_darts,
+                                      right.standard_successor, u_darts)
+        if orbits % 2:
+            raise OperationInvariantError(
+                "standard orbits of a connected sum do not pair up")
+        ps = orbits // 2
     rep = OperationReport(
         op="consum", case=case, left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=ps,

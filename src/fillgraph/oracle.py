@@ -434,7 +434,6 @@ def verify_formula_by_recompute(ops=("join", "consum", "plumb"),
         # operands are disjoint copies; remake the value on the diagonal
         return FatGraph(gr.sigma0, gr.labels) if gl is gr else gr
 
-    audits = {}
     def monogon_splice(gl, gr, x, y):
         # the length > 2 corollary presumes no spliced dart sits on a
         # monogon face (two monogons can merge into a new bigon)
@@ -445,40 +444,30 @@ def verify_formula_by_recompute(ops=("join", "consum", "plumb"),
                     return True
         return False
 
-    if "join" in ops:
-        a = audits["join"] = OpAudit("join")
-        for _, gl in pool:
-            for _, gr in pool:
-                gr = fresh(gl, gr)
-                for x in gl.labels[:max_edge_pairs]:
-                    for y in gr.labels[:max_edge_pairs]:
+    edge_ops = [(op, fn, OpAudit(op)) for op, fn in
+                (("join", join), ("plumb", plumbing)) if op in ops]
+    audits = {op: a for op, _, a in edge_ops}
+    for _, gl in pool:
+        for _, gr in pool:
+            gr = fresh(gl, gr)
+            for x in gl.labels[:max_edge_pairs]:
+                for y in gr.labels[:max_edge_pairs]:
+                    for op, fn, a in edge_ops:
                         a.trials += 1
                         try:
-                            rep = join(gl, gr, x, y)
+                            rep = fn(gl, gr, x, y)
                         except AssertionError:
                             a.mismatches += 1
                             continue
                         a.record_case(rep.case)
+                        if op != "join":
+                            continue
                         if monogon_splice(gl, gr, x, y):
                             a.corollary_skipped += 1
                             continue
                         for cyc in new_join_boundaries(rep):
                             if len(cyc) <= 2:
                                 a.corollary_violations += 1
-    if "plumb" in ops:
-        a = audits["plumb"] = OpAudit("plumb")
-        for _, gl in pool:
-            for _, gr in pool:
-                gr = fresh(gl, gr)
-                for x in gl.labels[:max_edge_pairs]:
-                    for y in gr.labels[:max_edge_pairs]:
-                        a.trials += 1
-                        try:
-                            rep = plumbing(gl, gr, x, y)
-                        except AssertionError:
-                            a.mismatches += 1
-                            continue
-                        a.record_case(rep.case)
     if "consum" in ops:
         a = audits["consum"] = OpAudit("consum")
         for _, gl in pool:

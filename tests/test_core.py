@@ -8,7 +8,8 @@ import pytest
 import fillgraph
 from fillgraph import families
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
-                            MalformedGraphError, NotDecoratedError)
+                            InvariantError, MalformedGraphError,
+                            NotDecoratedError)
 
 
 def cyc(spec):
@@ -156,6 +157,18 @@ class TestSignature:
         with pytest.raises(DisconnectedError):
             g.signature()
 
+    def test_computed_once(self):
+        g = FatGraph.from_vertex_cycles(G1)
+        assert g.signature() is g.signature()
+        assert g.is_decorated is True and g.is_four_regular is True
+
+    def test_disconnected_raises_on_every_call(self):
+        g = FatGraph.from_vertex_cycles(
+            [cyc("a+ b+ a- b-"), cyc("c+ d+ c- d-")])
+        for _ in range(3):
+            with pytest.raises(DisconnectedError):
+                g.signature()
+
     def test_euler_check_survives_optimize(self):
         # one boundary cycle short makes 2 - b - V + m odd; the check must
         # still raise when python -O strips assert statements
@@ -230,6 +243,29 @@ class TestIsomorphism:
         assert mixed.is_isomorphic(swapped)
         with pytest.raises(DisconnectedError):
             mixed.canonical_form()
+
+    def test_more_than_256_darts(self):
+        # one byte per number would overflow past 256 darts
+        ring = FatGraph.from_vertex_cycles(
+            [[f"e{i}-", f"e{(i + 1) % 129}+"] for i in range(129)])
+        gamma = families.build(families.GAMMA_G, 33)
+        rng = random.Random(13)
+        for g in (ring, gamma):
+            assert g.num_darts > 256
+            assert g.is_isomorphic(g.shuffled(rng))
+            assert len(g.canonical_form()) == 2 * 2 * g.num_darts
+        assert not ring.is_isomorphic(
+            FatGraph(ring.sigma0[1:] + ring.sigma0[:1], ring.labels))
+
+    def test_small_codes_one_byte_per_number(self):
+        # census keys and the enumerate key column depend on this layout
+        torus = FatGraph.from_vertex_cycles(TORUS)
+        assert torus.canonical_form() == bytes([1, 2, 2, 3, 3, 0, 0, 1])
+        # the largest ring that still packs one byte per number
+        ring = FatGraph.from_vertex_cycles(
+            [[f"e{i}-", f"e{(i + 1) % 128}+"] for i in range(128)])
+        assert ring.num_darts == 256
+        assert len(ring.canonical_form()) == 2 * 256
 
     def test_invariants_respected(self):
         rng = random.Random(11)

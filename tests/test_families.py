@@ -1,6 +1,7 @@
 import pytest
 
 from fillgraph import families
+from fillgraph.core import InvariantError
 from fillgraph.families import (FamilyRangeError, build, catalog,
                                 gamma2b_boundary_words,
                                 gamma_g_boundary_word,
@@ -20,6 +21,11 @@ def words_match_up_to_rotation(graph, expected_words):
         hit = next((w for w in got if tuple(want) in rotations(w)), None)
         assert hit is not None, f"no boundary word matches {want}"
         got.remove(hit)
+
+
+def test_validation_error_is_an_invariant_error():
+    assert issubclass(families.FamilyValidationError, InvariantError)
+    assert issubclass(families.FamilyValidationError, AssertionError)
 
 
 class TestCatalog:

@@ -217,3 +217,118 @@ class TestRelabelingEquivariance:
             return out
 
         assert reachable(left, right) == reachable(rl, rr)
+
+
+# -- reference: the label-token construction -------------------------------
+#
+# Each operation used to write its result as signed label tokens and parse
+# them back with FatGraph.from_vertex_cycles.  The dart-level surgery must
+# build exactly the same graph: the same sigma0 and the same labels.
+
+
+def _fresh(name, used):
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
+def _token_reference(op, left, right, a, b, c):
+    """Result graph of ``op(left, right, a, b, c)`` built from tokens."""
+    used = set()
+    ren_l = {nm: _fresh(nm, used) for nm in left.labels}
+    ren_r = {nm: _fresh(nm, used) for nm in right.labels}
+
+    def tokens(g, ren, sub, skip):
+        out = []
+        for vi, cyc in enumerate(g.vertex_cycles):
+            if vi != skip:
+                toks = [(g.labels[d >> 1], 1 - 2 * (d & 1)) for d in cyc]
+                out.append([sub.get(t, (ren[t[0]], t[1])) for t in toks])
+        return out
+
+    extra, skip = [], (None, None)
+    if op == "join":
+        e, f = _fresh("e", used), _fresh("f", used)
+        sub_l = {(a, 1): (e, 1), (a, -1): (f, -1)}
+        sub_r = {(b, 1): (e, -1), (b, -1): (f, 1)}
+    elif op == "plumb":
+        x1, x2, y1, y2 = [_fresh(nm, used)
+                          for nm in (a + "1", a + "2", b + "1", b + "2")]
+        sub_l = {(a, 1): (x1, 1), (a, -1): (x2, -1)}
+        sub_r = {(b, 1): (y1, 1), (b, -1): (y2, -1)}
+        extra = [[(x1, -1), (y1, -1), (x2, 1), (y2, 1)]]
+    else:
+        g = [_fresh(f"g{i + 1}", used) for i in range(4)]
+        u_cyc = right.vertex_cycles[b]
+        # the reverse of dart i at w becomes g_i+, of dart j at u g_(3-j)-
+        sub_l = {(left.labels[d >> 1], 2 * (d & 1) - 1): (g[i], 1)
+                 for i, d in enumerate(left.vertex_cycles[a])}
+        sub_r = {(right.labels[d >> 1], 2 * (d & 1) - 1): (g[3 - j], -1)
+                 for j, d in enumerate(u_cyc[c:] + u_cyc[:c])}
+        skip = (a, b)
+    if op != "consum" and c:  # flip reverses y before the splice
+        sub_r = {(nm, -sg): t for (nm, sg), t in sub_r.items()}
+    return FatGraph.from_vertex_cycles(
+        tokens(left, ren_l, sub_l, skip[0])
+        + tokens(right, ren_r, sub_r, skip[1]) + extra)
+
+
+def _collision_pool(rng):
+    """Operands whose labels collide with each other and with the names
+    the operations give new edges (e, f, x1, g1, primes)."""
+    names = ["e", "f", "e'", "g1", "g2", "g4", "x", "x1", "x2", "a", "a'",
+             "a''", "b", "y1", "f1", "f11", "f12"]
+    tricky = [
+        families.build(families.TORUS_PAIR),
+        families.build(families.TORUS_PAIR).relabeled({"a": "a'",
+                                                       "b": "a"}),
+        families.build(families.TORUS_PAIR).relabeled({"a": "e", "b": "f"}),
+        families.build(families.SPHERE_CIRCLE).relabeled({"a": "x1"}),
+        families.build(families.G1),
+        g1().relabeled(dict(zip(g1().labels,
+                                ["e", "f", "g1", "x", "x1", "a'"]))),
+        families.build(families.G2),
+        families.build(families.GAMMA0),
+    ]
+    pool = list(tricky)
+    for g in tricky[4:] + [families.build(families.GAMMA_2_B, 2)]:
+        pool.append(g.relabeled(dict(zip(
+            g.labels, rng.sample(names, g.num_edges)))).shuffled(rng))
+    return pool
+
+
+class TestDartSurgeryMatchesTokens:
+    def test_seeded_trials(self):
+        rng = random.Random(2024)
+        pool = _collision_pool(rng)
+        counts = {"join": 0, "plumb": 0, "consum": 0}
+        for left in pool:
+            for right in pool:
+                right = FatGraph(right.sigma0, right.labels)  # distinct value
+                for _ in range(4):
+                    x, y = rng.choice(left.labels), rng.choice(right.labels)
+                    for flip in (False, True):
+                        for op, fn in (("join", join), ("plumb", plumbing)):
+                            rep = fn(left, right, x, y, flip)
+                            assert rep.result == _token_reference(
+                                op, left, right, x, y, flip)
+                            counts[op] += 1
+                four = [[v for v in range(g.num_vertices)
+                         if g.degree(v) == 4 and not g.loops_at(v)]
+                        for g in (left, right)]
+                if not (four[0] and four[1]):
+                    continue
+                for _ in range(4):
+                    w, u = rng.choice(four[0]), rng.choice(four[1])
+                    for align in range(4):
+                        want = _token_reference("consum", left, right,
+                                                w, u, align)
+                        try:
+                            rep = connected_sum(left, right, w, u, align)
+                        except OperationError:
+                            assert not want.is_connected
+                            continue
+                        assert rep.result == want
+                        counts["consum"] += 1
+        assert min(counts.values()) >= 1000, counts

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fillgraph import families
 from fillgraph.core import FatGraph
-from fillgraph.oracle import iter_matchings, matching_to_graph
+from fillgraph.oracle import census, iter_matchings, matching_to_graph
 from fillgraph.ops import OperationError, connected_sum, join, plumbing
 
 ALL_V3 = list(iter_matchings(3, connected_only=True))
@@ -105,3 +105,41 @@ def test_filling_invariant_after_operations(gl, gr, w, u, align):
         wig = intersection_graph(rep.result)
         assert wig.total_weight() == sig.vertex_count
         assert wig.total_weight() == 2 * sig.genus - 2 + sig.boundary_count
+
+
+def _brute_isomorphic(g, h):
+    """Search every dart bijection phi with phi(sigma0 d) = sigma0'(phi d)
+    and phi(d ^ 1) = phi(d) ^ 1.  On a connected graph such a map is fixed
+    by the image of dart 0, so trying every image searches them all."""
+    n = g.num_darts
+    if n != h.num_darts:
+        return False
+    for target in range(n):
+        phi = [-1] * n
+        phi[0] = target
+        stack = [0]
+        ok = True
+        while stack and ok:
+            d = stack.pop()
+            for a, b in ((g.sigma0[d], h.sigma0[phi[d]]),
+                         (d ^ 1, phi[d] ^ 1)):
+                if phi[a] < 0:
+                    phi[a] = b
+                    stack.append(a)
+                elif phi[a] != b:
+                    ok = False
+        if ok and len(set(phi)) == n:
+            return True
+    return False
+
+
+def test_isomorphism_agrees_with_brute_force_on_census():
+    rng = random.Random(17)
+    for V in (1, 2, 3):
+        graphs = [row.graph() for row in census(V)]
+        copies = [g.shuffled(rng) for g in graphs]
+        for i, g in enumerate(graphs):
+            for j, h in enumerate(graphs + copies):
+                same = g.is_isomorphic(h)
+                assert same == _brute_isomorphic(g, h), (V, i, j)
+                assert same == (i == j % len(graphs)), (V, i, j)
