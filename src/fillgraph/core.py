@@ -382,20 +382,19 @@ class FatGraph:
     def standard_successor(self):
         """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
         vertex, by dart.  Raises :class:`NotDecoratedError` when some
-        vertex has odd degree."""
+        vertex has odd degree.
+
+        At a vertex cycle ``c`` of degree 2k, the dart entering through
+        ``c[i]`` (that is ``c[i] ^ 1``) leaves through the opposite dart
+        ``c[i + k]``, which is ``c[i - k]``."""
+        out = [0] * self.num_darts
         for vi, cyc in enumerate(self.vertex_cycles):
-            if len(cyc) % 2:
+            k, odd = divmod(len(cyc), 2)
+            if odd:
                 raise NotDecoratedError(
                     f"vertex {vi} has odd degree {len(cyc)}")
-        s0 = self._sigma0
-        vo = self.vertex_of
-        half = [len(c) // 2 for c in self.vertex_cycles]
-        out = []
-        for d in range(len(s0)):
-            e = d ^ 1
-            for _ in range(half[vo[e]]):
-                e = s0[e]
-            out.append(e)
+            for i, d in enumerate(cyc):
+                out[d ^ 1] = cyc[i - k]
         return tuple(out)
 
     @cached_property
@@ -607,6 +606,13 @@ class FatGraph:
         return FatGraph(s0, labels)
 
     # -- dunder -------------------------------------------------------------
+
+    def __copy__(self):
+        """A distinct graph equal to this one that shares every structure
+        computed so far (all of it immutable) instead of recomputing it."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def __eq__(self, other):
         return (isinstance(other, FatGraph)

@@ -5,11 +5,16 @@ Every constructor validates the built graph against its documented signature
 error surfaces as a loud :class:`FamilyValidationError` instead of a wrong
 graph.  Parameter ranges follow the source constructions; out of range
 parameters raise :class:`FamilyRangeError`.
+
+Each family member is built and validated once per process; :func:`build`
+hands out distinct copies of it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import FatGraph, InvariantError
 
@@ -212,7 +217,13 @@ _BUILDERS = {
 
 
 def build(family, param=None):
-    """Instantiate a family member; parametric families need ``param``."""
+    """Instantiate a family member; parametric families need ``param``.
+
+    Every call returns a distinct graph, so two members of one family can
+    be the two operands of an operation, which rejects ``left is right``.
+    The copies share the structure computed when the member was validated
+    (graphs are immutable), so only the first call builds and checks it.
+    """
     if family not in _BUILDERS:
         raise FamilyRangeError(
             f"unknown family {family!r}; choose from {ALL_FAMILIES}")
@@ -221,6 +232,12 @@ def build(family, param=None):
             f"family {family!r} needs a {PARAMETRIC[family]} parameter")
     if family not in PARAMETRIC and param is not None:
         raise FamilyRangeError(f"family {family!r} takes no parameter")
+    return copy.copy(_validated(family, param))
+
+
+@lru_cache(maxsize=256)
+def _validated(family, param):
+    """The validated member; a range error is raised, not cached."""
     return _BUILDERS[family](param)
 
 

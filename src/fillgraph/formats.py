@@ -96,6 +96,14 @@ _STEP_TYPES = {"op": str, "family": str, "param": int, "vertices": list,
                "u": int, "align": int, "flip": bool, "arg": int}
 
 
+# the fields each known op needs besides "op"
+_STEP_FIELDS = {"family": ("family",), "graph": ("vertices",),
+                "join": ("left", "right", "x", "y"),
+                "plumb": ("left", "right", "x", "y"),
+                "consum": ("left", "right", "w", "u"),
+                "smooth": ("arg",)}
+
+
 def _require(what, value, kind):
     # bool is an int subclass; a flag is no index and an index no flag
     if not isinstance(value, kind) or (
@@ -119,6 +127,9 @@ def _validate_plan(doc):
         for k, kind in _STEP_TYPES.items():
             if d.get(k) is not None:
                 _require(f"step {i} {k}", d[k], kind)
+        for k in _STEP_FIELDS.get(d["op"], ()):
+            if d.get(k) is None:
+                raise FormatError(f"step {i} ({d['op']}) needs field {k!r}")
         for c in d.get("vertices") or ():
             _require(f"step {i} vertex cycle", c, list)
 

@@ -22,7 +22,9 @@ count also depends on how the eight darts interleave along the boundary
 words, not only on the indicator sums), so the prediction here is computed
 by splicing the *input* graphs' successor maps (boundary and straight-ahead)
 and counting the orbits; the printed table is still evaluated and audited
-in the report (``OperationReport.chi``, ``printed_b``).
+in the report (``OperationReport.chi``, ``printed_b``).  That prediction is
+also public as :func:`predict_connected_sum`, so a caller searching for
+selectors can reject a candidate without building its result.
 """
 
 from __future__ import annotations
@@ -375,23 +377,11 @@ def _chi_audit(left, w_darts, right, u_darts, ls, rs):
     }
 
 
-def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
-                  align: int = 0) -> OperationReport:
-    """Delete 4-valent vertices ``w`` of ``left`` and ``u`` of ``right`` and
-    splice strand i of w to strand 5-i of u (1-based).
-
-    Vertices are given as indices into ``vertex_cycles``.  Both must be
-    4-valent and loop free (a loop at the deleted vertex would leave a
-    dangling splice).  The result depends on how the two rotations are
-    lined up, so ``align`` in 0..3 rotates the right vertex's cycle before
-    coupling; the four alignments can give up to four different sums.
-
-    New edges are named g1..g4.  Boundary and curve counts are predicted by
-    word surgery on the input orbit words; the indicator-sum
-    table and the s1+s2-2 curve law are evaluated into ``report.chi`` for
-    audit (the law needs the two strands at each deleted vertex to lie on
-    two different curves, which filling systems always satisfy).
-    """
+def _coupled_darts(left: FatGraph, right: FatGraph, w: int, u: int,
+                   align: int):
+    """Checked selectors of a connected sum -> (darts of w, darts of u
+    rotated by ``align``); raises :class:`OperationError` when the sum is
+    undefined."""
     if left is right:
         raise OperationError("self-sum rejected: pass two graph values")
     if align not in (0, 1, 2, 3):
@@ -405,11 +395,62 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
         if g.loops_at(v):
             raise OperationError(
                 f"{side} vertex {v} carries a loop; connected sum undefined")
-    ls, rs = left.signature(), right.signature()
+    u_darts = right.vertex_cycles[u]
+    return list(left.vertex_cycles[w]), list(u_darts[align:] + u_darts[:align])
 
-    w_darts = list(left.vertex_cycles[w])
-    u_darts = list(right.vertex_cycles[u])
-    u_darts = u_darts[align:] + u_darts[:align]
+
+def _sum_prediction(left: FatGraph, w_darts, right: FatGraph, u_darts):
+    """(g, b, s) of a connected sum from the inputs alone: b and s count
+    the orbits of the spliced boundary and straight-ahead successors, g
+    follows from Euler's formula for a connected result; s is None unless
+    both inputs are decorated.  A disconnected input raises
+    :class:`DisconnectedError` from its signature."""
+    ls, rs = left.signature(), right.signature()
+    b = _spliced_orbit_count(left.boundary_successor, w_darts,
+                             right.boundary_successor, u_darts)
+    V = ls.vertex_count + rs.vertex_count - 2
+    m = ls.edge_count + rs.edge_count - 4
+    s = None
+    if left.is_decorated and right.is_decorated:
+        orbits = _spliced_orbit_count(left.standard_successor, w_darts,
+                                      right.standard_successor, u_darts)
+        if orbits % 2:
+            raise OperationInvariantError(
+                "standard orbits of a connected sum do not pair up")
+        s = orbits // 2
+    return (2 - b - V + m) // 2, b, s
+
+
+def predict_connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
+                          align: int = 0):
+    """The (g, b, s) that :func:`connected_sum` with these arguments
+    predicts, without building the result: a cheap screen for selectors.
+    Raises :class:`OperationError` where ``connected_sum`` rejects the
+    selectors; a sum that would disconnect is not detected here."""
+    w_darts, u_darts = _coupled_darts(left, right, w, u, align)
+    return _sum_prediction(left, w_darts, right, u_darts)
+
+
+def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
+                  align: int = 0) -> OperationReport:
+    """Delete 4-valent vertices ``w`` of ``left`` and ``u`` of ``right`` and
+    splice strand i of w to strand 5-i of u (1-based).
+
+    Vertices are given as indices into ``vertex_cycles``.  Both must be
+    4-valent and loop free (a loop at the deleted vertex would leave a
+    dangling splice).  The result depends on how the two rotations are
+    lined up, so ``align`` in 0..3 rotates the right vertex's cycle before
+    coupling; the four alignments can give up to four different sums.
+
+    New edges are named g1..g4.  The prediction is
+    :func:`predict_connected_sum`, made before the result is built; the
+    indicator-sum table and the s1+s2-2 curve law are evaluated into
+    ``report.chi`` for audit (the law needs the two strands at each deleted
+    vertex to lie on two different curves, which filling systems always
+    satisfy).
+    """
+    w_darts, u_darts = _coupled_darts(left, right, w, u, align)
+    pg, pb, ps = _sum_prediction(left, w_darts, right, u_darts)
     names, gname = _edge_names(left, right, ("g1", "g2", "g3", "g4"))
     kg = 2 * (left.num_edges + right.num_edges)  # key dart g1+; g2+ is +2
     # rev(e_i) -> g_i+,  rev(f_j) -> g_{3-j}-   (0-based coupling)
@@ -421,20 +462,8 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
         raise OperationError(
             f"connected sum at (w={w}, u={u}) disconnects the graph")
 
-    pb = _spliced_orbit_count(left.boundary_successor, w_darts,
-                              right.boundary_successor, u_darts)
-    V = ls.vertex_count + rs.vertex_count - 2
-    m = ls.edge_count + rs.edge_count - 4
-    pg = (2 - pb - V + m) // 2
+    ls, rs = left.signature(), right.signature()
     case, chi = _chi_audit(left, w_darts, right, u_darts, ls, rs)
-    ps = None
-    if left.is_decorated and right.is_decorated:
-        orbits = _spliced_orbit_count(left.standard_successor, w_darts,
-                                      right.standard_successor, u_darts)
-        if orbits % 2:
-            raise OperationInvariantError(
-                "standard orbits of a connected sum do not pair up")
-        ps = orbits // 2
     rep = OperationReport(
         op="consum", case=case, left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=ps,

@@ -2,8 +2,13 @@
 
 Every builder returns a :class:`SynthesisPlan`, a replayable list of steps
 (family instantiations, literal searched graphs, and the three operations).
-Replaying verifies each step's operation report and the final signature, so
-a wrong plan cannot silently produce a wrong graph.
+One step executor runs every step, both while a builder assembles the plan
+and when :meth:`SynthesisPlan.replay` runs it again: each operation checks
+its report (prediction against recomputation), and the final graph is
+checked against the plan's target signature, filling and weight
+expectations, so a wrong plan cannot silently produce a wrong graph.  A
+builder records each step and then executes it once; its graphs are the
+replayed graphs, so the plan it returns is verified without a second run.
 
 Builders:
 
@@ -25,7 +30,8 @@ from functools import lru_cache
 from . import families
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import OperationReport, connected_sum, join, plumbing
+from .ops import (OperationReport, connected_sum, join, plumbing,
+                  predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -79,50 +85,25 @@ class SynthesisPlan:
     def replay(self):
         """Execute the plan; returns (final graph, operation reports).
 
-        Raises :class:`PlanVerificationError` when the replayed graph does
-        not meet the plan's target, filling, or weight expectations, and
-        :class:`SynthesisError` for a step naming no earlier step.
+        Every step runs through the same executor the builders use, so
+        each operation checks its own report, and :meth:`verify_final`
+        checks the last graph.  Raises :class:`PlanVerificationError` when
+        that graph misses the plan's target, filling, or weight
+        expectations, and :class:`SynthesisError` for a step naming no
+        earlier step, a graph step without vertices, or an empty plan.
         """
         graphs: list[FatGraph] = []
         reports: list[OperationReport] = []
-
-        def operand(i):
-            if not isinstance(i, int) or not 0 <= i < len(graphs):
-                raise SynthesisError(
-                    f"step {len(graphs)}: operand {i!r} is not an earlier "
-                    "step")
-            return graphs[i]
-
         for st in self.steps:
-            if st.op == "family":
-                graphs.append(families.build(st.family, st.param))
-            elif st.op == "graph":
-                if st.vertices is None:
-                    raise SynthesisError(
-                        f"step {len(graphs)}: graph step without vertices")
-                graphs.append(FatGraph.from_vertex_cycles(st.vertices))
-            elif st.op == "join":
-                rep = join(operand(st.left), operand(st.right), st.x, st.y,
-                           st.flip)
-                reports.append(rep)
-                graphs.append(rep.result)
-            elif st.op == "plumb":
-                rep = plumbing(operand(st.left), operand(st.right), st.x,
-                               st.y, st.flip)
-                reports.append(rep)
-                graphs.append(rep.result)
-            elif st.op == "consum":
-                rep = connected_sum(operand(st.left), operand(st.right),
-                                    st.w, st.u, st.align)
-                reports.append(rep)
-                graphs.append(rep.result)
-            elif st.op == "smooth":
-                graphs.append(operand(st.arg).smoothed())
-            else:
-                raise SynthesisError(f"unknown plan step {st.op!r}")
+            _run_step(st, graphs, reports)
         if not graphs:
             raise SynthesisError("plan has no steps")
-        final = graphs[-1]
+        return self.verify_final(graphs[-1]), reports
+
+    def verify_final(self, final: FatGraph) -> FatGraph:
+        """Return ``final`` if it meets the plan's target signature and its
+        filling and weight expectations, else raise
+        :class:`PlanVerificationError`."""
         sig = final.signature()
         if sig.triple != tuple(self.target):
             raise PlanVerificationError(
@@ -137,7 +118,49 @@ class SynthesisPlan:
             if wmax != self.expect_omega:
                 raise PlanVerificationError(
                     f"expected omega_max={self.expect_omega}, got {wmax}")
-        return final, reports
+        return final
+
+
+def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
+    """Run one plan step on ``graphs``, the graphs of the steps before it.
+
+    Appends the step's graph to ``graphs`` and, for an operation, its
+    checked report to ``reports``, and returns the graph.  A step that
+    raises appends nothing.
+    """
+
+    def operand(i):
+        if not isinstance(i, int) or not 0 <= i < len(graphs):
+            raise SynthesisError(
+                f"step {len(graphs)}: operand {i!r} is not an earlier step")
+        return graphs[i]
+
+    op = step.op
+    if op == "family":
+        graph = families.build(step.family, step.param)
+    elif op == "graph":
+        if step.vertices is None:
+            raise SynthesisError(
+                f"step {len(graphs)}: graph step without vertices")
+        graph = FatGraph.from_vertex_cycles(step.vertices)
+    elif op == "smooth":
+        graph = operand(step.arg).smoothed()
+    else:
+        if op == "join":
+            rep = join(operand(step.left), operand(step.right), step.x,
+                       step.y, step.flip)
+        elif op == "plumb":
+            rep = plumbing(operand(step.left), operand(step.right), step.x,
+                           step.y, step.flip)
+        elif op == "consum":
+            rep = connected_sum(operand(step.left), operand(step.right),
+                                step.w, step.u, step.align)
+        else:
+            raise SynthesisError(f"unknown plan step {op!r}")
+        reports.append(rep)
+        graph = rep.result
+    graphs.append(graph)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -316,63 +339,59 @@ def _diff_boundary_edge(g: FatGraph):
 
 
 # ---------------------------------------------------------------------------
-# plan assembly helpers
-
-
-def _graph_step(plan, graph):
-    return plan.add(Step(op="graph",
-                         vertices=tuple(map(tuple,
-                                            graph.to_vertex_cycle_tokens()))))
-
-
-def _family_step(plan, name, param=None):
-    return plan.add(Step(op="family", family=name, param=param))
+# plan assembly
 
 
 class _Builder:
-    """Tracks the concrete graph at every plan index while assembling."""
+    """Assembles a plan one step at a time: each method makes a
+    :class:`Step`, runs that step with :func:`_run_step` and adds it to the
+    plan.  So ``graphs[i]`` is the graph :meth:`SynthesisPlan.replay`
+    computes for step ``i``, and :meth:`verify` checks the finished plan
+    without executing it a second time."""
 
     def __init__(self, plan):
         self.plan = plan
         self.graphs = []
+        self.reports = []
+
+    def run(self, step):
+        """Run ``step`` and add it to the plan; returns its plan index."""
+        _run_step(step, self.graphs, self.reports)
+        return self.plan.add(step)
+
+    def verify(self):
+        """Check the last graph against the plan's expectations."""
+        self.plan.verify_final(self.graphs[-1])
+        return self.plan
 
     def family(self, name, param=None):
-        idx = _family_step(self.plan, name, param)
-        self.graphs.append(families.build(name, param))
-        return idx
+        return self.run(Step(op="family", family=name, param=param))
 
     def literal(self, graph):
-        idx = _graph_step(self.plan, graph)
-        self.graphs.append(graph)
-        return idx
+        """A graph step; it runs from its recorded tokens, so the graph
+        kept here is the replayed one, not ``graph`` itself."""
+        return self.run(Step(op="graph", vertices=tuple(
+            map(tuple, graph.to_vertex_cycle_tokens()))))
 
     def join(self, li, ri, x, y):
-        rep = join(self.graphs[li], self.graphs[ri], x, y)
-        self.plan.add(Step(op="join", left=li, right=ri, x=x, y=y))
-        self.graphs.append(rep.result)
-        return len(self.graphs) - 1, rep
+        idx = self.run(Step(op="join", left=li, right=ri, x=x, y=y))
+        return idx, self.reports[-1]
 
     def plumb(self, li, ri, x, y):
-        rep = plumbing(self.graphs[li], self.graphs[ri], x, y)
-        self.plan.add(Step(op="plumb", left=li, right=ri, x=x, y=y))
-        self.graphs.append(rep.result)
-        return len(self.graphs) - 1, rep
-
-    def consum(self, li, ri, w, u, align=0):
-        rep = connected_sum(self.graphs[li], self.graphs[ri], w, u, align)
-        self.plan.add(Step(op="consum", left=li, right=ri, w=w, u=u,
-                           align=align))
-        self.graphs.append(rep.result)
-        return len(self.graphs) - 1, rep
+        idx = self.run(Step(op="plumb", left=li, right=ri, x=x, y=y))
+        return idx, self.reports[-1]
 
     def smooth(self, idx):
-        self.plan.add(Step(op="smooth", arg=idx))
-        self.graphs.append(self.graphs[idx].smoothed())
-        return len(self.graphs) - 1
+        return self.run(Step(op="smooth", arg=idx))
 
     def consum_reaching(self, li, ri, want_triple, require=None):
-        """First (w, u, align) choice whose connected sum reaches the
-        wanted signature (and satisfies ``require`` on the result)."""
+        """Add the first (w, u, align) connected sum that reaches the
+        wanted signature (and satisfies ``require`` on the result).
+
+        Candidates are screened by :func:`predict_connected_sum`, which
+        agrees exactly with every built result's checked report, so only
+        a candidate that reaches ``want_triple`` is built.
+        """
         left, right = self.graphs[li], self.graphs[ri]
         for w in range(left.num_vertices):
             if left.degree(w) != 4 or left.loops_at(w):
@@ -382,14 +401,18 @@ class _Builder:
                     continue
                 for align in range(4):
                     try:
-                        rep = connected_sum(left, right, w, u, align)
+                        if predict_connected_sum(left, right, w, u,
+                                                 align) != want_triple:
+                            continue
+                        step = Step(op="consum", left=li, right=ri, w=w,
+                                    u=u, align=align)
+                        graph = _run_step(step, self.graphs, self.reports)
                     except FatGraphError:
                         continue
-                    if rep.recomputed.triple != want_triple:
-                        continue
-                    if require is not None and not require(rep.result):
-                        continue
-                    return self.consum(li, ri, w, u, align)
+                    if require is None or require(graph):
+                        return self.plan.add(step), self.reports[-1]
+                    self.graphs.pop()
+                    self.reports.pop()
         raise SynthesisError(
             f"no connected-sum vertex pair reaches {want_triple}")
 
@@ -521,8 +544,7 @@ def max_filling(g, b) -> SynthesisPlan:
     bld = _Builder(plan)
     idx = bld.family(families.GAMMA_G, g)
     _join_torus_chain(bld, idx, b - 1)
-    plan.replay()
-    return plan
+    return bld.verify()
 
 
 def minimal_filling(g, s) -> SynthesisPlan:
@@ -540,8 +562,7 @@ def minimal_filling(g, s) -> SynthesisPlan:
     plan = SynthesisPlan(target=(g, 1, s))
     bld = _Builder(plan)
     _minimal_into(bld, g, s)
-    plan.replay()
-    return plan
+    return bld.verify()
 
 
 def _minimal_into(bld, g, s):
@@ -604,8 +625,7 @@ def filling(g, b, s) -> SynthesisPlan:
         else:
             seed = _minimal_into(bld, g, k)
             _join_torus_chain(bld, seed, b - 1)
-    plan.replay()
-    return plan
+    return bld.verify()
 
 
 def tight_omega_filling(g, s) -> SynthesisPlan:
@@ -623,8 +643,7 @@ def tight_omega_filling(g, s) -> SynthesisPlan:
     plan = SynthesisPlan(target=(g, 1, s), expect_omega=2 * g - s + 1)
     bld = _Builder(plan)
     _tight_into(bld, g, s)
-    plan.replay()
-    return plan
+    return bld.verify()
 
 
 def _tight_into(bld, g, s):

@@ -190,6 +190,16 @@ class TestReplay:
         assert code == 2
         assert "99" in err
 
+    def test_missing_field_exit_2(self, capsys, tmp_path):
+        # a consum step without w and u used to crash with a TypeError
+        doc = {"format": "fillplan/1", "target": {"g": 4, "b": 7, "s": 2},
+               "steps": [{"op": "family", "family": "g2"},
+                         {"op": "family", "family": "g2"},
+                         {"op": "consum", "left": 0, "right": 1}]}
+        code, _, err = run(capsys, "replay", self.write(tmp_path, doc))
+        assert code == 2
+        assert "'w'" in err
+
     def test_wrong_target_exit_1(self, capsys, tmp_path, plan_doc):
         plan_doc["target"]["s"] = 5
         code, _, err = run(capsys, "replay", self.write(tmp_path, plan_doc))

@@ -119,6 +119,20 @@ class TestStandardCycles:
             g = FatGraph.from_vertex_cycles(cycles)
             assert len(g.standard_orbits) == 2 * len(g.standard_cycles)
 
+    def test_successor_matches_rotation_walk(self):
+        # reference: from d ^ 1, step sigma0 half the degree times
+        hexa = [cyc("a+ b+ c+ a- b- c-")]
+        mixed = [cyc("a+ b+ c+ d+ e+ f+"), cyc("a- b-"), cyc("c- d- e- f-")]
+        for cycles in (TORUS, G1, QUAD, SPHERE_CIRCLE, hexa, mixed):
+            g = FatGraph.from_vertex_cycles(cycles)
+            want = []
+            for d in range(g.num_darts):
+                e = d ^ 1
+                for _ in range(g.degree(g.vertex_of[e]) // 2):
+                    e = g.sigma0[e]
+                want.append(e)
+            assert g.standard_successor == tuple(want)
+
     def test_curves_partition_edges(self):
         for cycles in (TORUS, G1, QUAD):
             g = FatGraph.from_vertex_cycles(cycles)

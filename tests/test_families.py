@@ -2,6 +2,7 @@ import pytest
 
 from fillgraph import families
 from fillgraph.core import InvariantError
+from fillgraph.ops import join
 from fillgraph.families import (FamilyRangeError, build, catalog,
                                 gamma2b_boundary_words,
                                 gamma_g_boundary_word,
@@ -117,3 +118,26 @@ class TestFixedGraphs:
             build(families.GAMMA_G)
         with pytest.raises(FamilyRangeError):
             build(families.G1, 3)
+
+
+class TestBuildCopies:
+    def test_equal_values_not_one_object(self):
+        for name, param in ((families.TORUS_PAIR, None),
+                            (families.GAMMA_G, 3),
+                            (families.GAMMA_2_B, 4)):
+            a, b = build(name, param), build(name, param)
+            assert a == b and a is not b
+            assert a.signature() == b.signature()
+
+    def test_two_torus_builds_join(self):
+        rep = join(build(families.TORUS_PAIR), build(families.TORUS_PAIR),
+                   "a", "a")
+        assert rep.recomputed.triple == (1, 2, 3)
+
+    def test_range_error_after_good_build(self):
+        build(families.GAMMA_2_B, 3)
+        with pytest.raises(FamilyRangeError):
+            build(families.GAMMA_2_B, 1)
+        build(families.GIRTH_2GM1, 3)
+        with pytest.raises(FamilyRangeError):
+            build(families.GIRTH_2GM1, 2)

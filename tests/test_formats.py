@@ -8,7 +8,7 @@ from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
                                read_graph, write_graph)
-from fillgraph.synthesis import filling
+from fillgraph.synthesis import filling, tight_omega_filling
 
 
 class TestGraphFile:
@@ -84,6 +84,27 @@ class TestPlanFile:
         node[path[-1]] = value
         with pytest.raises(FormatError):
             loads_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("make, op, fields", [
+        (lambda: filling(3, 3, 4), "family", ("family",)),
+        (lambda: filling(3, 3, 4), "join", ("left", "right", "x", "y")),
+        (lambda: filling(3, 1, 2), "graph", ("vertices",)),
+        (lambda: filling(5, 1, 3), "consum", ("left", "right", "w", "u")),
+        (lambda: filling(4, 1, 6), "plumb", ("left", "right", "x", "y")),
+        (lambda: tight_omega_filling(3, 3), "smooth", ("arg",)),
+    ])
+    def test_missing_op_fields(self, make, op, fields):
+        text = dumps_plan(make())
+        for k in fields:
+            for absent in (True, False):
+                doc = json.loads(text)
+                step = next(st for st in doc["steps"] if st["op"] == op)
+                if absent:
+                    del step[k]
+                else:
+                    step[k] = None
+                with pytest.raises(FormatError, match=repr(k)):
+                    loads_plan(json.dumps(doc))
 
     def test_valid_document_still_loads(self, doc):
         text = json.dumps(doc, indent=2) + "\n"

@@ -5,7 +5,8 @@ import pytest
 from fillgraph import families
 from fillgraph.core import FatGraph
 from fillgraph.ops import (OperationError, connected_sum, join,
-                           new_join_boundaries, plumbing)
+                           new_join_boundaries, plumbing,
+                           predict_connected_sum)
 
 
 def torus():
@@ -135,6 +136,34 @@ class TestConnectedSum:
         other = dumbbell.relabeled({n: n + "'" for n in dumbbell.labels})
         with pytest.raises(OperationError, match="disconnect"):
             connected_sum(dumbbell, other, 0, 0)
+
+
+    @pytest.mark.parametrize("left", [
+        (families.G2, None), (families.GAMMA_2_B, 3)])
+    def test_prediction_equals_recomputed(self, left):
+        left, right = families.build(*left), g2()
+        built = 0
+        for w in range(left.num_vertices):
+            for u in range(right.num_vertices):
+                for align in range(4):
+                    try:
+                        rep = connected_sum(left, right, w, u, align)
+                    except OperationError:
+                        continue
+                    built += 1
+                    assert predict_connected_sum(left, right, w, u, align) \
+                        == rep.recomputed.triple, (w, u, align)
+        assert built >= 4 * 6
+
+    def test_prediction_rejects_what_the_sum_rejects(self):
+        a, b = g1(), g1()
+        looped = next(v for v in range(3) if a.loops_at(v))
+        for args in ((a, a, 0, 0, 0), (a, b, looped, 0, 0), (a, b, 0, 9, 0),
+                     (a, b, 0, 0, 4)):
+            with pytest.raises(OperationError):
+                predict_connected_sum(*args)
+            with pytest.raises(OperationError):
+                connected_sum(*args)
 
 
 class TestPlumbing:

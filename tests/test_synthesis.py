@@ -181,6 +181,36 @@ class TestPlans:
             with pytest.raises(SynthesisError):
                 formats.plan_from_document(doc).replay()
 
+    def test_builder_graph_is_the_replayed_graph(self, monkeypatch):
+        # the builders verify the graph they ran instead of a second
+        # replay, so it must be the graph replay() gives, dart for dart
+        built = []
+        verify_final = SynthesisPlan.verify_final
+
+        def spy(plan, final):
+            built.append(final)
+            return verify_final(plan, final)
+
+        monkeypatch.setattr(SynthesisPlan, "verify_final", spy)
+        plans = []
+        for g in range(2, 7):
+            for b in range(1, 5):
+                for s in range(lower_bound(g, b), upper_bound(g, b) + 1):
+                    if (g, b, s) == (2, 1, 2):
+                        continue
+                    plans.append((minimal_filling(g, s) if b == 1
+                                  else filling(g, b, s), built[-1]))
+        for g in range(2, 6):
+            for s in range(lower_bound(g, 1), 2 * g + 1):
+                plans.append((tight_omega_filling(g, s), built[-1]))
+        for plan, graph in plans:
+            replayed, _ = plan.replay()
+            assert graph.sigma0 == replayed.sigma0, plan.target
+            assert graph.labels == replayed.labels, plan.target
+        with_graph_step = {p.target for p, _ in plans
+                           if any(st.op == "graph" for st in p.steps)}
+        assert {(3, 1, 2), (4, 1, 2), (5, 1, 2)} <= with_graph_step
+
     def test_empty_plan(self):
         with pytest.raises(SynthesisError):
             SynthesisPlan(target=(2, 1, 3)).replay()
