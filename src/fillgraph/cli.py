@@ -211,7 +211,7 @@ def cmd_replay(args):
     except InvariantError as exc:
         _err(f"plan verification failed: {exc}")
         return EXIT_VERIFY
-    except (FatGraphError, families.FamilyRangeError) as exc:
+    except FatGraphError as exc:
         _err(f"cannot replay {args.plan}: {exc}")
         return EXIT_INPUT
     print(_sig_line(graph.signature()))

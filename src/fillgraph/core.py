@@ -196,12 +196,44 @@ def canonical_code(sigma0, sigma1):
     return b"".join(lab.to_bytes(width, "big") for lab in best), automorphisms
 
 
+def _rooted_walk(sigma0, root, code=None):
+    """(darts, code) of the component of ``root``.
+
+    The darts are listed in breadth-first order of first sight along
+    sigma0 then ``d -> d ^ 1``, numbered by that order, and the code lists
+    the numbers of each dart's two images: the code of one start in
+    :func:`canonical_code`.  Given the ``code`` of another walk, this walk
+    returns None at the first number that differs from it.  A walk that
+    returns has reproduced ``code`` whole, so numbering by the two walks
+    is an isomorphism between the two components, sending root to root.
+    """
+    lab = [-1] * len(sigma0)
+    lab[root] = 0
+    order = [root]
+    out = [] if code is None else code
+    pos = 0
+    for cur in order:  # order grows while it is walked
+        for img in (sigma0[cur], cur ^ 1):
+            num = lab[img]
+            if num < 0:
+                num = lab[img] = len(order)
+                order.append(img)
+            if code is None:
+                out.append(num)
+            elif code[pos] != num:
+                return None
+            pos += 1
+    return order, out
+
+
 class FatGraph:
     """Immutable fat graph; construct via :meth:`from_vertex_cycles`."""
 
     def __init__(self, sigma0, labels):
         sigma0 = tuple(sigma0)
         n = len(sigma0)
+        if not n:
+            raise MalformedGraphError("a fat graph needs at least one edge")
         if n % 2:
             raise MalformedGraphError("odd number of darts")
         if sorted(sigma0) != list(range(n)):
@@ -502,34 +534,38 @@ class FatGraph:
                               [d ^ 1 for d in range(self.num_darts)])[0]
 
     def is_isomorphic(self, other):
-        if self.num_darts != other.num_darts:
-            return False
-        return self._component_codes() == other._component_codes()
+        """True iff a dart bijection carries ``sigma0`` to ``other.sigma0``
+        and commutes with ``d -> d ^ 1``.
 
-    def _component_codes(self):
-        """Sorted canonical codes of the connected components."""
-        try:
-            return [self.canonical_form()]
-        except DisconnectedError:
-            pass
+        Each component of this graph is walked once from its least dart
+        (:func:`_rooted_walk`).  Its code is then sought in ``other`` by
+        the same walk from each dart not matched yet, and the first start
+        that reproduces it matches the two components.  Isomorphism of
+        components is an equivalence relation, so this greedy pairing
+        succeeds exactly when the components pair up isomorphically.
+        """
         n = self.num_darts
-        s0 = self._sigma0
-        seen = [False] * n
-        codes = []
-        for s in range(n):
-            if seen[s]:
+        if n != other.num_darts:
+            return False
+        s0, t0 = self._sigma0, other._sigma0
+        matched = [False] * n  # darts of self in a matched component
+        free = [True] * n  # darts of other outside every matched component
+        for root in range(n):
+            if matched[root]:
                 continue
-            comp = [s]
-            seen[s] = True
+            comp, code = _rooted_walk(s0, root)
+            for start in range(n):
+                if free[start]:
+                    image = _rooted_walk(t0, start, code)
+                    if image is not None:
+                        break
+            else:
+                return False
             for d in comp:
-                for e in (s0[d], d ^ 1):
-                    if not seen[e]:
-                        seen[e] = True
-                        comp.append(e)
-            local = {d: i for i, d in enumerate(comp)}
-            codes.append(canonical_code([local[s0[d]] for d in comp],
-                                        [local[d ^ 1] for d in comp])[0])
-        return sorted(codes)
+                matched[d] = True
+            for d in image[0]:
+                free[d] = False
+        return True
 
     # -- transformations ----------------------------------------------------
 

@@ -16,11 +16,12 @@ import copy
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FatGraph, InvariantError
+from .core import FatGraph, FatGraphError, InvariantError
 
 
-class FamilyRangeError(ValueError):
-    pass
+class FamilyRangeError(FatGraphError):
+    """An unknown family, or a parameter missing, unexpected or out of
+    range: bad input, so a plan naming it fails like any malformed step."""
 
 
 class FamilyValidationError(InvariantError):

@@ -393,12 +393,9 @@ class _Builder:
         a candidate that reaches ``want_triple`` is built.
         """
         left, right = self.graphs[li], self.graphs[ri]
-        for w in range(left.num_vertices):
-            if left.degree(w) != 4 or left.loops_at(w):
-                continue
-            for u in range(right.num_vertices):
-                if right.degree(u) != 4 or right.loops_at(u):
-                    continue
+        right_vertices = _sum_vertices(right)
+        for w in _sum_vertices(left):
+            for u in right_vertices:
                 for align in range(4):
                     try:
                         if predict_connected_sum(left, right, w, u,
@@ -415,6 +412,12 @@ class _Builder:
                     self.reports.pop()
         raise SynthesisError(
             f"no connected-sum vertex pair reaches {want_triple}")
+
+
+def _sum_vertices(graph):
+    """Vertices a connected sum can use: degree 4 and no loop, ascending."""
+    return [v for v in range(graph.num_vertices)
+            if graph.degree(v) == 4 and not graph.loops_at(v)]
 
 
 def _join_torus_chain(bld, idx, count):

@@ -200,6 +200,16 @@ class TestReplay:
         assert code == 2
         assert "'w'" in err
 
+    def test_empty_graph_step_exit_2(self, capsys, tmp_path):
+        # a graph step without darts used to replay to g=1 b=0 s=0 and exit 0
+        doc = {"format": "fillplan/1", "target": {"g": 1, "b": 0, "s": 0},
+               "expect_filling": False,
+               "steps": [{"op": "graph", "vertices": []}]}
+        code, out, err = run(capsys, "replay", self.write(tmp_path, doc))
+        assert code == 2
+        assert out == ""
+        assert "at least one edge" in err
+
     def test_wrong_target_exit_1(self, capsys, tmp_path, plan_doc):
         plan_doc["target"]["s"] = 5
         code, _, err = run(capsys, "replay", self.write(tmp_path, plan_doc))

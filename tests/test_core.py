@@ -53,6 +53,13 @@ class TestFromVertexCycles:
         with pytest.raises(DegreeError):
             FatGraph.from_vertex_cycles([cyc("a+"), cyc("a- b+ b-")])
 
+    def test_no_darts_rejected(self):
+        # an empty graph used to report the signature g=1 b=0 s=0
+        with pytest.raises(MalformedGraphError, match="at least one edge"):
+            FatGraph.from_vertex_cycles([])
+        with pytest.raises(MalformedGraphError, match="at least one edge"):
+            FatGraph((), ())
+
     def test_same_sign_loop_needs_tags(self):
         with pytest.raises(MalformedGraphError, match="#0"):
             FatGraph.from_vertex_cycles([["a+", "b+", "a+", "b-"]])

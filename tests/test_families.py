@@ -1,7 +1,7 @@
 import pytest
 
 from fillgraph import families
-from fillgraph.core import InvariantError
+from fillgraph.core import FatGraphError, InvariantError
 from fillgraph.ops import join
 from fillgraph.families import (FamilyRangeError, build, catalog,
                                 gamma2b_boundary_words,
@@ -27,6 +27,12 @@ def words_match_up_to_rotation(graph, expected_words):
 def test_validation_error_is_an_invariant_error():
     assert issubclass(families.FamilyValidationError, InvariantError)
     assert issubclass(families.FamilyValidationError, AssertionError)
+
+
+def test_range_error_is_a_graph_error():
+    # a plan step naming a bad family member must fail as bad input
+    assert issubclass(FamilyRangeError, FatGraphError)
+    assert issubclass(FamilyRangeError, ValueError)
 
 
 class TestCatalog:

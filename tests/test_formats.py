@@ -1,14 +1,18 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fillgraph import families, oracle
+from fillgraph.core import FatGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
                                read_graph, write_graph)
-from fillgraph.synthesis import filling, tight_omega_filling
+from fillgraph.synthesis import (PlanVerificationError, filling,
+                                 minimal_filling, tight_omega_filling)
 
 
 class TestGraphFile:
@@ -109,6 +113,102 @@ class TestPlanFile:
     def test_valid_document_still_loads(self, doc):
         text = json.dumps(doc, indent=2) + "\n"
         assert dumps_plan(loads_plan(text)) == text
+
+
+# --- plan-file fuzz: loads_plan plus replay raise only these ---------------
+
+PLAN_ERRORS = (FormatError, FatGraphError, PlanVerificationError)
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8),
+    st.floats(-2, 2, allow_nan=False), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+LABELS = st.sampled_from(["a", "b", "c", "e", "f", "e1", "f1", "x1", "a'",
+                          ""])
+TOKENS = st.one_of(
+    st.builds(str.__add__, LABELS,
+              st.sampled_from(["+", "-", "+#0", "+#1", "-#1", "#2", ""])),
+    JUNK)
+INDICES = st.integers(-2, 6)
+STEP_VALUES = {
+    "op": st.sampled_from(["family", "graph", "join", "plumb", "consum",
+                           "smooth", "twist"]),
+    "family": st.sampled_from(families.ALL_FAMILIES + ("nope",)),
+    "param": st.integers(-1, 5),
+    "vertices": st.lists(st.lists(TOKENS, max_size=5), max_size=4),
+    "left": INDICES, "right": INDICES, "arg": INDICES,
+    "x": LABELS, "y": LABELS,
+    "w": st.integers(-1, 5), "u": st.integers(-1, 5),
+    "align": st.integers(-1, 4), "flip": st.booleans(),
+}
+TOP_VALUES = {
+    "format": st.just("fillplan/1"),
+    "target": st.fixed_dictionaries(
+        {}, optional={k: st.one_of(st.integers(-1, 6), JUNK) for k in "gbs"}),
+    "expect_filling": st.booleans(),
+    "expect_omega": st.integers(-1, 8),
+}
+
+
+def field(values, key):
+    return st.one_of(values[key], JUNK)
+
+
+RANDOM_STEPS = st.fixed_dictionaries(
+    {"op": field(STEP_VALUES, "op")},
+    optional={k: field(STEP_VALUES, k) for k in STEP_VALUES if k != "op"})
+RANDOM_DOCS = st.fixed_dictionaries(
+    {"format": field(TOP_VALUES, "format"),
+     "steps": st.one_of(st.lists(RANDOM_STEPS, max_size=5), JUNK)},
+    optional={k: field(TOP_VALUES, k) for k in TOP_VALUES if k != "format"})
+
+# one plan for each op: family and join; graph; consum; plumb; smooth with
+# an omega expectation
+BASE_DOCS = [json.loads(dumps_plan(plan)) for plan in (
+    filling(3, 3, 4), minimal_filling(3, 2), minimal_filling(5, 3),
+    minimal_filling(4, 6), tight_omega_filling(3, 3))]
+
+
+@st.composite
+def mutated_docs(draw):
+    """A valid plan document with one to three fields set, dropped or
+    retyped, or steps dropped or repeated."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        steps = doc["steps"] if isinstance(doc.get("steps"), list) else []
+        kind = draw(st.sampled_from(["set", "drop", "steps", "top"]))
+        if kind == "top" or not steps:
+            key = draw(st.sampled_from(sorted(TOP_VALUES) + ["steps"]))
+            doc[key] = draw(field(TOP_VALUES, key) if key in TOP_VALUES
+                            else JUNK)
+            continue
+        i = draw(st.integers(0, len(steps) - 1))
+        if kind == "steps":
+            if draw(st.booleans()):
+                del steps[i]
+            else:
+                steps.insert(draw(st.integers(0, len(steps))),
+                             copy.deepcopy(steps[i]))
+            continue
+        if not isinstance(steps[i], dict):
+            continue
+        key = draw(st.sampled_from(sorted(STEP_VALUES)))
+        if kind == "drop":
+            steps[i].pop(key, None)
+        else:
+            steps[i][key] = draw(field(STEP_VALUES, key))
+    return doc
+
+
+@given(st.one_of(RANDOM_DOCS, mutated_docs()))
+@settings(max_examples=200, deadline=None)
+def test_plan_fuzz_raises_only_plan_errors(doc):
+    # a raw KeyError, IndexError, TypeError or AttributeError fails here
+    try:
+        loads_plan(json.dumps(doc)).replay()
+    except PLAN_ERRORS:
+        pass
 
 
 class TestCensusExport:

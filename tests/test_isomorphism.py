@@ -1,0 +1,107 @@
+"""FatGraph.is_isomorphic against equality of sorted per-component
+canonical codes (census classes with V <= 3 are compared in
+test_properties.py, together with a brute-force search)."""
+
+import itertools
+import random
+from collections import defaultdict
+
+from helpers import component_codes, grid_plans
+
+from fillgraph import families
+from fillgraph.core import FatGraph, canonical_code
+from fillgraph.oracle import census
+
+
+def assert_agrees(pairs):
+    """is_isomorphic equals the reference on every pair; returns the
+    number of isomorphic pairs."""
+    codes = {}
+
+    def ref(g):
+        if id(g) not in codes:  # keep g, so that its id stays its own
+            codes[id(g)] = (g, component_codes(g))
+        return codes[id(g)][1]
+
+    same = 0
+    for a, b in pairs:
+        expect = a.num_darts == b.num_darts and ref(a) == ref(b)
+        assert a.is_isomorphic(b) == expect, (a, b)
+        same += expect
+    return same
+
+
+def union(*graphs):
+    """Disjoint union, components in argument order."""
+    s0, labels = [], []
+    for i, g in enumerate(graphs):
+        off = len(s0)
+        s0 += [off + d for d in g.sigma0]
+        labels += [f"{nm}.{i}" for nm in g.labels]
+    return FatGraph(s0, labels)
+
+
+def twisted(graph, v):
+    """``graph`` with the rotation (a b c d) at the 4-valent vertex ``v``
+    changed to (a c b d)."""
+    a, b, c, d = graph.vertex_cycles[v]
+    s0 = list(graph.sigma0)
+    s0[a], s0[c], s0[b] = c, b, d
+    return FatGraph(s0, graph.labels)
+
+
+def test_synthesis_grid():
+    rng = random.Random(43)
+    by_size = defaultdict(list)
+    for plan in grid_plans(5, 8, 5):
+        graph, _ = plan.replay()
+        by_size[graph.num_darts].append(graph)
+    pairs = []
+    for graphs in by_size.values():
+        for g in graphs:
+            pairs.append((g, g.shuffled(rng)))
+            pairs += [(g, h) for h in graphs if h is not g]
+    assert len(pairs) > 9_000
+    # each graph matches its copy; some plans of one target repeat a graph
+    assert assert_agrees(pairs) > sum(map(len, by_size.values()))
+
+
+def test_disjoint_unions():
+    rng = random.Random(47)
+    parts = [row.graph() for V in (1, 2) for row in census(V)]
+    unions = [union(a, b) for a, b in itertools.product(parts, repeat=2)]
+    unions += [union(a, b, c) for a, b, c in
+               itertools.product(parts[:4], repeat=3)]
+    unions += [u.shuffled(rng) for u in unions]
+    same = assert_agrees(itertools.product(unions, repeat=2))
+    # a, b swapped is isomorphic to a, b; so is every shuffled copy
+    assert same > 4 * len(unions)
+
+
+def test_gamma_g_with_automorphisms():
+    rng = random.Random(53)
+    for g in range(2, 7):
+        gamma = families.build(families.GAMMA_G, g)
+        s1 = [d ^ 1 for d in range(gamma.num_darts)]
+        assert canonical_code(gamma.sigma0, s1)[1] > 1
+        graphs = [gamma, gamma.shuffled(rng), gamma.shuffled(rng)]
+        graphs += [twisted(gamma, v) for v in range(gamma.num_vertices)]
+        graphs += [t.shuffled(rng) for t in graphs[3:]]
+        assert assert_agrees(itertools.product(graphs, repeat=2)) > 9
+
+
+def test_ring_past_256_darts():
+    def ring(k, name="e"):
+        return FatGraph.from_vertex_cycles(
+            [[f"{name}{i}-", f"{name}{(i + 1) % k}+"] for i in range(k)])
+
+    rng = random.Random(59)
+    big = ring(129)
+    graphs = [big, big.shuffled(rng),
+              FatGraph(big.sigma0[1:] + big.sigma0[:1], big.labels),
+              union(ring(64), ring(65, "f")), union(ring(65), ring(64, "f")),
+              families.build(families.GAMMA_G, 33)]
+    graphs.append(graphs[3].shuffled(rng))
+    assert big.num_darts == 258 == graphs[3].num_darts
+    # {big, its copy}, {the two unions, a copy}, and two graphs alone
+    assert assert_agrees(itertools.product(graphs, repeat=2)) == 4 + 9 + 1 + 1

@@ -2,6 +2,7 @@
 
 import random
 
+from helpers import component_codes
 from hypothesis import given, settings, strategies as st
 
 from fillgraph import families
@@ -138,8 +139,10 @@ def test_isomorphism_agrees_with_brute_force_on_census():
     for V in (1, 2, 3):
         graphs = [row.graph() for row in census(V)]
         copies = [g.shuffled(rng) for g in graphs]
+        codes = [component_codes(h) for h in graphs + copies]
         for i, g in enumerate(graphs):
             for j, h in enumerate(graphs + copies):
                 same = g.is_isomorphic(h)
                 assert same == _brute_isomorphic(g, h), (V, i, j)
+                assert same == (codes[i] == codes[j]), (V, i, j)
                 assert same == (i == j % len(graphs)), (V, i, j)

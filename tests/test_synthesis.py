@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from helpers import grid_plans
 
 from fillgraph import families, formats
 from fillgraph.analysis import intersection_graph
@@ -192,17 +195,7 @@ class TestPlans:
             return verify_final(plan, final)
 
         monkeypatch.setattr(SynthesisPlan, "verify_final", spy)
-        plans = []
-        for g in range(2, 7):
-            for b in range(1, 5):
-                for s in range(lower_bound(g, b), upper_bound(g, b) + 1):
-                    if (g, b, s) == (2, 1, 2):
-                        continue
-                    plans.append((minimal_filling(g, s) if b == 1
-                                  else filling(g, b, s), built[-1]))
-        for g in range(2, 6):
-            for s in range(lower_bound(g, 1), 2 * g + 1):
-                plans.append((tight_omega_filling(g, s), built[-1]))
+        plans = [(plan, built[-1]) for plan in grid_plans(6, 4, 5)]
         for plan, graph in plans:
             replayed, _ = plan.replay()
             assert graph.sigma0 == replayed.sigma0, plan.target
@@ -210,6 +203,15 @@ class TestPlans:
         with_graph_step = {p.target for p, _ in plans
                            if any(st.op == "graph" for st in p.steps)}
         assert {(3, 1, 2), (4, 1, 2), (5, 1, 2)} <= with_graph_step
+
+    def test_plan_bytes_pinned(self):
+        # sha256 of the concatenated plan texts of the g <= 4, b <= 3 grid
+        # and the tight plans with g <= 4; any change to a builder's choices
+        # or to the plan file layout changes it
+        texts = [formats.dumps_plan(plan) for plan in grid_plans(4, 3, 4)]
+        assert len(texts) == 67
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "edd249ef1d1ea5346d25b0cb5fda3528d17e7203a7f7af8056df6af3b5732bb6")
 
     def test_empty_plan(self):
         with pytest.raises(SynthesisError):
