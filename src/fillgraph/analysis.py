@@ -84,13 +84,11 @@ def intersection_graph(graph: FatGraph) -> WeightedIntersectionGraph:
         raise AnalysisPreconditionError("graph is not decorated")
     if not graph.is_four_regular:
         raise AnalysisPreconditionError("graph is not 4-regular")
+    revisit = graph.first_revisit()
+    if revisit is not None:
+        raise AnalysisPreconditionError(
+            f"standard cycle {revisit[0]} crosses itself")
     curves = graph.standard_cycles
-    vo = graph.vertex_of
-    for i, cyc in enumerate(curves):
-        visits = [vo[d] for d in cyc]
-        if len(set(visits)) != len(visits):
-            raise AnalysisPreconditionError(
-                f"standard cycle {i} crosses itself")
     coe = graph.curve_of_edge
     weights = {}
     for cyc in graph.vertex_cycles:

@@ -22,18 +22,8 @@ EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
 EXIT_BUDGET = 4
 
-_FAMILY_PARAM_KIND = {families.GAMMA_G: "genus",
-                      families.GIRTH_2GM1: "genus",
-                      families.GAMMA_2_B: "boundaries"}
-
-
 def _err(msg):
     print(msg, file=sys.stderr)
-
-
-def _sig_line(sig):
-    return f"g={sig.genus} b={sig.boundary_count} " \
-           f"s={'-' if sig.standard_cycle_count is None else sig.standard_cycle_count}"
 
 
 def cmd_family(args):
@@ -43,8 +33,8 @@ def cmd_family(args):
              f"{', '.join(families.ALL_FAMILIES)}")
         return EXIT_INPUT
     param = None
-    if name in _FAMILY_PARAM_KIND:
-        kind = _FAMILY_PARAM_KIND[name]
+    if name in families.PARAMETRIC:
+        kind = families.PARAMETRIC[name]
         param = args.genus if kind == "genus" else args.boundaries
         if param is None:
             _err(f"family {name} needs --{kind}")
@@ -54,7 +44,7 @@ def cmd_family(args):
     except families.FamilyRangeError as exc:
         _err(str(exc))
         return EXIT_INPUT
-    print(_sig_line(graph.signature()))
+    print(graph.signature())
     if args.output:
         formats.write_graph(args.output, graph)
     return EXIT_OK
@@ -108,7 +98,7 @@ def cmd_analyze(args):
         import json
         print(json.dumps(info, indent=2))
     else:
-        print(_sig_line(sig) + f" V={sig.vertex_count} m={sig.edge_count}")
+        print(f"{sig} V={sig.vertex_count} m={sig.edge_count}")
         print(f"boundary lengths: {blens}")
         if "cycle_lengths" in info:
             print(f"cycle lengths: {info['cycle_lengths']}")
@@ -187,8 +177,7 @@ def cmd_synth(args):
         _err(str(exc))
         return EXIT_INPUT
     graph, _ = plan.replay()
-    sig = graph.signature()
-    line = _sig_line(sig)
+    line = str(graph.signature())
     if args.tight:
         wmax = analysis.intersection_graph(graph).omega_max()
         line += f" omega_max={wmax}"
@@ -214,17 +203,13 @@ def cmd_replay(args):
     except FatGraphError as exc:
         _err(f"cannot replay {args.plan}: {exc}")
         return EXIT_INPUT
-    print(_sig_line(graph.signature()))
+    print(graph.signature())
     if args.output:
         formats.write_graph(args.output, graph)
     return EXIT_OK
 
 
 def cmd_enumerate(args):
-    if not 1 <= args.vertices <= oracle.EXHAUSTIVE_CEILING:
-        _err(f"exhaustive enumeration supports V <= "
-             f"{oracle.EXHAUSTIVE_CEILING}")
-        return EXIT_INPUT
     flt = {}
     if args.filter:
         for k, v in _parse_expect(args.filter).items():
@@ -241,6 +226,9 @@ def cmd_enumerate(args):
                 return EXIT_INPUT
     try:
         rows = oracle.census_filter(args.vertices, **flt)
+    except oracle.CensusRangeError as exc:
+        _err(str(exc))
+        return EXIT_INPUT
     except oracle.CensusError as exc:
         _err(f"internal invariant breach: {exc}")
         return EXIT_VERIFY

@@ -77,7 +77,9 @@ class SurfaceSignature:
     """Bookkeeping triple of a connected fat graph plus structural flags.
 
     Satisfies V - m + b = 2 - 2g.  ``s`` is None when the graph is not
-    decorated (some vertex of odd degree).
+    decorated (some vertex of odd degree).  Whether the graph is a filling
+    system is :meth:`FatGraph.is_filling_system`'s answer, not part of the
+    signature.
     """
 
     genus: int
@@ -85,10 +87,8 @@ class SurfaceSignature:
     standard_cycle_count: int | None
     vertex_count: int
     edge_count: int
-    is_connected: bool
     is_four_regular: bool
     is_decorated: bool
-    is_filling: bool
 
     @property
     def triple(self):
@@ -487,12 +487,11 @@ class FatGraph:
         if twog % 2 or twog < 0:
             raise InvariantError(f"bad Euler data V={V} m={m} b={b}")
         s = len(self.standard_cycles) if self.is_decorated else None
-        filling, _ = self.is_filling_system()
         return SurfaceSignature(
             genus=twog // 2, boundary_count=b, standard_cycle_count=s,
-            vertex_count=V, edge_count=m, is_connected=True,
+            vertex_count=V, edge_count=m,
             is_four_regular=self.is_four_regular,
-            is_decorated=self.is_decorated, is_filling=filling)
+            is_decorated=self.is_decorated)
 
     def is_filling_system(self):
         """(verdict, diagnostics).  True iff connected, 4-regular, all curves
@@ -506,13 +505,10 @@ class FatGraph:
             diags.append(f"not 4-regular: vertex {bad} has degree "
                          f"{self.degree(bad)}")
         else:
-            vo = self.vertex_of
-            for i, cyc in enumerate(self.standard_cycles):
-                visits = [vo[d] for d in cyc]
-                if len(set(visits)) != len(visits):
-                    rep = next(v for v in visits if visits.count(v) > 1)
-                    diags.append(f"curve {i} revisits vertex {rep}")
-                    break
+            revisit = self.first_revisit()
+            if revisit is not None:
+                curve, v = revisit
+                diags.append(f"curve {curve} revisits vertex {v}")
             else:
                 for i, cyc in enumerate(self.boundary_cycles):
                     if len(cyc) < 3:
@@ -520,6 +516,18 @@ class FatGraph:
                             f"boundary face {i} has length {len(cyc)} < 3")
                         break
         return (not diags), diags
+
+    def first_revisit(self):
+        """(curve, vertex) for the first standard cycle that passes some
+        vertex twice, naming the first such vertex along the curve; None
+        when every curve is simple.  Raises :class:`NotDecoratedError`
+        when some vertex has odd degree."""
+        vo = self.vertex_of
+        for i, cyc in enumerate(self.standard_cycles):
+            visits = [vo[d] for d in cyc]
+            if len(set(visits)) != len(visits):
+                return i, next(v for v in visits if visits.count(v) > 1)
+        return None
 
     # -- isomorphism --------------------------------------------------------
 

@@ -214,9 +214,6 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
         predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, -1),
         result=result, recomputed=result.signature(),
         selectors={"x": x, "y": y, "flip": flip, "new_edges": (e, f)})
-    if not rep.recomputed.is_connected:
-        raise OperationInvariantError("join of connected graphs is "
-                                      "disconnected")
     return rep.check()
 
 

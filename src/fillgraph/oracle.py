@@ -320,8 +320,8 @@ def census(V):
     """
     if not 1 <= V <= EXHAUSTIVE_CEILING:
         raise CensusRangeError(
-            f"exhaustive census supports 1 <= V <= {EXHAUSTIVE_CEILING}; "
-            "use synthesis.search_filling for targeted larger searches")
+            f"exhaustive census supports 1 <= V <= {EXHAUSTIVE_CEILING}, "
+            f"got V={V}")
     classes = _classes(V)
     labelings = 4 ** V * factorial(V)
     mass = sum(Fraction(labelings, automorphisms)

@@ -17,8 +17,11 @@ Builders:
 * :func:`filling` - b-disc fillings of every admissible size;
 * :func:`tight_omega_filling` - minimal fillings whose largest pairwise
   intersection number attains 2g-s+1 exactly;
-* :func:`search_filling` - bounded exhaustive search, used for the filling
-  pair seeds that the cited external constructions would otherwise provide.
+* :func:`search_filling` - a filling of a given signature on V vertices,
+  read from the census (:func:`oracle.census`) for V up to its ceiling,
+  or for s=2 found by an exhaustive search of the two-Hamiltonian-curve
+  normal form; it provides the filling pair seeds that the cited external
+  constructions would otherwise provide.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import families
+from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
 from .ops import (OperationReport, connected_sum, join, plumbing,
@@ -171,7 +174,7 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
 class SearchResult:
     graph: FatGraph | None
     complete: bool  # True when the whole space was enumerated
-    examined: int
+    examined: int  # pair candidates (s=2) or census classes read
 
     @property
     def found(self):
@@ -179,7 +182,6 @@ class SearchResult:
 
 
 HAMILTONIAN_CEILING = 8
-GENERIC_CEILING = 6
 
 
 def _pair_candidates(V):
@@ -187,60 +189,31 @@ def _pair_candidates(V):
     V vertices once.  Curve a runs 0,1,...,V-1; curve b's visit order and
     the crossing side at each vertex vary.  Every filling with s=2 on V
     vertices is isomorphic to one of these (curves of a 4-regular filling
-    with s=2 are forced to be Hamiltonian by simplicity and edge count)."""
+    with s=2 are forced to be Hamiltonian by simplicity and edge count).
+
+    Edge ``a{v}`` leaves vertex v along curve a and is edge v; edge
+    ``b{j}`` is the j-th edge of curve b and is edge V+j."""
     if V == 1:
         orders = [(0,)]
     else:
         orders = [(0,) + rest for rest in itertools.permutations(range(1, V))]
+    labels = [f"a{v}" for v in range(V)] + [f"b{j}" for j in range(V)]
     for beta in orders:
         # curve b is unoriented: keep one direction (flags flip with it)
         if V > 2 and beta[1] > beta[-1]:
             continue
         jpos = {v: j for j, v in enumerate(beta)}
         for flags in itertools.product((0, 1), repeat=V):
-            cycles = []
+            sigma0 = [0] * (4 * V)
             for v in range(V):
-                a_out = (f"a{v}", 1)
-                a_in = (f"a{(v - 1) % V}", -1)
+                a_out, a_in = 2 * v, 2 * ((v - 1) % V) + 1
                 j = jpos[v]
-                b_out = (f"b{j}", 1)
-                b_in = (f"b{(j - 1) % V}", -1)
-                if flags[v] == 0:
-                    cycles.append([a_out, b_out, a_in, b_in])
-                else:
-                    cycles.append([a_out, b_in, a_in, b_out])
-            yield cycles
-
-
-def _boundary_count_of_cycles(cycles):
-    """Boundary count straight from vertex cycle tokens, without building a
-    FatGraph (hot path of the pair search)."""
-    ids = {}
-    sig0 = {}
-    for cyc in cycles:
-        darts = []
-        for nm, sg in cyc:
-            if nm not in ids:
-                ids[nm] = len(ids)
-            darts.append(2 * ids[nm] + (0 if sg > 0 else 1))
-        for i, d in enumerate(darts):
-            sig0[d] = darts[(i + 1) % len(darts)]
-    n = len(sig0)
-    seen = set()
-    b = 0
-    minlen = n
-    for s in range(n):
-        if s in seen:
-            continue
-        b += 1
-        d = s
-        ln = 0
-        while d not in seen:
-            seen.add(d)
-            d = sig0[d ^ 1]
-            ln += 1
-        minlen = min(minlen, ln)
-    return b, minlen
+                b_out, b_in = 2 * (V + j), 2 * (V + (j - 1) % V) + 1
+                if flags[v]:
+                    b_out, b_in = b_in, b_out
+                sigma0[a_out], sigma0[b_out] = b_out, a_in
+                sigma0[a_in], sigma0[b_in] = b_in, a_out
+            yield FatGraph(sigma0, labels)
 
 
 def search_filling(V, target, budget=None, need_same_boundary_edge=False,
@@ -258,68 +231,53 @@ def _search_cached(V, target, budget, need_same_boundary_edge,
     """Uncached body of :func:`search_filling`.
 
     For s=2 the search enumerates the two-Hamiltonian-curve normal form
-    (complete up to isomorphism, V <= 8).  Other sizes use generic matching
-    backtracking (V <= 6, budget-capped).  Deterministic iteration order;
-    result is the first witness found.  ``complete=True`` with no graph is a
-    nonexistence proof over the whole space.
+    (complete up to isomorphism, V <= 8), and ``budget`` caps the number
+    of candidates it examines.  Other sizes are looked up in the census
+    (:func:`oracle.census`, V up to its ceiling): the result is the class
+    with the least witness, which is the first graph a walk over
+    :func:`oracle.iter_matchings` would meet.  ``complete=True`` with no
+    graph is a nonexistence proof over the whole space.
     """
     g, b, s = target
-    if 2 * g - 2 + b != V:
-        # a 4-regular filling of (g, b) has exactly 2g-2+b vertices
+    if V < 1 or 2 * g - 2 + b != V:
+        # a 4-regular filling of (g, b) has exactly 2g-2+b >= 1 vertices
         return SearchResult(None, True, 0)
-    if s == 2:
-        if V > HAMILTONIAN_CEILING:
+
+    def wanted(graph):
+        return ((not need_same_boundary_edge
+                 or _same_boundary_edge(graph) is not None)
+                and (not need_diff_boundary_edge
+                     or _diff_boundary_edge(graph) is not None))
+
+    if s != 2:
+        try:
+            rows = oracle.census(V)
+        except oracle.CensusRangeError as exc:
             raise SynthesisRangeError(
-                f"pair search ceiling is V={HAMILTONIAN_CEILING}, got {V}")
-        examined = 0
-        for cycles in _pair_candidates(V):
-            examined += 1
-            if budget is not None and examined > budget:
-                return SearchResult(None, False, examined)
-            bb, minlen = _boundary_count_of_cycles(cycles)
-            if bb != b or minlen < 3:
-                continue
-            graph = FatGraph.from_vertex_cycles(cycles)
-            ok, _ = graph.is_filling_system()
-            if not ok:
-                continue
-            if graph.signature().triple != (g, b, s):
-                continue
-            if need_same_boundary_edge and _same_boundary_edge(graph) is None:
-                continue
-            if need_diff_boundary_edge and _diff_boundary_edge(graph) is None:
-                continue
-            return SearchResult(graph, False, examined)
-        return SearchResult(None, True, examined)
+                f"search beyond the census: {exc}") from None
+        hits = [row for row in rows if row.filling and (
+            row.genus, row.boundary_count, row.standard_cycle_count) == target]
+        for row in sorted(hits, key=lambda row: row.witness):
+            graph = row.graph()
+            if wanted(graph):
+                return SearchResult(graph, False, len(rows))
+        return SearchResult(None, True, len(rows))
 
-    if V > GENERIC_CEILING:
+    if V > HAMILTONIAN_CEILING:
         raise SynthesisRangeError(
-            f"generic search ceiling is V={GENERIC_CEILING}, got {V}")
+            f"pair search ceiling is V={HAMILTONIAN_CEILING}, got {V}")
     examined = 0
-    limit = budget if budget is not None else 2_000_000
-    for graph in _matching_graphs(V):
+    for graph in _pair_candidates(V):
         examined += 1
-        if examined > limit:
+        if budget is not None and examined > budget:
             return SearchResult(None, False, examined)
-        ok, _ = graph.is_filling_system()
-        if not ok:
+        faces = graph.boundary_cycles
+        if len(faces) != b or min(map(len, faces)) < 3:
             continue
-        if graph.signature().triple != (g, b, s):
-            continue
-        if need_same_boundary_edge and _same_boundary_edge(graph) is None:
-            continue
-        if need_diff_boundary_edge and _diff_boundary_edge(graph) is None:
-            continue
-        return SearchResult(graph, False, examined)
+        if (graph.is_filling_system()[0]
+                and graph.signature().triple == target and wanted(graph)):
+            return SearchResult(graph, False, examined)
     return SearchResult(None, True, examined)
-
-
-def _matching_graphs(V):
-    """Connected 4-regular fat graphs on V vertices, one per matching of the
-    4V darts (rotations fixed; matchings cover all isomorphism classes)."""
-    from .oracle import iter_matchings, matching_to_graph
-    for match in iter_matchings(V, connected_only=True):
-        yield matching_to_graph(V, match)
 
 
 def _same_boundary_edge(g: FatGraph):

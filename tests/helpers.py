@@ -1,8 +1,10 @@
-"""Shared test helpers: the synthesis grid and a reference isomorphism
-invariant."""
+"""Shared test helpers: the synthesis grid, a reference isomorphism
+invariant and a reference walk for the census lookup of the search."""
 
 from fillgraph.core import canonical_code
-from fillgraph.synthesis import (filling, lower_bound, minimal_filling,
+from fillgraph.oracle import iter_matchings, matching_to_graph
+from fillgraph.synthesis import (_diff_boundary_edge, _same_boundary_edge,
+                                 filling, lower_bound, minimal_filling,
                                  tight_omega_filling, upper_bound)
 
 
@@ -42,3 +44,23 @@ def component_codes(graph):
         codes.append(canonical_code([local[s0[d]] for d in comp],
                                     [local[d ^ 1] for d in comp])[0])
     return sorted(codes)
+
+
+def first_matching_graph(V, target, need_same_boundary_edge=False,
+                         need_diff_boundary_edge=False):
+    """The first graph of a walk over the connected matchings on V
+    vertices that is a filling with signature ``target`` and passes the
+    boundary-edge flags, or None: the brute-force search that the census
+    lookup of ``search_filling`` replaces."""
+    for match in iter_matchings(V, connected_only=True):
+        graph = matching_to_graph(V, match)
+        if not graph.is_filling_system()[0]:
+            continue
+        if graph.signature().triple != tuple(target):
+            continue
+        if need_same_boundary_edge and _same_boundary_edge(graph) is None:
+            continue
+        if need_diff_boundary_edge and _diff_boundary_edge(graph) is None:
+            continue
+        return graph
+    return None

@@ -1,9 +1,9 @@
 import hashlib
 
 import pytest
-from helpers import grid_plans
+from helpers import first_matching_graph, grid_plans
 
-from fillgraph import families, formats
+from fillgraph import families, formats, oracle
 from fillgraph.analysis import intersection_graph
 from fillgraph.synthesis import (ImpossibleSignatureError, SynthesisError,
                                  SynthesisPlan, SynthesisRangeError, filling,
@@ -124,6 +124,17 @@ class TestTightOmega:
         assert intersection_graph(graph).omega_max() == 1
 
 
+FLAGS = ((False, False), (True, False), (False, True))
+
+
+def _census_targets(V):
+    """Signatures (g, b, s) with s != 2 of the filling classes on V
+    vertices."""
+    return sorted({(r.genus, r.boundary_count, r.standard_cycle_count)
+                   for r in oracle.census(V)
+                   if r.filling and r.standard_cycle_count != 2})
+
+
 class TestSearch:
     def test_no_genus_two_pair(self):
         res = search_filling(3, (2, 1, 2))
@@ -153,6 +164,44 @@ class TestSearch:
     def test_budget_interrupts(self):
         res = search_filling(5, (3, 1, 2), budget=3)
         assert not res.found and not res.complete
+
+    def test_no_vertices_is_complete_miss(self):
+        for target in ((0, 2, 2), (1, 0, 3)):
+            res = search_filling(0, target)
+            assert not res.found and res.complete
+
+    def test_census_lookup_is_the_first_walk_graph(self):
+        # the least witness of a class is the first matching the walk
+        # meets in it, and the flags are class invariants
+        for V in (1, 2, 3):
+            for target in _census_targets(V):
+                for same, diff in FLAGS:
+                    want = first_matching_graph(V, target, same, diff)
+                    res = search_filling(V, target, None, same, diff)
+                    if want is None:
+                        assert not res.found and res.complete, target
+                    else:
+                        assert res.graph.sigma0 == want.sigma0, target
+                        assert res.graph.labels == want.labels, target
+
+    def test_census_lookup_pinned_at_four_vertices(self):
+        # below four vertices each target has one class, so the order of
+        # the lookup shows only here; the walk takes 10-30 s per target
+        # at V=4, so its graphs are pinned: sha256 of the graphs
+        # first_matching_graph gives for each target and flag pair
+        found = []
+        for target in _census_targets(4):
+            for same, diff in FLAGS:
+                res = search_filling(4, target, None, same, diff)
+                found.append((target, same, diff, res.graph and (
+                    res.graph.sigma0, res.graph.labels)))
+        assert len(found) == 18
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+            "2e4ad2a71e8815ebb06a2ef65e5d3b9f7b28de3d4c78d8ad418ca8094a26a069")
+
+    def test_beyond_census_is_a_range_error(self):
+        with pytest.raises(SynthesisRangeError):
+            search_filling(5, (3, 1, 3))
 
 
 class TestPlans:
