@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .synthesis import (
     ImpossibleSignatureError,
-    SearchBudgetError,
     SynthesisPlan,
     SynthesisRangeError,
     TargetSignature,
@@ -53,9 +52,8 @@ __all__ = [
     "connected_sum", "join", "plumbing",
     "WeightedIntersectionGraph", "check_euler_identity", "check_kn_bound",
     "check_max_weight_bound", "check_prop62", "intersection_graph",
-    "ImpossibleSignatureError", "SearchBudgetError", "SynthesisPlan",
-    "SynthesisRangeError", "TargetSignature", "filling", "max_filling",
-    "minimal_filling",
+    "ImpossibleSignatureError", "SynthesisPlan", "SynthesisRangeError",
+    "TargetSignature", "filling", "max_filling", "minimal_filling",
     "search_filling", "tight_omega_filling",
     "families", "formats", "oracle",
 ]

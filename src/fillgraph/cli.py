@@ -2,8 +2,7 @@
 
 Exit codes: 0 success; 1 failed verification or internal invariant breach;
 2 malformed input, bad selector, or out-of-range parameter; 3 provably
-impossible signature; 4 search budget exhausted.  Data goes to stdout,
-diagnostics to stderr.
+impossible signature.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
-EXIT_BUDGET = 4
+
 
 def _err(msg):
     print(msg, file=sys.stderr)
@@ -170,9 +169,6 @@ def cmd_synth(args):
     except synthesis.ImpossibleSignatureError as exc:
         _err(f"impossible: ({g},{b},{s}) ({exc})")
         return EXIT_IMPOSSIBLE
-    except synthesis.SearchBudgetError as exc:
-        _err(f"search budget exhausted: {exc}")
-        return EXIT_BUDGET
     except synthesis.SynthesisRangeError as exc:
         _err(str(exc))
         return EXIT_INPUT
@@ -338,9 +334,6 @@ def _verify_theorem3(gmax):
                 synthesis.tight_omega_filling(g, s).replay()
                 print(f"theorem3 tight g={g} s={s}: omega_max={bound} "
                       f"attained, pass")
-            except synthesis.SearchBudgetError:
-                print(f"theorem3 tight g={g} s={s}: SKIPPED "
-                      "(search budget exhausted)")
             except Exception as exc:
                 print(f"theorem3 tight g={g} s={s}: FAIL ({exc})")
                 failures += 1

@@ -35,6 +35,11 @@ def graph_from_document(doc) -> FatGraph:
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         raise FormatError("missing vertices array")
+    for cycle in vertices:
+        if not isinstance(cycle, list) or not all(
+                isinstance(tok, str) for tok in cycle):
+            raise FormatError("each vertex must be an array of signed "
+                              f"edge labels, got {cycle!r}")
     try:
         return FatGraph.from_vertex_cycles(vertices)
     except FatGraphError as exc:

@@ -10,6 +10,14 @@ expectations, so a wrong plan cannot silently produce a wrong graph.  A
 builder records each step and then executes it once; its graphs are the
 replayed graphs, so the plan it returns is verified without a second run.
 
+Every filling starts from a seed (a filling pair, a two-disc pair, a
+two-curve seed, a minimal filling, a triple or a tight filling, grown by
+connected sums and plumbings) that many targets share.  Each distinct seed
+sub-plan is executed once per process and its steps are reused by every
+later plan that needs it (:func:`_subplan`); in a reused block only the
+result index has a graph.  :meth:`SynthesisPlan.replay` still executes
+and checks every step.
+
 Builders:
 
 * :func:`max_filling` - size 2g+b-1 fillings (iterated torus joins);
@@ -26,9 +34,11 @@ Builders:
 
 from __future__ import annotations
 
+import copy
+import inspect
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, wraps
 
 from . import families, oracle
 from .analysis import intersection_graph
@@ -47,10 +57,6 @@ class ImpossibleSignatureError(SynthesisError):
 
 class SynthesisRangeError(SynthesisError):
     pass
-
-
-class SearchBudgetError(SynthesisError):
-    """Search gave up before exhausting its space (retry with more budget)."""
 
 
 class PlanVerificationError(InvariantError):
@@ -305,7 +311,12 @@ class _Builder:
     :class:`Step`, runs that step with :func:`_run_step` and adds it to the
     plan.  So ``graphs[i]`` is the graph :meth:`SynthesisPlan.replay`
     computes for step ``i``, and :meth:`verify` checks the finished plan
-    without executing it a second time."""
+    without executing it a second time.
+
+    A seed sub-plan (see :func:`_subplan`) is run once per process and
+    then appended as a block by :meth:`reuse`; only the block's result
+    index gets a graph, and its inner indices hold None, because builders
+    read a sub-plan's result only."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -321,6 +332,18 @@ class _Builder:
         """Check the last graph against the plan's expectations."""
         self.plan.verify_final(self.graphs[-1])
         return self.plan
+
+    def reuse(self, subplan):
+        """Append a sub-plan ``(steps, result, graph)`` built on an empty
+        plan: its steps, with their operand indices moved past this plan's
+        steps, and a copy of ``graph`` (so two results never share one
+        object) at the moved ``result``; returns that index."""
+        steps, result, graph = subplan
+        base = len(self.graphs)
+        self.plan.steps.extend(_shifted(st, base) for st in steps)
+        self.graphs.extend([None] * len(steps))
+        self.graphs[base + result] = copy.copy(graph)
+        return base + result
 
     def family(self, name, param=None):
         return self.run(Step(op="family", family=name, param=param))
@@ -378,6 +401,45 @@ def _sum_vertices(graph):
             if graph.degree(v) == 4 and not graph.loops_at(v)]
 
 
+def _shifted(step, base):
+    """``step`` with its operand indices moved up by ``base``."""
+    if not base:
+        return step
+    moved = {name: getattr(step, name) + base for name in ("left", "right",
+             "arg") if getattr(step, name) is not None}
+    return replace(step, **moved) if moved else step
+
+
+@lru_cache(maxsize=256)
+def _subplan(builder, args):
+    """Run the seed sub-builder ``builder(bld, *args)`` on an empty plan;
+    returns its steps, the plan index it returned and the graph there.
+
+    The memo is shared by every builder in the process, least recently
+    used first out past 256 entries (the g <= 10, b <= 8 grid with the
+    tight plans to g <= 6 needs 216), so each distinct seed is executed,
+    with its operation reports checked, once.  A sub-builder that raises
+    stores nothing."""
+    bld = _Builder(SynthesisPlan(target=()))
+    idx = builder(bld, *args)
+    return tuple(bld.plan.steps), idx, bld.graphs[idx]
+
+
+def _seed(builder):
+    """Route the sub-builder ``builder(bld, ...)`` through :func:`_subplan`,
+    keyed by the builder and its arguments with defaults applied.  The
+    sub-builder runs on an empty plan of its own, so what it builds
+    depends on its arguments alone."""
+    params = inspect.signature(builder)
+
+    @wraps(builder)
+    def run(bld, *args, **kwargs):
+        bound = params.bind(bld, *args, **kwargs)
+        bound.apply_defaults()
+        return bld.reuse(_subplan(builder, bound.args[1:]))
+    return run
+
+
 def _join_torus_chain(bld, idx, count):
     """Join ``count`` torus graphs onto plan index ``idx``, each along an
     edge with both directions in one boundary component (b and s grow by one
@@ -401,6 +463,7 @@ def _join_torus_chain(bld, idx, count):
 # plus within-catalog composition, verified at every step)
 
 
+@_seed
 def _pair_into(bld, g):
     """Minimal filling pair of genus g: plan index of a (g, 1, 2) graph."""
     if g == 1:
@@ -412,9 +475,6 @@ def _pair_into(bld, g):
         V = 2 * g - 1
         res = search_filling(V, (g, 1, 2))
         if not res.found:
-            if not res.complete:
-                raise SearchBudgetError(
-                    f"pair search at V={V} ran out of budget")
             raise SynthesisError(f"no filling pair found at V={V}")
         return bld.literal(res.graph)
     prev = _pair_into(bld, g - 2)
@@ -423,6 +483,7 @@ def _pair_into(bld, g):
     return idx
 
 
+@_seed
 def _two_disc_pair_into(bld, g, need_diff_edge=True):
     """(g, 2, 2) filling pair with two complementary discs, g >= 2."""
     if g < 2:
@@ -441,6 +502,7 @@ def _two_disc_pair_into(bld, g, need_diff_edge=True):
     return idx
 
 
+@_seed
 def _two_cycle_seed_into(bld, g, b):
     """(g, b, 2) filling with a same-boundary edge, g >= 2, b >= 2."""
     if b < 2:
@@ -526,6 +588,7 @@ def minimal_filling(g, s) -> SynthesisPlan:
     return bld.verify()
 
 
+@_seed
 def _minimal_into(bld, g, s):
     base2 = {3: (families.G1, None), 4: (families.GAMMA_G, 2)}
     base3 = {3: (families.GAMMA0, None), 4: (families.QUADRUPLE_F3, None),
@@ -551,6 +614,7 @@ def _minimal_into(bld, g, s):
     return idx
 
 
+@_seed
 def _triple_into(bld, g):
     """Minimal filling triple of genus g >= 2 via connected sums with the
     genus 2 four-disc pair graph (parity picks the seed)."""
@@ -607,6 +671,7 @@ def tight_omega_filling(g, s) -> SynthesisPlan:
     return bld.verify()
 
 
+@_seed
 def _tight_into(bld, g, s):
     if s == 2:
         return _pair_into(bld, g)

@@ -8,19 +8,26 @@ from fillgraph.synthesis import (_diff_boundary_edge, _same_boundary_edge,
                                  tight_omega_filling, upper_bound)
 
 
-def grid_plans(gmax, bmax, tight_gmax):
-    """Plans of every admissible (g, b, s) with g <= gmax and b <= bmax,
-    then the tight plans with g <= tight_gmax, in a fixed order; each plan
-    is built when the generator reaches it."""
+def grid_targets(gmax, bmax, tight_gmax):
+    """(builder, args) of every admissible (g, b, s) with g <= gmax and
+    b <= bmax, then of the tight plans with g <= tight_gmax, in a fixed
+    order."""
     for g in range(2, gmax + 1):
         for b in range(1, bmax + 1):
             for s in range(lower_bound(g, b), upper_bound(g, b) + 1):
                 if (g, b, s) != (2, 1, 2):
-                    yield (minimal_filling(g, s) if b == 1
-                           else filling(g, b, s))
+                    yield ((minimal_filling, (g, s)) if b == 1
+                           else (filling, (g, b, s)))
     for g in range(2, tight_gmax + 1):
         for s in range(lower_bound(g, 1), 2 * g + 1):
-            yield tight_omega_filling(g, s)
+            yield tight_omega_filling, (g, s)
+
+
+def grid_plans(gmax, bmax, tight_gmax):
+    """The plans of :func:`grid_targets`, each built when the generator
+    reaches it."""
+    for build, args in grid_targets(gmax, bmax, tight_gmax):
+        yield build(*args)
 
 
 def component_codes(graph):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fillgraph
 from fillgraph.cli import main
 
 
@@ -265,3 +270,15 @@ class TestVerifySmall:
         code, _, err = run(capsys, "verify", "theorem1", "--gmax", "9")
         assert code == 2
         assert "unsafe-large" in err
+
+
+def test_python_m_fillgraph():
+    # the package runs as a module, with this checkout's source first
+    src = str(Path(fillgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fillgraph", "verify", "theorem2"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "verify theorem2: ALL PASS"

@@ -1,11 +1,15 @@
 import copy
+import io
 import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillgraph import families, oracle
+from fillgraph import cli, families, oracle
 from fillgraph.core import FatGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
@@ -47,6 +51,13 @@ class TestGraphFile:
 
     def test_malformed_vertices_rejected(self):
         doc = {"format": "fatgraph/1", "vertices": [["a+", "b+"], ["a-"]]}
+        with pytest.raises(FormatError):
+            loads_graph(json.dumps(doc))
+
+    @pytest.mark.parametrize("vertices", [
+        [0], ["a+a-"], [["a+", "a-"], None], [["a+", 1]], [["a+", ["a-"]]]])
+    def test_vertex_must_be_array_of_labels(self, vertices):
+        doc = {"format": "fatgraph/1", "vertices": vertices}
         with pytest.raises(FormatError):
             loads_graph(json.dumps(doc))
 
@@ -209,6 +220,93 @@ def test_plan_fuzz_raises_only_plan_errors(doc):
         loads_plan(json.dumps(doc)).replay()
     except PLAN_ERRORS:
         pass
+
+
+# --- graph-file fuzz: loads_graph raises only FormatError, and the CLI
+# reads any graph it parses without a traceback ----------------------------
+
+GRAPH_TOKENS = st.one_of(
+    st.builds(str.__add__, st.sampled_from(["a", "b", "c", "x1", ""]),
+              st.sampled_from(["+", "-", "+#0", "+#1", "-#0", "-#1", "#2",
+                               ""])),
+    JUNK)
+GRAPH_VERTICES = st.lists(st.lists(GRAPH_TOKENS, max_size=5), max_size=4)
+RANDOM_GRAPH_DOCS = st.fixed_dictionaries(
+    {"format": st.one_of(st.just("fatgraph/1"), JUNK),
+     "vertices": st.one_of(GRAPH_VERTICES, JUNK)})
+
+# loops with occurrence tags, a bivalent vertex, two curves, a census row,
+# and two disjoint copies of the torus (a disconnected graph)
+BASE_GRAPH_DOCS = [json.loads(dumps_graph(g)) for g in (
+    families.build(families.G1), families.build(families.TORUS_PAIR),
+    families.build(families.SPHERE_CIRCLE),
+    families.build(families.GAMMA_2_B, 3), oracle.census(2)[5].graph())]
+BASE_GRAPH_DOCS.append({"format": "fatgraph/1", "vertices": [
+    ["a+#0", "b+", "a+#1", "b-"], ["c+#0", "d+", "c+#1", "d-"]]})
+
+
+@st.composite
+def mutated_graph_docs(draw):
+    """A valid graph document with one to three tokens dropped, repeated,
+    moved or replaced, or a vertex dropped or repeated."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_GRAPH_DOCS)))
+    vertices = doc["vertices"]
+    for _ in range(draw(st.integers(1, 3))):
+        if not vertices:
+            break
+        i = draw(st.integers(0, len(vertices) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "move", "set",
+                                     "vertex"]))
+        if kind == "vertex":
+            if draw(st.booleans()):
+                del vertices[i]
+            else:
+                vertices.append(list(vertices[i]))
+            continue
+        cycle = vertices[i]
+        if not cycle:
+            continue
+        k = draw(st.integers(0, len(cycle) - 1))
+        if kind == "drop":
+            del cycle[k]
+        elif kind == "repeat":
+            cycle.insert(k, cycle[k])
+        elif kind == "move":
+            j = draw(st.integers(0, len(vertices) - 1))
+            vertices[j].append(cycle.pop(k))
+        else:
+            cycle[k] = draw(GRAPH_TOKENS)
+    return doc
+
+
+GRAPH_TEXTS = st.one_of(
+    st.one_of(RANDOM_GRAPH_DOCS, mutated_graph_docs()).map(json.dumps),
+    st.text(max_size=30),
+    st.sampled_from(BASE_GRAPH_DOCS).map(json.dumps).flatmap(
+        lambda text: st.integers(0, len(text)).map(lambda n: text[:n])))
+
+
+@given(GRAPH_TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_graph_fuzz(text):
+    try:
+        graph = loads_graph(text)
+    except FormatError:
+        return
+    once = dumps_graph(graph)
+    assert dumps_graph(loads_graph(once)) == once
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["analyze", path], ["analyze", path, "--json"],
+                     ["analyze", path, "--expect", "g=2,filling=yes"],
+                     ["export", path, "--format", "json"],
+                     ["export", path, "--format", "dot"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(
+                    io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2), argv
 
 
 class TestCensusExport:

@@ -1,10 +1,12 @@
 import hashlib
+from functools import lru_cache
 
 import pytest
-from helpers import first_matching_graph, grid_plans
+from helpers import first_matching_graph, grid_plans, grid_targets
 
-from fillgraph import families, formats, oracle
+from fillgraph import families, formats, oracle, synthesis
 from fillgraph.analysis import intersection_graph
+from fillgraph.ops import OperationError
 from fillgraph.synthesis import (ImpossibleSignatureError, SynthesisError,
                                  SynthesisPlan, SynthesisRangeError, filling,
                                  lower_bound, max_filling, minimal_filling,
@@ -265,3 +267,103 @@ class TestPlans:
     def test_empty_plan(self):
         with pytest.raises(SynthesisError):
             SynthesisPlan(target=(2, 1, 3)).replay()
+
+
+def _empty_memo():
+    return lru_cache(maxsize=synthesis._subplan.cache_info().maxsize)(
+        synthesis._subplan.__wrapped__)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty sub-plan memo for one test; the process memo comes back
+    afterwards."""
+    fresh = _empty_memo()
+    monkeypatch.setattr(synthesis, "_subplan", fresh)
+    return fresh
+
+
+MEMO_GRID = list(grid_targets(6, 4, 5))
+
+
+@pytest.fixture(scope="module")
+def cold_texts():
+    """The plan text of every MEMO_GRID target, each built from an empty
+    memo."""
+    texts = {}
+    with pytest.MonkeyPatch.context() as m:
+        for build, args in MEMO_GRID:
+            m.setattr(synthesis, "_subplan", _empty_memo())
+            texts[build, args] = formats.dumps_plan(build(*args))
+    return texts
+
+
+class TestSubplanMemo:
+    def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
+        for order in (MEMO_GRID, MEMO_GRID[::-1]):
+            memo.cache_clear()
+            for build, args in order:
+                text = formats.dumps_plan(build(*args))
+                assert text == cold_texts[build, args], (build, args)
+            assert memo.cache_info().hits > memo.cache_info().misses
+
+    def test_hit_is_a_copy_and_replays(self, memo):
+        minimal_filling(5, 2)
+        _, _, stored = memo(synthesis._pair_into.__wrapped__, (5,))
+        hits = memo.cache_info().hits
+        plan = SynthesisPlan(target=(5, 1, 2))
+        bld = synthesis._Builder(plan)
+        bld.family(families.TORUS_PAIR)  # the reused block starts at step 1
+        idx = synthesis._pair_into(bld, 5)
+        assert memo.cache_info().hits == hits + 1
+        assert bld.graphs[idx] == stored
+        assert bld.graphs[idx] is not stored
+        assert idx == len(plan.steps) - 1
+        replayed, _ = plan.replay()
+        assert replayed.sigma0 == stored.sigma0
+        assert replayed.labels == stored.labels
+
+    def test_key_applies_defaults(self, memo):
+        for extra, kwargs in (((), {}), ((True,), {}),
+                              ((), {"need_diff_edge": True})):
+            bld = synthesis._Builder(SynthesisPlan(target=(4, 2, 2)))
+            synthesis._two_disc_pair_into(bld, 4, *extra, **kwargs)
+        assert memo.cache_info().misses == 2  # (4, True) and (2, False)
+        assert memo.cache_info().hits == 2
+
+    def test_raising_subplan_stores_nothing(self, memo):
+        bld = synthesis._Builder(SynthesisPlan(target=(2, 1, 2)))
+        for _ in range(2):
+            with pytest.raises(ImpossibleSignatureError):
+                synthesis._pair_into(bld, 2)
+        assert memo.cache_info().currsize == 0
+        assert memo.cache_info().misses == 2
+
+    def test_failed_outer_subplan_keeps_inner_ones(self, memo, monkeypatch,
+                                                   cold_texts):
+        # minimal (4, 4) plumbs a torus onto minimal (3, 2), the pair seed
+        def broken(*args):
+            raise OperationError("injected plumbing fault")
+
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "plumbing", broken)
+            with pytest.raises(OperationError):
+                minimal_filling(4, 4)
+        assert memo.cache_info().currsize == 2
+        text = formats.dumps_plan(minimal_filling(4, 4))
+        assert text == cold_texts[minimal_filling, (4, 4)]
+
+    def test_evicts_past_256_entries(self, memo, cold_texts):
+        assert memo.cache_info().maxsize == 256
+        for b in range(2, 262):
+            bld = synthesis._Builder(SynthesisPlan(target=(2, b, 2)))
+            synthesis._two_cycle_seed_into(bld, 2, b)
+        assert memo.cache_info().currsize == 256
+        misses = memo.cache_info().misses
+        synthesis._two_cycle_seed_into(
+            synthesis._Builder(SynthesisPlan(target=(2, 2, 2))), 2, 2)
+        assert memo.cache_info().misses == misses + 1
+        for build, args in MEMO_GRID:
+            text = formats.dumps_plan(build(*args))
+            assert text == cold_texts[build, args], (build, args)
+        assert memo.cache_info().currsize == 256
