@@ -57,17 +57,43 @@ def _load(path):
         return None
 
 
-def _parse_expect(spec):
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _parse_selector(spec):
+    """``g=..,b=..,s=..,filling=..`` -> {key: int or bool}, the one parser
+    of ``--expect`` and ``--filter``.  Raises ValueError for an item
+    without ``=``, an unknown key, or a value of the wrong kind."""
     out = {}
     for item in spec.split(","):
         if not item:
             continue
-        k, _, v = item.partition("=")
-        out[k.strip()] = v.strip()
+        k, eq, v = item.partition("=")
+        k, v = k.strip(), v.strip()
+        if not eq:
+            raise ValueError(f"selector item {item!r} is not key=value")
+        if k == "filling":
+            if v not in _BOOLEANS:
+                raise ValueError(f"filling={v!r}: use true/false/yes/no/1/0")
+            out[k] = _BOOLEANS[v]
+        elif k in ("g", "b", "s"):
+            try:
+                out[k] = int(v)
+            except ValueError:
+                raise ValueError(f"{k}={v!r} is not an integer") from None
+        else:
+            raise ValueError(
+                f"unknown selector key {k!r} (use g, b, s, filling)")
     return out
 
 
 def cmd_analyze(args):
+    try:
+        want = _parse_selector(args.expect or "")
+    except ValueError as exc:
+        _err(f"bad --expect: {exc}")
+        return EXIT_INPUT
     graph = _load(args.file)
     if graph is None:
         return EXIT_INPUT
@@ -109,15 +135,12 @@ def cmd_analyze(args):
                 print("  " + " ".join(f"{x:2d}" for x in row))
             print(f"euler identity (sum = 2g-2+b): "
                   f"{'ok' if info['euler_identity'] else 'FAIL'}")
-    if args.expect:
-        want = _parse_expect(args.expect)
-        got = {"g": str(sig.genus), "b": str(sig.boundary_count),
-               "s": str(sig.standard_cycle_count),
-               "filling": "yes" if filling else "no"}
-        for k, v in want.items():
-            if got.get(k) != v:
-                _err(f"expect failed: {k}={got.get(k)} wanted {v}")
-                return EXIT_VERIFY
+    got = {"g": sig.genus, "b": sig.boundary_count,
+           "s": sig.standard_cycle_count, "filling": filling}
+    for k, v in want.items():
+        if got[k] != v:
+            _err(f"expect failed: {k}={got[k]} wanted {v}")
+            return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -206,20 +229,13 @@ def cmd_replay(args):
 
 
 def cmd_enumerate(args):
-    flt = {}
-    if args.filter:
-        for k, v in _parse_expect(args.filter).items():
-            if k == "g":
-                flt["genus"] = int(v)
-            elif k == "b":
-                flt["b"] = int(v)
-            elif k == "s":
-                flt["s"] = int(v)
-            elif k == "filling":
-                flt["filling"] = v in ("true", "yes", "1")
-            else:
-                _err(f"unknown filter key {k!r} (use g, b, s, filling)")
-                return EXIT_INPUT
+    try:
+        flt = _parse_selector(args.filter or "")
+    except ValueError as exc:
+        _err(f"bad --filter: {exc}")
+        return EXIT_INPUT
+    if "g" in flt:
+        flt["genus"] = flt.pop("g")
     try:
         rows = oracle.census_filter(args.vertices, **flt)
     except oracle.CensusRangeError as exc:

@@ -17,6 +17,11 @@ orbit sizes 4^V V! / |Aut| must add up to the number of connected
 matchings on 4V darts, which follows from (4V-1)!! alone.  A census that
 missed or split a class fails it and raises :class:`CensusError`.
 
+Each row's invariants are read from its witness graph
+(:func:`matching_to_graph`): the signature, the face and curve lengths,
+the filling verdict and ``omega_max`` come from :class:`FatGraph` and
+:func:`intersection_graph`, the same routines every other caller uses.
+
 The census is the independent side of the bound checks: it never calls the
 synthesis builders, and its graphs exercise the operation formulas through
 :func:`verify_formula_by_recompute`.
@@ -30,7 +35,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
-from .core import FatGraph, InvariantError, canonical_code
+from .core import (FatGraph, InvariantError, MalformedGraphError,
+                   canonical_code)
 from . import families
 from .analysis import intersection_graph
 from .ops import (connected_sum, join, plumbing, new_join_boundaries,
@@ -50,6 +56,7 @@ class CensusError(InvariantError):
 @dataclass(frozen=True)
 class CensusRow:
     key: bytes  # canonical form, identical to FatGraph.canonical_form()
+    # the fields up to omega_max are read from the witness graph, graph()
     vertex_count: int
     edge_count: int
     genus: int
@@ -125,20 +132,28 @@ def _matching_connected(V, match):
 
 
 def matching_to_graph(V, match):
-    """FatGraph for a matching; edges are labeled m0, m1, ... in the order
-    their lower dart appears."""
-    name = {}
-    idx = 0
-    for a in range(4 * V):
-        b = match[a]
-        if b > a:
-            name[a] = (f"m{idx}", 1)
-            name[b] = (f"m{idx}", -1)
-            idx += 1
-    cycles = []
-    for v in range(V):
-        cycles.append([name[4 * v + j] for j in range(4)])
-    return FatGraph.from_vertex_cycles(cycles)
+    """FatGraph for a matching on the standard rotation.
+
+    Edge k is the k-th matched pair in order of its lower dart, which is
+    the edge's forward dart; it is labeled ``m{k}``.  Raises
+    :class:`MalformedGraphError` unless ``match`` pairs the 4V darts."""
+    n = 4 * V
+    dart = [0] * n  # census dart -> graph dart
+    k = 0
+    if len(match) == n:
+        for a, b in enumerate(match):
+            if a < b < n and match[b] == a:
+                dart[a], dart[b] = 2 * k, 2 * k + 1
+                k += 1
+    if 2 * k != n:
+        # the pairs kept are disjoint, so they cover every dart only when
+        # match pairs every dart with its partner
+        raise MalformedGraphError(
+            f"{match!r} is not a perfect matching of {n} darts")
+    sigma0 = [0] * n
+    for a in range(n):
+        sigma0[dart[a]] = dart[_s0(a)]
+    return FatGraph(sigma0, [f"m{i}" for i in range(n // 2)])
 
 
 def _s0(d):
@@ -148,56 +163,6 @@ def _s0(d):
 
 def standard_rotation(V):
     return tuple(_s0(d) for d in range(4 * V))
-
-
-def _leaf_invariants(V, match):
-    """(b, s, genus, filling, blengths, clengths) for one connected matching.
-
-    sigma0 is the standard rotation and the boundary successor is
-    d -> sigma0[match[d]].
-    """
-    n = 4 * V
-    s0 = _s0
-    seen = [False] * n
-    blengths = []
-    for st in range(n):
-        if seen[st]:
-            continue
-        d, ln = st, 0
-        while not seen[d]:
-            seen[d] = True
-            d = s0(match[d])
-            ln += 1
-        blengths.append(ln)
-    b = len(blengths)
-    genus2 = 2 - b + V  # m = 2V
-    if genus2 % 2:
-        raise InvariantError(f"odd Euler characteristic data at V={V}")
-    seen = [False] * n
-    clengths = []
-    simple = True
-    for st in range(n):
-        if seen[st]:
-            continue
-        d, ln = st, 0
-        visits = set()
-        while not seen[d]:
-            seen[d] = True
-            v = d // 4
-            if v in visits:
-                simple = False
-            visits.add(v)
-            d = s0(s0(match[d]))
-            ln += 1
-        clengths.append(ln)
-    if len(clengths) % 2:
-        raise InvariantError("curve orbits do not pair up under reversal")
-    filling = simple and min(blengths) >= 3
-    # orbits pair up under reversal; report each curve once
-    curve_lengths = sorted(clengths, reverse=True)[::2]
-    return (b, len(clengths) // 2, genus2 // 2, filling,
-            tuple(sorted(blengths, reverse=True)),
-            tuple(curve_lengths))
 
 
 def _grown(V, match):
@@ -335,19 +300,25 @@ def census(V):
     for key in sorted(classes):
         automorphisms, match = classes[key]
         witness = _least_relabeling(V, match)
-        b, s, genus, filling, blen, clen = _leaf_invariants(V, witness)
-        omega = None
-        if filling:
-            omega = intersection_graph(
-                matching_to_graph(V, witness)).omega_max()
+        graph = matching_to_graph(V, witness)
+        sig = graph.signature()
+        filling = graph.is_filling_system()[0]
+        omega = intersection_graph(graph).omega_max() if filling else None
         rows.append(CensusRow(
-            key=key, vertex_count=V, edge_count=2 * V, genus=genus,
-            boundary_count=b, standard_cycle_count=s,
-            boundary_lengths=blen, cycle_lengths=clen,
+            key=key, vertex_count=sig.vertex_count,
+            edge_count=sig.edge_count, genus=sig.genus,
+            boundary_count=sig.boundary_count,
+            standard_cycle_count=sig.standard_cycle_count,
+            boundary_lengths=_descending(graph.boundary_cycles),
+            cycle_lengths=_descending(graph.standard_cycles),
             filling=filling, omega_max=omega,
             count=_class_count(V, witness, automorphisms), witness=witness,
             automorphisms=automorphisms))
     return tuple(rows)
+
+
+def _descending(cycles):
+    return tuple(sorted(map(len, cycles), reverse=True))
 
 
 def census_filter(V, genus=None, b=None, s=None, filling=None):

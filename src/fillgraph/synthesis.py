@@ -35,7 +35,6 @@ Builders:
 from __future__ import annotations
 
 import copy
-import inspect
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
@@ -179,7 +178,6 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
 @dataclass(frozen=True)
 class SearchResult:
     graph: FatGraph | None
-    complete: bool  # True when the whole space was enumerated
     examined: int  # pair candidates (s=2) or census classes read
 
     @property
@@ -222,38 +220,28 @@ def _pair_candidates(V):
             yield FatGraph(sigma0, labels)
 
 
-def search_filling(V, target, budget=None, need_same_boundary_edge=False,
-                   need_diff_boundary_edge=False):
+def search_filling(V, target):
     """Search for a connected 4-regular fat graph on ``V`` vertices with
     signature ``target`` = (g, b, s) passing the filling predicate.
-    Results are memoized per argument tuple."""
-    return _search_cached(V, tuple(target), budget, need_same_boundary_edge,
-                          need_diff_boundary_edge)
+    Results are memoized per argument pair."""
+    return _search_cached(V, tuple(target))
 
 
 @lru_cache(maxsize=None)
-def _search_cached(V, target, budget, need_same_boundary_edge,
-                   need_diff_boundary_edge):
+def _search_cached(V, target):
     """Uncached body of :func:`search_filling`.
 
     For s=2 the search enumerates the two-Hamiltonian-curve normal form
-    (complete up to isomorphism, V <= 8), and ``budget`` caps the number
-    of candidates it examines.  Other sizes are looked up in the census
-    (:func:`oracle.census`, V up to its ceiling): the result is the class
-    with the least witness, which is the first graph a walk over
-    :func:`oracle.iter_matchings` would meet.  ``complete=True`` with no
-    graph is a nonexistence proof over the whole space.
+    (complete up to isomorphism, V <= 8).  Other sizes are looked up in
+    the census (:func:`oracle.census`, V up to its ceiling): the result is
+    the class with the least witness, which is the first graph a walk over
+    :func:`oracle.iter_matchings` would meet.  Both cover the whole space,
+    so a result without a graph proves that none exists.
     """
     g, b, s = target
     if V < 1 or 2 * g - 2 + b != V:
         # a 4-regular filling of (g, b) has exactly 2g-2+b >= 1 vertices
-        return SearchResult(None, True, 0)
-
-    def wanted(graph):
-        return ((not need_same_boundary_edge
-                 or _same_boundary_edge(graph) is not None)
-                and (not need_diff_boundary_edge
-                     or _diff_boundary_edge(graph) is not None))
+        return SearchResult(None, 0)
 
     if s != 2:
         try:
@@ -263,11 +251,9 @@ def _search_cached(V, target, budget, need_same_boundary_edge,
                 f"search beyond the census: {exc}") from None
         hits = [row for row in rows if row.filling and (
             row.genus, row.boundary_count, row.standard_cycle_count) == target]
-        for row in sorted(hits, key=lambda row: row.witness):
-            graph = row.graph()
-            if wanted(graph):
-                return SearchResult(graph, False, len(rows))
-        return SearchResult(None, True, len(rows))
+        least = min(hits, key=lambda row: row.witness, default=None)
+        graph = None if least is None else least.graph()
+        return SearchResult(graph, len(rows))
 
     if V > HAMILTONIAN_CEILING:
         raise SynthesisRangeError(
@@ -275,15 +261,13 @@ def _search_cached(V, target, budget, need_same_boundary_edge,
     examined = 0
     for graph in _pair_candidates(V):
         examined += 1
-        if budget is not None and examined > budget:
-            return SearchResult(None, False, examined)
         faces = graph.boundary_cycles
         if len(faces) != b or min(map(len, faces)) < 3:
             continue
         if (graph.is_filling_system()[0]
-                and graph.signature().triple == target and wanted(graph)):
-            return SearchResult(graph, False, examined)
-    return SearchResult(None, True, examined)
+                and graph.signature().triple == target):
+            return SearchResult(graph, examined)
+    return SearchResult(None, examined)
 
 
 def _same_boundary_edge(g: FatGraph):
@@ -426,17 +410,14 @@ def _subplan(builder, args):
 
 
 def _seed(builder):
-    """Route the sub-builder ``builder(bld, ...)`` through :func:`_subplan`,
-    keyed by the builder and its arguments with defaults applied.  The
-    sub-builder runs on an empty plan of its own, so what it builds
+    """Route the sub-builder ``builder(bld, *args)`` through
+    :func:`_subplan`, keyed by the builder and its positional arguments.
+    The sub-builder runs on an empty plan of its own, so what it builds
     depends on its arguments alone."""
-    params = inspect.signature(builder)
 
     @wraps(builder)
-    def run(bld, *args, **kwargs):
-        bound = params.bind(bld, *args, **kwargs)
-        bound.apply_defaults()
-        return bld.reuse(_subplan(builder, bound.args[1:]))
+    def run(bld, *args):
+        return bld.reuse(_subplan(builder, args))
     return run
 
 
@@ -484,7 +465,7 @@ def _pair_into(bld, g):
 
 
 @_seed
-def _two_disc_pair_into(bld, g, need_diff_edge=True):
+def _two_disc_pair_into(bld, g, need_diff_edge):
     """(g, 2, 2) filling pair with two complementary discs, g >= 2."""
     if g < 2:
         raise SynthesisRangeError("two-disc pairs start at genus 2")
@@ -496,7 +477,7 @@ def _two_disc_pair_into(bld, g, need_diff_edge=True):
         c = bld.family(families.GAMMA_2_B, 2)
         idx, _ = bld.consum_reaching(a, c, (3, 2, 2), require=require)
         return idx
-    prev = _two_disc_pair_into(bld, g - 2, need_diff_edge=False)
+    prev = _two_disc_pair_into(bld, g - 2, False)
     gi = bld.family(families.G2)
     idx, _ = bld.consum_reaching(prev, gi, (g, 2, 2), require=require)
     return idx
@@ -547,7 +528,7 @@ class TargetSignature:
             raise SynthesisRangeError("targets need g >= 2 and b >= 1")
         if (self.g, self.b, self.s) == (2, 1, 2):
             raise ImpossibleSignatureError(
-                "impossible: (2,1,2) (no minimal filling pair on genus 2)")
+                "no minimal filling pair of a closed surface of genus 2")
         lo, hi = lower_bound(self.g, self.b), upper_bound(self.g, self.b)
         if not lo <= self.s <= hi:
             raise SynthesisRangeError(
@@ -572,16 +553,7 @@ def max_filling(g, b) -> SynthesisPlan:
 
 def minimal_filling(g, s) -> SynthesisPlan:
     """Minimal filling (one disc) of genus g >= 2 and size s."""
-    if g < 2:
-        raise SynthesisRangeError("minimal fillings of genus < 2 are out of "
-                                  "range (only the torus pair exists)")
-    lo, hi = lower_bound(g, 1), 2 * g
-    if (g, s) == (2, 2):
-        raise ImpossibleSignatureError(
-            "no minimal filling pair of a closed surface of genus 2")
-    if not lo <= s <= hi:
-        raise SynthesisRangeError(
-            f"size {s} out of range [{lo}, {hi}] for genus {g}")
+    TargetSignature(g, 1, s).validate()
     plan = SynthesisPlan(target=(g, 1, s))
     bld = _Builder(plan)
     _minimal_into(bld, g, s)
@@ -656,15 +628,7 @@ def filling(g, b, s) -> SynthesisPlan:
 def tight_omega_filling(g, s) -> SynthesisPlan:
     """Minimal filling of size s whose weighted intersection graph attains
     the bound: omega_max = 2g-s+1 exactly."""
-    if g < 2:
-        raise SynthesisRangeError("tight families start at genus 2")
-    lo, hi = lower_bound(g, 1), 2 * g
-    if (g, s) == (2, 2):
-        raise ImpossibleSignatureError(
-            "no minimal filling pair of a closed surface of genus 2")
-    if not lo <= s <= hi:
-        raise SynthesisRangeError(
-            f"size {s} out of range [{lo}, {hi}] for genus {g}")
+    TargetSignature(g, 1, s).validate()
     plan = SynthesisPlan(target=(g, 1, s), expect_omega=2 * g - s + 1)
     bld = _Builder(plan)
     _tight_into(bld, g, s)
@@ -680,7 +644,7 @@ def _tight_into(bld, g, s):
             return bld.family(families.G1)
         # plumb the sphere circle onto a two-disc pair across its two
         # boundary components, then erase the bivalent vertex
-        pi = _two_disc_pair_into(bld, g - 1)
+        pi = _two_disc_pair_into(bld, g - 1, True)
         x = _diff_boundary_edge(bld.graphs[pi])
         si = bld.family(families.SPHERE_CIRCLE)
         idx, rep = bld.plumb(pi, si, x, "a")

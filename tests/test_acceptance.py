@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` or through the CLI's
 ``verify`` subcommand, which exercises the same machinery.
 """
 
+import hashlib
 import io
 import random
 import time
@@ -193,6 +194,9 @@ def test_criterion_8_determinism_and_roundtrip():
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+    # the audit's stdout is pinned: its trial, case and table counts
+    assert hashlib.sha256(runs[0].encode()).hexdigest() == (
+        "fd4e5ec1e3cd3ca7530c97ed45f5976f7f72b2952fb76a6193c830397182e2ec")
     runs = []
     for _ in range(2):
         code, out = _capture(["enumerate", "-V", "3", "--format", "csv"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,12 +71,21 @@ class TestAnalyze:
         assert info["omega_max"] == 2
 
     def test_expect_pass_and_fail(self, capsys, g1_file):
-        code, _, _ = run(capsys, "analyze", g1_file,
-                         "--expect", "g=2,b=1,s=3,filling=yes")
-        assert code == 0
+        for verdict in ("yes", "true", "1"):
+            code, _, _ = run(capsys, "analyze", g1_file,
+                             "--expect", f"g=2,b=1,s=3,filling={verdict}")
+            assert code == 0
         code, _, err = run(capsys, "analyze", g1_file, "--expect", "g=3")
         assert code == 1
         assert "expect failed" in err
+
+    @pytest.mark.parametrize("spec", ["foo=1", "g"])
+    def test_bad_expect_exit_2(self, capsys, g1_file, spec):
+        # an unknown key, and an item without "="
+        code, out, err = run(capsys, "analyze", g1_file, "--expect", spec)
+        assert code == 2
+        assert out == ""
+        assert "bad --expect" in err
 
     def test_non_filling_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "sphere.json"
@@ -242,6 +252,25 @@ class TestEnumerate:
     def test_ceiling_exit_2(self, capsys):
         code, _, _ = run(capsys, "enumerate", "-V", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["g=x", "g", "filling=maybe"])
+    def test_bad_filter_exit_2(self, capsys, spec):
+        code, out, err = run(capsys, "enumerate", "-V", "2", "--filter", spec)
+        assert code == 2
+        assert out == ""
+        assert "bad --filter" in err
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv",
+         "eb53f0661e588b39551f6b0b3af250f69a7884595c07ccbc93d6a41c1ddfb758"),
+        ("json",
+         "e1266c612a9ad3cadce0e1bcc014c6a461ae5fb09996564192e97b4da9456155"),
+    ], ids=["csv", "json"])
+    def test_four_vertices_pinned(self, capsys, fmt, digest):
+        # sha256 of the whole V=4 census listing: keys, invariants, counts
+        code, out, _ = run(capsys, "enumerate", "-V", "4", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExport:

@@ -5,7 +5,7 @@ import pytest
 
 from fillgraph import oracle
 from fillgraph.analysis import intersection_graph
-from fillgraph.core import canonical_code
+from fillgraph.core import MalformedGraphError, canonical_code
 from fillgraph.oracle import (CensusError, CensusRangeError, census,
                               census_filter, iter_matchings,
                               matching_to_graph, verify_formula_by_recompute)
@@ -155,6 +155,12 @@ class TestMatchings:
             g = matching_to_graph(2, match)
             assert g.num_vertices == 2
             assert g.is_connected
+
+    @pytest.mark.parametrize("match", [
+        (1, 0, 3, 3), (1, 2, 3, 0), (0, 1, 2, 3), (1, 0, 3, 9), (1, 0)])
+    def test_non_matching_rejected(self, match):
+        with pytest.raises(MalformedGraphError):
+            matching_to_graph(1, match)
 
     def test_symmetry_break_is_lossless(self):
         # every 1-vertex fat graph appears despite dart 0's restriction

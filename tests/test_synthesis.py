@@ -58,15 +58,18 @@ class TestMinimalFilling:
     def test_plumbing_step(self):
         assert replay(minimal_filling(4, 6)).signature().triple == (4, 1, 6)
 
+    # both one-disc builders check their target with TargetSignature
     def test_impossible_pair(self):
-        with pytest.raises(ImpossibleSignatureError):
-            minimal_filling(2, 2)
+        for build in (minimal_filling, tight_omega_filling):
+            with pytest.raises(ImpossibleSignatureError):
+                build(2, 2)
 
     def test_out_of_range(self):
-        with pytest.raises(SynthesisRangeError):
-            minimal_filling(3, 7)
-        with pytest.raises(SynthesisRangeError):
-            minimal_filling(2, 2 + 3)
+        # genus 1, a size below lower_bound, and size 2g+1
+        for build in (minimal_filling, tight_omega_filling):
+            for g, s in ((1, 2), (2, 1), (3, 1), (2, 5), (3, 7)):
+                with pytest.raises(SynthesisRangeError):
+                    build(g, s)
 
     def test_full_grid_to_genus_six(self):
         for g in range(2, 7):
@@ -126,9 +129,6 @@ class TestTightOmega:
         assert intersection_graph(graph).omega_max() == 1
 
 
-FLAGS = ((False, False), (True, False), (False, True))
-
-
 def _census_targets(V):
     """Signatures (g, b, s) with s != 2 of the filling classes on V
     vertices."""
@@ -140,7 +140,7 @@ def _census_targets(V):
 class TestSearch:
     def test_no_genus_two_pair(self):
         res = search_filling(3, (2, 1, 2))
-        assert not res.found and res.complete
+        assert not res.found
 
     def test_genus_three_pair_found(self):
         res = search_filling(5, (3, 1, 2))
@@ -156,50 +156,41 @@ class TestSearch:
 
     def test_wrong_vertex_count_is_complete_miss(self):
         res = search_filling(4, (3, 1, 2))
-        assert not res.found and res.complete
+        assert not res.found
 
     def test_generic_engine(self):
         res = search_filling(3, (2, 1, 4))
         assert res.found
         assert res.graph.signature().triple == (2, 1, 4)
 
-    def test_budget_interrupts(self):
-        res = search_filling(5, (3, 1, 2), budget=3)
-        assert not res.found and not res.complete
-
     def test_no_vertices_is_complete_miss(self):
         for target in ((0, 2, 2), (1, 0, 3)):
             res = search_filling(0, target)
-            assert not res.found and res.complete
+            assert not res.found
 
     def test_census_lookup_is_the_first_walk_graph(self):
         # the least witness of a class is the first matching the walk
-        # meets in it, and the flags are class invariants
+        # meets in it
         for V in (1, 2, 3):
             for target in _census_targets(V):
-                for same, diff in FLAGS:
-                    want = first_matching_graph(V, target, same, diff)
-                    res = search_filling(V, target, None, same, diff)
-                    if want is None:
-                        assert not res.found and res.complete, target
-                    else:
-                        assert res.graph.sigma0 == want.sigma0, target
-                        assert res.graph.labels == want.labels, target
+                want = first_matching_graph(V, target)
+                res = search_filling(V, target)
+                assert res.graph.sigma0 == want.sigma0, target
+                assert res.graph.labels == want.labels, target
 
     def test_census_lookup_pinned_at_four_vertices(self):
         # below four vertices each target has one class, so the order of
         # the lookup shows only here; the walk takes 10-30 s per target
         # at V=4, so its graphs are pinned: sha256 of the graphs
-        # first_matching_graph gives for each target and flag pair
+        # first_matching_graph gives for each target
         found = []
         for target in _census_targets(4):
-            for same, diff in FLAGS:
-                res = search_filling(4, target, None, same, diff)
-                found.append((target, same, diff, res.graph and (
-                    res.graph.sigma0, res.graph.labels)))
-        assert len(found) == 18
+            res = search_filling(4, target)
+            found.append((target, res.graph and (
+                res.graph.sigma0, res.graph.labels)))
+        assert len(found) == 6
         assert hashlib.sha256(repr(found).encode()).hexdigest() == (
-            "2e4ad2a71e8815ebb06a2ef65e5d3b9f7b28de3d4c78d8ad418ca8094a26a069")
+            "46b7e7671ecc09fe8e5f7f67cb2aa993f37b492fe5d6d3afd5902270011ee775")
 
     def test_beyond_census_is_a_range_error(self):
         with pytest.raises(SynthesisRangeError):
@@ -323,13 +314,12 @@ class TestSubplanMemo:
         assert replayed.sigma0 == stored.sigma0
         assert replayed.labels == stored.labels
 
-    def test_key_applies_defaults(self, memo):
-        for extra, kwargs in (((), {}), ((True,), {}),
-                              ((), {"need_diff_edge": True})):
+    def test_key_is_builder_and_args(self, memo):
+        for _ in range(2):
             bld = synthesis._Builder(SynthesisPlan(target=(4, 2, 2)))
-            synthesis._two_disc_pair_into(bld, 4, *extra, **kwargs)
+            synthesis._two_disc_pair_into(bld, 4, True)
         assert memo.cache_info().misses == 2  # (4, True) and (2, False)
-        assert memo.cache_info().hits == 2
+        assert memo.cache_info().hits == 1
 
     def test_raising_subplan_stores_nothing(self, memo):
         bld = synthesis._Builder(SynthesisPlan(target=(2, 1, 2)))
