@@ -12,7 +12,8 @@ import sys
 
 from . import analysis, families, formats, oracle, synthesis
 from .core import FatGraphError, FatGraph, InvariantError
-from .ops import (OperationError, OperationInvariantError, connected_sum,
+from .ops import (JOIN_OTHER, JOIN_SAME_SAME, PLUMB_ALL_DIFF, PLUMB_OTHER,
+                  OperationError, OperationInvariantError, connected_sum,
                   join, plumbing)
 
 EXIT_OK = 0
@@ -359,16 +360,21 @@ def _verify_theorem3(gmax):
 def _verify_ops():
     audits = oracle.verify_formula_by_recompute()
     failures = 0
-    want_cases = {"join": 2, "plumb": 2, "consum": 4}
     for op in ("join", "consum", "plumb"):
         a = audits[op]
         cases = ", ".join(f"{k}:{v}" for k, v in sorted(a.case_counts.items()))
-        ok = a.mismatches == 0 and len(a.case_counts) >= want_cases[op]
+        ok = a.mismatches == 0
         if op == "join":
-            ok = ok and a.corollary_violations == 0
+            ok = ok and set(a.case_counts) == {JOIN_SAME_SAME, JOIN_OTHER} \
+                and a.corollary_violations == 0
+        if op == "plumb":
+            ok = ok and set(a.case_counts) == {PLUMB_ALL_DIFF, PLUMB_OTHER}
         if op == "consum":
-            ok = ok and a.printed_reliable_misses == 0 \
-                and a.printed_matched > 0
+            ok = ok and len(a.case_counts) == 4 \
+                and all(v > 0 for v in a.case_counts.values()) \
+                and a.printed_reliable_misses == 0 \
+                and a.printed_matched > 0 \
+                and a.s_law_checked > 0 and a.s_law_misses == 0
         print(f"ops {op}: trials={a.trials} mismatches={a.mismatches} "
               f"branches[{cases}] {'pass' if ok else 'FAIL'}")
         if op == "join":
@@ -385,6 +391,10 @@ def _verify_ops():
 
 def cmd_verify(args):
     gmax, bmax = args.gmax, args.bmax
+    if gmax < 2 or bmax < 1:
+        _err(f"empty grid: verify needs --gmax >= 2 and --bmax >= 1, "
+             f"got --gmax {gmax} --bmax {bmax}")
+        return EXIT_INPUT
     if (gmax > 5 or bmax > 4) and not args.unsafe_large:
         _err("grid above g<=5, b<=4 needs --unsafe-large")
         return EXIT_INPUT

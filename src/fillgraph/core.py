@@ -143,13 +143,15 @@ class StandardCycle(tuple):
 def canonical_code(sigma0, sigma1):
     """(code, automorphisms) of the connected map (sigma0, sigma1).
 
-    From every start dart, darts are numbered in breadth-first order of
-    first sight along sigma0 then sigma1, and the code lists the numbers
-    of each dart's two images.  The code is the lexicographically least
-    over all starts; it determines the pair of permutations up to dart
-    relabeling.  Two starts give the same code exactly when an
-    automorphism maps one to the other, so the number of starts reaching
-    the least code is the order of the automorphism group.
+    The code of a start dart is :func:`_rooted_walk`'s code from it, and
+    the canonical code is the lexicographically least over all starts; it
+    determines the pair of permutations up to dart relabeling.  Dart 0 is
+    walked in full and every other start against the least code so far,
+    so a start stops at its first dart that differs from it.  Two starts
+    give the same code exactly when an automorphism maps one to the
+    other, so the number of starts reaching the least code is the order of
+    the automorphism group.  Raises :class:`DisconnectedError` when the
+    walk from dart 0 misses a dart.
 
     The code packs one byte per number up to 256 darts and the fewest
     big-endian bytes that hold ``n - 1`` beyond; the length of a code
@@ -157,72 +159,59 @@ def canonical_code(sigma0, sigma1):
     never collide.
     """
     n = len(sigma0)
-    best = None
-    automorphisms = 0
-    for start in range(n):
-        newlab = [-1] * n
-        newlab[start] = 0
-        order = [start]
-        code = []
-        tied = best is not None  # equal to best on the code emitted so far
-        worse = False
-        for cur in order:  # order grows while it is walked
-            for img in (sigma0[cur], sigma1[cur]):
-                lab = newlab[img]
-                if lab < 0:
-                    lab = newlab[img] = len(order)
-                    order.append(img)
-                if tied:
-                    ref = best[len(code)]
-                    if lab > ref:
-                        worse = True
-                        break
-                    tied = lab == ref
-                code.append(lab)
-            if worse:
-                break
-        if worse:
-            continue
-        if best is None and len(order) < n:
-            raise DisconnectedError(
-                "canonical code of a disconnected graph is not defined")
-        if tied:
+    darts, best = _rooted_walk(sigma0, sigma1, 0)
+    if len(darts) < n:
+        raise DisconnectedError(
+            "canonical code of a disconnected graph is not defined")
+    automorphisms = 1
+    for start in range(1, n):
+        code = _rooted_walk(sigma0, sigma1, start, best)[1]
+        if code == best:
             automorphisms += 1
-        else:
-            best, automorphisms = code, 1
+        elif code < best:
+            best = _rooted_walk(sigma0, sigma1, start)[1]
+            automorphisms = 1
     width = ((n - 1).bit_length() + 7) // 8
     if width <= 1:
         return bytes(best), automorphisms
     return b"".join(lab.to_bytes(width, "big") for lab in best), automorphisms
 
 
-def _rooted_walk(sigma0, root, code=None):
-    """(darts, code) of the component of ``root``.
+def _rooted_walk(sigma0, sigma1, root, code=None):
+    """(darts, code) of the component of ``root`` in the map (sigma0,
+    sigma1).
 
     The darts are listed in breadth-first order of first sight along
-    sigma0 then ``d -> d ^ 1``, numbered by that order, and the code lists
-    the numbers of each dart's two images: the code of one start in
-    :func:`canonical_code`.  Given the ``code`` of another walk, this walk
-    returns None at the first number that differs from it.  A walk that
-    returns has reproduced ``code`` whole, so numbering by the two walks
-    is an isomorphism between the two components, sending root to root.
+    sigma0 then sigma1 and numbered by that order; the code lists the
+    numbers of each dart's two images.  Given the ``code`` of another
+    walk, this walk stops after the first dart whose two numbers differ
+    from it, so the code returned equals ``code`` only when the walk
+    reproduced it whole, and otherwise compares with ``code`` as the full
+    code would.  Two walks with equal codes number an isomorphism between
+    the two components, sending root to root.
     """
     lab = [-1] * len(sigma0)
     lab[root] = 0
     order = [root]
-    out = [] if code is None else code
+    out = []
     pos = 0
     for cur in order:  # order grows while it is walked
-        for img in (sigma0[cur], cur ^ 1):
-            num = lab[img]
-            if num < 0:
-                num = lab[img] = len(order)
-                order.append(img)
-            if code is None:
-                out.append(num)
-            elif code[pos] != num:
-                return None
-            pos += 1
+        img = sigma0[cur]
+        a = lab[img]
+        if a < 0:
+            a = lab[img] = len(order)
+            order.append(img)
+        img = sigma1[cur]
+        b = lab[img]
+        if b < 0:
+            b = lab[img] = len(order)
+            order.append(img)
+        out.append(a)
+        out.append(b)
+        if code is not None:
+            if code[pos] != a or code[pos + 1] != b:
+                break
+            pos += 2
     return order, out
 
 
@@ -556,16 +545,17 @@ class FatGraph:
         if n != other.num_darts:
             return False
         s0, t0 = self._sigma0, other._sigma0
+        reverse = [d ^ 1 for d in range(n)]
         matched = [False] * n  # darts of self in a matched component
         free = [True] * n  # darts of other outside every matched component
         for root in range(n):
             if matched[root]:
                 continue
-            comp, code = _rooted_walk(s0, root)
+            comp, code = _rooted_walk(s0, reverse, root)
             for start in range(n):
                 if free[start]:
-                    image = _rooted_walk(t0, start, code)
-                    if image is not None:
+                    image = _rooted_walk(t0, reverse, start, code)
+                    if image[1] == code:
                         break
             else:
                 return False

@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from .core import (FatGraph, InvariantError, MalformedGraphError,
-                   canonical_code)
+                   _rooted_walk, canonical_code)
 from . import families
 from .analysis import intersection_graph
 from .ops import (connected_sum, join, plumbing, new_join_boundaries,
@@ -80,10 +80,12 @@ def iter_matchings(V, connected_only=False):
 
     The partner of dart 0 is restricted to {1, 2, 4} (adjacent loop,
     opposite loop, least dart of another vertex), a symmetry break that
-    still reaches every isomorphism class.
+    still reaches every isomorphism class.  With ``connected_only``, a
+    matching is kept when the walk from dart 0 reaches all 4V darts.
     """
     n = 4 * V
     match = [-1] * n
+    rot = standard_rotation(V)
 
     def first_free(lo):
         for k in range(lo, n):
@@ -94,7 +96,8 @@ def iter_matchings(V, connected_only=False):
     def rec(lo):
         d = first_free(lo)
         if d < 0:
-            if not connected_only or _matching_connected(V, match):
+            if (not connected_only
+                    or len(_rooted_walk(rot, match, 0)[0]) == n):
                 yield tuple(match)
             return
         if d == 0:
@@ -109,26 +112,6 @@ def iter_matchings(V, connected_only=False):
             match[c] = -1
 
     yield from rec(0)
-
-
-def _matching_connected(V, match):
-    if V == 1:
-        return True
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(4 * V):
-        b = match[a]
-        if b > a:
-            ra, rb = find(a // 4), find(b // 4)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in range(V)}) == 1
 
 
 def matching_to_graph(V, match):
@@ -365,7 +348,7 @@ class OpAudit:
         self.case_counts[case] = self.case_counts.get(case, 0) + 1
 
 
-def _operand_pool(max_census_v=3, census_cap=40):
+def _operand_pool(max_census_v, census_cap):
     pool = [
         ("g1", families.build(families.G1)),
         ("torus", families.build(families.TORUS_PAIR)),
@@ -387,17 +370,19 @@ def _operand_pool(max_census_v=3, census_cap=40):
     return pool
 
 
-def verify_formula_by_recompute(ops=("join", "consum", "plumb"),
-                                max_census_v=3, census_cap=24,
-                                max_edge_pairs=9):
+def verify_formula_by_recompute(max_census_v=3, census_cap=24):
     """Exercise the operations across catalog and census operands.
+
+    Join and plumbing splice every pair of operands at each pair of their
+    first nine edges; the connected sum joins every pair at each pair of
+    vertices in each of the four alignments.
 
     Every trial rechecks the operation's own prediction (an exception there
     counts as a mismatch).  For the connected sum the four-branch
-    indicator-sum table is additionally audited: the two structurally forced branches must
-    match the recomputation on every trial; the other two record match
-    rates, since their printed values are known to depend on interleaving
-    data the indicator sums do not see.
+    indicator-sum table is additionally audited: the two structurally
+    forced branches must match the recomputation on every trial; the other
+    two record match rates, since their printed values are known to depend
+    on interleaving data the indicator sums do not see.
     """
     pool = _operand_pool(max_census_v, census_cap)
 
@@ -416,13 +401,13 @@ def verify_formula_by_recompute(ops=("join", "consum", "plumb"),
         return False
 
     edge_ops = [(op, fn, OpAudit(op)) for op, fn in
-                (("join", join), ("plumb", plumbing)) if op in ops]
+                (("join", join), ("plumb", plumbing))]
     audits = {op: a for op, _, a in edge_ops}
     for _, gl in pool:
         for _, gr in pool:
             gr = fresh(gl, gr)
-            for x in gl.labels[:max_edge_pairs]:
-                for y in gr.labels[:max_edge_pairs]:
+            for x in gl.labels[:9]:
+                for y in gr.labels[:9]:
                     for op, fn, a in edge_ops:
                         a.trials += 1
                         try:
@@ -439,42 +424,37 @@ def verify_formula_by_recompute(ops=("join", "consum", "plumb"),
                         for cyc in new_join_boundaries(rep):
                             if len(cyc) <= 2:
                                 a.corollary_violations += 1
-    if "consum" in ops:
-        a = audits["consum"] = OpAudit("consum")
-        for _, gl in pool:
-            for _, gr in pool:
-                gr = fresh(gl, gr)
-                for w in range(gl.num_vertices):
-                    for u in range(gr.num_vertices):
-                      for align in range(4):
-                        try:
-                            rep = connected_sum(gl, gr, w, u, align)
-                        except OperationError:
-                            continue  # loops or wrong valence: not a trial
-                        except AssertionError:
-                            a.trials += 1
-                            a.mismatches += 1
-                            continue
-                        a.trials += 1
-                        a.record_case(rep.case)
-                        chi = rep.chi
-                        if chi["printed_b"] is not None:
-                            a.printed_checked += 1
-                            hit = chi["printed_b"] == \
-                                rep.recomputed.boundary_count
-                            if hit:
-                                a.printed_matched += 1
-                            elif chi["reliable"]:
-                                a.printed_reliable_misses += 1
-                            else:
-                                k = rep.case
-                                a.unreliable_miss_cases[k] = \
-                                    a.unreliable_miss_cases.get(k, 0) + 1
-                        if chi["s_law_premise"]:
-                            a.s_law_checked += 1
-                            ls, rs = rep.left_signature, rep.right_signature
-                            want = (ls.standard_cycle_count
-                                    + rs.standard_cycle_count - 2)
-                            if rep.recomputed.standard_cycle_count != want:
-                                a.s_law_misses += 1
+    a = audits["consum"] = OpAudit("consum")
+    for _, gl in pool:
+        for _, gr in pool:
+            gr = fresh(gl, gr)
+            for w, u, align in product(range(gl.num_vertices),
+                                       range(gr.num_vertices), range(4)):
+                try:
+                    rep = connected_sum(gl, gr, w, u, align)
+                except OperationError:
+                    continue  # loops or wrong valence: not a trial
+                except AssertionError:
+                    a.trials += 1
+                    a.mismatches += 1
+                    continue
+                a.trials += 1
+                a.record_case(rep.case)
+                chi = rep.chi
+                if chi["printed_b"] is not None:
+                    a.printed_checked += 1
+                    if chi["printed_b"] == rep.recomputed.boundary_count:
+                        a.printed_matched += 1
+                    elif chi["reliable"]:
+                        a.printed_reliable_misses += 1
+                    else:
+                        misses = a.unreliable_miss_cases
+                        misses[rep.case] = misses.get(rep.case, 0) + 1
+                if chi["s_law_premise"]:
+                    a.s_law_checked += 1
+                    ls, rs = rep.left_signature, rep.right_signature
+                    want = (ls.standard_cycle_count
+                            + rs.standard_cycle_count - 2)
+                    if rep.recomputed.standard_cycle_count != want:
+                        a.s_law_misses += 1
     return audits

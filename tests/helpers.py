@@ -1,5 +1,6 @@
-"""Shared test helpers: the synthesis grid, a reference isomorphism
-invariant and a reference walk for the census lookup of the search."""
+"""Shared test helpers: the synthesis grid, a reference canonical code, a
+reference isomorphism invariant and a reference walk for the census lookup
+of the search."""
 
 from fillgraph.core import canonical_code
 from fillgraph.oracle import iter_matchings, matching_to_graph
@@ -27,6 +28,30 @@ def grid_plans(gmax, bmax, tight_gmax):
     reaches it."""
     for build, args in grid_targets(gmax, bmax, tight_gmax):
         yield build(*args)
+
+
+def full_scan_code(sigma0, sigma1):
+    """(code, automorphisms) by brute force: the full breadth-first code
+    from every start dart, with no early stop, packed as
+    :func:`fillgraph.core.canonical_code` packs its codes; the least of
+    them and the number of starts that reach it."""
+    n = len(sigma0)
+    codes = []
+    for start in range(n):
+        num = {start: 0}
+        order = [start]
+        code = []
+        for d in order:
+            for e in (sigma0[d], sigma1[d]):
+                if e not in num:
+                    num[e] = len(order)
+                    order.append(e)
+                code.append(num[e])
+        codes.append(code)
+    best = min(codes)
+    width = max(1, ((n - 1).bit_length() + 7) // 8)
+    return (b"".join(x.to_bytes(width, "big") for x in best),
+            codes.count(best))
 
 
 def component_codes(graph):

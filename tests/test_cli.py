@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 import fillgraph
+from fillgraph import oracle
 from fillgraph.cli import main
+from fillgraph.ops import (JOIN_OTHER, JOIN_SAME_SAME, PLUMB_ALL_DIFF,
+                           PLUMB_OTHER, SUM_ALL4_ONE, SUM_BLOCKS4, SUM_OTHER,
+                           SUM_TWO_SAME)
+from fillgraph.oracle import OpAudit
 
 
 def run(capsys, *argv):
@@ -289,16 +294,82 @@ class TestExport:
         assert json.loads(out)["format"] == "fatgraph/1"
 
 
+def _clean_audits():
+    """Audits that pass every rule of ``verify ops``."""
+    join = OpAudit("join", trials=2,
+                   case_counts={JOIN_SAME_SAME: 1, JOIN_OTHER: 1})
+    plumb = OpAudit("plumb", trials=2,
+                    case_counts={PLUMB_ALL_DIFF: 1, PLUMB_OTHER: 1})
+    consum = OpAudit("consum", trials=4,
+                     case_counts={SUM_ALL4_ONE: 1, SUM_BLOCKS4: 1,
+                                  SUM_TWO_SAME: 1, SUM_OTHER: 1},
+                     printed_checked=2, printed_matched=2, s_law_checked=3)
+    return {"join": join, "plumb": plumb, "consum": consum}
+
+
 class TestVerifySmall:
-    def test_ops_suite(self, capsys):
+    def test_ops_s_law_miss_fails(self, capsys, monkeypatch):
+        audits = _clean_audits()
+        monkeypatch.setattr(oracle, "verify_formula_by_recompute",
+                            lambda: audits)
         code, out, _ = run(capsys, "verify", "ops")
         assert code == 0
-        assert "ALL PASS" in out
+        assert out.splitlines()[-1] == "verify ops: ALL PASS"
+        audits["consum"].s_law_misses = 1
+        code, out, _ = run(capsys, "verify", "ops")
+        assert code == 1
+        assert out.splitlines()[-1] == "verify ops: 1 FAILURES"
+
+    @pytest.mark.parametrize("op, fault", [
+        ("join", {"case_counts": {JOIN_SAME_SAME: 1, "GHOST": 1}}),
+        ("plumb", {"case_counts": {PLUMB_ALL_DIFF: 1, "GHOST": 1}}),
+        ("consum", {"case_counts": {SUM_ALL4_ONE: 1, SUM_BLOCKS4: 1,
+                                    SUM_TWO_SAME: 0, SUM_OTHER: 1}}),
+        ("consum", {"s_law_checked": 0}),
+    ], ids=["join-cases", "plumb-cases", "consum-cases", "s-law-unchecked"])
+    def test_ops_pass_rule(self, capsys, monkeypatch, op, fault):
+        audits = _clean_audits()
+        for k, v in fault.items():
+            setattr(audits[op], k, v)
+        monkeypatch.setattr(oracle, "verify_formula_by_recompute",
+                            lambda: audits)
+        code, out, _ = run(capsys, "verify", "ops")
+        assert code == 1
+        assert out.splitlines()[-1] == "verify ops: 1 FAILURES"
 
     def test_grid_guard(self, capsys):
         code, _, err = run(capsys, "verify", "theorem1", "--gmax", "9")
         assert code == 2
         assert "unsafe-large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("theorem2", "--gmax", "1"),
+        ("euler", "--gmax", "-3", "--bmax", "-1"),
+        ("theorem1", "--bmax", "0"),
+        ("theorem3", "--gmax", "1"),
+    ], ids=["theorem2-g1", "euler-negative", "theorem1-b0", "theorem3-g1"])
+    def test_empty_grid_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty grid" in err
+
+    @pytest.mark.parametrize("what, digest", [
+        ("theorem1",
+         "6aedd221c4fe2b64d3733b55fc08093a8855623aea1abddd5ffb90a44dc4d822"),
+        ("theorem2",
+         "128a5ad86277651110b5ecc04c0e849908f59245dc04fd85355e12833b9beb28"),
+        ("theorem3",
+         "4adf3e6ade0174b672430f28fa115adf34fde883db85809231ac1e63e75d9695"),
+        ("euler",
+         "486ce7b0492000e4328c58c15e07fc1f66ff4fe72365aab145619a9e0faab34b"),
+    ])
+    def test_default_grid_pinned(self, capsys, what, digest):
+        # sha256 of the whole stdout on the default grid; verify ops is
+        # pinned by criterion 8 of test_acceptance.py
+        code, out, _ = run(capsys, "verify", what)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_python_m_fillgraph():
