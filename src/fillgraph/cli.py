@@ -322,7 +322,6 @@ def _verify_theorem2(gmax, bmax, check_euler=False):
 
 def _verify_theorem3(gmax):
     failures = 0
-    gcap = min(gmax, 6)
     for V in range(1, oracle.EXHAUSTIVE_CEILING + 1):
         bad = []
         for row in oracle.census(V):
@@ -334,7 +333,7 @@ def _verify_theorem3(gmax):
         print(f"theorem3 census V={V}: "
               f"{'pass' if not bad else f'FAIL ({len(bad)} rows)'}")
         failures += len(bad)
-    for g in range(2, gcap + 1):
+    for g in range(2, gmax + 1):
         for s in range(synthesis.lower_bound(g, 1), 2 * g + 1):
             bound = 2 * g - s + 1
             try:
@@ -389,8 +388,31 @@ def _verify_ops():
     return failures
 
 
+# the options each suite reads; the others exit 2 when given
+_VERIFY_OPTIONS = {
+    "theorem1": ("gmax", "bmax", "unsafe_large"),
+    "theorem2": ("gmax", "bmax", "unsafe_large"),
+    "euler": ("gmax", "bmax", "unsafe_large"),
+    "theorem3": ("gmax", "unsafe_large"),
+    "ops": (),
+}
+# verify theorem3 builds its bound and tight fillings for g up to this
+THEOREM3_GMAX = 6
+
+
 def cmd_verify(args):
-    gmax, bmax = args.gmax, args.bmax
+    for name in ("gmax", "bmax", "unsafe_large"):
+        if (getattr(args, name) is not None
+                and name not in _VERIFY_OPTIONS[args.what]):
+            _err(f"verify {args.what} does not read "
+                 f"--{name.replace('_', '-')}")
+            return EXIT_INPUT
+    gmax = 5 if args.gmax is None else args.gmax
+    bmax = 4 if args.bmax is None else args.bmax
+    if args.what == "theorem3" and gmax > THEOREM3_GMAX:
+        _err(f"verify theorem3 checks g <= {THEOREM3_GMAX}, "
+             f"got --gmax {gmax}")
+        return EXIT_INPUT
     if gmax < 2 or bmax < 1:
         _err(f"empty grid: verify needs --gmax >= 2 and --bmax >= 1, "
              f"got --gmax {gmax} --bmax {bmax}")
@@ -465,9 +487,10 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("what", choices=("theorem1", "theorem2", "theorem3",
                                     "ops", "euler"))
-    v.add_argument("--gmax", type=int, default=5)
-    v.add_argument("--bmax", type=int, default=4)
-    v.add_argument("--unsafe-large", action="store_true")
+    # None marks an option not given; cmd_verify fills in g <= 5, b <= 4
+    v.add_argument("--gmax", type=int)
+    v.add_argument("--bmax", type=int)
+    v.add_argument("--unsafe-large", action="store_true", default=None)
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("enumerate", help="exhaustive census of small graphs")

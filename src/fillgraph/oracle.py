@@ -7,10 +7,16 @@ census at V=1 walks those matchings.  Every larger level grows from the
 class representatives one level down: a new vertex goes in across every
 pair of distinct edges (its darts joined to the four cut ends) and onto
 every single edge with a loop at the new vertex, in every way up to
-rotating the new vertex; the candidates are deduplicated by canonical
-code.  This reaches every class: deleting a suitable vertex of a connected
-graph and rejoining its partners leaves a connected graph one level down,
-and the insertions above undo every such deletion.
+rotating the new vertex.  This reaches every class: deleting a suitable
+vertex of a connected graph and rejoining its partners leaves a connected
+graph one level down, and the insertions above undo every such deletion.
+
+A candidate is deduplicated by one rooted walk (:func:`_rooted_walk`) from
+the least dart on its shortest faces, looked up among the walks of the
+classes found so far from every dart on their shortest faces.  Only the
+first candidate of a class pays for its canonical code
+(:func:`canonical_code`), which gives the class's key and automorphism
+count.
 
 Each level is certified by the orbit-counting mass formula: the classes'
 orbit sizes 4^V V! / |Aut| must add up to the number of connected
@@ -36,7 +42,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from .core import (FatGraph, InvariantError, MalformedGraphError,
-                   _rooted_walk, canonical_code)
+                   _orbits, _rooted_walk, canonical_code)
 from . import families
 from .analysis import intersection_graph
 from .ops import (connected_sum, join, plumbing, new_join_boundaries,
@@ -194,12 +200,18 @@ def _least_relabeling(V, match):
         old = []  # new dart -> old dart
         _number_vertex(start, lab, old)
         out = []
+        tie = best  # the least tuple so far while out is a prefix of it
         for p in range(n):
             q = match[old[p]]
             if lab[q] < 0:
                 _number_vertex(q, lab, old)
-            out.append(lab[q])
-        if best is None or out < best:
+            x = lab[q]
+            if tie is not None and x != tie[p]:
+                if x > tie[p]:
+                    break
+                tie = None
+            out.append(x)
+        else:
             best = out
     return tuple(best)
 
@@ -245,18 +257,47 @@ def connected_matchings(V):
 
 
 def _classes(V):
-    """canonical code -> (automorphisms, one matching) for level V."""
+    """canonical code -> (automorphisms, first matching) for level V.
+
+    A candidate is rooted at the least dart of its shortest faces and
+    walked once (:func:`_rooted_walk`); its code is looked up among the
+    rooted codes of the classes found so far, taken from every dart on
+    their shortest faces.  An isomorphism maps shortest-face darts to
+    shortest-face darts, and two rooted walks give equal codes only when
+    an isomorphism maps one root to the other, so a hit is exactly a
+    candidate of a known class.  Only a miss pays for
+    :func:`canonical_code`, which gives the class's key and automorphism
+    count.
+    """
     rot = standard_rotation(V)
     if V == 1:
         found = iter_matchings(1, connected_only=True)
     else:
         found = (m for row in census(V - 1) for m in _grown(V, row.witness))
     classes = {}
+    rooted = set()  # codes of the classes found, from their roots
     for match in found:
+        roots = _shortest_face_darts(rot, match)
+        if bytes(_rooted_walk(rot, match, roots[0])[1]) in rooted:
+            continue
         key, automorphisms = canonical_code(rot, match)
-        if key not in classes:
-            classes[key] = (automorphisms, tuple(match))
+        if key in classes:
+            raise CensusError(
+                f"census at V={V}: rooted lookup missed the class of "
+                f"{tuple(match)!r}")
+        classes[key] = (automorphisms, tuple(match))
+        rooted.update(bytes(_rooted_walk(rot, match, root)[1])
+                      for root in roots)
     return classes
+
+
+def _shortest_face_darts(rot, match):
+    """The darts on the shortest faces (orbits of d -> rot[match[d]]) of
+    the census graph ``match``, face by face in :func:`_orbits` order, so
+    the least of them comes first."""
+    faces = _orbits([rot[e] for e in match])
+    shortest = min(map(len, faces))
+    return [d for face in faces if len(face) == shortest for d in face]
 
 
 @lru_cache(maxsize=None)

@@ -41,7 +41,7 @@ from functools import lru_cache, wraps
 
 from . import families, oracle
 from .analysis import intersection_graph
-from .core import FatGraph, FatGraphError, InvariantError
+from .core import FatGraph, FatGraphError, InvariantError, _orbits
 from .ops import (OperationReport, connected_sum, join, plumbing,
                   predict_connected_sum)
 
@@ -189,19 +189,21 @@ HAMILTONIAN_CEILING = 8
 
 
 def _pair_candidates(V):
-    """All fat graphs made of two transverse curves, each visiting all of
-    V vertices once.  Curve a runs 0,1,...,V-1; curve b's visit order and
-    the crossing side at each vertex vary.  Every filling with s=2 on V
-    vertices is isomorphic to one of these (curves of a 4-regular filling
-    with s=2 are forced to be Hamiltonian by simplicity and edge count).
+    """The rotations ``sigma0`` of all fat graphs made of two transverse
+    curves, each visiting all of V vertices once.  Curve a runs
+    0,1,...,V-1; curve b's visit order and the crossing side at each
+    vertex vary.  Every filling with s=2 on V vertices is isomorphic to
+    one of these (curves of a 4-regular filling with s=2 are forced to be
+    Hamiltonian by simplicity and edge count).
 
-    Edge ``a{v}`` leaves vertex v along curve a and is edge v; edge
-    ``b{j}`` is the j-th edge of curve b and is edge V+j."""
+    Edge v leaves vertex v along curve a, and edge V+j is the j-th edge
+    of curve b; :func:`_search_cached` labels them ``a{v}`` and ``b{j}``.
+    A list is yielded bare, so a candidate the face screen rejects is
+    never built as a :class:`FatGraph`."""
     if V == 1:
         orders = [(0,)]
     else:
         orders = [(0,) + rest for rest in itertools.permutations(range(1, V))]
-    labels = [f"a{v}" for v in range(V)] + [f"b{j}" for j in range(V)]
     for beta in orders:
         # curve b is unoriented: keep one direction (flags flip with it)
         if V > 2 and beta[1] > beta[-1]:
@@ -217,7 +219,7 @@ def _pair_candidates(V):
                     b_out, b_in = b_in, b_out
                 sigma0[a_out], sigma0[b_out] = b_out, a_in
                 sigma0[a_in], sigma0[b_in] = b_in, a_out
-            yield FatGraph(sigma0, labels)
+            yield sigma0
 
 
 def search_filling(V, target):
@@ -232,11 +234,14 @@ def _search_cached(V, target):
     """Uncached body of :func:`search_filling`.
 
     For s=2 the search enumerates the two-Hamiltonian-curve normal form
-    (complete up to isomorphism, V <= 8).  Other sizes are looked up in
-    the census (:func:`oracle.census`, V up to its ceiling): the result is
-    the class with the least witness, which is the first graph a walk over
-    :func:`oracle.iter_matchings` would meet.  Both cover the whole space,
-    so a result without a graph proves that none exists.
+    (complete up to isomorphism, V <= 8).  Each candidate's face lengths
+    are read from its rotation alone, and only a candidate with b faces,
+    all of length at least 3, is built as a :class:`FatGraph` and checked
+    in full; ``examined`` counts every candidate.  Other sizes are looked
+    up in the census (:func:`oracle.census`, V up to its ceiling): the
+    result is the class with the least witness, which is the first graph
+    a walk over :func:`oracle.iter_matchings` would meet.  Both cover the
+    whole space, so a result without a graph proves that none exists.
     """
     g, b, s = target
     if V < 1 or 2 * g - 2 + b != V:
@@ -258,12 +263,14 @@ def _search_cached(V, target):
     if V > HAMILTONIAN_CEILING:
         raise SynthesisRangeError(
             f"pair search ceiling is V={HAMILTONIAN_CEILING}, got {V}")
+    labels = [f"a{v}" for v in range(V)] + [f"b{j}" for j in range(V)]
     examined = 0
-    for graph in _pair_candidates(V):
+    for sigma0 in _pair_candidates(V):
         examined += 1
-        faces = graph.boundary_cycles
-        if len(faces) != b or min(map(len, faces)) < 3:
+        faces = _orbits([sigma0[d ^ 1] for d in range(4 * V)], len)
+        if len(faces) != b or min(faces) < 3:
             continue
+        graph = FatGraph(sigma0, labels)
         if (graph.is_filling_system()[0]
                 and graph.signature().triple == target):
             return SearchResult(graph, examined)

@@ -1,11 +1,12 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
-reference isomorphism invariant and a reference walk for the census lookup
-of the search."""
+reference isomorphism invariant, a reference walk for the census lookup
+of the search, a reference census witness and a reference pair search."""
 
-from fillgraph.core import canonical_code
+from fillgraph.core import FatGraph, canonical_code
 from fillgraph.oracle import iter_matchings, matching_to_graph
-from fillgraph.synthesis import (filling, lower_bound, minimal_filling,
-                                 tight_omega_filling, upper_bound)
+from fillgraph.synthesis import (_pair_candidates, filling, lower_bound,
+                                 minimal_filling, tight_omega_filling,
+                                 upper_bound)
 
 
 def grid_targets(gmax, bmax, tight_gmax):
@@ -88,3 +89,50 @@ def first_matching_graph(V, target):
                 and graph.signature().triple == tuple(target)):
             return graph
     return None
+
+
+def full_scan_relabeling(V, match):
+    """The lexicographically least partner tuple isomorphic to ``match``
+    by brute force: the relabeled tuple of every start dart, each numbered
+    to the end with no early stop, and the least of them.  Vertices are
+    numbered in the order a scan of the new darts 0, 1, 2, ... first
+    reaches them, each with the reaching dart at offset 0."""
+    n = 4 * V
+    tuples = []
+    for start in range(n):
+        lab = {}  # old dart -> new dart
+        old = []  # new dart -> old dart
+
+        def number(d):
+            for j in range(4):
+                e = (d & ~3) | ((d + j) & 3)
+                lab[e] = len(old)
+                old.append(e)
+
+        number(start)
+        for p in range(n):
+            if match[old[p]] not in lab:
+                number(match[old[p]])
+        tuples.append(tuple(lab[match[old[p]]] for p in range(n)))
+    return min(tuples)
+
+
+def pair_search_reference(V, target):
+    """(vertex tokens or None, examined) of the two-curve pair search as
+    a loop that builds every candidate as a :class:`FatGraph` and screens
+    it by its boundary cycles: the first filling with signature
+    ``target`` among the candidates, and the number of candidates up to
+    it (all of them when none is found)."""
+    b = target[1]
+    labels = [f"a{v}" for v in range(V)] + [f"b{j}" for j in range(V)]
+    examined = 0
+    for sigma0 in _pair_candidates(V):
+        examined += 1
+        graph = FatGraph(sigma0, labels)
+        faces = graph.boundary_cycles
+        if len(faces) != b or min(map(len, faces)) < 3:
+            continue
+        if (graph.is_filling_system()[0]
+                and graph.signature().triple == tuple(target)):
+            return graph.to_vertex_cycle_tokens(), examined
+    return None, examined

@@ -354,6 +354,23 @@ class TestVerifySmall:
         assert out == ""
         assert "empty grid" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("ops", "--gmax", "5"),
+        ("ops", "--bmax", "4"),
+        ("ops", "--unsafe-large"),
+        ("theorem3", "--bmax", "4"),
+        ("theorem3", "--gmax", "7"),
+        ("theorem3", "--gmax", "7", "--unsafe-large"),
+    ], ids=["ops-gmax", "ops-bmax", "ops-unsafe", "theorem3-bmax",
+            "theorem3-g7", "theorem3-g7-unsafe"])
+    def test_unread_option_exit_2(self, capsys, argv):
+        # a suite accepts only the options it reads; theorem3 checks
+        # g <= 6 and used to stop there silently
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip()
+
     @pytest.mark.parametrize("what, digest", [
         ("theorem1",
          "6aedd221c4fe2b64d3733b55fc08093a8855623aea1abddd5ffb90a44dc4d822"),

@@ -1,14 +1,17 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from helpers import full_scan_relabeling
 
 from fillgraph import oracle
 from fillgraph.analysis import intersection_graph
-from fillgraph.core import MalformedGraphError, canonical_code
+from fillgraph.core import MalformedGraphError, _rooted_walk, canonical_code
 from fillgraph.oracle import (CensusError, CensusRangeError, census,
                               census_filter, iter_matchings,
-                              matching_to_graph, verify_formula_by_recompute)
+                              matching_to_graph, standard_rotation,
+                              verify_formula_by_recompute)
 
 
 class TestCensus:
@@ -147,6 +150,69 @@ class TestGrowth:
                 census(2)
         finally:
             census.cache_clear()
+
+
+def candidates(V):
+    """The matchings the census looks up at level V: the connected
+    one-vertex matchings, or those grown from the level below."""
+    if V == 1:
+        return list(iter_matchings(1, connected_only=True))
+    return [m for row in census(V - 1) for m in oracle._grown(V, row.witness)]
+
+
+def rooted_code(rot, match, root):
+    return bytes(_rooted_walk(rot, match, root)[1])
+
+
+class TestClassLookup:
+    @pytest.mark.parametrize("V, digest", [
+        (1, "cbf92bef8f9ca79b20961a7d7bf94af10ed2a8c917e689c5e1309d519d352e88"),
+        (2, "3a7c194e390ddc999a6ec1a1255d5663e2c306f2555e06870f0d4b6197876d14"),
+        (3, "cc36d78c2863674d18e1cea46a6140d1b1e6fd876259c9aba3aae09648f6badf"),
+        (4, "718251744f79a2c3f0d4e6f88ff6bd3341c235cf0868c75c5f94a43f0dde268f"),
+    ])
+    def test_rows_pinned(self, V, digest):
+        # sha256 of repr(census(V)), witnesses and automorphism counts
+        # included, as the census gave it when it coded every candidate
+        assert hashlib.sha256(repr(census(V)).encode()).hexdigest() == digest
+
+    def test_candidates_land_in_their_class(self):
+        # a candidate's walk from the least dart on its shortest faces
+        # reproduces the walk from some shortest-face dart of its class
+        for V in range(1, 5):
+            rot = standard_rotation(V)
+            index = {}
+            for row in census(V):
+                for root in oracle._shortest_face_darts(rot, row.witness):
+                    index[rooted_code(rot, row.witness, root)] = row.key
+            for match in candidates(V):
+                root = oracle._shortest_face_darts(rot, match)[0]
+                assert index[rooted_code(rot, match, root)] == \
+                    canonical_code(rot, match)[0]
+
+    def test_missed_known_class_raises(self, monkeypatch):
+        # rooting every graph at dart 0 misses candidates of known classes
+        monkeypatch.setattr(oracle, "_shortest_face_darts",
+                            lambda rot, match: [0])
+        census.cache_clear()
+        try:
+            with pytest.raises(CensusError, match="missed the class"):
+                census(2)
+        finally:
+            census.cache_clear()
+
+    def test_least_relabeling_matches_full_scan(self):
+        for V in range(1, 5):
+            for _, match in oracle._classes(V).values():
+                assert oracle._least_relabeling(V, match) == \
+                    full_scan_relabeling(V, match)
+            for row in census(V):
+                assert oracle._least_relabeling(V, row.witness) == \
+                    full_scan_relabeling(V, row.witness) == row.witness
+        for V in range(1, 4):
+            for match in candidates(V):
+                assert oracle._least_relabeling(V, match) == \
+                    full_scan_relabeling(V, match)
 
 
 class TestMatchings:

@@ -2,7 +2,8 @@ import hashlib
 from functools import lru_cache
 
 import pytest
-from helpers import first_matching_graph, grid_plans, grid_targets
+from helpers import (first_matching_graph, grid_plans, grid_targets,
+                     pair_search_reference)
 
 from fillgraph import families, formats, oracle, synthesis
 from fillgraph.analysis import intersection_graph
@@ -191,6 +192,20 @@ class TestSearch:
         assert len(found) == 6
         assert hashlib.sha256(repr(found).encode()).hexdigest() == (
             "46b7e7671ecc09fe8e5f7f67cb2aa993f37b492fe5d6d3afd5902270011ee775")
+
+    @pytest.mark.parametrize("V, target", [
+        (V, (g, V + 2 - 2 * g, 2))
+        for V in range(1, 7) for g in range(V // 2 + 2) if V + 2 - 2 * g >= 1
+    ] + [(7, (4, 1, 2))])
+    def test_pair_search_matches_reference(self, V, target):
+        # the face screen on bare rotations finds what building every
+        # candidate finds, after as many candidates
+        res = search_filling(V, target)
+        tokens, examined = pair_search_reference(V, target)
+        assert res.examined == examined
+        assert (res.graph and res.graph.to_vertex_cycle_tokens()) == tokens
+        if V == 7:
+            assert examined == 3457
 
     def test_beyond_census_is_a_range_error(self):
         with pytest.raises(SynthesisRangeError):
