@@ -25,7 +25,6 @@ from .analysis import (
     check_euler_identity,
     check_kn_bound,
     check_max_weight_bound,
-    check_prop62,
     intersection_graph,
 )
 from .synthesis import (
@@ -51,7 +50,7 @@ __all__ = [
     "OperationError", "OperationInvariantError", "OperationReport",
     "connected_sum", "join", "plumbing",
     "WeightedIntersectionGraph", "check_euler_identity", "check_kn_bound",
-    "check_max_weight_bound", "check_prop62", "intersection_graph",
+    "check_max_weight_bound", "intersection_graph",
     "ImpossibleSignatureError", "SynthesisPlan", "SynthesisRangeError",
     "TargetSignature", "filling", "max_filling", "minimal_filling",
     "search_filling", "tight_omega_filling",

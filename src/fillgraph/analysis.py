@@ -2,9 +2,11 @@
 
 Intersection weights are read off vertex-locally: at a 4-valent vertex the
 two opposite strand pairs belong to two curves, and that vertex contributes
-one crossing between them.  On graphs passing the filling predicate (which
-bans bigon faces) this equals the geometric intersection number, which is
-the model's soundness assumption.
+one crossing between them: an upper bound on the geometric intersection
+number.  Banning bigon *faces*, as the filling predicate does, makes it
+exact only when b = 1, where a bigon or annulus between curves would be the
+whole surface.  With b >= 2 a third curve can cut a bigon of two curves into
+triangles, and two parallel curves can bound an annulus cut into squares.
 """
 
 from __future__ import annotations
@@ -138,10 +140,6 @@ def check_max_weight_bound(graph: FatGraph) -> BoundCheck:
         passed=wmax <= bound,
         details={"signature": sig.triple, "connected_wig": wig.is_connected(),
                  "equality": wmax == bound})
-
-
-# classical name for the same checker
-check_prop62 = check_max_weight_bound
 
 
 def check_euler_identity(graph: FatGraph) -> BoundCheck:

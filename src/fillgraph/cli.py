@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import analysis, families, formats, oracle, synthesis
-from .core import FatGraphError, FatGraph, InvariantError
-from .ops import (JOIN_OTHER, JOIN_SAME_SAME, PLUMB_ALL_DIFF, PLUMB_OTHER,
-                  OperationError, OperationInvariantError, connected_sum,
+from . import analysis, families, formats, oracle, synthesis, verify
+from .core import FatGraphError, InvariantError
+from .ops import (OperationError, OperationInvariantError, connected_sum,
                   join, plumbing)
 
 EXIT_OK = 0
@@ -151,21 +150,17 @@ def cmd_op(args):
     if left is None or right is None:
         return EXIT_INPUT
     try:
-        if args.kind == "join":
-            if args.x is None or args.y is None:
-                _err("join needs --x and --y edge labels")
-                return EXIT_INPUT
-            rep = join(left, right, args.x, args.y, args.flip)
-        elif args.kind == "plumb":
-            if args.x is None or args.y is None:
-                _err("plumb needs --x and --y edge labels")
-                return EXIT_INPUT
-            rep = plumbing(left, right, args.x, args.y, args.flip)
-        else:
+        if args.kind == "consum":
             if args.w is None or args.u is None:
                 _err("consum needs --w and --u vertex indices")
                 return EXIT_INPUT
             rep = connected_sum(left, right, args.w, args.u, args.align)
+        elif args.x is None or args.y is None:
+            _err(f"{args.kind} needs --x and --y edge labels")
+            return EXIT_INPUT
+        else:
+            splice = join if args.kind == "join" else plumbing
+            rep = splice(left, right, args.x, args.y, args.flip)
     except OperationInvariantError as exc:
         _err(f"internal invariant breach: {exc}")
         return EXIT_VERIFY
@@ -186,8 +181,6 @@ def cmd_synth(args):
                 _err("--tight builds minimal fillings; use -b 1")
                 return EXIT_INPUT
             plan = synthesis.tight_omega_filling(g, s)
-        elif b == 1:
-            plan = synthesis.minimal_filling(g, s)
         else:
             plan = synthesis.filling(g, b, s)
     except synthesis.ImpossibleSignatureError as exc:
@@ -263,176 +256,31 @@ def cmd_export(args):
     return EXIT_OK
 
 
-# --- verify ------------------------------------------------------------------
-
-
-def _verify_theorem1(gmax, bmax):
-    failures = 0
-    for g in range(2, gmax + 1):
-        for b in range(1, bmax + 1):
-            size = 2 * g + b - 1
-            try:
-                synthesis.max_filling(g, b)
-                print(f"theorem1 g={g} b={b} size={size}: pass")
-            except Exception as exc:
-                failures += 1
-                print(f"theorem1 g={g} b={b} size={size}: FAIL ({exc})")
-    # census side: no filling exceeds the bound where exhaustion is possible
-    for (g, b) in ((2, 1), (2, 2)):
-        V = 2 * g - 2 + b
-        rows = [r for r in oracle.census(V)
-                if r.filling and r.genus == g and r.boundary_count == b]
-        smax = max((r.standard_cycle_count for r in rows), default=0)
-        ok = smax == 2 * g + b - 1 and not [
-            r for r in rows if r.standard_cycle_count >= 2 * g + b]
-        print(f"theorem1 census (g={g},b={b}): max size {smax} "
-              f"{'pass' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    return failures
-
-
-def _verify_theorem2(gmax, bmax, check_euler=False):
-    failures = 0
-    for g in range(2, gmax + 1):
-        for b in range(1, bmax + 1):
-            lo = synthesis.lower_bound(g, b)
-            hi = synthesis.upper_bound(g, b)
-            for s in range(lo, hi + 1):
-                try:
-                    plan = (synthesis.minimal_filling(g, s) if b == 1
-                            else synthesis.filling(g, b, s))
-                    graph, _ = plan.replay()
-                    tag = "pass"
-                    if check_euler:
-                        chk = analysis.check_euler_identity(graph)
-                        tag = "pass" if chk.passed else "FAIL euler"
-                except Exception as exc:
-                    tag = f"FAIL ({exc})"
-                if tag != "pass":
-                    failures += 1
-                print(f"theorem2 g={g} b={b} s={s}: {tag}")
-    try:
-        synthesis.filling(2, 1, 2)
-        print("theorem2 (2,1,2): FAIL (expected impossible)")
-        failures += 1
-    except synthesis.ImpossibleSignatureError:
-        print("theorem2 (2,1,2): impossible as required, pass")
-    return failures
-
-
-def _verify_theorem3(gmax):
-    failures = 0
-    for V in range(1, oracle.EXHAUSTIVE_CEILING + 1):
-        bad = []
-        for row in oracle.census(V):
-            if not (row.filling and row.boundary_count == 1):
-                continue
-            bound = 2 * row.genus - row.standard_cycle_count + 1
-            if row.omega_max > bound:
-                bad.append(row)
-        print(f"theorem3 census V={V}: "
-              f"{'pass' if not bad else f'FAIL ({len(bad)} rows)'}")
-        failures += len(bad)
-    for g in range(2, gmax + 1):
-        for s in range(synthesis.lower_bound(g, 1), 2 * g + 1):
-            bound = 2 * g - s + 1
-            try:
-                graph, _ = synthesis.minimal_filling(g, s).replay()
-                wmax = analysis.intersection_graph(graph).omega_max()
-                ok = wmax <= bound
-                print(f"theorem3 bound g={g} s={s}: omega_max={wmax} "
-                      f"<= {bound}: {'pass' if ok else 'FAIL'}")
-                failures += 0 if ok else 1
-            except Exception as exc:
-                print(f"theorem3 bound g={g} s={s}: FAIL ({exc})")
-                failures += 1
-            try:
-                synthesis.tight_omega_filling(g, s).replay()
-                print(f"theorem3 tight g={g} s={s}: omega_max={bound} "
-                      f"attained, pass")
-            except Exception as exc:
-                print(f"theorem3 tight g={g} s={s}: FAIL ({exc})")
-                failures += 1
-    return failures
-
-
-def _verify_ops():
-    audits = oracle.verify_formula_by_recompute()
-    failures = 0
-    for op in ("join", "consum", "plumb"):
-        a = audits[op]
-        cases = ", ".join(f"{k}:{v}" for k, v in sorted(a.case_counts.items()))
-        ok = a.mismatches == 0
-        if op == "join":
-            ok = ok and set(a.case_counts) == {JOIN_SAME_SAME, JOIN_OTHER} \
-                and a.corollary_violations == 0
-        if op == "plumb":
-            ok = ok and set(a.case_counts) == {PLUMB_ALL_DIFF, PLUMB_OTHER}
-        if op == "consum":
-            ok = ok and len(a.case_counts) == 4 \
-                and all(v > 0 for v in a.case_counts.values()) \
-                and a.printed_reliable_misses == 0 \
-                and a.printed_matched > 0 \
-                and a.s_law_checked > 0 and a.s_law_misses == 0
-        print(f"ops {op}: trials={a.trials} mismatches={a.mismatches} "
-              f"branches[{cases}] {'pass' if ok else 'FAIL'}")
-        if op == "join":
-            print(f"ops join: new-boundary-length>2 violations="
-                  f"{a.corollary_violations}")
-        if op == "consum":
-            print(f"ops consum: printed-table checked={a.printed_checked} "
-                  f"matched={a.printed_matched} "
-                  f"reliable-misses={a.printed_reliable_misses} "
-                  f"known-underdetermined-misses={a.unreliable_miss_cases}")
-        failures += 0 if ok else 1
-    return failures
-
-
-# the options each suite reads; the others exit 2 when given
-_VERIFY_OPTIONS = {
-    "theorem1": ("gmax", "bmax", "unsafe_large"),
-    "theorem2": ("gmax", "bmax", "unsafe_large"),
-    "euler": ("gmax", "bmax", "unsafe_large"),
-    "theorem3": ("gmax", "unsafe_large"),
-    "ops": (),
-}
-# verify theorem3 builds its bound and tight fillings for g up to this
-THEOREM3_GMAX = 6
-
-
 def cmd_verify(args):
+    run, reads = verify.SUITES[args.what]
     for name in ("gmax", "bmax", "unsafe_large"):
-        if (getattr(args, name) is not None
-                and name not in _VERIFY_OPTIONS[args.what]):
+        if getattr(args, name) is not None and name not in reads:
             _err(f"verify {args.what} does not read "
                  f"--{name.replace('_', '-')}")
             return EXIT_INPUT
-    gmax = 5 if args.gmax is None else args.gmax
-    bmax = 4 if args.bmax is None else args.bmax
-    if args.what == "theorem3" and gmax > THEOREM3_GMAX:
-        _err(f"verify theorem3 checks g <= {THEOREM3_GMAX}, "
+    gmax = verify.GMAX if args.gmax is None else args.gmax
+    bmax = verify.BMAX if args.bmax is None else args.bmax
+    if args.what == "theorem3" and gmax > verify.THEOREM3_GMAX:
+        _err(f"verify theorem3 checks g <= {verify.THEOREM3_GMAX}, "
              f"got --gmax {gmax}")
         return EXIT_INPUT
     if gmax < 2 or bmax < 1:
         _err(f"empty grid: verify needs --gmax >= 2 and --bmax >= 1, "
              f"got --gmax {gmax} --bmax {bmax}")
         return EXIT_INPUT
-    if (gmax > 5 or bmax > 4) and not args.unsafe_large:
-        _err("grid above g<=5, b<=4 needs --unsafe-large")
+    if (gmax > verify.GMAX or bmax > verify.BMAX) and not args.unsafe_large:
+        _err(f"grid above g<={verify.GMAX}, b<={verify.BMAX} "
+             f"needs --unsafe-large")
         return EXIT_INPUT
-    failures = 0
-    if args.what == "theorem1":
-        failures = _verify_theorem1(gmax, bmax)
-    elif args.what == "theorem2":
-        failures = _verify_theorem2(gmax, bmax)
-    elif args.what == "theorem3":
-        failures = _verify_theorem3(gmax)
-    elif args.what == "ops":
-        failures = _verify_ops()
-    elif args.what == "euler":
-        failures = _verify_theorem2(gmax, bmax, check_euler=True)
-    print(f"verify {args.what}: {'ALL PASS' if failures == 0 else f'{failures} FAILURES'}")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+    grid = {"gmax": gmax, "bmax": bmax}
+    result = run(**{k: grid[k] for k in reads if k in grid})
+    sys.stdout.write(result.text())
+    return EXIT_OK if result.failures == 0 else EXIT_VERIFY
 
 
 def build_parser():
@@ -485,8 +333,7 @@ def build_parser():
     r.set_defaults(func=cmd_replay)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("what", choices=("theorem1", "theorem2", "theorem3",
-                                    "ops", "euler"))
+    v.add_argument("what", choices=verify.SUITES)
     # None marks an option not given; cmd_verify fills in g <= 5, b <= 4
     v.add_argument("--gmax", type=int)
     v.add_argument("--bmax", type=int)

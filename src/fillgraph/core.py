@@ -126,9 +126,6 @@ class BoundaryCycle(tuple):
     def word(self, graph):
         return tuple(graph.dart_name(d) for d in self)
 
-    def length(self):
-        return len(self)
-
 
 class StandardCycle(tuple):
     """One curve: darts along a straight-ahead traversal, one per edge used."""

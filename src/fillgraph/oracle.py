@@ -371,7 +371,6 @@ class OpAudit:
     mismatches: int = 0  # hard predicted-vs-recomputed failures
     case_counts: dict = None
     corollary_violations: int = 0  # join: new boundary of length <= 2
-    corollary_skipped: int = 0  # join trials splicing monogon faces
     printed_checked: int = 0
     printed_matched: int = 0
     printed_reliable_misses: int = 0
@@ -460,7 +459,6 @@ def verify_formula_by_recompute(max_census_v=3, census_cap=24):
                         if op != "join":
                             continue
                         if monogon_splice(gl, gr, x, y):
-                            a.corollary_skipped += 1
                             continue
                         for cyc in new_join_boundaries(rep):
                             if len(cyc) <= 2:

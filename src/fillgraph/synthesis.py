@@ -543,9 +543,6 @@ class TargetSignature:
                 f"(g={self.g}, b={self.b})")
         return self
 
-    def plan(self):
-        return filling(self.g, self.b, self.s)
-
 
 def max_filling(g, b) -> SynthesisPlan:
     """Filling of maximal size 2g+b-1 with b complementary discs, g >= 1."""
@@ -560,11 +557,7 @@ def max_filling(g, b) -> SynthesisPlan:
 
 def minimal_filling(g, s) -> SynthesisPlan:
     """Minimal filling (one disc) of genus g >= 2 and size s."""
-    TargetSignature(g, 1, s).validate()
-    plan = SynthesisPlan(target=(g, 1, s))
-    bld = _Builder(plan)
-    _minimal_into(bld, g, s)
-    return bld.verify()
+    return filling(g, 1, s)
 
 
 @_seed

@@ -5,8 +5,7 @@ of the search, a reference census witness and a reference pair search."""
 from fillgraph.core import FatGraph, canonical_code
 from fillgraph.oracle import iter_matchings, matching_to_graph
 from fillgraph.synthesis import (_pair_candidates, filling, lower_bound,
-                                 minimal_filling, tight_omega_filling,
-                                 upper_bound)
+                                 tight_omega_filling, upper_bound)
 
 
 def grid_targets(gmax, bmax, tight_gmax):
@@ -17,8 +16,7 @@ def grid_targets(gmax, bmax, tight_gmax):
         for b in range(1, bmax + 1):
             for s in range(lower_bound(g, b), upper_bound(g, b) + 1):
                 if (g, b, s) != (2, 1, 2):
-                    yield ((minimal_filling, (g, s)) if b == 1
-                           else (filling, (g, b, s)))
+                    yield filling, (g, b, s)
     for g in range(2, tight_gmax + 1):
         for s in range(lower_bound(g, 1), 2 * g + 1):
             yield tight_omega_filling, (g, s)

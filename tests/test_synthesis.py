@@ -356,7 +356,7 @@ class TestSubplanMemo:
                 minimal_filling(4, 4)
         assert memo.cache_info().currsize == 2
         text = formats.dumps_plan(minimal_filling(4, 4))
-        assert text == cold_texts[minimal_filling, (4, 4)]
+        assert text == cold_texts[filling, (4, 1, 4)]
 
     def test_evicts_past_256_entries(self, memo, cold_texts):
         assert memo.cache_info().maxsize == 256
