@@ -16,6 +16,14 @@ Derived structure:
   straight-ahead successor ``d -> sigma0^k(d ^ 1)`` at a degree ``2k`` vertex,
   taken up to orientation reversal.
 
+The signature (g, b, s) is counted, not listed: one breadth-first walk
+over the vertices (:func:`_vertex_walk`), one pass labelling the darts by
+boundary component (:func:`_face_labels`) and, on a 4-regular graph, one
+pass labelling them by curve orbit (:func:`_curve_labels`), each marking
+darts in a flat array and building no cycle tuple.  The cycle tuples
+(``vertex_cycles``, ``boundary_cycles``, ``standard_cycles``) are
+computed only when a caller reads them.
+
 Graphs are immutable; every operation returns a fresh value.
 """
 
@@ -118,6 +126,81 @@ def _orbits(succ, make=tuple):
             d = succ[d]
         out.append(make(cyc))
     return tuple(out)
+
+
+def _vertex_walk(sigma0):
+    """(V, connected, four_regular, decorated) of the map with rotation
+    ``sigma0`` and reversal ``d -> d ^ 1``.
+
+    The vertices are walked breadth first from dart 0 across ``d ^ 1``;
+    the map is connected when that walk marks every dart.  The vertices it
+    missed are walked after it, so V and the two degree flags (every
+    degree 4; every degree even) cover the whole map either way.  Each
+    sigma0 orbit is traversed once.
+    """
+    n = len(sigma0)
+    seen = bytearray(n)
+    V = 0
+    four = even = connected = True
+    queue = [0]
+    while True:
+        for start in queue:  # queue grows while it is walked
+            if seen[start]:
+                continue
+            V += 1
+            seen[start] = 1
+            queue.append(start ^ 1)
+            deg = 1
+            d = sigma0[start]
+            while d != start:
+                seen[d] = 1
+                queue.append(d ^ 1)
+                deg += 1
+                d = sigma0[d]
+            if deg != 4:
+                four = False
+                if deg & 1:
+                    even = False
+        rest = seen.find(0)
+        if rest < 0:
+            return V, connected, four, even
+        connected = False
+        queue = [rest]
+
+
+def _face_labels(sigma0):
+    """(b, labels): the number of boundary components of the map with
+    rotation ``sigma0``, and by dart the index of its component, the
+    components numbered in increasing order of their least dart as
+    :attr:`FatGraph.boundary_cycles` lists them."""
+    labels = [-1] * len(sigma0)
+    b = 0
+    for s in range(len(sigma0)):
+        if labels[s] < 0:
+            d = s
+            while labels[d] < 0:
+                labels[d] = b
+                d = sigma0[d ^ 1]
+            b += 1
+    return b, labels
+
+
+def _curve_labels(sigma0):
+    """(starts, labels) of the straight-ahead successor
+    ``d -> sigma0[sigma0[d ^ 1]]`` of a 4-regular map: the least dart of
+    each orbit in increasing order, and by dart the index of its orbit in
+    ``starts``."""
+    labels = [-1] * len(sigma0)
+    starts = []
+    for s in range(len(sigma0)):
+        if labels[s] < 0:
+            k = len(starts)
+            starts.append(s)
+            d = s
+            while labels[d] < 0:
+                labels[d] = k
+                d = sigma0[sigma0[d ^ 1]]
+    return starts, labels
 
 
 class BoundaryCycle(tuple):
@@ -334,40 +417,29 @@ class FatGraph:
                 vo[d] = i
         return tuple(vo)
 
+    @cached_property
+    def _walk(self):
+        """(V, connected, four_regular, decorated) of :func:`_vertex_walk`."""
+        return _vertex_walk(self._sigma0)
+
     @property
     def num_vertices(self):
-        return len(self.vertex_cycles)
+        return self._walk[0]
 
     def degree(self, v):
         return len(self.vertex_cycles[v])
 
-    @cached_property
+    @property
     def is_connected(self):
-        nv = self.num_vertices
-        if nv <= 1:
-            return True
-        vo = self.vertex_of
-        cycles = self.vertex_cycles
-        seen = [False] * nv
-        seen[0] = True
-        stack = [0]
-        cnt = 1
-        while stack:
-            for d in cycles[stack.pop()]:
-                w = vo[d ^ 1]
-                if not seen[w]:
-                    seen[w] = True
-                    cnt += 1
-                    stack.append(w)
-        return cnt == nv
+        return self._walk[1]
 
-    @cached_property
-    def is_decorated(self):
-        return all(len(c) % 2 == 0 for c in self.vertex_cycles)
-
-    @cached_property
+    @property
     def is_four_regular(self):
-        return all(len(c) == 4 for c in self.vertex_cycles)
+        return self._walk[2]
+
+    @property
+    def is_decorated(self):
+        return self._walk[3]
 
     def loops_at(self, v):
         darts = self.vertex_cycles[v]
@@ -389,12 +461,19 @@ class FatGraph:
 
     @cached_property
     def boundary_component_of(self):
-        """dart -> index into boundary_cycles."""
-        out = [0] * self.num_darts
-        for i, cyc in enumerate(self.boundary_cycles):
-            for d in cyc:
-                out[d] = i
-        return tuple(out)
+        """dart -> index into boundary_cycles: the labels of
+        :func:`_face_labels`, which :meth:`signature` leaves here."""
+        return tuple(_face_labels(self._sigma0)[1])
+
+    @cached_property
+    def face_lengths(self):
+        """Length of each boundary component, by index into
+        boundary_cycles, counted from boundary_component_of."""
+        component = self.boundary_component_of
+        lengths = [0] * (max(component) + 1)
+        for c in component:
+            lengths[c] += 1
+        return tuple(lengths)
 
     @cached_property
     def standard_successor(self):
@@ -463,21 +542,32 @@ class FatGraph:
         return self._signature
 
     def _compute_signature(self):
-        if not self.is_connected:
+        """Count V, b and s in the three passes of the kernel and check
+        the two invariants that Euler's formula and the curves rest on."""
+        V, connected, four, even = self._walk
+        if not connected:
             raise DisconnectedError(
                 "genus of a disconnected thickening is not defined")
-        V = self.num_vertices
-        m = self.num_edges
-        b = len(self.boundary_cycles)
+        s0 = self._sigma0
+        m = len(s0) // 2
+        b, faces = _face_labels(s0)
         twog = 2 - b - V + m
         if twog % 2 or twog < 0:
             raise InvariantError(f"bad Euler data V={V} m={m} b={b}")
-        s = len(self.standard_cycles) if self.is_decorated else None
+        self.__dict__.setdefault("boundary_component_of", tuple(faces))
+        if four:
+            starts, curves = _curve_labels(s0)
+            for d in starts:
+                if curves[d ^ 1] == curves[d]:
+                    raise InvariantError(
+                        "orientation reversal fixes a curve orbit")
+            s = len(starts) // 2
+        else:
+            s = len(self.standard_cycles) if even else None
         return SurfaceSignature(
             genus=twog // 2, boundary_count=b, standard_cycle_count=s,
-            vertex_count=V, edge_count=m,
-            is_four_regular=self.is_four_regular,
-            is_decorated=self.is_decorated)
+            vertex_count=V, edge_count=m, is_four_regular=four,
+            is_decorated=even)
 
     def is_filling_system(self):
         """(verdict, diagnostics).  True iff connected, 4-regular, all curves
@@ -496,10 +586,10 @@ class FatGraph:
                 curve, v = revisit
                 diags.append(f"curve {curve} revisits vertex {v}")
             else:
-                for i, cyc in enumerate(self.boundary_cycles):
-                    if len(cyc) < 3:
+                for i, length in enumerate(self.face_lengths):
+                    if length < 3:
                         diags.append(
-                            f"boundary face {i} has length {len(cyc)} < 3")
+                            f"boundary face {i} has length {length} < 3")
                         break
         return (not diags), diags
 

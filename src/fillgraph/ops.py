@@ -8,9 +8,10 @@ must agree exactly; a mismatch raises :class:`OperationInvariantError`.
 The result is built directly on integer darts.  Every operand dart maps to
 a dart of a new edge key (the operands' edges, then the new edges), and
 the result numbers its edges in order of first appearance along the
-operands' vertex cycles, left before right, exactly as
-:meth:`FatGraph.from_vertex_cycles` would number the same cycles written
-as label tokens.  Names are applied once at the end: left labels stay,
+operands' ``sigma0`` orbits, walked in ``vertex_cycles`` order, left before
+right, exactly as :meth:`FatGraph.from_vertex_cycles` would number the same
+cycles written as label tokens; the operands' vertex cycles themselves are
+never built.  Names are applied once at the end: left labels stay,
 right labels are primed on collision, and the new edges, primed likewise,
 are ``e``/``f`` for a join, the cut edge labels with ``1``/``2`` appended
 for a plumbing, and ``g1``..``g4`` for a connected sum.
@@ -109,18 +110,22 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
 
 
 def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
-             skip=(-1, -1), new_vertex=None):
+             skip=((), ()), new_vertex=None):
     """Result graph of a surgery, built on integer darts.
 
     Edge keys number the left edges, then the right edges, then the new
     edges; key dart ``2 * k + r`` is the forward (r = 0) or reverse dart
     of the edge with key k.  Left dart d is key dart d and right dart d is
     key dart ``2 * m1 + d``, except the darts that ``lmap``/``rmap`` send
-    to new edges.  The vertices with indices ``skip`` (left, right) are
-    deleted and ``new_vertex``, a cycle of key darts, is added last.  The
-    result numbers its edges in order of first appearance along these
-    cycles, as :meth:`FatGraph.from_vertex_cycles` numbers labels, and
-    names the edge with key k ``names[k]``.
+    to new edges.  The vertices holding the darts ``skip`` (left, right)
+    are deleted and ``new_vertex``, a cycle of key darts, is added last.
+
+    Each operand's ``sigma0`` orbits are walked in the order of
+    :attr:`FatGraph.vertex_cycles` (by least dart, each from its least
+    dart), left before right, without building those cycles.  The result
+    numbers its edges in order of first appearance along this walk, as
+    :meth:`FatGraph.from_vertex_cycles` numbers labels, writes its
+    ``sigma0`` as it goes, and names the edge with key k ``names[k]``.
     """
     off = 2 * left.num_edges
     lkey = list(range(off))
@@ -129,29 +134,42 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
         lkey[d] = kd
     for d, kd in rmap.items():
         rkey[d] = kd
-    cycles = [[lkey[d] for d in cyc]
-              for vi, cyc in enumerate(left.vertex_cycles) if vi != skip[0]]
-    cycles += [[rkey[d] for d in cyc]
-               for vi, cyc in enumerate(right.vertex_cycles) if vi != skip[1]]
+    for d in skip[0]:
+        lkey[d] = -1
+    for d in skip[1]:
+        rkey[d] = -1
+    parts = [(left.sigma0, lkey), (right.sigma0, rkey)]
     if new_vertex is not None:
-        cycles.append(new_vertex)
+        # walked as one more operand: one vertex whose darts are the
+        # positions of new_vertex, each rotating to the next
+        k = len(new_vertex)
+        parts.append((list(range(1, k)) + [0], list(new_vertex)))
 
-    edge_of = [-1] * len(names)
+    new_of = [-1] * (2 * len(names))  # key dart -> result dart
     labels = []
-    for cyc in cycles:
-        for i, kd in enumerate(cyc):
-            k = kd >> 1
-            e = edge_of[k]
-            if e < 0:
-                e = edge_of[k] = len(labels)
-                labels.append(names[k])
-            cyc[i] = 2 * e + (kd & 1)
-    sigma0 = [0] * (2 * len(labels))
-    for cyc in cycles:
-        prev = cyc[-1]
-        for d in cyc:
-            sigma0[prev] = d
-            prev = d
+    # the slot past the result's darts holds each cycle's first dart
+    sigma0 = [0] * (2 * len(names) + 1)
+    for s0, key in parts:  # key[d] is -1 once dart d is walked
+        for start in range(len(s0)):
+            if key[start] < 0:
+                continue
+            prev = -1
+            d = start
+            while True:
+                kd = key[d]
+                key[d] = -1
+                nd = new_of[kd]
+                if nd < 0:
+                    nd = new_of[kd] = 2 * len(labels) + (kd & 1)
+                    new_of[kd ^ 1] = nd ^ 1
+                    labels.append(names[kd >> 1])
+                sigma0[prev] = nd
+                prev = nd
+                d = s0[d]
+                if d == start:
+                    break
+            sigma0[prev] = sigma0[-1]
+    del sigma0[2 * len(labels):]
     return FatGraph(sigma0, labels)
 
 
@@ -453,7 +471,8 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
     # rev(e_i) -> g_i+,  rev(f_j) -> g_{3-j}-   (0-based coupling)
     lmap = {d ^ 1: kg + 2 * i for i, d in enumerate(w_darts)}
     rmap = {d ^ 1: kg + 2 * (3 - j) + 1 for j, d in enumerate(u_darts)}
-    result = _rewired(left, right, lmap, rmap, names, skip=(w, u))
+    result = _rewired(left, right, lmap, rmap, names,
+                      skip=(w_darts, u_darts))
     if not result.is_connected:
         # both deleted vertices were cut vertices whose pieces pair apart
         raise OperationError(

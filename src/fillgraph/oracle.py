@@ -333,16 +333,16 @@ def census(V):
             edge_count=sig.edge_count, genus=sig.genus,
             boundary_count=sig.boundary_count,
             standard_cycle_count=sig.standard_cycle_count,
-            boundary_lengths=_descending(graph.boundary_cycles),
-            cycle_lengths=_descending(graph.standard_cycles),
+            boundary_lengths=_descending(graph.face_lengths),
+            cycle_lengths=_descending(map(len, graph.standard_cycles)),
             filling=filling, omega_max=omega,
             count=_class_count(V, witness, automorphisms), witness=witness,
             automorphisms=automorphisms))
     return tuple(rows)
 
 
-def _descending(cycles):
-    return tuple(sorted(map(len, cycles), reverse=True))
+def _descending(lengths):
+    return tuple(sorted(lengths, reverse=True))
 
 
 def census_filter(V, genus=None, b=None, s=None, filling=None):

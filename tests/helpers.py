@@ -1,6 +1,7 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
 reference isomorphism invariant, a reference walk for the census lookup
-of the search, a reference census witness and a reference pair search."""
+of the search, a reference census witness, a reference pair search and
+the surface invariants read from the cycle tuples."""
 
 from fillgraph.core import FatGraph, canonical_code
 from fillgraph.oracle import iter_matchings, matching_to_graph
@@ -134,3 +135,38 @@ def pair_search_reference(V, target):
                 and graph.signature().triple == tuple(target)):
             return graph.to_vertex_cycle_tokens(), examined
     return None, examined
+
+
+def tuple_invariants(graph):
+    """The invariants that the counting kernel of
+    :meth:`FatGraph.signature` computes, read from the cycle tuples
+    instead: vertex count, boundary count, curve count (None unless every
+    degree is even), connectivity by a breadth-first search over the
+    vertex cycles, 4-regularity, even degrees, the boundary component of
+    each dart as an index into ``boundary_cycles``, and the length of each
+    boundary component."""
+    vertices = graph.vertex_cycles
+    vertex_of = graph.vertex_of
+    reached = {0}
+    stack = [0]
+    while stack:
+        for d in vertices[stack.pop()]:
+            w = vertex_of[d ^ 1]
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    decorated = all(len(c) % 2 == 0 for c in vertices)
+    component = [None] * graph.num_darts
+    for i, face in enumerate(graph.boundary_cycles):
+        for d in face:
+            component[d] = i
+    return {
+        "V": len(vertices),
+        "b": len(graph.boundary_cycles),
+        "s": len(graph.standard_cycles) if decorated else None,
+        "connected": len(reached) == len(vertices),
+        "four_regular": all(len(c) == 4 for c in vertices),
+        "decorated": decorated,
+        "boundary_component_of": tuple(component),
+        "face_lengths": tuple(map(len, graph.boundary_cycles)),
+    }

@@ -8,12 +8,17 @@ assert that they have no failures and hold their time bounds.
 
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import fillgraph
 from fillgraph import cli, families, formats, oracle, verify
 from fillgraph.families import (EXAMPLE_5_2_BOUNDARY_WORDS, catalog,
                                 gamma2b_boundary_words, gamma_g_boundary_word)
@@ -140,12 +145,24 @@ def test_criterion_8_determinism_and_roundtrip(ops_run):
     # the audit's stdout is pinned: its trial, case and table counts
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fd4e5ec1e3cd3ca7530c97ed45f5976f7f72b2952fb76a6193c830397182e2ec")
-    runs = []
-    for _ in range(2):
-        code, out = _capture(["enumerate", "-V", "3", "--format", "csv"])
-        assert code == 0
-        runs.append(out)
-    assert runs[0] == runs[1]
+    # enumerate in two fresh interpreters with different hash seeds, so
+    # neither reads the census cache of this process or another's hash
+    # order, and once in this process
+    argv = ["enumerate", "-V", "3", "--format", "csv"]
+    code, here = _capture(argv)
+    assert code == 0
+    src = str(Path(fillgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fresh = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fillgraph", *argv], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(proc.stdout)
+    assert fresh[0] == fresh[1] == here
 
     rng = random.Random(8)
     rows = [r for V in (1, 2, 3, 4) for r in oracle.census(V)]
@@ -156,5 +173,6 @@ def test_criterion_8_determinism_and_roundtrip(ops_run):
         h = formats.loads_graph(text)
         assert formats.dumps_graph(h) == text
         assert sorted(h.labels) == sorted(g.labels)
-    report(8, "verify and enumerate byte-identical across runs; 1000 "
-              "randomized census graphs round-trip", time.time() - t0)
+    report(8, "verify byte-identical across runs, enumerate across two "
+              "fresh interpreters; 1000 randomized census graphs "
+              "round-trip", time.time() - t0)

@@ -190,19 +190,48 @@ class TestSignature:
             with pytest.raises(DisconnectedError):
                 g.signature()
 
-    def test_euler_check_survives_optimize(self):
-        # one boundary cycle short makes 2 - b - V + m odd; the check must
-        # still raise when python -O strips assert statements
-        code = ("from fillgraph.core import FatGraph, InvariantError\n"
-                "g = FatGraph.from_vertex_cycles([['a+', 'b+', 'a-', 'b-']])\n"
-                "g.__dict__['boundary_cycles'] = ()\n"
+    @staticmethod
+    def _signature_under_optimize(fault):
+        """stdout of ``python -O`` computing the torus's signature after
+        ``fault`` has replaced one pass of the kernel in ``core``: the
+        name of the exception and its message."""
+        code = ("import fillgraph.core as core\n" + fault +
+                "g = core.FatGraph.from_vertex_cycles("
+                "[['a+', 'b+', 'a-', 'b-']])\n"
                 "try:\n    g.signature()\n"
-                "except InvariantError:\n    print('raised')\n")
+                "except core.InvariantError as exc:\n"
+                "    print('InvariantError', exc)\n")
         src = str(Path(fillgraph.__file__).resolve().parent.parent)
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              env={"PYTHONPATH": src}, capture_output=True,
                              text=True, timeout=60)
-        assert out.stdout.strip() == "raised", out.stderr
+        assert not out.stderr, out.stderr
+        return out.stdout.strip()
+
+    def test_euler_check_survives_optimize(self):
+        # a face pass that counts one boundary component short makes
+        # 2 - b - V + m odd; the check must still raise when python -O
+        # strips assert statements
+        out = self._signature_under_optimize(
+            "faces = core._face_labels\n"
+            "def one_short(sigma0):\n"
+            "    b, labels = faces(sigma0)\n"
+            "    return b - 1, labels\n"
+            "core._face_labels = one_short\n")
+        assert out.startswith("InvariantError bad Euler data"), out
+
+    def test_curve_mirror_check_survives_optimize(self):
+        # a curve pass that puts a dart and its reverse on one orbit
+        # claims a curve that orientation reversal fixes
+        out = self._signature_under_optimize(
+            "curves = core._curve_labels\n"
+            "def mirrored(sigma0):\n"
+            "    starts, labels = curves(sigma0)\n"
+            "    labels[starts[0] ^ 1] = labels[starts[0]]\n"
+            "    return starts, labels\n"
+            "core._curve_labels = mirrored\n")
+        assert out == ("InvariantError orientation reversal fixes a curve "
+                       "orbit"), out
 
 
 class TestFillingPredicate:

@@ -1,0 +1,135 @@
+"""The counting kernel of :meth:`FatGraph.signature` against the surface
+invariants read from the cycle tuples (:func:`helpers.tuple_invariants`).
+
+Each graph is rebuilt from its ``sigma0`` and labels before the kernel
+reads it, so nothing computed earlier on the same value is reused.  The
+graphs: every census class with V <= 4, the catalog (with the degree-2
+vertex of ``sphere_circle``), every graph of every g <= 5, b <= 4 plan,
+a seeded sample of 300 join, plumbing and connected-sum results, and
+disconnected unions, on which the signature must raise.
+"""
+
+import random
+
+import pytest
+from helpers import grid_plans, tuple_invariants
+
+from fillgraph import families, oracle
+from fillgraph.core import DisconnectedError, FatGraph
+from fillgraph.ops import OperationError, connected_sum, join, plumbing
+
+
+def kernel_invariants(graph):
+    """What the kernel reports on a fresh copy of ``graph``: the fields
+    of its signature and the flags, face labels and face lengths it
+    leaves behind, or the flags, face labels and face lengths alone when
+    the signature raises :class:`DisconnectedError`."""
+    fresh = FatGraph(graph.sigma0, graph.labels)
+    try:
+        sig = fresh.signature()
+    except DisconnectedError:
+        assert not fresh.is_connected
+        component = fresh.boundary_component_of
+        b = max(component) + 1
+        return {"V": fresh.num_vertices, "b": b, "s": "raised",
+                "connected": False, "four_regular": fresh.is_four_regular,
+                "decorated": fresh.is_decorated,
+                "boundary_component_of": component,
+                "face_lengths": fresh.face_lengths}
+    assert sig.edge_count == graph.num_edges
+    assert (sig.vertex_count - sig.edge_count + sig.boundary_count
+            == 2 - 2 * sig.genus)
+    return {"V": sig.vertex_count, "b": sig.boundary_count,
+            "s": sig.standard_cycle_count, "connected": fresh.is_connected,
+            "four_regular": sig.is_four_regular,
+            "decorated": sig.is_decorated,
+            "boundary_component_of": fresh.boundary_component_of,
+            "face_lengths": fresh.face_lengths}
+
+
+def assert_kernel_agrees(graph):
+    want = tuple_invariants(FatGraph(graph.sigma0, graph.labels))
+    got = kernel_invariants(graph)
+    if not want["connected"]:
+        want["s"] = "raised"
+    assert got == want, graph
+
+
+def disjoint_union(a, b):
+    """The graph with the components of ``a`` and of ``b``, the darts of
+    ``b`` numbered after those of ``a`` and its labels primed."""
+    n = a.num_darts
+    sigma0 = list(a.sigma0) + [n + d for d in b.sigma0]
+    return FatGraph(sigma0, list(a.labels) + [nm + "'" for nm in b.labels])
+
+
+def test_census_classes():
+    for V in range(1, 5):
+        for row in oracle.census(V):
+            assert_kernel_agrees(row.graph())
+
+
+def test_catalog():
+    rows = list(families.catalog(8, 8))
+    assert any(not row.build().is_four_regular for row in rows)
+    for row in rows:
+        assert_kernel_agrees(row.build())
+
+
+def test_plan_graphs():
+    for plan in grid_plans(5, 4, 0):
+        graph, reports = plan.replay()
+        assert_kernel_agrees(graph)
+        for rep in reports:
+            assert_kernel_agrees(rep.result)
+
+
+def test_operation_results():
+    rng = random.Random(12)
+    pool = [g for _, g in oracle._operand_pool(3, 24)]
+    results = 0
+    while results < 300:
+        left = rng.choice(pool)
+        right = rng.choice(pool)
+        right = FatGraph(right.sigma0, right.labels)  # never left itself
+        op = rng.choice(("join", "plumb", "consum"))
+        try:
+            if op == "consum":
+                rep = connected_sum(left, right,
+                                    rng.randrange(left.num_vertices),
+                                    rng.randrange(right.num_vertices),
+                                    rng.randrange(4))
+            else:
+                rep = (join if op == "join" else plumbing)(
+                    left, right, rng.choice(left.labels),
+                    rng.choice(right.labels), rng.random() < 0.5)
+        except OperationError:
+            continue
+        assert_kernel_agrees(rep.result)
+        results += 1
+        if rep.result.num_darts <= 80:
+            pool.append(rep.result)
+
+
+def odd_degree_graphs():
+    """Two graphs with two vertices each, of degree 3 and of degree 5."""
+    return [FatGraph.from_vertex_cycles(
+        [[f"{x}+" for x in "abcde"[:k]], [f"{x}-" for x in "abcde"[:k]]])
+        for k in (3, 5)]
+
+
+def test_odd_degrees():
+    for graph in odd_degree_graphs():
+        assert_kernel_agrees(graph)
+        assert graph.signature().standard_cycle_count is None
+
+
+def test_disconnected_graphs():
+    graphs = [row.graph() for V in (1, 2) for row in oracle.census(V)]
+    graphs += [families.build(families.SPHERE_CIRCLE), *odd_degree_graphs()]
+    for a in graphs:
+        for b in graphs:
+            union = disjoint_union(a, b)
+            assert_kernel_agrees(union)
+            with pytest.raises(DisconnectedError):
+                union.signature()
