@@ -103,7 +103,7 @@ def cmd_analyze(args):
         _err(f"analysis failed: {exc}")
         return EXIT_INPUT
     filling, diags = graph.is_filling_system()
-    blens = [len(c) for c in graph.boundary_cycles]
+    blens = list(graph.face_lengths)
     info = {
         "signature": {"g": sig.genus, "b": sig.boundary_count,
                       "s": sig.standard_cycle_count,

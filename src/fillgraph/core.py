@@ -17,12 +17,14 @@ Derived structure:
   taken up to orientation reversal.
 
 The signature (g, b, s) is counted, not listed: one breadth-first walk
-over the vertices (:func:`_vertex_walk`), one pass labelling the darts by
-boundary component (:func:`_face_labels`) and, on a 4-regular graph, one
-pass labelling them by curve orbit (:func:`_curve_labels`), each marking
-darts in a flat array and building no cycle tuple.  The cycle tuples
+over the vertices (:func:`_vertex_walk`), then one labeller,
+:func:`_orbit_labels`, marks each dart with its boundary component and
+with its straight-ahead orbit in flat arrays, building no cycle tuple.
+The curve labels are the one source of the curves: ``s``, which orbit of
+a mirror pair ``standard_cycles`` keeps, ``curve_of_edge`` and whether a
+curve revisits a vertex are all read from them.  The cycle tuples
 (``vertex_cycles``, ``boundary_cycles``, ``standard_cycles``) are
-computed only when a caller reads them.
+computed only when a caller reads them; :func:`_orbits` builds them.
 
 Graphs are immutable; every operation returns a fresh value.
 """
@@ -168,38 +170,21 @@ def _vertex_walk(sigma0):
         queue = [rest]
 
 
-def _face_labels(sigma0):
-    """(b, labels): the number of boundary components of the map with
-    rotation ``sigma0``, and by dart the index of its component, the
-    components numbered in increasing order of their least dart as
-    :attr:`FatGraph.boundary_cycles` lists them."""
-    labels = [-1] * len(sigma0)
-    b = 0
-    for s in range(len(sigma0)):
-        if labels[s] < 0:
-            d = s
-            while labels[d] < 0:
-                labels[d] = b
-                d = sigma0[d ^ 1]
-            b += 1
-    return b, labels
-
-
-def _curve_labels(sigma0):
-    """(starts, labels) of the straight-ahead successor
-    ``d -> sigma0[sigma0[d ^ 1]]`` of a 4-regular map: the least dart of
-    each orbit in increasing order, and by dart the index of its orbit in
-    ``starts``."""
-    labels = [-1] * len(sigma0)
+def _orbit_labels(succ):
+    """(starts, labels) of the permutation ``succ`` of 0..n-1: the least
+    element of each cycle in increasing order, and by element the index
+    of its cycle in ``starts``, so cycles are numbered as :func:`_orbits`
+    lists them."""
+    labels = [-1] * len(succ)
     starts = []
-    for s in range(len(sigma0)):
+    for s in range(len(succ)):
         if labels[s] < 0:
             k = len(starts)
             starts.append(s)
             d = s
             while labels[d] < 0:
                 labels[d] = k
-                d = sigma0[sigma0[d ^ 1]]
+                d = succ[d]
     return starts, labels
 
 
@@ -461,9 +446,9 @@ class FatGraph:
 
     @cached_property
     def boundary_component_of(self):
-        """dart -> index into boundary_cycles: the labels of
-        :func:`_face_labels`, which :meth:`signature` leaves here."""
-        return tuple(_face_labels(self._sigma0)[1])
+        """dart -> index into boundary_cycles: the face labels of
+        :func:`_orbit_labels`, which :meth:`signature` leaves here."""
+        return tuple(_orbit_labels(self.boundary_successor)[1])
 
     @cached_property
     def face_lengths(self):
@@ -495,41 +480,50 @@ class FatGraph:
         return tuple(out)
 
     @cached_property
-    def standard_orbits(self):
-        """All orbits of the straight-ahead successor (2s of them)."""
-        return _orbits(self.standard_successor)
+    def _curve_orbits(self):
+        """(starts, labels) of :func:`_orbit_labels` over the
+        straight-ahead successor: 2s orbits, two mirrors per curve.  On a
+        4-regular graph the successor is ``d -> sigma0[sigma0[d ^ 1]]``,
+        read from ``sigma0`` without building the vertex cycles.  Raises
+        :class:`NotDecoratedError` when some vertex has odd degree.
+
+        Reversing an orbit gives the orbit of the reversed darts, so
+        orientation reversal fixes an orbit exactly when it holds the
+        reverse of its least dart; that is an :class:`InvariantError`."""
+        s0 = self._sigma0
+        if self.is_four_regular:
+            succ = [s0[s0[d ^ 1]] for d in range(len(s0))]
+        else:
+            succ = self.standard_successor
+        starts, labels = _orbit_labels(succ)
+        for d in starts:
+            if labels[d ^ 1] == labels[d]:
+                raise InvariantError(
+                    "orientation reversal fixes a curve orbit")
+        return starts, labels
 
     @cached_property
     def standard_cycles(self):
         """Curves: orbits quotiented by orientation reversal.  Each curve is
-        reported once, traversed from its least dart.
-
-        Reversing an orbit gives an orbit, so an orbit is kept exactly when
-        its mirror comes later in ``standard_orbits``.
-        """
-        orbits = self.standard_orbits
-        orbit_of = [0] * self.num_darts
-        for i, orb in enumerate(orbits):
-            for d in orb:
-                orbit_of[d] = i
-        reps = []
-        for i, orb in enumerate(orbits):
-            mirror = orbit_of[orb[0] ^ 1]
-            if mirror == i:
-                raise InvariantError(
-                    "orientation reversal fixes a curve orbit")
-            if mirror > i:
-                reps.append(StandardCycle(orb))
-        return tuple(reps)
+        reported once, traversed from its least dart: an orbit is kept
+        exactly when its mirror's label comes later."""
+        labels = self._curve_orbits[1]
+        return tuple(StandardCycle(orb) for k, orb
+                     in enumerate(_orbits(self.standard_successor))
+                     if labels[orb[0] ^ 1] > k)
 
     @cached_property
     def curve_of_edge(self):
-        """undirected edge -> index into standard_cycles."""
-        out = [None] * self.num_edges
-        for i, cyc in enumerate(self.standard_cycles):
-            for d in cyc:
-                out[d >> 1] = i
-        return tuple(out)
+        """undirected edge -> index into standard_cycles, read from the
+        curve labels: the darts of an edge lie on two mirror orbits, and
+        standard_cycles keeps the one with the smaller label."""
+        starts, labels = self._curve_orbits
+        index = {}
+        for k, d in enumerate(starts):
+            if labels[d ^ 1] > k:
+                index[k] = len(index)
+        return tuple(index[min(labels[d], labels[d ^ 1])]
+                     for d in range(0, len(labels), 2))
 
     # -- signature and validity --------------------------------------------
 
@@ -550,20 +544,13 @@ class FatGraph:
                 "genus of a disconnected thickening is not defined")
         s0 = self._sigma0
         m = len(s0) // 2
-        b, faces = _face_labels(s0)
+        starts, faces = _orbit_labels([s0[d ^ 1] for d in range(2 * m)])
+        b = len(starts)
         twog = 2 - b - V + m
         if twog % 2 or twog < 0:
             raise InvariantError(f"bad Euler data V={V} m={m} b={b}")
         self.__dict__.setdefault("boundary_component_of", tuple(faces))
-        if four:
-            starts, curves = _curve_labels(s0)
-            for d in starts:
-                if curves[d ^ 1] == curves[d]:
-                    raise InvariantError(
-                        "orientation reversal fixes a curve orbit")
-            s = len(starts) // 2
-        else:
-            s = len(self.standard_cycles) if even else None
+        s = len(self._curve_orbits[0]) // 2 if even else None
         return SurfaceSignature(
             genus=twog // 2, boundary_count=b, standard_cycle_count=s,
             vertex_count=V, edge_count=m, is_four_regular=four,
@@ -597,7 +584,19 @@ class FatGraph:
         """(curve, vertex) for the first standard cycle that passes some
         vertex twice, naming the first such vertex along the curve; None
         when every curve is simple.  Raises :class:`NotDecoratedError`
-        when some vertex has odd degree."""
+        when some vertex has odd degree.
+
+        On a 4-regular graph the curve labels answer first.  At a vertex
+        with rotation (c0 c1 c2 c3) one strand carries the orbit of c0
+        and its mirror, the orbit of c2, and the other strand those of
+        c1 and c3; so one curve runs along both strands exactly when two
+        darts ``d`` and ``sigma0[d]`` lie on one orbit.  The cycle tuples
+        are walked only to name the curve and vertex."""
+        if self.is_four_regular:
+            s0 = self._sigma0
+            labels = self._curve_orbits[1]
+            if not any(labels[s0[d]] == labels[d] for d in range(len(s0))):
+                return None
         vo = self.vertex_of
         for i, cyc in enumerate(self.standard_cycles):
             visits = [vo[d] for d in cyc]

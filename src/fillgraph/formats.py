@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 
-from .core import FatGraph, FatGraphError
+from .core import FatGraph, FatGraphError, NotDecoratedError
 from .synthesis import Step, SynthesisPlan
 
 FATGRAPH_FORMAT = "fatgraph/1"
@@ -228,7 +228,8 @@ _DOT_COLORS = ("red", "blue", "forestgreen", "darkorange", "purple",
 
 def graph_to_dot(graph: FatGraph) -> str:
     """DOT emission: vertices as nodes, undirected edges once each, the
-    rotation recorded in port attributes and curves colored consistently."""
+    rotation recorded in port attributes and curves colored consistently.
+    A graph with an odd-degree vertex has no curves; its edges are black."""
     lines = ["graph fatgraph {", "  node [shape=circle];"]
     vo = graph.vertex_of
     slot = {}
@@ -237,7 +238,7 @@ def graph_to_dot(graph: FatGraph) -> str:
             slot[d] = i
     try:
         coe = graph.curve_of_edge
-    except Exception:
+    except NotDecoratedError:
         coe = [None] * graph.num_edges
     for v in range(graph.num_vertices):
         rot = " ".join(graph.dart_name(d) for d in graph.vertex_cycles[v])

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FatGraph, FatGraphError, InvariantError, SurfaceSignature
+from .core import (FatGraph, FatGraphError, InvariantError, SurfaceSignature,
+                   _orbit_labels)
 
 
 class OperationError(FatGraphError):
@@ -306,34 +307,26 @@ def _spliced_orbit_count(succ_l, w_darts, succ_r, u_darts):
     Strand i of w (dart e_i) merges with strand 3-i of u (dart f_{3-i}):
     g_i+ replaces the pair (rev e_i, f_{3-i}) and g_i- replaces
     (rev f_{3-i}, e_i).  The darts of both deleted vertices and their
-    reverses drop out.  Neither vertex carries a loop, so no surviving
-    dart steps onto a dropped one.
+    reverses drop out: each is made a fixed point of the spliced map and
+    its orbit taken off the count.  Neither vertex carries a loop, so no
+    surviving dart steps onto a dropped one.
     """
     n1 = len(succ_l)
     g = n1 + len(succ_r)
     to = list(range(g))
-    seen = bytearray(g + 8)
     for i in range(4):
         e, f = w_darts[i], n1 + u_darts[3 - i]
         to[e ^ 1] = g + 2 * i
         to[f ^ 1] = g + 2 * i + 1
-        for d in (e, e ^ 1, f, f ^ 1):
-            seen[d] = 1  # dropped
     nxt = [to[d] for d in succ_l]
     nxt += [to[n1 + d] for d in succ_r]
     for i in range(4):
         nxt.append(to[n1 + succ_r[u_darts[3 - i]]])
         nxt.append(to[succ_l[w_darts[i]]])
-    orbits = 0
-    for s in range(len(nxt)):
-        if seen[s]:
-            continue
-        orbits += 1
-        d = s
-        while not seen[d]:
-            seen[d] = 1
-            d = nxt[d]
-    return orbits
+    for e in (*w_darts, *(n1 + f for f in u_darts)):
+        nxt[e] = e
+        nxt[e ^ 1] = e ^ 1
+    return len(_orbit_labels(nxt)[0]) - 16
 
 
 def _chi_audit(left, w_darts, right, u_darts, ls, rs):

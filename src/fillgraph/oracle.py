@@ -434,9 +434,9 @@ def verify_formula_by_recompute(max_census_v=3, census_cap=24):
         # the length > 2 corollary presumes no spliced dart sits on a
         # monogon face (two monogons can merge into a new bigon)
         for g, lab in ((gl, x), (gr, y)):
-            comp = g.boundary_component_of
+            comp, lengths = g.boundary_component_of, g.face_lengths
             for d in g.darts_of(lab):
-                if len(g.boundary_cycles[comp[d]]) < 2:
+                if lengths[comp[d]] < 2:
                     return True
         return False
 

@@ -1,9 +1,10 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
 reference isomorphism invariant, a reference walk for the census lookup
 of the search, a reference census witness, a reference pair search and
-the surface invariants read from the cycle tuples."""
+the surface invariants and curves read from the cycle tuples."""
 
-from fillgraph.core import FatGraph, canonical_code
+from fillgraph.core import (FatGraph, StandardCycle, _orbits,
+                            canonical_code)
 from fillgraph.oracle import iter_matchings, matching_to_graph
 from fillgraph.synthesis import (_pair_candidates, filling, lower_bound,
                                  tight_omega_filling, upper_bound)
@@ -144,7 +145,8 @@ def tuple_invariants(graph):
     degree is even), connectivity by a breadth-first search over the
     vertex cycles, 4-regularity, even degrees, the boundary component of
     each dart as an index into ``boundary_cycles``, and the length of each
-    boundary component."""
+    boundary component; on a decorated graph also the curves of
+    :func:`tuple_curves` and their first revisit and edge map."""
     vertices = graph.vertex_cycles
     vertex_of = graph.vertex_of
     reached = {0}
@@ -160,13 +162,43 @@ def tuple_invariants(graph):
     for i, face in enumerate(graph.boundary_cycles):
         for d in face:
             component[d] = i
-    return {
+    out = {
         "V": len(vertices),
         "b": len(graph.boundary_cycles),
-        "s": len(graph.standard_cycles) if decorated else None,
+        "s": None,
         "connected": len(reached) == len(vertices),
         "four_regular": all(len(c) == 4 for c in vertices),
         "decorated": decorated,
         "boundary_component_of": tuple(component),
         "face_lengths": tuple(map(len, graph.boundary_cycles)),
     }
+    if decorated:
+        curves = tuple_curves(graph)
+        out.update(s=len(curves), standard_cycles=curves,
+                   first_revisit=tuple_revisit(graph, curves),
+                   curve_of_edge=tuple(
+                       next(i for i, c in enumerate(curves)
+                            if k in c.edges())
+                       for k in range(graph.num_edges)))
+    return out
+
+
+def tuple_curves(graph):
+    """The curves as the orbits of ``standard_successor`` (from
+    :func:`fillgraph.core._orbits`) whose least dart is less than every
+    reversed dart of the orbit, so each pair of mirror orbits gives the
+    one that starts first."""
+    orbits = _orbits(graph.standard_successor, StandardCycle)
+    return tuple(orb for orb in orbits if orb[0] < min(d ^ 1 for d in orb))
+
+
+def tuple_revisit(graph, curves):
+    """(curve, vertex) for the first of ``curves`` that passes a vertex
+    twice, naming its first vertex along the curve that it passes twice,
+    by a walk over ``vertex_of``; None when every curve is simple."""
+    vertex_of = graph.vertex_of
+    for i, cyc in enumerate(curves):
+        visits = [vertex_of[d] for d in cyc]
+        if len(set(visits)) != len(visits):
+            return i, next(v for v in visits if visits.count(v) > 1)
+    return None

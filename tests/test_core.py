@@ -9,7 +9,7 @@ import fillgraph
 from fillgraph import families
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
                             InvariantError, MalformedGraphError,
-                            NotDecoratedError)
+                            NotDecoratedError, _orbit_labels)
 
 
 def cyc(spec):
@@ -124,7 +124,8 @@ class TestStandardCycles:
     def test_orbits_are_twice_the_curves(self):
         for cycles in (TORUS, G1, QUAD, ONE_VERTEX_SPHERE, SPHERE_CIRCLE):
             g = FatGraph.from_vertex_cycles(cycles)
-            assert len(g.standard_orbits) == 2 * len(g.standard_cycles)
+            starts, _ = _orbit_labels(g.standard_successor)
+            assert len(starts) == 2 * len(g.standard_cycles)
 
     def test_successor_matches_rotation_walk(self):
         # reference: from d ^ 1, step sigma0 half the degree times
@@ -193,8 +194,9 @@ class TestSignature:
     @staticmethod
     def _signature_under_optimize(fault):
         """stdout of ``python -O`` computing the torus's signature after
-        ``fault`` has replaced one pass of the kernel in ``core``: the
-        name of the exception and its message."""
+        ``fault`` has replaced ``core._orbit_labels``, which the kernel's
+        face and curve passes read their labels from: the name of the
+        exception and its message."""
         code = ("import fillgraph.core as core\n" + fault +
                 "g = core.FatGraph.from_vertex_cycles("
                 "[['a+', 'b+', 'a-', 'b-']])\n"
@@ -211,25 +213,27 @@ class TestSignature:
     def test_euler_check_survives_optimize(self):
         # a face pass that counts one boundary component short makes
         # 2 - b - V + m odd; the check must still raise when python -O
-        # strips assert statements
+        # strips assert statements (the face pass runs first, so the
+        # curve pass never sees the short count)
         out = self._signature_under_optimize(
-            "faces = core._face_labels\n"
-            "def one_short(sigma0):\n"
-            "    b, labels = faces(sigma0)\n"
-            "    return b - 1, labels\n"
-            "core._face_labels = one_short\n")
+            "labeller = core._orbit_labels\n"
+            "def one_short(succ):\n"
+            "    starts, labels = labeller(succ)\n"
+            "    return starts[1:], labels\n"
+            "core._orbit_labels = one_short\n")
         assert out.startswith("InvariantError bad Euler data"), out
 
     def test_curve_mirror_check_survives_optimize(self):
         # a curve pass that puts a dart and its reverse on one orbit
-        # claims a curve that orientation reversal fixes
+        # claims a curve that orientation reversal fixes (the torus has
+        # one face, so the same fault leaves the face pass's count whole)
         out = self._signature_under_optimize(
-            "curves = core._curve_labels\n"
-            "def mirrored(sigma0):\n"
-            "    starts, labels = curves(sigma0)\n"
+            "labeller = core._orbit_labels\n"
+            "def mirrored(succ):\n"
+            "    starts, labels = labeller(succ)\n"
             "    labels[starts[0] ^ 1] = labels[starts[0]]\n"
             "    return starts, labels\n"
-            "core._curve_labels = mirrored\n")
+            "core._orbit_labels = mirrored\n")
         assert out == ("InvariantError orientation reversal fixes a curve "
                        "orbit"), out
 

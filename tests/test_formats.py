@@ -9,8 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fillgraph import cli, families, oracle
-from fillgraph.core import FatGraphError
+from fillgraph import cli, core, families, oracle
+from fillgraph.core import FatGraph, FatGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
@@ -347,3 +347,26 @@ class TestDot:
     def test_rotation_attribute_present(self):
         dot = graph_to_dot(families.build(families.TORUS_PAIR))
         assert 'rotation="' in dot
+
+    def test_odd_degree_edges_are_black(self):
+        g = FatGraph.from_vertex_cycles([["a+", "b+", "c+"],
+                                         ["a-", "b-", "c-"]])
+        dot = graph_to_dot(g)
+        edges = [ln for ln in dot.splitlines() if " -- " in ln]
+        assert len(edges) == 3
+        assert all('color="black"' in ln for ln in edges)
+
+    def test_curve_invariant_error_propagates(self, monkeypatch):
+        # a broken curve pass is a bug to report, not a graph to draw black
+        labeller = core._orbit_labels
+
+        def mirrored(succ):
+            starts, labels = labeller(succ)
+            labels[starts[0] ^ 1] = labels[starts[0]]
+            return starts, labels
+
+        torus = families.build(families.TORUS_PAIR)
+        g = FatGraph(torus.sigma0, torus.labels)  # nothing computed yet
+        monkeypatch.setattr(core, "_orbit_labels", mirrored)
+        with pytest.raises(core.InvariantError, match="orientation"):
+            graph_to_dot(g)

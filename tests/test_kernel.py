@@ -1,5 +1,9 @@
-"""The counting kernel of :meth:`FatGraph.signature` against the surface
-invariants read from the cycle tuples (:func:`helpers.tuple_invariants`).
+"""The counting kernel of :meth:`FatGraph.signature` and the curve
+labels against the surface invariants and curves read from the cycle
+tuples (:func:`helpers.tuple_invariants`): V, b, s, the flags, the face
+labels and lengths, and on decorated graphs the curves, the first curve
+to revisit a vertex (the diagnostic of :meth:`FatGraph.is_filling_system`)
+and ``curve_of_edge``.
 
 Each graph is rebuilt from its ``sigma0`` and labels before the kernel
 reads it, so nothing computed earlier on the same value is reused.  The
@@ -23,7 +27,9 @@ def kernel_invariants(graph):
     """What the kernel reports on a fresh copy of ``graph``: the fields
     of its signature and the flags, face labels and face lengths it
     leaves behind, or the flags, face labels and face lengths alone when
-    the signature raises :class:`DisconnectedError`."""
+    the signature raises :class:`DisconnectedError`; on a decorated graph
+    also the curves, their first revisit and edge map, read from the
+    curve labels."""
     fresh = FatGraph(graph.sigma0, graph.labels)
     try:
         sig = fresh.signature()
@@ -31,20 +37,28 @@ def kernel_invariants(graph):
         assert not fresh.is_connected
         component = fresh.boundary_component_of
         b = max(component) + 1
-        return {"V": fresh.num_vertices, "b": b, "s": "raised",
-                "connected": False, "four_regular": fresh.is_four_regular,
-                "decorated": fresh.is_decorated,
-                "boundary_component_of": component,
-                "face_lengths": fresh.face_lengths}
-    assert sig.edge_count == graph.num_edges
-    assert (sig.vertex_count - sig.edge_count + sig.boundary_count
-            == 2 - 2 * sig.genus)
-    return {"V": sig.vertex_count, "b": sig.boundary_count,
-            "s": sig.standard_cycle_count, "connected": fresh.is_connected,
-            "four_regular": sig.is_four_regular,
-            "decorated": sig.is_decorated,
-            "boundary_component_of": fresh.boundary_component_of,
-            "face_lengths": fresh.face_lengths}
+        out = {"V": fresh.num_vertices, "b": b, "s": "raised",
+               "connected": False, "four_regular": fresh.is_four_regular,
+               "decorated": fresh.is_decorated,
+               "boundary_component_of": component,
+               "face_lengths": fresh.face_lengths}
+    else:
+        assert sig.edge_count == graph.num_edges
+        assert (sig.vertex_count - sig.edge_count + sig.boundary_count
+                == 2 - 2 * sig.genus)
+        out = {"V": sig.vertex_count, "b": sig.boundary_count,
+               "s": sig.standard_cycle_count,
+               "connected": fresh.is_connected,
+               "four_regular": sig.is_four_regular,
+               "decorated": sig.is_decorated,
+               "boundary_component_of": fresh.boundary_component_of,
+               "face_lengths": fresh.face_lengths}
+    if fresh.is_decorated:
+        # the revisit verdict first, before any cycle tuple exists
+        out.update(first_revisit=fresh.first_revisit(),
+                   curve_of_edge=fresh.curve_of_edge,
+                   standard_cycles=fresh.standard_cycles)
+    return out
 
 
 def assert_kernel_agrees(graph):
@@ -64,9 +78,12 @@ def disjoint_union(a, b):
 
 
 def test_census_classes():
+    revisits = 0
     for V in range(1, 5):
         for row in oracle.census(V):
             assert_kernel_agrees(row.graph())
+            revisits += row.graph().first_revisit() is not None
+    assert revisits == 361  # of 410 classes: both verdicts are reached
 
 
 def test_catalog():
