@@ -90,7 +90,6 @@ def intersection_graph(graph: FatGraph) -> WeightedIntersectionGraph:
     if revisit is not None:
         raise AnalysisPreconditionError(
             f"standard cycle {revisit[0]} crosses itself")
-    curves = graph.standard_cycles
     coe = graph.curve_of_edge
     weights = {}
     for cyc in graph.vertex_cycles:
@@ -101,7 +100,7 @@ def intersection_graph(graph: FatGraph) -> WeightedIntersectionGraph:
                 "simple curves cannot share both strands of a vertex")
         key = (a, b) if a < b else (b, a)
         weights[key] = weights.get(key, 0) + 1
-    return WeightedIntersectionGraph(len(curves), weights)
+    return WeightedIntersectionGraph(len(graph.curve_lengths), weights)
 
 
 def _require_filling(graph, b_required=None):

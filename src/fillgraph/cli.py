@@ -113,7 +113,7 @@ def cmd_analyze(args):
         "diagnostics": diags,
     }
     if sig.is_decorated:
-        info["cycle_lengths"] = [len(c) for c in graph.standard_cycles]
+        info["cycle_lengths"] = list(graph.curve_lengths)
     if filling:
         wig = analysis.intersection_graph(graph)
         info["intersection_matrix"] = wig.as_matrix()

@@ -21,10 +21,11 @@ over the vertices (:func:`_vertex_walk`), then one labeller,
 :func:`_orbit_labels`, marks each dart with its boundary component and
 with its straight-ahead orbit in flat arrays, building no cycle tuple.
 The curve labels are the one source of the curves: ``s``, which orbit of
-a mirror pair ``standard_cycles`` keeps, ``curve_of_edge`` and whether a
-curve revisits a vertex are all read from them.  The cycle tuples
-(``vertex_cycles``, ``boundary_cycles``, ``standard_cycles``) are
-computed only when a caller reads them; :func:`_orbits` builds them.
+a mirror pair ``standard_cycles`` keeps, ``curve_lengths``,
+``curve_of_edge`` and whether and where a curve revisits a vertex are all
+read from them.  The cycle tuples (``vertex_cycles``, ``boundary_cycles``,
+``standard_cycles``) are computed only when a caller reads them;
+:func:`_orbits` builds them.
 
 Graphs are immutable; every operation returns a fresh value.
 """
@@ -461,6 +462,17 @@ class FatGraph:
         return tuple(lengths)
 
     @cached_property
+    def curve_lengths(self):
+        """Length of each curve, by index into standard_cycles, counted
+        from the curve labels of ``_curve_orbits``."""
+        starts, labels = self._curve_orbits
+        lengths = [0] * len(starts)
+        for k in labels:
+            lengths[k] += 1
+        return tuple(lengths[k] for k, d in enumerate(starts)
+                     if labels[d ^ 1] > k)
+
+    @cached_property
     def standard_successor(self):
         """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
         vertex, by dart.  Raises :class:`NotDecoratedError` when some
@@ -586,22 +598,34 @@ class FatGraph:
         when every curve is simple.  Raises :class:`NotDecoratedError`
         when some vertex has odd degree.
 
-        On a 4-regular graph the curve labels answer first.  At a vertex
-        with rotation (c0 c1 c2 c3) one strand carries the orbit of c0
-        and its mirror, the orbit of c2, and the other strand those of
-        c1 and c3; so one curve runs along both strands exactly when two
-        darts ``d`` and ``sigma0[d]`` lie on one orbit.  The cycle tuples
-        are walked only to name the curve and vertex."""
-        if self.is_four_regular:
-            s0 = self._sigma0
-            labels = self._curve_orbits[1]
-            if not any(labels[s0[d]] == labels[d] for d in range(len(s0))):
-                return None
-        vo = self.vertex_of
-        for i, cyc in enumerate(self.standard_cycles):
-            visits = [vo[d] for d in cyc]
-            if len(set(visits)) != len(visits):
-                return i, next(v for v in visits if visits.count(v) > 1)
+        On a 4-regular graph the curve labels answer, walking only the
+        orbits that standard_cycles keeps, in its order.  At a vertex with
+        rotation (c0 c1 c2 c3) one strand carries the orbit of c0 and its
+        mirror, the orbit of c2, and the other strand those of c1 and c3;
+        so the curve of orbit k passes the vertex of its dart ``d`` twice
+        exactly when ``sigma0[d]`` lies on orbit k or its mirror.  Other
+        graphs walk the cycle tuples."""
+        if not self.is_four_regular:
+            vo = self.vertex_of
+            for i, cyc in enumerate(self.standard_cycles):
+                visits = [vo[d] for d in cyc]
+                if len(set(visits)) != len(visits):
+                    return i, next(v for v in visits if visits.count(v) > 1)
+            return None
+        s0 = self._sigma0
+        starts, labels = self._curve_orbits
+        curve = 0
+        for k, d in enumerate(starts):
+            mirror = labels[d ^ 1]
+            if mirror < k:
+                continue
+            while labels[s0[d]] != k and labels[s0[d]] != mirror:
+                d = s0[s0[d ^ 1]]
+                if d == starts[k]:
+                    break
+            else:
+                return curve, _orbit_labels(s0)[1][d]
+            curve += 1
         return None
 
     # -- isomorphism --------------------------------------------------------

@@ -42,7 +42,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from .core import (FatGraph, InvariantError, MalformedGraphError,
-                   _orbits, _rooted_walk, canonical_code)
+                   _rooted_walk, canonical_code)
 from . import families
 from .analysis import intersection_graph
 from .ops import (connected_sum, join, plumbing, new_join_boundaries,
@@ -192,10 +192,19 @@ def _least_relabeling(V, match):
     the scan of darts 0, 1, 2, ... first reaches them, each with the
     reaching dart at offset 0; every other choice gives a larger tuple.
     This is the first matching :func:`iter_matchings` yields in the class.
+
+    A start's first tuple entry, its partner's new number, is read
+    without a walk: ``(match[d] - d) & 3`` at the same vertex, else 4.
+    Only the starts with the least first entry are walked.
     """
     n = 4 * V
+    first = [(q - d) & 3 if q >> 2 == d >> 2 else 4
+             for d, q in enumerate(match)]
+    least = min(first)
     best = None
     for start in range(n):
+        if first[start] != least:
+            continue
         lab = [-1] * n  # old dart -> new dart
         old = []  # new dart -> old dart
         _number_vertex(start, lab, old)
@@ -259,7 +268,8 @@ def connected_matchings(V):
 def _classes(V):
     """canonical code -> (automorphisms, first matching) for level V.
 
-    A candidate is rooted at the least dart of its shortest faces and
+    A candidate is rooted at the least dart of its shortest faces, which
+    :func:`_shortest_face_darts` finds by counting face lengths, and
     walked once (:func:`_rooted_walk`); its code is looked up among the
     rooted codes of the classes found so far, taken from every dart on
     their shortest faces.  An isomorphism maps shortest-face darts to
@@ -293,11 +303,35 @@ def _classes(V):
 
 def _shortest_face_darts(rot, match):
     """The darts on the shortest faces (orbits of d -> rot[match[d]]) of
-    the census graph ``match``, face by face in :func:`_orbits` order, so
-    the least of them comes first."""
-    faces = _orbits([rot[e] for e in match])
-    shortest = min(map(len, faces))
-    return [d for face in faces if len(face) == shortest for d in face]
+    the census graph ``match``, the least of them first.  One walk counts
+    the length of every face; only the shortest faces are walked again,
+    from their least darts, to list their darts."""
+    n = len(match)
+    seen = bytearray(n)
+    shortest = n + 1
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        length = 1
+        d = rot[match[s]]
+        while d != s:
+            seen[d] = 1
+            length += 1
+            d = rot[match[d]]
+        if length < shortest:
+            shortest = length
+            starts = [s]
+        elif length == shortest:
+            starts.append(s)
+    out = []
+    for s in starts:
+        out.append(s)
+        d = rot[match[s]]
+        while d != s:
+            out.append(d)
+            d = rot[match[d]]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +368,7 @@ def census(V):
             boundary_count=sig.boundary_count,
             standard_cycle_count=sig.standard_cycle_count,
             boundary_lengths=_descending(graph.face_lengths),
-            cycle_lengths=_descending(map(len, graph.standard_cycles)),
+            cycle_lengths=_descending(graph.curve_lengths),
             filling=filling, omega_max=omega,
             count=_class_count(V, witness, automorphisms), witness=witness,
             automorphisms=automorphisms))

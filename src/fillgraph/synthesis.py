@@ -41,7 +41,7 @@ from functools import lru_cache, wraps
 
 from . import families, oracle
 from .analysis import intersection_graph
-from .core import FatGraph, FatGraphError, InvariantError, _orbits
+from .core import FatGraph, FatGraphError, InvariantError
 from .ops import (OperationReport, connected_sum, join, plumbing,
                   predict_connected_sum)
 
@@ -234,10 +234,10 @@ def _search_cached(V, target):
     """Uncached body of :func:`search_filling`.
 
     For s=2 the search enumerates the two-Hamiltonian-curve normal form
-    (complete up to isomorphism, V <= 8).  Each candidate's face lengths
-    are read from its rotation alone, and only a candidate with b faces,
-    all of length at least 3, is built as a :class:`FatGraph` and checked
-    in full; ``examined`` counts every candidate.  Other sizes are looked
+    (complete up to isomorphism, V <= 8).  :func:`_face_screen` walks
+    each bare rotation's faces, and only a candidate with b faces, all of
+    length at least 3, is built as a :class:`FatGraph` and checked in
+    full; ``examined`` counts every candidate.  Other sizes are looked
     up in the census (:func:`oracle.census`, V up to its ceiling): the
     result is the class with the least witness, which is the first graph
     a walk over :func:`oracle.iter_matchings` would meet.  Both cover the
@@ -267,14 +267,38 @@ def _search_cached(V, target):
     examined = 0
     for sigma0 in _pair_candidates(V):
         examined += 1
-        faces = _orbits([sigma0[d ^ 1] for d in range(4 * V)], len)
-        if len(faces) != b or min(faces) < 3:
+        if not _face_screen(sigma0, b):
             continue
         graph = FatGraph(sigma0, labels)
         if (graph.is_filling_system()[0]
                 and graph.signature().triple == target):
             return SearchResult(graph, examined)
     return SearchResult(None, examined)
+
+
+def _face_screen(sigma0, b):
+    """True when the rotation ``sigma0`` has exactly b faces (orbits of
+    d -> sigma0[d ^ 1]), none shorter than 3.  The walk stops at the
+    first face that rules it out: one shorter than 3, or one too many."""
+    n = len(sigma0)
+    seen = bytearray(n)
+    faces = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        faces += 1
+        if faces > b:
+            return False
+        seen[s] = 1
+        length = 1
+        d = sigma0[s ^ 1]
+        while d != s:
+            seen[d] = 1
+            length += 1
+            d = sigma0[d ^ 1]
+        if length < 3:
+            return False
+    return faces == b
 
 
 def _same_boundary_edge(g: FatGraph):

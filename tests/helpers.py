@@ -1,7 +1,9 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
 reference isomorphism invariant, a reference walk for the census lookup
-of the search, a reference census witness, a reference pair search and
-the surface invariants and curves read from the cycle tuples."""
+of the search, a reference census witness, a reference pair search,
+the surface invariants and curves read from the cycle tuples, and the
+census's and the pair search's face screens read from the face
+tuples."""
 
 from fillgraph.core import (FatGraph, StandardCycle, _orbits,
                             canonical_code)
@@ -146,9 +148,11 @@ def tuple_invariants(graph):
     vertex cycles, 4-regularity, even degrees, the boundary component of
     each dart as an index into ``boundary_cycles``, and the length of each
     boundary component; on a decorated graph also the curves of
-    :func:`tuple_curves` and their first revisit and edge map."""
+    :func:`tuple_curves`, their lengths, first revisit and edge map.  The
+    vertex of each dart is read from ``vertex_cycles`` here, not from the
+    library's ``vertex_of``."""
     vertices = graph.vertex_cycles
-    vertex_of = graph.vertex_of
+    vertex_of = vertex_map(graph)
     reached = {0}
     stack = [0]
     while stack:
@@ -175,12 +179,22 @@ def tuple_invariants(graph):
     if decorated:
         curves = tuple_curves(graph)
         out.update(s=len(curves), standard_cycles=curves,
+                   curve_lengths=tuple(map(len, curves)),
                    first_revisit=tuple_revisit(graph, curves),
                    curve_of_edge=tuple(
                        next(i for i, c in enumerate(curves)
                             if k in c.edges())
                        for k in range(graph.num_edges)))
     return out
+
+
+def vertex_map(graph):
+    """dart -> index of its vertex in ``graph.vertex_cycles``."""
+    vertex_of = [None] * graph.num_darts
+    for i, cyc in enumerate(graph.vertex_cycles):
+        for d in cyc:
+            vertex_of[d] = i
+    return vertex_of
 
 
 def tuple_curves(graph):
@@ -195,10 +209,26 @@ def tuple_curves(graph):
 def tuple_revisit(graph, curves):
     """(curve, vertex) for the first of ``curves`` that passes a vertex
     twice, naming its first vertex along the curve that it passes twice,
-    by a walk over ``vertex_of``; None when every curve is simple."""
-    vertex_of = graph.vertex_of
+    by a walk over :func:`vertex_map`; None when every curve is simple."""
+    vertex_of = vertex_map(graph)
     for i, cyc in enumerate(curves):
         visits = [vertex_of[d] for d in cyc]
         if len(set(visits)) != len(visits):
             return i, next(v for v in visits if visits.count(v) > 1)
     return None
+
+
+def tuple_shortest_face_darts(rot, match):
+    """The darts on the shortest faces of the census graph ``match``
+    (orbits of d -> rot[match[d]]), read from the face tuples of
+    :func:`fillgraph.core._orbits`, face by face in their order."""
+    faces = _orbits([rot[e] for e in match])
+    shortest = min(map(len, faces))
+    return [d for face in faces if len(face) == shortest for d in face]
+
+
+def tuple_face_screen(sigma0, b):
+    """The pair search's face screen from the face tuples: exactly b
+    faces (orbits of d -> sigma0[d ^ 1]), none shorter than 3."""
+    faces = _orbits([sigma0[d ^ 1] for d in range(len(sigma0))], len)
+    return len(faces) == b and min(faces) >= 3

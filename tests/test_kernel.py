@@ -1,9 +1,10 @@
 """The counting kernel of :meth:`FatGraph.signature` and the curve
 labels against the surface invariants and curves read from the cycle
 tuples (:func:`helpers.tuple_invariants`): V, b, s, the flags, the face
-labels and lengths, and on decorated graphs the curves, the first curve
-to revisit a vertex (the diagnostic of :meth:`FatGraph.is_filling_system`)
-and ``curve_of_edge``.
+labels and lengths, and on decorated graphs the curves, their lengths,
+the first curve to revisit a vertex (the diagnostic of
+:meth:`FatGraph.is_filling_system`, found on 4-regular graphs by the walk
+over the curve labels alone) and ``curve_of_edge``.
 
 Each graph is rebuilt from its ``sigma0`` and labels before the kernel
 reads it, so nothing computed earlier on the same value is reused.  The
@@ -28,8 +29,8 @@ def kernel_invariants(graph):
     of its signature and the flags, face labels and face lengths it
     leaves behind, or the flags, face labels and face lengths alone when
     the signature raises :class:`DisconnectedError`; on a decorated graph
-    also the curves, their first revisit and edge map, read from the
-    curve labels."""
+    also the curves, their lengths, first revisit and edge map, read from
+    the curve labels."""
     fresh = FatGraph(graph.sigma0, graph.labels)
     try:
         sig = fresh.signature()
@@ -56,6 +57,7 @@ def kernel_invariants(graph):
     if fresh.is_decorated:
         # the revisit verdict first, before any cycle tuple exists
         out.update(first_revisit=fresh.first_revisit(),
+                   curve_lengths=fresh.curve_lengths,
                    curve_of_edge=fresh.curve_of_edge,
                    standard_cycles=fresh.standard_cycles)
     return out

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import full_scan_relabeling
+from helpers import full_scan_relabeling, tuple_shortest_face_darts
 
 from fillgraph import oracle
 from fillgraph.analysis import intersection_graph
@@ -189,6 +189,17 @@ class TestClassLookup:
                 root = oracle._shortest_face_darts(rot, match)[0]
                 assert index[rooted_code(rot, match, root)] == \
                     canonical_code(rot, match)[0]
+
+    def test_shortest_face_darts_match_face_tuples(self):
+        # the counting screen gives the darts that the face tuples give,
+        # each once, the least of them first
+        for V in range(1, 5):
+            rot = standard_rotation(V)
+            for match in candidates(V):
+                got = oracle._shortest_face_darts(rot, match)
+                want = tuple_shortest_face_darts(rot, match)
+                assert sorted(got) == sorted(want)
+                assert got[0] == min(got) == want[0]
 
     def test_missed_known_class_raises(self, monkeypatch):
         # rooting every graph at dart 0 misses candidates of known classes

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 from helpers import (first_matching_graph, grid_plans, grid_targets,
-                     pair_search_reference)
+                     pair_search_reference, tuple_face_screen)
 
 from fillgraph import families, formats, oracle, synthesis
 from fillgraph.analysis import intersection_graph
@@ -206,6 +206,24 @@ class TestSearch:
         assert (res.graph and res.graph.to_vertex_cycle_tokens()) == tokens
         if V == 7:
             assert examined == 3457
+
+    @pytest.mark.parametrize("V", range(1, 7))
+    def test_face_screen_matches_face_tuples(self, V):
+        # the screen that stops at the first face ruling a candidate out
+        # accepts exactly what the full list of face lengths accepts
+        accepted = 0
+        for sigma0 in synthesis._pair_candidates(V):
+            for b in range(1, V + 3):
+                ok = synthesis._face_screen(sigma0, b)
+                assert ok == tuple_face_screen(sigma0, b)
+                accepted += ok
+        assert accepted > 0
+
+    @pytest.mark.parametrize("V, target, examined", [
+        (5, (3, 1, 2), 97), (7, (4, 1, 2), 3457)])
+    def test_pair_search_examines_every_candidate(self, V, target,
+                                                  examined):
+        assert synthesis._search_cached(V, target).examined == examined
 
     def test_beyond_census_is_a_range_error(self):
         with pytest.raises(SynthesisRangeError):
