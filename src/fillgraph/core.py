@@ -20,10 +20,10 @@ The signature (g, b, s) is counted, not listed: one breadth-first walk
 over the vertices (:func:`_vertex_walk`), then one labeller,
 :func:`_orbit_labels`, marks each dart with its boundary component and
 with its straight-ahead orbit in flat arrays, building no cycle tuple.
-The curve labels are the one source of the curves: ``s``, which orbit of
-a mirror pair ``standard_cycles`` keeps, ``curve_lengths``,
-``curve_of_edge`` and whether and where a curve revisits a vertex are all
-read from them.  The cycle tuples (``vertex_cycles``, ``boundary_cycles``,
+Each successor has one cached record, which all its readers read:
+``_face_orbits`` (the face labels) and ``_curve_orbits`` (the curve
+labels, the straight-ahead successor and the orbit kept of each mirror
+pair).  The cycle tuples (``vertex_cycles``, ``boundary_cycles``,
 ``standard_cycles``) are computed only when a caller reads them;
 :func:`_orbits` builds them.
 
@@ -169,6 +169,14 @@ def _vertex_walk(sigma0):
             return V, connected, four, even
         connected = False
         queue = [rest]
+
+
+def _face_successor(sigma0):
+    """The boundary successor d -> sigma0[d ^ 1] as a list, by slices."""
+    succ = list(sigma0)
+    succ[::2] = sigma0[1::2]
+    succ[1::2] = sigma0[::2]
+    return succ
 
 
 def _orbit_labels(succ):
@@ -397,11 +405,8 @@ class FatGraph:
 
     @cached_property
     def vertex_of(self):
-        vo = [0] * self.num_darts
-        for i, cyc in enumerate(self.vertex_cycles):
-            for d in cyc:
-                vo[d] = i
-        return tuple(vo)
+        """dart -> index into vertex_cycles, by :func:`_orbit_labels`."""
+        return tuple(_orbit_labels(self._sigma0)[1])
 
     @cached_property
     def _walk(self):
@@ -436,8 +441,7 @@ class FatGraph:
     @cached_property
     def boundary_successor(self):
         """Word-order boundary successor d -> sigma0[d ^ 1], by dart."""
-        s0 = self._sigma0
-        return tuple([s0[d ^ 1] for d in range(len(s0))])
+        return tuple(_face_successor(self._sigma0))
 
     @cached_property
     def boundary_cycles(self):
@@ -446,94 +450,95 @@ class FatGraph:
         return _orbits(self.boundary_successor, BoundaryCycle)
 
     @cached_property
+    def _face_orbits(self):
+        """(starts, labels as a tuple) of :func:`_orbit_labels` over the
+        boundary successor, faces numbered as in boundary_cycles."""
+        starts, labels = _orbit_labels(_face_successor(self._sigma0))
+        return starts, tuple(labels)
+
+    @property
     def boundary_component_of(self):
-        """dart -> index into boundary_cycles: the face labels of
-        :func:`_orbit_labels`, which :meth:`signature` leaves here."""
-        return tuple(_orbit_labels(self.boundary_successor)[1])
+        """dart -> index into boundary_cycles."""
+        return self._face_orbits[1]
 
     @cached_property
     def face_lengths(self):
         """Length of each boundary component, by index into
-        boundary_cycles, counted from boundary_component_of."""
-        component = self.boundary_component_of
-        lengths = [0] * (max(component) + 1)
-        for c in component:
-            lengths[c] += 1
+        boundary_cycles, counted from the face labels."""
+        starts, labels = self._face_orbits
+        lengths = [0] * len(starts)
+        for k in labels:
+            lengths[k] += 1
         return tuple(lengths)
 
     @cached_property
     def curve_lengths(self):
         """Length of each curve, by index into standard_cycles, counted
-        from the curve labels of ``_curve_orbits``."""
-        starts, labels = self._curve_orbits
+        from the curve labels."""
+        starts, labels, _, kept = self._curve_orbits
         lengths = [0] * len(starts)
         for k in labels:
             lengths[k] += 1
-        return tuple(lengths[k] for k, d in enumerate(starts)
-                     if labels[d ^ 1] > k)
+        return tuple(lengths[k] for k in kept)
 
     @cached_property
     def standard_successor(self):
         """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
-        vertex, by dart.  Raises :class:`NotDecoratedError` when some
-        vertex has odd degree.
-
-        At a vertex cycle ``c`` of degree 2k, the dart entering through
-        ``c[i]`` (that is ``c[i] ^ 1``) leaves through the opposite dart
-        ``c[i + k]``, which is ``c[i - k]``."""
-        out = [0] * self.num_darts
-        for vi, cyc in enumerate(self.vertex_cycles):
-            k, odd = divmod(len(cyc), 2)
-            if odd:
-                raise NotDecoratedError(
-                    f"vertex {vi} has odd degree {len(cyc)}")
-            for i, d in enumerate(cyc):
-                out[d ^ 1] = cyc[i - k]
-        return tuple(out)
+        vertex, by dart; an odd degree raises :class:`NotDecoratedError`."""
+        return tuple(self._curve_orbits[2])
 
     @cached_property
     def _curve_orbits(self):
-        """(starts, labels) of :func:`_orbit_labels` over the
-        straight-ahead successor: 2s orbits, two mirrors per curve.  On a
-        4-regular graph the successor is ``d -> sigma0[sigma0[d ^ 1]]``,
-        read from ``sigma0`` without building the vertex cycles.  Raises
-        :class:`NotDecoratedError` when some vertex has odd degree.
+        """(starts, labels, successor, kept): :func:`_orbit_labels` over
+        the straight-ahead successor (2s orbits, two mirrors per curve),
+        that successor as a list, and the orbits kept, one per curve:
+        those whose mirror's label comes later.  On a 4-regular graph the
+        successor is ``d -> sigma0[sigma0[d ^ 1]]``, sigma0 after the face
+        successor; otherwise the dart entering a vertex cycle ``c`` of
+        degree 2k through ``c[i]`` leaves through ``c[i - k]``, and an odd
+        degree raises :class:`NotDecoratedError`.
 
         Reversing an orbit gives the orbit of the reversed darts, so
         orientation reversal fixes an orbit exactly when it holds the
         reverse of its least dart; that is an :class:`InvariantError`."""
         s0 = self._sigma0
         if self.is_four_regular:
-            succ = [s0[s0[d ^ 1]] for d in range(len(s0))]
+            succ = [s0[e] for e in _face_successor(s0)]
         else:
-            succ = self.standard_successor
+            succ = [0] * len(s0)
+            for vi, cyc in enumerate(self.vertex_cycles):
+                k, odd = divmod(len(cyc), 2)
+                if odd:
+                    raise NotDecoratedError(
+                        f"vertex {vi} has odd degree {len(cyc)}")
+                for i, d in enumerate(cyc):
+                    succ[d ^ 1] = cyc[i - k]
         starts, labels = _orbit_labels(succ)
-        for d in starts:
-            if labels[d ^ 1] == labels[d]:
+        kept = []
+        for k, d in enumerate(starts):
+            mirror = labels[d ^ 1]
+            if mirror > k:
+                kept.append(k)
+            elif mirror == k:
                 raise InvariantError(
                     "orientation reversal fixes a curve orbit")
-        return starts, labels
+        return starts, labels, succ, kept
 
     @cached_property
     def standard_cycles(self):
         """Curves: orbits quotiented by orientation reversal.  Each curve is
-        reported once, traversed from its least dart: an orbit is kept
-        exactly when its mirror's label comes later."""
-        labels = self._curve_orbits[1]
-        return tuple(StandardCycle(orb) for k, orb
-                     in enumerate(_orbits(self.standard_successor))
-                     if labels[orb[0] ^ 1] > k)
+        reported once, traversed from its least dart: the kept orbit of
+        each mirror pair, the one whose mirror's label comes later."""
+        orbits = _orbits(self._curve_orbits[2], StandardCycle)
+        return tuple(orbits[k] for k in self._curve_orbits[3])
 
     @cached_property
     def curve_of_edge(self):
         """undirected edge -> index into standard_cycles, read from the
         curve labels: the darts of an edge lie on two mirror orbits, and
         standard_cycles keeps the one with the smaller label."""
-        starts, labels = self._curve_orbits
-        index = {}
-        for k, d in enumerate(starts):
-            if labels[d ^ 1] > k:
-                index[k] = len(index)
+        _, labels, _, kept = self._curve_orbits
+        index = {k: i for i, k in enumerate(kept)}
         return tuple(index[min(labels[d], labels[d ^ 1])]
                      for d in range(0, len(labels), 2))
 
@@ -554,15 +559,12 @@ class FatGraph:
         if not connected:
             raise DisconnectedError(
                 "genus of a disconnected thickening is not defined")
-        s0 = self._sigma0
-        m = len(s0) // 2
-        starts, faces = _orbit_labels([s0[d ^ 1] for d in range(2 * m)])
-        b = len(starts)
+        m = len(self._sigma0) // 2
+        b = len(self._face_orbits[0])
         twog = 2 - b - V + m
         if twog % 2 or twog < 0:
             raise InvariantError(f"bad Euler data V={V} m={m} b={b}")
-        self.__dict__.setdefault("boundary_component_of", tuple(faces))
-        s = len(self._curve_orbits[0]) // 2 if even else None
+        s = len(self._curve_orbits[3]) if even else None
         return SurfaceSignature(
             genus=twog // 2, boundary_count=b, standard_cycle_count=s,
             vertex_count=V, edge_count=m, is_four_regular=four,
@@ -598,34 +600,29 @@ class FatGraph:
         when every curve is simple.  Raises :class:`NotDecoratedError`
         when some vertex has odd degree.
 
-        On a 4-regular graph the curve labels answer, walking only the
-        orbits that standard_cycles keeps, in its order.  At a vertex with
-        rotation (c0 c1 c2 c3) one strand carries the orbit of c0 and its
-        mirror, the orbit of c2, and the other strand those of c1 and c3;
-        so the curve of orbit k passes the vertex of its dart ``d`` twice
-        exactly when ``sigma0[d]`` lies on orbit k or its mirror.  Other
-        graphs walk the cycle tuples."""
-        if not self.is_four_regular:
-            vo = self.vertex_of
-            for i, cyc in enumerate(self.standard_cycles):
-                visits = [vo[d] for d in cyc]
-                if len(set(visits)) != len(visits):
-                    return i, next(v for v in visits if visits.count(v) > 1)
-            return None
+        One walk over the curve record answers on every decorated graph,
+        taking the kept orbits in order.  Orbit k passes the vertex of its
+        dart ``d`` on the strand from ``p ^ 1`` to ``d``, where ``p`` is
+        the dart there with ``succ[p ^ 1] == d``.  The darts strictly
+        between ``d`` and ``p`` in the rotation hold one dart of each
+        other strand, so the curve passes the vertex twice exactly when
+        one of them lies on orbit k or its mirror (at degree 4 that is
+        ``sigma0[d]``, at degree 2 there is none).  ``vertex_of`` names
+        the vertex."""
         s0 = self._sigma0
-        starts, labels = self._curve_orbits
-        curve = 0
-        for k, d in enumerate(starts):
+        starts, labels, succ, kept = self._curve_orbits
+        for curve, k in enumerate(kept):
+            d = start = starts[k]
             mirror = labels[d ^ 1]
-            if mirror < k:
-                continue
-            while labels[s0[d]] != k and labels[s0[d]] != mirror:
-                d = s0[s0[d ^ 1]]
-                if d == starts[k]:
+            while True:
+                e = s0[d]
+                while succ[e ^ 1] != d:
+                    if labels[e] == k or labels[e] == mirror:
+                        return curve, self.vertex_of[d]
+                    e = s0[e]
+                d = succ[d]
+                if d == start:
                     break
-            else:
-                return curve, _orbit_labels(s0)[1][d]
-            curve += 1
         return None
 
     # -- isomorphism --------------------------------------------------------

@@ -7,7 +7,7 @@ graph.  Parameter ranges follow the source constructions; out of range
 parameters raise :class:`FamilyRangeError`.
 
 Each family member is built and validated once per process; :func:`build`
-hands out distinct copies of it.
+hands out distinct copies of it, which share the structure computed on it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _check(graph, name, triple, lengths=None):
         raise FamilyValidationError(
             f"{name}: built signature {sig.triple} != expected {triple}")
     if lengths is not None:
-        got = sorted((len(c) for c in graph.standard_cycles), reverse=True)
+        got = sorted(graph.curve_lengths, reverse=True)
         if got != sorted(lengths, reverse=True):
             raise FamilyValidationError(
                 f"{name}: curve lengths {got} != expected {lengths}")
@@ -238,8 +238,12 @@ def build(family, param=None):
 
 @lru_cache(maxsize=256)
 def _validated(family, param):
-    """The validated member; a range error is raised, not cached."""
-    return _BUILDERS[family](param)
+    """The validated member, with its vertex cycles built so that every
+    copy shares them (the connected-sum selectors read them); a range
+    error is raised, not cached."""
+    graph = _BUILDERS[family](param)
+    graph.vertex_cycles
+    return graph
 
 
 @dataclass(frozen=True)

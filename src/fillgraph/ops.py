@@ -236,17 +236,15 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
     return rep.check()
 
 
-def new_join_boundaries(report: OperationReport):
-    """Boundary cycles of a join result that are not inherited verbatim,
-    i.e. those through the spliced edges (strictly longer than 2 by the
-    splice case analysis; asserted in tests)."""
-    e, f = report.selectors["new_edges"]
+def new_join_face_lengths(report: OperationReport):
+    """Lengths of the faces of a join result that are not inherited
+    verbatim, i.e. those through the spliced edges (strictly longer than 2
+    by the splice case analysis; asserted in tests), in face order."""
     g = report.result
-    touched = set()
-    for nm in (e, f):
-        for d in g.darts_of(nm):
-            touched.add(g.boundary_component_of[d])
-    return [g.boundary_cycles[i] for i in sorted(touched)]
+    comp = g.boundary_component_of
+    touched = {comp[d] for nm in report.selectors["new_edges"]
+               for d in g.darts_of(nm)}
+    return [g.face_lengths[i] for i in sorted(touched)]
 
 
 def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,

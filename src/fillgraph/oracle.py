@@ -45,7 +45,7 @@ from .core import (FatGraph, InvariantError, MalformedGraphError,
                    _rooted_walk, canonical_code)
 from . import families
 from .analysis import intersection_graph
-from .ops import (connected_sum, join, plumbing, new_join_boundaries,
+from .ops import (connected_sum, join, plumbing, new_join_face_lengths,
                   OperationError)
 
 EXHAUSTIVE_CEILING = 4
@@ -494,8 +494,8 @@ def verify_formula_by_recompute(max_census_v=3, census_cap=24):
                             continue
                         if monogon_splice(gl, gr, x, y):
                             continue
-                        for cyc in new_join_boundaries(rep):
-                            if len(cyc) <= 2:
+                        for length in new_join_face_lengths(rep):
+                            if length <= 2:
                                 a.corollary_violations += 1
     a = audits["consum"] = OpAudit("consum")
     for _, gl in pool:

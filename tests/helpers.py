@@ -1,9 +1,9 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
 reference isomorphism invariant, a reference walk for the census lookup
 of the search, a reference census witness, a reference pair search,
-the surface invariants and curves read from the cycle tuples, and the
-census's and the pair search's face screens read from the face
-tuples."""
+the surface invariants, straight-ahead successor and curves read from
+the cycle tuples, and the census's and the pair search's face screens
+read from the face tuples."""
 
 from fillgraph.core import (FatGraph, StandardCycle, _orbits,
                             canonical_code)
@@ -147,10 +147,10 @@ def tuple_invariants(graph):
     degree is even), connectivity by a breadth-first search over the
     vertex cycles, 4-regularity, even degrees, the boundary component of
     each dart as an index into ``boundary_cycles``, and the length of each
-    boundary component; on a decorated graph also the curves of
-    :func:`tuple_curves`, their lengths, first revisit and edge map.  The
-    vertex of each dart is read from ``vertex_cycles`` here, not from the
-    library's ``vertex_of``."""
+    boundary component; the vertex of each dart, read from
+    ``vertex_cycles`` here, not from the library's ``vertex_of``; on a
+    decorated graph also :func:`reference_successor`, the curves of
+    :func:`tuple_curves`, their lengths, first revisit and edge map."""
     vertices = graph.vertex_cycles
     vertex_of = vertex_map(graph)
     reached = {0}
@@ -175,10 +175,12 @@ def tuple_invariants(graph):
         "decorated": decorated,
         "boundary_component_of": tuple(component),
         "face_lengths": tuple(map(len, graph.boundary_cycles)),
+        "vertex_of": tuple(vertex_of),
     }
     if decorated:
         curves = tuple_curves(graph)
         out.update(s=len(curves), standard_cycles=curves,
+                   standard_successor=reference_successor(graph),
                    curve_lengths=tuple(map(len, curves)),
                    first_revisit=tuple_revisit(graph, curves),
                    curve_of_edge=tuple(
@@ -197,12 +199,26 @@ def vertex_map(graph):
     return vertex_of
 
 
+def reference_successor(graph):
+    """The straight-ahead successor by the opposite-dart rule over
+    ``vertex_cycles``: at a vertex cycle ``c`` of degree 2k, the dart
+    entering through ``c[i]`` (that is ``c[i] ^ 1``) leaves through the
+    opposite dart ``c[i + k]``, which is ``c[i - k]``.  The graph must
+    be decorated."""
+    succ = [None] * graph.num_darts
+    for cyc in graph.vertex_cycles:
+        k = len(cyc) // 2
+        for i, d in enumerate(cyc):
+            succ[d ^ 1] = cyc[i - k]
+    return tuple(succ)
+
+
 def tuple_curves(graph):
-    """The curves as the orbits of ``standard_successor`` (from
+    """The curves as the orbits of :func:`reference_successor` (from
     :func:`fillgraph.core._orbits`) whose least dart is less than every
     reversed dart of the orbit, so each pair of mirror orbits gives the
     one that starts first."""
-    orbits = _orbits(graph.standard_successor, StandardCycle)
+    orbits = _orbits(reference_successor(graph), StandardCycle)
     return tuple(orb for orb in orbits if orb[0] < min(d ^ 1 for d in orb))
 
 

@@ -135,6 +135,18 @@ class TestBuildCopies:
             assert a == b and a is not b
             assert a.signature() == b.signature()
 
+    def test_copies_share_structure(self):
+        # the surgeries read vertex cycles and the curve record of their
+        # operands, so two copies must hold the very same objects
+        for name, param in ((families.TORUS_PAIR, None),
+                            (families.SPHERE_CIRCLE, None),
+                            (families.GAMMA_G, 3),
+                            (families.GIRTH_2GM1, 4)):
+            a, b = build(name, param), build(name, param)
+            assert a.vertex_cycles is b.vertex_cycles
+            assert a._curve_orbits is b._curve_orbits
+            assert a.boundary_component_of is b.boundary_component_of
+
     def test_two_torus_builds_join(self):
         rep = join(build(families.TORUS_PAIR), build(families.TORUS_PAIR),
                    "a", "a")

@@ -1,17 +1,18 @@
 """The counting kernel of :meth:`FatGraph.signature` and the curve
 labels against the surface invariants and curves read from the cycle
 tuples (:func:`helpers.tuple_invariants`): V, b, s, the flags, the face
-labels and lengths, and on decorated graphs the curves, their lengths,
-the first curve to revisit a vertex (the diagnostic of
-:meth:`FatGraph.is_filling_system`, found on 4-regular graphs by the walk
-over the curve labels alone) and ``curve_of_edge``.
+labels and lengths, the vertex labels, and on decorated graphs the
+straight-ahead successor, the curves, their lengths, the first curve to
+revisit a vertex (the diagnostic of :meth:`FatGraph.is_filling_system`,
+found by the walk over the curve labels alone) and ``curve_of_edge``.
 
 Each graph is rebuilt from its ``sigma0`` and labels before the kernel
 reads it, so nothing computed earlier on the same value is reused.  The
 graphs: every census class with V <= 4, the catalog (with the degree-2
 vertex of ``sphere_circle``), every graph of every g <= 5, b <= 4 plan,
-a seeded sample of 300 join, plumbing and connected-sum results, and
-disconnected unions, on which the signature must raise.
+a seeded sample of 300 join, plumbing and connected-sum results, a
+seeded sample of 2,000 random rotation systems with vertex degrees 2 to
+8, and disconnected unions, on which the signature must raise.
 """
 
 import random
@@ -28,9 +29,10 @@ def kernel_invariants(graph):
     """What the kernel reports on a fresh copy of ``graph``: the fields
     of its signature and the flags, face labels and face lengths it
     leaves behind, or the flags, face labels and face lengths alone when
-    the signature raises :class:`DisconnectedError`; on a decorated graph
-    also the curves, their lengths, first revisit and edge map, read from
-    the curve labels."""
+    the signature raises :class:`DisconnectedError`, and the vertex
+    labels; on a decorated graph also the straight-ahead successor, the
+    curves, their lengths, first revisit and edge map, read from the
+    curve record."""
     fresh = FatGraph(graph.sigma0, graph.labels)
     try:
         sig = fresh.signature()
@@ -42,7 +44,8 @@ def kernel_invariants(graph):
                "connected": False, "four_regular": fresh.is_four_regular,
                "decorated": fresh.is_decorated,
                "boundary_component_of": component,
-               "face_lengths": fresh.face_lengths}
+               "face_lengths": fresh.face_lengths,
+               "vertex_of": fresh.vertex_of}
     else:
         assert sig.edge_count == graph.num_edges
         assert (sig.vertex_count - sig.edge_count + sig.boundary_count
@@ -53,13 +56,15 @@ def kernel_invariants(graph):
                "four_regular": sig.is_four_regular,
                "decorated": sig.is_decorated,
                "boundary_component_of": fresh.boundary_component_of,
-               "face_lengths": fresh.face_lengths}
+               "face_lengths": fresh.face_lengths,
+               "vertex_of": fresh.vertex_of}
     if fresh.is_decorated:
         # the revisit verdict first, before any cycle tuple exists
         out.update(first_revisit=fresh.first_revisit(),
                    curve_lengths=fresh.curve_lengths,
                    curve_of_edge=fresh.curve_of_edge,
-                   standard_cycles=fresh.standard_cycles)
+                   standard_cycles=fresh.standard_cycles,
+                   standard_successor=fresh.standard_successor)
     return out
 
 
@@ -128,6 +133,40 @@ def test_operation_results():
         results += 1
         if rep.result.num_darts <= 80:
             pool.append(rep.result)
+
+
+def random_rotation_system(rng):
+    """A random rotation system on 1 to 5 vertices with degrees in
+    {2, 4, 6, 8}: the darts of each vertex in a random order around it,
+    paired into edges by a random matching.  It may be disconnected."""
+    degrees = [rng.choice((2, 4, 6, 8)) for _ in range(rng.randint(1, 5))]
+    darts = list(range(sum(degrees)))
+    rng.shuffle(darts)
+    sigma0 = [None] * len(darts)
+    at = 0
+    for deg in degrees:
+        cyc = darts[at:at + deg]
+        at += deg
+        for i, d in enumerate(cyc):
+            sigma0[d] = cyc[(i + 1) % deg]
+    return FatGraph(sigma0, [f"e{k}" for k in range(len(darts) // 2)])
+
+
+def test_random_rotation_systems():
+    # degrees 6 and 8 reach first_revisit's walk over more than one other
+    # strand, degree 2 a vertex with no other strand; both verdicts must
+    # occur off degree 4
+    rng = random.Random(15)
+    high_revisits = simple_mixed = 0
+    for _ in range(2000):
+        graph = random_rotation_system(rng)
+        assert_kernel_agrees(graph)
+        revisit = graph.first_revisit()
+        if revisit is None:
+            simple_mixed += not graph.is_four_regular
+        else:
+            high_revisits += graph.degree(revisit[1]) >= 6
+    assert high_revisits > 500 and simple_mixed > 50
 
 
 def odd_degree_graphs():
