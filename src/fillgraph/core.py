@@ -33,7 +33,6 @@ Graphs are immutable; every operation returns a fresh value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class FatGraphError(ValueError):
@@ -59,6 +58,29 @@ class DisconnectedError(FatGraphError):
 class InvariantError(AssertionError):
     """An internal invariant failed: a bug, not bad input.  Raised
     explicitly so that it survives ``python -O``."""
+
+
+class _cached:
+    """A read-only attribute computed by the wrapped method on the first
+    read and stored in the instance ``__dict__``, where every later read
+    finds it without calling this descriptor.
+
+    Unlike :class:`functools.cached_property` (CPython 3.11) it takes no
+    lock.  The library is single-threaded, and the values cached are
+    immutable functions of the graph, so two threads reading one
+    attribute for the first time at once would at worst compute the same
+    value twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _parse_token(tok):
@@ -312,6 +334,22 @@ class FatGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _built(cls, sigma0, labels):
+        """The graph on ``sigma0`` and ``labels`` without the checks of
+        ``FatGraph(...)``, for a builder that proves them itself.
+
+        The one caller is :func:`fillgraph.ops._rewired`, which builds
+        every surgery result.  Its docstring gives the proof that
+        ``sigma0`` is a permutation of ``0..2m-1`` and the ``m >= 1``
+        labels are distinct, and it raises :class:`InvariantError`
+        wherever a step of that proof fails."""
+        graph = object.__new__(cls)
+        graph._sigma0 = tuple(sigma0)
+        graph._labels = tuple(labels)
+        graph._signature = None
+        return graph
+
+    @classmethod
     def from_vertex_cycles(cls, vertex_cycles, labels=None):
         """Build from cyclic sequences of signed edge labels.
 
@@ -397,18 +435,18 @@ class FatGraph:
     def dart_name(self, d):
         return self._labels[d >> 1] + ("+" if d % 2 == 0 else "-")
 
-    @cached_property
+    @_cached
     def vertex_cycles(self):
         """sigma0 orbits as dart tuples, each starting at its least dart,
         listed in increasing order of that least dart."""
         return _orbits(self._sigma0)
 
-    @cached_property
+    @_cached
     def vertex_of(self):
         """dart -> index into vertex_cycles, by :func:`_orbit_labels`."""
         return tuple(_orbit_labels(self._sigma0)[1])
 
-    @cached_property
+    @_cached
     def _walk(self):
         """(V, connected, four_regular, decorated) of :func:`_vertex_walk`."""
         return _vertex_walk(self._sigma0)
@@ -438,18 +476,18 @@ class FatGraph:
 
     # -- derived cycles ----------------------------------------------------
 
-    @cached_property
+    @_cached
     def boundary_successor(self):
         """Word-order boundary successor d -> sigma0[d ^ 1], by dart."""
         return tuple(_face_successor(self._sigma0))
 
-    @cached_property
+    @_cached
     def boundary_cycles(self):
         """Cycles of sigma1 * sigma0^-1 in word order (successor
         d -> sigma0[d ^ 1]), each starting at its least dart."""
         return _orbits(self.boundary_successor, BoundaryCycle)
 
-    @cached_property
+    @_cached
     def _face_orbits(self):
         """(starts, labels as a tuple) of :func:`_orbit_labels` over the
         boundary successor, faces numbered as in boundary_cycles."""
@@ -461,7 +499,7 @@ class FatGraph:
         """dart -> index into boundary_cycles."""
         return self._face_orbits[1]
 
-    @cached_property
+    @_cached
     def face_lengths(self):
         """Length of each boundary component, by index into
         boundary_cycles, counted from the face labels."""
@@ -471,7 +509,7 @@ class FatGraph:
             lengths[k] += 1
         return tuple(lengths)
 
-    @cached_property
+    @_cached
     def curve_lengths(self):
         """Length of each curve, by index into standard_cycles, counted
         from the curve labels."""
@@ -481,13 +519,13 @@ class FatGraph:
             lengths[k] += 1
         return tuple(lengths[k] for k in kept)
 
-    @cached_property
+    @_cached
     def standard_successor(self):
         """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
         vertex, by dart; an odd degree raises :class:`NotDecoratedError`."""
         return tuple(self._curve_orbits[2])
 
-    @cached_property
+    @_cached
     def _curve_orbits(self):
         """(starts, labels, successor, kept): :func:`_orbit_labels` over
         the straight-ahead successor (2s orbits, two mirrors per curve),
@@ -524,7 +562,7 @@ class FatGraph:
                     "orientation reversal fixes a curve orbit")
         return starts, labels, succ, kept
 
-    @cached_property
+    @_cached
     def standard_cycles(self):
         """Curves: orbits quotiented by orientation reversal.  Each curve is
         reported once, traversed from its least dart: the kept orbit of
@@ -532,7 +570,7 @@ class FatGraph:
         orbits = _orbits(self._curve_orbits[2], StandardCycle)
         return tuple(orbits[k] for k in self._curve_orbits[3])
 
-    @cached_property
+    @_cached
     def curve_of_edge(self):
         """undirected edge -> index into standard_cycles, read from the
         curve labels: the darts of an edge lie on two mirror orbits, and

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .core import FatGraph, FatGraphError, NotDecoratedError
 from .synthesis import Step, SynthesisPlan
@@ -71,28 +72,44 @@ def read_graph(path) -> FatGraph:
 # --- plans ------------------------------------------------------------------
 
 
-def plan_to_document(plan: SynthesisPlan) -> dict:
-    steps = []
-    for st in plan.steps:
-        d = {"op": st.op}
-        for k in ("family", "param", "left", "right", "x", "y", "w", "u",
-                  "arg"):
-            v = getattr(st, k)
-            if v is not None:
-                d[k] = v
-        if st.op == "consum":
-            d["align"] = st.align
-        if st.op in ("join", "plumb"):
-            d["flip"] = st.flip
-        if st.vertices is not None:
-            d["vertices"] = [list(c) for c in st.vertices]
-        steps.append(d)
+# the step fields written after "op" when they are set, in file order
+_STEP_OPTIONAL = ("family", "param", "left", "right", "x", "y", "w", "u",
+                  "arg")
+
+
+def _step_items(step: Step):
+    """(key, value) pairs of a step's document in file order: "op", each
+    optional field that is set, "align" for a connected sum, "flip" for a
+    join or plumbing, and "vertices" (as lists) when set.  The one
+    description of the step schema: :func:`plan_to_document` and
+    :func:`dumps_plan` both read it."""
+    items = [("op", step.op)]
+    for k in _STEP_OPTIONAL:
+        v = getattr(step, k)
+        if v is not None:
+            items.append((k, v))
+    if step.op == "consum":
+        items.append(("align", step.align))
+    elif step.op in ("join", "plumb"):
+        items.append(("flip", step.flip))
+    if step.vertices is not None:
+        items.append(("vertices", [list(c) for c in step.vertices]))
+    return items
+
+
+def _plan_items(plan: SynthesisPlan):
+    """(key, value) pairs of a plan's document before "steps", in file
+    order."""
     g, b, s = plan.target
-    return {"format": PLAN_FORMAT,
-            "target": {"g": g, "b": b, "s": s},
-            "expect_filling": plan.expect_filling,
-            "expect_omega": plan.expect_omega,
-            "steps": steps}
+    return [("format", PLAN_FORMAT), ("target", {"g": g, "b": b, "s": s}),
+            ("expect_filling", plan.expect_filling),
+            ("expect_omega", plan.expect_omega)]
+
+
+def plan_to_document(plan: SynthesisPlan) -> dict:
+    doc = dict(_plan_items(plan))
+    doc["steps"] = [dict(_step_items(st)) for st in plan.steps]
+    return doc
 
 
 # the type of every step field; all but "op" may be absent or null
@@ -161,8 +178,50 @@ def plan_from_document(doc) -> SynthesisPlan:
     return plan
 
 
+# JSON text of a scalar by exact type, as json.dumps writes it
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda v: "null"}
+
+
+def _json_text(value, pad):
+    """``json.dumps(value, indent=2)``, each line after the first indented
+    by ``pad`` more."""
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        return ("[\n" + inner
+                + (",\n" + inner).join([_json_text(v, inner) for v in value])
+                + "\n" + pad + "]")
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        return _object_text(value.items(), pad)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _object_text(items, pad):
+    """:func:`_json_text` of an object given as (key, value) pairs."""
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    parts = []
+    for k, v in items:
+        text = _SCALAR_TEXT.get(type(v))
+        parts.append(encode_basestring_ascii(k) + ": "
+                     + (text(v) if text else _json_text(v, inner)))
+    return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+
+
 def dumps_plan(plan) -> str:
-    return json.dumps(plan_to_document(plan), indent=2) + "\n"
+    """``json.dumps(plan_to_document(plan), indent=2) + "\\n"``, written
+    from :func:`_plan_items` and :func:`_step_items` without building the
+    document or running the pure-Python indenting encoder."""
+    steps = [_object_text(_step_items(st), "    ") for st in plan.steps]
+    head = _object_text(_plan_items(plan), "")  # ends with "\n}"
+    return (head[:-2] + ',\n  "steps": '
+            + ("[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]")
+            + "\n}\n")
 
 
 def loads_plan(text) -> SynthesisPlan:

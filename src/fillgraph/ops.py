@@ -102,12 +102,19 @@ def _fresh(name, used):
 def _edge_names(left: FatGraph, right: FatGraph, new):
     """Names by edge key: the left labels, the right labels primed away
     from every name before them, then the ``new`` names primed likewise.
-    Returns (names by key, the names given to ``new``)."""
+    Returns (names by key, the names given to ``new``).
+
+    ``used`` ends as the set of all the names, so they are distinct
+    exactly when it holds as many as the list; :func:`_rewired` rests on
+    that, and a shortfall is an :class:`InvariantError`."""
     used = set(left.labels)
     names = list(left.labels)
     names += [_fresh(nm, used) for nm in right.labels]
     fresh = [_fresh(nm, used) for nm in new]
-    return names + fresh, fresh
+    names += fresh
+    if len(used) != len(names):
+        raise InvariantError("two edges of a surgery result share a name")
+    return names, fresh
 
 
 def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
@@ -127,24 +134,54 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     numbers its edges in order of first appearance along this walk, as
     :meth:`FatGraph.from_vertex_cycles` numbers labels, writes its
     ``sigma0`` as it goes, and names the edge with key k ``names[k]``.
+
+    The result is built by :meth:`FatGraph._built`, without the checks of
+    ``FatGraph(...)``, because the walk proves them from these checks,
+    each raising :class:`InvariantError`:
+
+    * the new keys (the values of ``lmap`` and ``rmap`` and the darts of
+      ``new_vertex``) are the darts of the new edges, each once, so
+      distinct walked darts have distinct key darts;
+    * ``skip`` is closed under each operand's ``sigma0``, so the walk
+      steps exactly on the darts that keep a key, each once;
+    * the number of those darts equals ``2 * len(labels)``, and is not 0.
+
+    An edge takes the next two result darts when the walk first meets
+    one of its key darts, so distinct key darts get distinct result
+    darts, all below ``2 * len(labels)``; there are as many walked darts
+    as result darts, so the walk meets every result dart exactly once,
+    and ``sigma0`` sends each to the next dart of its cycle: a
+    permutation.  The labels are distinct names of distinct edges
+    (:func:`_edge_names` checks the names), at least one.
     """
     off = 2 * left.num_edges
+    top = off + right.num_darts  # the first key dart of a new edge
     lkey = list(range(off))
-    rkey = list(range(off, off + right.num_darts))
+    rkey = list(range(off, top))
     for d, kd in lmap.items():
         lkey[d] = kd
     for d, kd in rmap.items():
         rkey[d] = kd
-    for d in skip[0]:
+    new_keys = sorted([*lmap.values(), *rmap.values(), *(new_vertex or ())])
+    if new_keys != list(range(top, 2 * len(names))):
+        raise InvariantError(f"new keys {new_keys} are not the darts "
+                             f"{top}..{2 * len(names) - 1} of the new edges")
+    ldel, rdel = set(skip[0]), set(skip[1])
+    if (set(map(left.sigma0.__getitem__, ldel)) != ldel
+            or set(map(right.sigma0.__getitem__, rdel)) != rdel):
+        raise InvariantError(f"deleted darts {skip} are not whole vertices")
+    for d in ldel:
         lkey[d] = -1
-    for d in skip[1]:
+    for d in rdel:
         rkey[d] = -1
+    walked = top - len(ldel) - len(rdel)
     parts = [(left.sigma0, lkey), (right.sigma0, rkey)]
     if new_vertex is not None:
         # walked as one more operand: one vertex whose darts are the
         # positions of new_vertex, each rotating to the next
         k = len(new_vertex)
         parts.append((list(range(1, k)) + [0], list(new_vertex)))
+        walked += k
 
     new_of = [-1] * (2 * len(names))  # key dart -> result dart
     labels = []
@@ -170,8 +207,11 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
                 if d == start:
                     break
             sigma0[prev] = sigma0[-1]
+    if not walked or walked != 2 * len(labels):
+        raise InvariantError(
+            f"walked {walked} darts for {len(labels)} edges")
     del sigma0[2 * len(labels):]
-    return FatGraph(sigma0, labels)
+    return FatGraph._built(sigma0, labels)
 
 
 def _require_edge(g, label, side):
@@ -418,8 +458,8 @@ def _sum_prediction(left: FatGraph, w_darts, right: FatGraph, u_darts):
     m = ls.edge_count + rs.edge_count - 4
     s = None
     if left.is_decorated and right.is_decorated:
-        orbits = _spliced_orbit_count(left.standard_successor, w_darts,
-                                      right.standard_successor, u_darts)
+        orbits = _spliced_orbit_count(left._curve_orbits[2], w_darts,
+                                      right._curve_orbits[2], u_darts)
         if orbits % 2:
             raise OperationInvariantError(
                 "standard orbits of a connected sum do not pair up")

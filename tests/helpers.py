@@ -3,10 +3,14 @@ reference isomorphism invariant, a reference walk for the census lookup
 of the search, a reference census witness, a reference pair search,
 the surface invariants, straight-ahead successor and curves read from
 the cycle tuples, and the census's and the pair search's face screens
-read from the face tuples."""
+read from the face tuples, and the plan text of the standard library's
+indenting JSON encoder."""
+
+import json
 
 from fillgraph.core import (FatGraph, StandardCycle, _orbits,
                             canonical_code)
+from fillgraph.formats import plan_to_document
 from fillgraph.oracle import iter_matchings, matching_to_graph
 from fillgraph.synthesis import (_pair_candidates, filling, lower_bound,
                                  tight_omega_filling, upper_bound)
@@ -24,6 +28,13 @@ def grid_targets(gmax, bmax, tight_gmax):
     for g in range(2, tight_gmax + 1):
         for s in range(lower_bound(g, 1), 2 * g + 1):
             yield tight_omega_filling, (g, s)
+
+
+def reference_plan_text(plan):
+    """The plan file text that ``json.dumps`` writes from the plan's
+    document: what :func:`fillgraph.formats.dumps_plan` must write, byte
+    for byte."""
+    return json.dumps(plan_to_document(plan), indent=2) + "\n"
 
 
 def grid_plans(gmax, bmax, tight_gmax):

@@ -9,7 +9,7 @@ import fillgraph
 from fillgraph import families
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
                             InvariantError, MalformedGraphError,
-                            NotDecoratedError, _orbit_labels)
+                            NotDecoratedError, _cached, _orbit_labels)
 
 
 def cyc(spec):
@@ -59,6 +59,19 @@ class TestFromVertexCycles:
             FatGraph.from_vertex_cycles([])
         with pytest.raises(MalformedGraphError, match="at least one edge"):
             FatGraph((), ())
+
+    @pytest.mark.parametrize("sigma0, labels, message", [
+        ((0,), ("a",), "odd number of darts"),
+        ((1, 1), ("a",), "not a permutation"),
+        ((0, 0), ("a",), "not a permutation"),
+        ((1, 2), ("a",), "not a permutation"),
+        ((1, 0), ("a", "b"), "one label per undirected edge"),
+        ((1, 0, 3, 2), ("a",), "one label per undirected edge"),
+        ((1, 0, 3, 2), ("a", "a"), "duplicate edge labels"),
+    ])
+    def test_raw_constructor_rejects(self, sigma0, labels, message):
+        with pytest.raises(MalformedGraphError, match=message):
+            FatGraph(sigma0, labels)
 
     def test_same_sign_loop_needs_tags(self):
         with pytest.raises(MalformedGraphError, match="#0"):
@@ -238,6 +251,31 @@ class TestSignature:
                        "orbit"), out
 
 
+class TestCachedAttribute:
+    def test_class_access_returns_the_descriptor(self):
+        desc = FatGraph.__dict__["vertex_cycles"]
+        assert isinstance(desc, _cached)
+        assert FatGraph.vertex_cycles is desc
+        assert desc.__doc__ == desc.func.__doc__
+        assert desc.__doc__.startswith("sigma0 orbits as dart tuples")
+
+    def test_second_read_computes_nothing(self, monkeypatch):
+        desc = FatGraph.__dict__["vertex_cycles"]
+        calls = []
+        func = desc.func
+
+        def counted(graph):
+            calls.append(graph)
+            return func(graph)
+
+        monkeypatch.setattr(desc, "func", counted)
+        g = FatGraph.from_vertex_cycles(G1)
+        first = g.vertex_cycles
+        assert g.vertex_cycles is first
+        assert g.__dict__["vertex_cycles"] is first
+        assert calls == [g]
+
+
 class TestFillingPredicate:
     def test_gamma_3_is_filling(self):
         ok, diags = families.build(families.GAMMA_G, 3).is_filling_system()
@@ -258,6 +296,17 @@ class TestFillingPredicate:
             SPHERE_CIRCLE).is_filling_system()
         assert not ok
         assert "4-regular" in diags[0]
+
+    def test_degree_diagnostic_names_the_first_bad_vertex(self):
+        # degrees 4, 4, 6, 2 in vertex order: the first vertex of degree
+        # other than 4 is vertex 2, not vertex 0
+        g = FatGraph.from_vertex_cycles([
+            cyc("a+ b+ a- c+"), cyc("b- d+ c- e+"),
+            cyc("d- f+ e- f- g+ h+"), cyc("g- h-")])
+        assert [g.degree(v) for v in range(4)] == [4, 4, 6, 2]
+        assert g.is_connected
+        assert g.is_filling_system() == (
+            False, ["not 4-regular: vertex 2 has degree 6"])
 
 
 class TestIsomorphism:

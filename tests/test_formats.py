@@ -7,7 +7,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from helpers import grid_plans, reference_plan_text
+from hypothesis import example, given, settings, strategies as st
 
 from fillgraph import cli, core, families, oracle
 from fillgraph.core import FatGraph, FatGraphError
@@ -15,8 +16,9 @@ from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
                                read_graph, write_graph)
-from fillgraph.synthesis import (PlanVerificationError, filling,
-                                 minimal_filling, tight_omega_filling)
+from fillgraph.synthesis import (PlanVerificationError, Step, SynthesisPlan,
+                                 filling, minimal_filling,
+                                 tight_omega_filling)
 
 
 class TestGraphFile:
@@ -124,6 +126,49 @@ class TestPlanFile:
     def test_valid_document_still_loads(self, doc):
         text = json.dumps(doc, indent=2) + "\n"
         assert dumps_plan(loads_plan(text)) == text
+
+
+# --- plan writer: dumps_plan writes json.dumps's indented text -------------
+
+# labels with quotes, backslashes, control and non-ASCII characters
+WRITER_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\n\t\x00", "é", "γ₁",
+                     "\u2028", "\U0001f600", "a'", ""]))
+WRITER_INT = st.integers(-3, 2 ** 40)
+WRITER_CYCLES = st.lists(st.lists(WRITER_TEXT, max_size=4).map(tuple),
+                         max_size=3).map(tuple)
+WRITER_STEPS = st.builds(
+    Step, op=st.sampled_from(["family", "graph", "join", "plumb", "consum",
+                              "smooth", "twist"]),
+    family=st.none() | WRITER_TEXT, param=st.none() | WRITER_INT,
+    vertices=st.none() | WRITER_CYCLES,
+    left=st.none() | WRITER_INT, right=st.none() | WRITER_INT,
+    x=st.none() | WRITER_TEXT, y=st.none() | WRITER_TEXT,
+    w=st.none() | WRITER_INT, u=st.none() | WRITER_INT,
+    align=WRITER_INT, flip=st.booleans(), arg=st.none() | WRITER_INT)
+WRITER_PLANS = st.builds(
+    SynthesisPlan, target=st.tuples(WRITER_INT, WRITER_INT, WRITER_INT),
+    steps=st.lists(WRITER_STEPS, max_size=4),
+    expect_filling=st.booleans(), expect_omega=st.none() | WRITER_INT)
+
+
+class TestPlanWriter:
+    def test_grid_plans_match_the_reference(self):
+        plans = list(grid_plans(5, 4, 5))
+        assert len(plans) == 142
+        for plan in plans:
+            assert dumps_plan(plan) == reference_plan_text(plan), plan.target
+
+    @given(WRITER_PLANS)
+    @example(SynthesisPlan(target=(2, 1, 3), expect_omega=4))
+    @example(SynthesisPlan(target=(2, 1, 3), steps=[
+        Step(op="graph", vertices=()), Step(op="graph", vertices=((),)),
+        Step(op="join", left=0, right=1, x='"\\', y="é", flip=True),
+        Step(op="consum", left=0, right=1, w=0, u=2, align=3)]))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_plans_match_the_reference(self, plan):
+        assert dumps_plan(plan) == reference_plan_text(plan)
 
 
 # --- plan-file fuzz: loads_plan plus replay raise only these ---------------

@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fillgraph import families
-from fillgraph.core import FatGraph
+import fillgraph
+from fillgraph import families, ops
+from fillgraph.core import FatGraph, InvariantError
 from fillgraph.ops import (OperationError, connected_sum, join,
                            new_join_face_lengths, plumbing,
                            predict_connected_sum)
@@ -204,6 +208,94 @@ class TestPlumbing:
         assert coe[g.edge_id(x1)] == coe[g.edge_id(x2)]
         assert coe[g.edge_id(y1)] == coe[g.edge_id(y2)]
         assert coe[g.edge_id(x1)] != coe[g.edge_id(y1)]
+
+
+class TestBuiltResultChecks:
+    """Surgery results skip the checks of ``FatGraph(...)``; ``_rewired``
+    and ``_edge_names`` raise :class:`InvariantError` in their place."""
+
+    @staticmethod
+    def join_operands():
+        """(left, right, names, key dart of e+, darts of x, darts of y)
+        for a join of the torus's ``a`` with G1's ``f1``."""
+        left, right = torus(), g1()
+        names, _ = ops._edge_names(left, right, ("e", "f"))
+        ke = 2 * (left.num_edges + right.num_edges)
+        return left, right, names, ke, left.darts_of("a"), right.darts_of("f1")
+
+    def test_results_pass_the_public_constructor(self):
+        gam = families.build(families.GAMMA_G, 2)
+        for rep in (join(g1(), torus(), "f1", "a", True),
+                    plumbing(g1(), g2(), "f2", "y3"),
+                    connected_sum(gam, g1(), 1, 0, 2)):
+            r = rep.result
+            assert FatGraph(r.sigma0, r.labels) == r
+
+    def test_two_map_entries_on_one_key(self):
+        left, right, names, ke, (xp, xm), (yp, ym) = self.join_operands()
+        with pytest.raises(InvariantError, match="not the darts"):
+            ops._rewired(left, right, {xp: ke, xm: ke},
+                         {yp: ke + 1, ym: ke + 2}, names)
+
+    def test_new_key_among_the_operands_keys(self):
+        left, right, names, ke, (xp, xm), (yp, ym) = self.join_operands()
+        with pytest.raises(InvariantError, match="not the darts"):
+            ops._rewired(left, right, {xp: ke, xm: 1},
+                         {yp: ke + 1, ym: ke + 2}, names)
+
+    def test_new_dart_never_mapped_to(self):
+        left, right, names, ke, (xp, _), (yp, ym) = self.join_operands()
+        with pytest.raises(InvariantError, match="not the darts"):
+            ops._rewired(left, right, {xp: ke},
+                         {yp: ke + 1, ym: ke + 2}, names)
+
+    def test_dangling_darts_of_a_deleted_vertex(self):
+        # deleting G1's first vertex leaves the other darts of its four
+        # edges without partners: 12 darts walked for 8 edges
+        left, right, names, ke, (xp, xm), (yp, ym) = self.join_operands()
+        with pytest.raises(InvariantError, match="walked 12 darts for 8"):
+            ops._rewired(left, right, {xp: ke, xm: ke + 3},
+                         {yp: ke + 1, ym: ke + 2}, names,
+                         skip=((), right.vertex_cycles[0]))
+
+    def test_deleted_darts_must_be_whole_vertices(self):
+        left, right, names, ke, (xp, xm), (yp, ym) = self.join_operands()
+        with pytest.raises(InvariantError, match="whole vertices"):
+            ops._rewired(left, right, {xp: ke, xm: ke + 3},
+                         {yp: ke + 1, ym: ke + 2}, names,
+                         skip=((), (right.sigma0[0],)))
+
+    def test_name_collision(self, monkeypatch):
+        monkeypatch.setattr(ops, "_fresh",
+                            lambda name, used: used.add(name) or name)
+        with pytest.raises(InvariantError, match="share a name"):
+            join(torus(), torus(), "a", "a")
+
+    def test_checks_survive_optimize(self):
+        code = (
+            "from fillgraph import families, ops\n"
+            "from fillgraph.core import InvariantError\n"
+            "t = families.build(families.TORUS_PAIR)\n"
+            "u = families.build(families.TORUS_PAIR)\n"
+            "names, _ = ops._edge_names(t, u, ('e', 'f'))\n"
+            "for lmap in ({0: 8, 1: 8}, {0: 8, 1: 11}):\n"
+            "    try:\n"
+            "        ops._rewired(t, u, lmap, {0: 9, 1: 10}, names)\n"
+            "        print('built')\n"
+            "    except InvariantError:\n"
+            "        print('InvariantError')\n"
+            "ops._fresh = lambda name, used: used.add(name) or name\n"
+            "try:\n"
+            "    ops.join(t, u, 'a', 'a')\n"
+            "except InvariantError:\n"
+            "    print('InvariantError')\n")
+        src = str(Path(fillgraph.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={"PYTHONPATH": src}, capture_output=True,
+                             text=True, timeout=60)
+        assert not out.stderr, out.stderr
+        assert out.stdout.split() == ["InvariantError", "built",
+                                      "InvariantError"]
 
 
 class TestRelabelingEquivariance:
