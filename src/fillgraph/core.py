@@ -338,11 +338,15 @@ class FatGraph:
         """The graph on ``sigma0`` and ``labels`` without the checks of
         ``FatGraph(...)``, for a builder that proves them itself.
 
-        The one caller is :func:`fillgraph.ops._rewired`, which builds
-        every surgery result.  Its docstring gives the proof that
-        ``sigma0`` is a permutation of ``0..2m-1`` and the ``m >= 1``
-        labels are distinct, and it raises :class:`InvariantError`
-        wherever a step of that proof fails."""
+        The callers, each with the proof in its docstring that ``sigma0``
+        is a permutation of ``0..2m-1`` and the ``m >= 1`` labels are
+        distinct:
+
+        * :func:`fillgraph.ops._rewired`, which builds every surgery
+          result and raises :class:`InvariantError` wherever a step of
+          its proof fails;
+        * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
+          bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)
         graph._sigma0 = tuple(sigma0)
         graph._labels = tuple(labels)
@@ -679,26 +683,43 @@ class FatGraph:
         """True iff a dart bijection carries ``sigma0`` to ``other.sigma0``
         and commutes with ``d -> d ^ 1``.
 
-        Each component of this graph is walked once from its least dart
-        (:func:`_rooted_walk`).  Its code is then sought in ``other`` by
-        the same walk from each dart not matched yet, and the first start
-        that reproduces it matches the two components.  Isomorphism of
-        components is an equivalence relation, so this greedy pairing
-        succeeds exactly when the components pair up isomorphically.
+        Such a bijection maps each face onto a face of the same length, so
+        graphs whose multisets of face lengths differ are not isomorphic,
+        and a dart can only map to a dart on a face of its own face's
+        length.  Each component of this graph is walked once
+        (:func:`_rooted_walk`): the first from a dart on a face of the
+        length that the fewest faces share, the others from their least
+        dart.  Its code is then sought in ``other`` by the same walk from
+        each dart not matched yet whose face has the root's face length,
+        and the first start that reproduces it matches the two
+        components.  Isomorphism of components is an equivalence
+        relation, and the image of the root under any isomorphism is
+        among the starts tried, so this greedy pairing succeeds exactly
+        when the components pair up isomorphically.
         """
         n = self.num_darts
         if n != other.num_darts:
             return False
+        lengths, other_lengths = self.face_lengths, other.face_lengths
+        if sorted(lengths) != sorted(other_lengths):
+            return False
+        faces, face_of = self._face_orbits
+        other_face_of = other._face_orbits[1]
+        tally = {}
+        for length in lengths:
+            tally[length] = tally.get(length, 0) + 1
+        rare = min(tally, key=lambda length: (tally[length], length))
         s0, t0 = self._sigma0, other._sigma0
         reverse = [d ^ 1 for d in range(n)]
         matched = [False] * n  # darts of self in a matched component
         free = [True] * n  # darts of other outside every matched component
-        for root in range(n):
+        for root in (faces[lengths.index(rare)], *range(n)):
             if matched[root]:
                 continue
+            want = lengths[face_of[root]]
             comp, code = _rooted_walk(s0, reverse, root)
             for start in range(n):
-                if free[start]:
+                if free[start] and other_lengths[other_face_of[start]] == want:
                     image = _rooted_walk(t0, reverse, start, code)
                     if image[1] == code:
                         break
@@ -730,24 +751,32 @@ class FatGraph:
         return FatGraph(self._sigma0, [mapping[nm] for nm in self._labels])
 
     def shuffled(self, rng):
-        """Random dart relabeling preserving the graph, for tests."""
-        m = self.num_edges
-        edge_perm = list(range(m))
-        rng.shuffle(edge_perm)
-        flip = [rng.random() < 0.5 for _ in range(m)]
+        """Random dart relabeling preserving the graph, for tests.
 
-        def img(d):
-            k, r = d >> 1, d & 1
-            return 2 * edge_perm[k] + (r ^ flip[k])
-
-        n = self.num_darts
-        s0 = [0] * n
-        for d in range(n):
-            s0[img(d)] = img(self._sigma0[d])
+        ``rng`` shuffles the edge numbers, then draws one flip per edge in
+        edge order, so one rng state gives one graph.  The dart image
+        table ``img`` sends the darts ``2k`` and ``2k + 1`` of edge ``k``
+        onto the two darts of edge ``perm[k]``, in an order the flip
+        picks.  So ``img`` is a bijection of the darts that commutes with
+        ``d -> d ^ 1``, the new rotation ``img . sigma0 . img^-1`` is a
+        permutation, and the labels, moved by ``perm``, stay distinct:
+        the checks of ``FatGraph(...)`` hold by construction, and the
+        result is built by :meth:`_built`."""
+        m = len(self._labels)
+        perm = list(range(m))
+        rng.shuffle(perm)
+        img = []
+        for k in perm:
+            d = 2 * k + (rng.random() < 0.5)
+            img.append(d)
+            img.append(d ^ 1)
+        s0 = [0] * (2 * m)
+        for d, e in zip(img, self._sigma0):
+            s0[d] = img[e]
         labels = [None] * m
-        for k in range(m):
-            labels[edge_perm[k]] = self._labels[k]
-        return FatGraph(s0, labels)
+        for k, name in zip(perm, self._labels):
+            labels[k] = name
+        return FatGraph._built(s0, labels)
 
     def smoothed(self):
         """Suppress all degree 2 vertices by merging their edge pairs.

@@ -134,48 +134,67 @@ def _require(what, value, kind):
                           f"got {value!r}")
 
 
-def _validate_plan(doc):
+def _read_step(i, d) -> Step:
+    """The :class:`Step` of the document ``d`` of step ``i``, checked and
+    read in one pass over its keys.
+
+    Each field is tested by exact type, and only a value that misses it
+    goes through :func:`_require`, which also accepts an int subclass
+    other than bool.  A fault raises the :class:`FormatError` of the
+    first one in this order: ``d`` is a dict, "op", the fields in
+    ``_STEP_TYPES`` order, the fields the op needs, the vertex cycles.
+    An explicit null is read as given, so ``"align": null`` gives
+    ``align=None``."""
+    if type(d) is not dict:
+        _require(f"step {i}", d, dict)
+    op = d.get("op")
+    if type(op) is not str:
+        _require(f"step {i} op", op, str)
+    fields = {}
+    for k, v in d.items():
+        kind = _STEP_TYPES.get(k)
+        if kind is None:
+            continue
+        if type(v) is not kind and v is not None:
+            # name the first ill-typed field in schema order, not in
+            # document order; an int subclass passes
+            for k2, kind2 in _STEP_TYPES.items():
+                if d.get(k2) is not None:
+                    _require(f"step {i} {k2}", d[k2], kind2)
+        fields[k] = v
+    for k in _STEP_FIELDS.get(op, ()):
+        if fields.get(k) is None:
+            raise FormatError(f"step {i} ({op}) needs field {k!r}")
+    vertices = fields.get("vertices")
+    if vertices is not None:
+        for c in vertices:
+            if type(c) is not list:
+                _require(f"step {i} vertex cycle", c, list)
+        fields["vertices"] = tuple([tuple(c) for c in vertices])
+    return Step._of(fields)
+
+
+def plan_from_document(doc) -> SynthesisPlan:
+    """The plan of a parsed plan file, every field checked: a fault
+    raises :class:`FormatError` naming the first one, the plan's fields
+    before its steps and the steps in order (:func:`_read_step`)."""
+    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
+        raise FormatError(f"not a {PLAN_FORMAT} document")
     t = doc.get("target")
     _require("plan target", t, dict)
     for k in ("g", "b", "s"):
         _require(f"target {k}", t.get(k), int)
-    _require("expect_filling", doc.get("expect_filling", True), bool)
-    if doc.get("expect_omega") is not None:
-        _require("expect_omega", doc["expect_omega"], int)
-    _require("plan steps", doc.get("steps"), list)
-    for i, d in enumerate(doc["steps"]):
-        _require(f"step {i}", d, dict)
-        _require(f"step {i} op", d.get("op"), str)
-        for k, kind in _STEP_TYPES.items():
-            if d.get(k) is not None:
-                _require(f"step {i} {k}", d[k], kind)
-        for k in _STEP_FIELDS.get(d["op"], ()):
-            if d.get(k) is None:
-                raise FormatError(f"step {i} ({d['op']}) needs field {k!r}")
-        for c in d.get("vertices") or ():
-            _require(f"step {i} vertex cycle", c, list)
-
-
-def plan_from_document(doc) -> SynthesisPlan:
-    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
-        raise FormatError(f"not a {PLAN_FORMAT} document")
-    _validate_plan(doc)
-    t = doc["target"]
-    plan = SynthesisPlan(target=(t["g"], t["b"], t["s"]),
-                         expect_filling=doc.get("expect_filling", True),
-                         expect_omega=doc.get("expect_omega"))
-    for d in doc["steps"]:
-        vertices = d.get("vertices")
-        if vertices is not None:
-            vertices = tuple(tuple(c) for c in vertices)
-        plan.add(Step(op=d["op"], family=d.get("family"),
-                      param=d.get("param"), vertices=vertices,
-                      left=d.get("left"), right=d.get("right"),
-                      x=d.get("x"), y=d.get("y"),
-                      w=d.get("w"), u=d.get("u"),
-                      align=d.get("align", 0), flip=d.get("flip", False),
-                      arg=d.get("arg")))
-    return plan
+    expect_filling = doc.get("expect_filling", True)
+    _require("expect_filling", expect_filling, bool)
+    expect_omega = doc.get("expect_omega")
+    if expect_omega is not None:
+        _require("expect_omega", expect_omega, int)
+    steps = doc.get("steps")
+    _require("plan steps", steps, list)
+    return SynthesisPlan(target=(t["g"], t["b"], t["s"]),
+                         steps=[_read_step(i, d) for i, d in enumerate(steps)],
+                         expect_filling=expect_filling,
+                         expect_omega=expect_omega)
 
 
 # JSON text of a scalar by exact type, as json.dumps writes it

@@ -367,6 +367,19 @@ def _spliced_orbit_count(succ_l, w_darts, succ_r, u_darts):
     return len(_orbit_labels(nxt)[0]) - 16
 
 
+def _strands_distinct(graph, darts):
+    """True when ``graph`` is decorated and the edges of ``darts[0]`` and
+    ``darts[1]`` lie on two different curves.  An edge lies on the curve
+    of the kept orbit of its two darts, the one with the smaller curve
+    label (see :attr:`FatGraph.curve_of_edge`), so the labels are compared
+    without building the edge map."""
+    if not graph.is_decorated:
+        return False
+    labels = graph._curve_orbits[1]
+    d, e = darts[0], darts[1]
+    return min(labels[d], labels[d ^ 1]) != min(labels[e], labels[e ^ 1])
+
+
 def _chi_audit(left, w_darts, right, u_darts, ls, rs):
     """Evaluate the four-branch indicator-sum classification of the connected
     sum and return its diagnostics.  The table value is recorded for audit;
@@ -388,14 +401,8 @@ def _chi_audit(left, w_darts, right, u_darts, ls, rs):
 
     # the printed curve law s1+s2-2 silently assumes the two strands at each
     # deleted vertex belong to two different curves
-    def strands_distinct(g, darts):
-        if not g.is_decorated:
-            return False
-        coe = g.curve_of_edge
-        return coe[darts[0] >> 1] != coe[darts[1] >> 1]
-
-    s_law_premise = strands_distinct(left, w_darts) and \
-        strands_distinct(right, u_darts)
+    s_law_premise = _strands_distinct(left, w_darts) and \
+        _strands_distinct(right, u_darts)
 
     if exists_eta_all4:
         case, delta = SUM_ALL4_ONE, 2

@@ -78,6 +78,29 @@ class Step:
     flip: bool = False
     arg: int | None = None
 
+    @classmethod
+    def _of(cls, fields):
+        """The step with the values of the dict ``fields``, which names
+        "op" and any other fields, and every other field at its default.
+
+        The dataclass ``__init__`` writes all 13 fields one
+        ``object.__setattr__`` at a time; this writes the given ones into
+        the instance dict in one update, and a field left out reads its
+        default from the class.  Equality, hashing, ``repr`` and
+        :func:`dataclasses.replace` read the fields by name, so they see
+        the same step either way.  Like ``__init__``, it raises
+        :class:`TypeError` for an unknown field name or a missing "op"."""
+        if "op" not in fields or not _STEP_FIELD_NAMES.issuperset(fields):
+            raise TypeError(f"Step fields must include 'op' and be among "
+                            f"{sorted(_STEP_FIELD_NAMES)}, got "
+                            f"{list(fields)}")
+        step = object.__new__(cls)
+        step.__dict__.update(fields)
+        return step
+
+
+_STEP_FIELD_NAMES = frozenset(Step.__dataclass_fields__)
+
 
 @dataclass
 class SynthesisPlan:
@@ -199,7 +222,13 @@ def _pair_candidates(V):
     Edge v leaves vertex v along curve a, and edge V+j is the j-th edge
     of curve b; :func:`_search_cached` labels them ``a{v}`` and ``b{j}``.
     A list is yielded bare, so a candidate the face screen rejects is
-    never built as a :class:`FatGraph`."""
+    never built as a :class:`FatGraph`; each is a fresh list.
+
+    For each visit order, the crossing flags run through
+    ``itertools.product((0, 1), repeat=V)`` order by binary counting, so
+    each candidate is the one before it with the four entries of each
+    vertex whose flag changed rewritten from a table of every vertex's
+    entries under either flag."""
     if V == 1:
         orders = [(0,)]
     else:
@@ -209,17 +238,21 @@ def _pair_candidates(V):
         if V > 2 and beta[1] > beta[-1]:
             continue
         jpos = {v: j for j, v in enumerate(beta)}
-        for flags in itertools.product((0, 1), repeat=V):
-            sigma0 = [0] * (4 * V)
-            for v in range(V):
-                a_out, a_in = 2 * v, 2 * ((v - 1) % V) + 1
-                j = jpos[v]
-                b_out, b_in = 2 * (V + j), 2 * (V + (j - 1) % V) + 1
-                if flags[v]:
-                    b_out, b_in = b_in, b_out
-                sigma0[a_out], sigma0[b_out] = b_out, a_in
-                sigma0[a_in], sigma0[b_in] = b_in, a_out
-            yield sigma0
+        writes = []  # by vertex, by flag: its (dart, image) pairs
+        for v in range(V):
+            a_out, a_in = 2 * v, 2 * ((v - 1) % V) + 1
+            j = jpos[v]
+            b_out, b_in = 2 * (V + j), 2 * (V + (j - 1) % V) + 1
+            writes.append([((a_out, bo), (bo, a_in), (a_in, bi), (bi, a_out))
+                           for bo, bi in ((b_out, b_in), (b_in, b_out))])
+        sigma0 = [0] * (4 * V)
+        for c in range(1 << V):  # flags[v] is bit V-1-v of c
+            # from c-1 to c the trailing ones and the bit above them flip
+            changed = (c ^ (c - 1)).bit_length() if c else V
+            for v in range(V - changed, V):
+                for d, img in writes[v][c >> (V - 1 - v) & 1]:
+                    sigma0[d] = img
+            yield sigma0[:]
 
 
 def search_filling(V, target):
@@ -361,24 +394,27 @@ class _Builder:
         return base + result
 
     def family(self, name, param=None):
-        return self.run(Step(op="family", family=name, param=param))
+        return self.run(Step._of({"op": "family", "family": name,
+                                   "param": param}))
 
     def literal(self, graph):
         """A graph step; it runs from its recorded tokens, so the graph
         kept here is the replayed one, not ``graph`` itself."""
-        return self.run(Step(op="graph", vertices=tuple(
-            map(tuple, graph.to_vertex_cycle_tokens()))))
+        return self.run(Step._of({"op": "graph", "vertices": tuple(
+            map(tuple, graph.to_vertex_cycle_tokens()))}))
 
     def join(self, li, ri, x, y):
-        idx = self.run(Step(op="join", left=li, right=ri, x=x, y=y))
+        idx = self.run(Step._of({"op": "join", "left": li, "right": ri,
+                                  "x": x, "y": y}))
         return idx, self.reports[-1]
 
     def plumb(self, li, ri, x, y):
-        idx = self.run(Step(op="plumb", left=li, right=ri, x=x, y=y))
+        idx = self.run(Step._of({"op": "plumb", "left": li, "right": ri,
+                                  "x": x, "y": y}))
         return idx, self.reports[-1]
 
     def smooth(self, idx):
-        return self.run(Step(op="smooth", arg=idx))
+        return self.run(Step._of({"op": "smooth", "arg": idx}))
 
     def consum_reaching(self, li, ri, want_triple, require=None):
         """Add the first (w, u, align) connected sum that reaches the
@@ -397,8 +433,9 @@ class _Builder:
                         if predict_connected_sum(left, right, w, u,
                                                  align) != want_triple:
                             continue
-                        step = Step(op="consum", left=li, right=ri, w=w,
-                                    u=u, align=align)
+                        step = Step._of({"op": "consum", "left": li,
+                                          "right": ri, "w": w, "u": u,
+                                          "align": align})
                         graph = _run_step(step, self.graphs, self.reports)
                     except FatGraphError:
                         continue

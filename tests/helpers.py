@@ -4,16 +4,22 @@ of the search, a reference census witness, a reference pair search,
 the surface invariants, straight-ahead successor and curves read from
 the cycle tuples, and the census's and the pair search's face screens
 read from the face tuples, and the plan text of the standard library's
-indenting JSON encoder."""
+indenting JSON encoder; and the earlier forms of four library routines,
+kept as references: the two-pass plan reader, the per-dart ``shuffled``,
+the isomorphism test without face screening and the pair candidates
+built whole."""
 
+import itertools
 import json
 
 from fillgraph.core import (FatGraph, StandardCycle, _orbits,
-                            canonical_code)
-from fillgraph.formats import plan_to_document
+                            _rooted_walk, canonical_code)
+from fillgraph.formats import (_STEP_FIELDS, _STEP_TYPES, PLAN_FORMAT,
+                               FormatError, _require, plan_to_document)
 from fillgraph.oracle import iter_matchings, matching_to_graph
-from fillgraph.synthesis import (_pair_candidates, filling, lower_bound,
-                                 tight_omega_filling, upper_bound)
+from fillgraph.synthesis import (Step, SynthesisPlan, _pair_candidates,
+                                 filling, lower_bound, tight_omega_filling,
+                                 upper_bound)
 
 
 def grid_targets(gmax, bmax, tight_gmax):
@@ -259,3 +265,123 @@ def tuple_face_screen(sigma0, b):
     faces (orbits of d -> sigma0[d ^ 1]), none shorter than 3."""
     faces = _orbits([sigma0[d ^ 1] for d in range(len(sigma0))], len)
     return len(faces) == b and min(faces) >= 3
+
+
+def reference_plan_from_document(doc):
+    """:func:`fillgraph.formats.plan_from_document` as two passes: the
+    whole document is checked field by field through ``_require``, then
+    read, each step through the dataclass ``__init__`` of :class:`Step`
+    with every field given."""
+    if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
+        raise FormatError(f"not a {PLAN_FORMAT} document")
+    t = doc.get("target")
+    _require("plan target", t, dict)
+    for k in ("g", "b", "s"):
+        _require(f"target {k}", t.get(k), int)
+    _require("expect_filling", doc.get("expect_filling", True), bool)
+    if doc.get("expect_omega") is not None:
+        _require("expect_omega", doc["expect_omega"], int)
+    _require("plan steps", doc.get("steps"), list)
+    for i, d in enumerate(doc["steps"]):
+        _require(f"step {i}", d, dict)
+        _require(f"step {i} op", d.get("op"), str)
+        for k, kind in _STEP_TYPES.items():
+            if d.get(k) is not None:
+                _require(f"step {i} {k}", d[k], kind)
+        for k in _STEP_FIELDS.get(d["op"], ()):
+            if d.get(k) is None:
+                raise FormatError(f"step {i} ({d['op']}) needs field {k!r}")
+        for c in d.get("vertices") or ():
+            _require(f"step {i} vertex cycle", c, list)
+    plan = SynthesisPlan(target=(t["g"], t["b"], t["s"]),
+                         expect_filling=doc.get("expect_filling", True),
+                         expect_omega=doc.get("expect_omega"))
+    for d in doc["steps"]:
+        vertices = d.get("vertices")
+        if vertices is not None:
+            vertices = tuple(tuple(c) for c in vertices)
+        plan.add(Step(op=d["op"], family=d.get("family"),
+                      param=d.get("param"), vertices=vertices,
+                      left=d.get("left"), right=d.get("right"),
+                      x=d.get("x"), y=d.get("y"),
+                      w=d.get("w"), u=d.get("u"),
+                      align=d.get("align", 0), flip=d.get("flip", False),
+                      arg=d.get("arg")))
+    return plan
+
+
+def reference_shuffled(graph, rng):
+    """:meth:`FatGraph.shuffled` computing each dart's image on the fly
+    and building the result through the checks of ``FatGraph(...)``; the
+    same draws from ``rng`` in the same order."""
+    m = graph.num_edges
+    edge_perm = list(range(m))
+    rng.shuffle(edge_perm)
+    flip = [rng.random() < 0.5 for _ in range(m)]
+
+    def img(d):
+        k, r = d >> 1, d & 1
+        return 2 * edge_perm[k] + (r ^ flip[k])
+
+    n = graph.num_darts
+    s0 = [0] * n
+    for d in range(n):
+        s0[img(d)] = img(graph.sigma0[d])
+    labels = [None] * m
+    for k in range(m):
+        labels[edge_perm[k]] = graph.labels[k]
+    return FatGraph(s0, labels)
+
+
+def reference_is_isomorphic(a, b):
+    """:meth:`FatGraph.is_isomorphic` without face screening: each
+    component of ``a``, walked from its least dart, is sought in ``b`` by
+    the walk from every dart not matched yet."""
+    n = a.num_darts
+    if n != b.num_darts:
+        return False
+    s0, t0 = a.sigma0, b.sigma0
+    reverse = [d ^ 1 for d in range(n)]
+    matched = [False] * n
+    free = [True] * n
+    for root in range(n):
+        if matched[root]:
+            continue
+        comp, code = _rooted_walk(s0, reverse, root)
+        for start in range(n):
+            if free[start]:
+                image = _rooted_walk(t0, reverse, start, code)
+                if image[1] == code:
+                    break
+        else:
+            return False
+        for d in comp:
+            matched[d] = True
+        for d in image[0]:
+            free[d] = False
+    return True
+
+
+def reference_pair_candidates(V):
+    """:func:`fillgraph.synthesis._pair_candidates` building every
+    candidate whole: for each kept visit order of curve b and each flag
+    tuple of ``itertools.product``, all 4V entries of ``sigma0``."""
+    if V == 1:
+        orders = [(0,)]
+    else:
+        orders = [(0,) + rest for rest in itertools.permutations(range(1, V))]
+    for beta in orders:
+        if V > 2 and beta[1] > beta[-1]:
+            continue
+        jpos = {v: j for j, v in enumerate(beta)}
+        for flags in itertools.product((0, 1), repeat=V):
+            sigma0 = [0] * (4 * V)
+            for v in range(V):
+                a_out, a_in = 2 * v, 2 * ((v - 1) % V) + 1
+                j = jpos[v]
+                b_out, b_in = 2 * (V + j), 2 * (V + (j - 1) % V) + 1
+                if flags[v]:
+                    b_out, b_in = b_in, b_out
+                sigma0[a_out], sigma0[b_out] = b_out, a_in
+                sigma0[a_in], sigma0[b_in] = b_in, a_out
+            yield sigma0

@@ -7,7 +7,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from helpers import grid_plans, reference_plan_text
+from helpers import (grid_plans, reference_plan_from_document,
+                     reference_plan_text)
 from hypothesis import example, given, settings, strategies as st
 
 from fillgraph import cli, core, families, oracle
@@ -15,7 +16,7 @@ from fillgraph.core import FatGraph, FatGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
-                               read_graph, write_graph)
+                               plan_from_document, read_graph, write_graph)
 from fillgraph.synthesis import (PlanVerificationError, Step, SynthesisPlan,
                                  filling, minimal_filling,
                                  tight_omega_filling)
@@ -265,6 +266,69 @@ def test_plan_fuzz_raises_only_plan_errors(doc):
         loads_plan(json.dumps(doc)).replay()
     except PLAN_ERRORS:
         pass
+
+
+# --- plan reader: one pass gives the two-pass reference's plan or error --
+
+
+def read_outcome(reader, doc):
+    """("plan", fields) of the plan ``reader`` reads from ``doc``, the
+    steps by ``repr`` (so True and 1 differ), or ("error", text) of its
+    FormatError."""
+    try:
+        plan = reader(doc)
+    except FormatError as exc:
+        return "error", str(exc)
+    return "plan", (plan.target, repr(plan.steps), plan.expect_filling,
+                    plan.expect_omega)
+
+
+class Index(int):
+    """An int subclass, as a caller outside JSON may pass one."""
+
+
+NULLS_DOC = {"format": "fillplan/1", "target": {"g": 2, "b": 1, "s": 3},
+             "expect_omega": None, "steps": [
+                 {"op": "family", "family": "G1", "param": None},
+                 {"op": "family", "family": "G1", "param": None,
+                  "vertices": None, "x": None, "arg": None},
+                 {"op": "consum", "left": 0, "right": 1, "w": 0, "u": 0,
+                  "align": None},
+                 {"op": "join", "left": 0, "right": 1, "x": "a", "y": "b",
+                  "flip": None},
+                 {"op": "plumb", "left": Index(0), "right": Index(1),
+                  "x": "a", "y": "b", "w": Index(2), "flip": True}]}
+
+
+def faulty(*steps):
+    return {"format": "fillplan/1", "target": {"g": 2, "b": 1, "s": 3},
+            "steps": list(steps)}
+
+
+@given(st.one_of(RANDOM_DOCS, mutated_docs()))
+@example(NULLS_DOC)
+@example({**NULLS_DOC, "target": {"g": Index(2), "b": 1, "s": 3},
+          "expect_omega": Index(3)})
+# two faults: the first in schema order is named, not the first in the
+# document
+@example(faulty({"op": "join", "y": 5, "left": "0", "right": 1, "x": "a"}))
+@example(faulty({"op": "join", "flip": 1, "left": True, "right": 1}))
+@example(faulty({"op": "consum", "left": 0, "right": 1, "vertices": [3],
+                 "w": 0}))
+@example(faulty({"op": "graph", "vertices": [["a+"], "b"]}))
+@example(faulty({"op": "graph", "vertices": [], "arg": 1.5}))
+@example(faulty({"op": "family"}, 7))
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_two_pass_reference(doc):
+    outcome = read_outcome(plan_from_document, doc)
+    assert outcome == read_outcome(reference_plan_from_document, doc)
+
+
+def test_reader_keeps_explicit_nulls():
+    steps = plan_from_document(NULLS_DOC).steps
+    assert steps[0] == Step(op="family", family="G1")
+    assert steps[2].align is None and steps[3].flip is None
+    assert type(steps[4].left) is Index
 
 
 # --- graph-file fuzz: loads_graph raises only FormatError, and the CLI

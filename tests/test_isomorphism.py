@@ -1,21 +1,26 @@
 """FatGraph.is_isomorphic against equality of sorted per-component
 canonical codes (census classes with V <= 3 are compared in
-test_properties.py, together with a brute-force search)."""
+test_properties.py, together with a brute-force search), and against
+the greedy matcher without face screening; FatGraph.shuffled against
+its per-dart reference."""
 
+import hashlib
 import itertools
 import random
 from collections import defaultdict
 
-from helpers import component_codes, grid_plans
+from helpers import (component_codes, grid_plans, reference_is_isomorphic,
+                     reference_shuffled)
 
-from fillgraph import families
+from fillgraph import families, oracle
 from fillgraph.core import FatGraph, canonical_code
 from fillgraph.oracle import census
 
 
 def assert_agrees(pairs):
-    """is_isomorphic equals the reference on every pair; returns the
-    number of isomorphic pairs."""
+    """is_isomorphic equals the reference on every pair, and so does the
+    greedy matcher without face screening; returns the number of
+    isomorphic pairs."""
     codes = {}
 
     def ref(g):
@@ -27,6 +32,7 @@ def assert_agrees(pairs):
     for a, b in pairs:
         expect = a.num_darts == b.num_darts and ref(a) == ref(b)
         assert a.is_isomorphic(b) == expect, (a, b)
+        assert reference_is_isomorphic(a, b) == expect, (a, b)
         same += expect
     return same
 
@@ -105,3 +111,55 @@ def test_ring_past_256_darts():
     assert big.num_darts == 258 == graphs[3].num_darts
     # {big, its copy}, {the two unions, a copy}, and two graphs alone
     assert assert_agrees(itertools.product(graphs, repeat=2)) == 4 + 9 + 1 + 1
+
+
+def test_shuffled_is_pinned_and_matches_the_reference():
+    # one rng state gives one graph: the perfbench relabelings and every
+    # seeded test depend on it
+    catalog = [g for _, g in oracle._operand_pool(1, 0)]
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for g in catalog:
+            h = g.shuffled(rng)
+            assert h == reference_shuffled(g, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            assert h.is_isomorphic(g)
+            digest.update(repr((h.sigma0, h.labels)).encode())
+        digest.update(repr(rng.random()).encode())
+    assert len(catalog) == 11
+    assert digest.hexdigest() == (
+        "e5371640cecbf77a39260dc0edc96b8f2e2d67030bc80b38ea543e6c7c1dbb92")
+
+
+def test_census_shuffles_agree_with_the_greedy_matcher():
+    rng = random.Random(61)
+    graphs = [row.graph() for row in census(4)]
+    pairs = [(g, g.shuffled(rng)) for g in graphs]
+    assert assert_agrees(pairs) == len(graphs) == 365
+
+
+def test_census_pairs_agree_with_the_greedy_matcher():
+    rng = random.Random(67)
+    graphs = [row.graph() for row in census(3)]
+    copies = [g.shuffled(rng) for g in graphs]
+    pairs = list(itertools.product(graphs, copies))
+    assert assert_agrees(pairs) == len(graphs) == 36
+    # the face screen passes some pairs that only the walk tells apart
+    screened = [(a, b) for a, b in pairs
+                if sorted(a.face_lengths) == sorted(b.face_lengths)
+                and not reference_is_isomorphic(a, b)]
+    assert len(screened) > 36
+
+
+def test_disconnected_against_connected_of_the_same_size():
+    rng = random.Random(71)
+    torus = families.build(families.TORUS_PAIR)
+    two = union(torus, families.build(families.TORUS_PAIR))
+    connected = [row.graph() for row in census(2)]
+    assert all(g.num_darts == two.num_darts == 8 for g in connected)
+    # two of them share its face lengths, so only the walk decides
+    assert sum(sorted(g.face_lengths) == [4, 4] for g in connected) == 2
+    graphs = [two, two.shuffled(rng), *connected]
+    assert assert_agrees(itertools.product(graphs, repeat=2)) == (
+        4 + len(connected))

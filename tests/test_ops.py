@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fillgraph
-from fillgraph import families, ops
+from fillgraph import families, oracle, ops
 from fillgraph.core import FatGraph, InvariantError
 from fillgraph.ops import (OperationError, connected_sum, join,
                            new_join_face_lengths, plumbing,
@@ -168,6 +169,24 @@ class TestConnectedSum:
                 predict_connected_sum(*args)
             with pytest.raises(OperationError):
                 connected_sum(*args)
+
+    def test_strand_test_matches_the_edge_map(self):
+        # the curve labels of two edges tell their curves apart exactly as
+        # curve_of_edge does, for every pair of darts at one vertex
+        pairs = 0
+        for V in range(1, 5):
+            for row in oracle.census(V):
+                graph = row.graph()
+                coe = graph.curve_of_edge
+                for cyc in graph.vertex_cycles:
+                    for d, e in itertools.permutations(cyc, 2):
+                        assert ops._strands_distinct(graph, (d, e)) == (
+                            coe[d >> 1] != coe[e >> 1])
+                        pairs += 1
+        assert pairs > 10_000
+        odd = FatGraph.from_vertex_cycles([["a+", "a-", "b+"],
+                                           ["b-", "c+", "c-"]])
+        assert not ops._strands_distinct(odd, (0, 1))
 
 
 class TestPlumbing:

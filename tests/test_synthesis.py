@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
+import itertools
 from functools import lru_cache
 
 import pytest
 from helpers import (first_matching_graph, grid_plans, grid_targets,
-                     pair_search_reference, tuple_face_screen)
+                     pair_search_reference, reference_pair_candidates,
+                     tuple_face_screen)
 
 from fillgraph import families, formats, oracle, synthesis
 from fillgraph.analysis import intersection_graph
 from fillgraph.ops import OperationError
-from fillgraph.synthesis import (ImpossibleSignatureError, SynthesisError,
-                                 SynthesisPlan, SynthesisRangeError, filling,
-                                 lower_bound, max_filling, minimal_filling,
+from fillgraph.synthesis import (ImpossibleSignatureError, Step,
+                                 SynthesisError, SynthesisPlan,
+                                 SynthesisRangeError, filling, lower_bound,
+                                 max_filling, minimal_filling,
                                  search_filling, tight_omega_filling,
                                  upper_bound)
 
@@ -219,6 +223,16 @@ class TestSearch:
                 accepted += ok
         assert accepted > 0
 
+    @pytest.mark.parametrize("V", range(1, 8))
+    def test_pair_candidates_match_the_reference(self, V):
+        # each candidate is rewritten from the one before it, yet the
+        # sequence is the one built whole, each a list of its own
+        count = None if V <= 6 else 5000
+        got = list(itertools.islice(synthesis._pair_candidates(V), count))
+        assert got == list(itertools.islice(reference_pair_candidates(V),
+                                            count))
+        assert len({id(c) for c in got}) == len(got)
+
     @pytest.mark.parametrize("V, target, examined", [
         (5, (3, 1, 2), 97), (7, (4, 1, 2), 3457)])
     def test_pair_search_examines_every_candidate(self, V, target,
@@ -390,3 +404,37 @@ class TestSubplanMemo:
             text = formats.dumps_plan(build(*args))
             assert text == cold_texts[build, args], (build, args)
         assert memo.cache_info().currsize == 256
+
+
+class TestStepConstructor:
+    FIELDS = [{"op": "family", "family": "G1", "param": None},
+              {"op": "graph", "vertices": (("a+", "a-"),)},
+              {"op": "join", "left": 0, "right": 1, "x": "a", "y": "b"},
+              {"op": "consum", "left": 0, "right": 1, "w": 2, "u": 3,
+               "align": 1},
+              {"op": "plumb", "left": 0, "right": 1, "x": "a", "y": "b",
+               "flip": True},
+              {"op": "smooth", "arg": 4},
+              {"op": "consum", "align": None, "flip": None}]
+
+    @pytest.mark.parametrize("fields", FIELDS)
+    def test_same_step_as_init(self, fields):
+        step, ref = Step._of(fields), Step(**fields)
+        assert step == ref and hash(step) == hash(ref)
+        assert repr(step) == repr(ref)
+        assert dataclasses.astuple(step) == dataclasses.astuple(ref)
+        moved = dataclasses.replace(step, left=7)
+        assert moved == dataclasses.replace(ref, left=7)
+        assert step == ref  # replace left the original alone
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.op = "join"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.align = 2
+
+    @pytest.mark.parametrize("fields", [{"op": "join", "lefty": 0},
+                                        {"left": 0}, {}])
+    def test_unknown_or_missing_field_is_a_type_error(self, fields):
+        with pytest.raises(TypeError):
+            Step._of(fields)
+        with pytest.raises(TypeError):
+            Step(**fields)
