@@ -1,7 +1,6 @@
 """Filling systems on closed orientable surfaces as decorated fat graphs."""
 
 from .core import (
-    BoundaryCycle,
     DegreeError,
     DisconnectedError,
     FatGraph,
@@ -9,7 +8,6 @@ from .core import (
     InvariantError,
     MalformedGraphError,
     NotDecoratedError,
-    StandardCycle,
     SurfaceSignature,
 )
 from .ops import (
@@ -43,10 +41,9 @@ from . import families, formats, oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCycle", "DegreeError", "DisconnectedError", "FatGraph",
+    "DegreeError", "DisconnectedError", "FatGraph",
     "FatGraphError", "InvariantError", "MalformedGraphError",
-    "NotDecoratedError",
-    "StandardCycle", "SurfaceSignature",
+    "NotDecoratedError", "SurfaceSignature",
     "OperationError", "OperationInvariantError", "OperationReport",
     "connected_sum", "join", "plumbing",
     "WeightedIntersectionGraph", "check_euler_identity", "check_kn_bound",

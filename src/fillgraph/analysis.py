@@ -33,9 +33,6 @@ class WeightedIntersectionGraph:
     def degree(self, v):
         return sum(w for (i, j), w in self.weights.items() if v in (i, j))
 
-    def degree_profile(self):
-        return [self.degree(v) for v in range(self.num_curves)]
-
     def total_weight(self):
         return sum(self.weights.values())
 
@@ -55,19 +52,6 @@ class WeightedIntersectionGraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.num_curves
-
-    def is_path(self):
-        """True iff the underlying simple graph is a path on all vertices."""
-        if not self.is_connected():
-            return False
-        degs = sorted(len({j for (a, b) in self.weights for j in (a, b)
-                           if v in (a, b) and (j != v)})
-                      for v in range(self.num_curves))
-        if self.num_curves == 1:
-            return True
-        if self.num_curves == 2:
-            return len(self.weights) == 1
-        return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
     def as_matrix(self):
         mat = [[0] * self.num_curves for _ in range(self.num_curves)]

@@ -8,13 +8,17 @@ directed edges (darts).  Undirected edge ``k`` owns the two darts ``2k`` and
 Derived structure:
 
 * vertices are the cycles of ``sigma0``;
-* boundary components are the cycles of ``sigma1 * sigma0^-1``, traversed and
-  printed here in word order, i.e. by the successor ``d -> sigma0[d ^ 1]``
-  (same orbits, and the traversal reproduces boundary words of the source
-  constructions literally);
+* boundary components (faces) are the cycles of ``sigma1 * sigma0^-1``,
+  labelled here by the word-order successor ``d -> sigma0[d ^ 1]`` (same
+  orbits; along it a face reads as the boundary words of the source
+  constructions);
 * standard cycles (the curves of a filling system) are the orbits of the
   straight-ahead successor ``d -> sigma0^k(d ^ 1)`` at a degree ``2k`` vertex,
   taken up to orientation reversal.
+
+Faces and curves are numbered by least dart: face ``k`` is the ``k``-th
+face in increasing order of its least dart, and curve ``k`` the ``k``-th
+kept straight-ahead orbit in that order.
 
 The signature (g, b, s) is counted, not listed: one breadth-first walk
 over the vertices (:func:`_vertex_walk`), then one labeller,
@@ -23,9 +27,9 @@ with its straight-ahead orbit in flat arrays, building no cycle tuple.
 Each successor has one cached record, which all its readers read:
 ``_face_orbits`` (the face labels) and ``_curve_orbits`` (the curve
 labels, the straight-ahead successor and the orbit kept of each mirror
-pair).  The cycle tuples (``vertex_cycles``, ``boundary_cycles``,
-``standard_cycles``) are computed only when a caller reads them;
-:func:`_orbits` builds them.
+pair).  Faces and curves exist only as these labels; the one cycle
+tuple is ``vertex_cycles``, built by :func:`_orbits` when a caller reads
+it.
 
 Graphs are immutable; every operation returns a fresh value.
 """
@@ -132,10 +136,10 @@ class SurfaceSignature:
         return f"g={self.genus} b={self.boundary_count} s={s}"
 
 
-def _orbits(succ, make=tuple):
-    """Cycles of the permutation ``succ`` of 0..n-1, each starting at its
-    least element and passed through ``make``, listed in increasing order
-    of that element."""
+def _orbits(succ):
+    """Cycles of the permutation ``succ`` of 0..n-1 as tuples, each
+    starting at its least element, listed in increasing order of that
+    element."""
     n = len(succ)
     seen = [False] * n
     out = []
@@ -149,7 +153,7 @@ def _orbits(succ, make=tuple):
             seen[d] = True
             cyc.append(d)
             d = succ[d]
-        out.append(make(cyc))
+        out.append(tuple(cyc))
     return tuple(out)
 
 
@@ -217,23 +221,6 @@ def _orbit_labels(succ):
                 labels[d] = k
                 d = succ[d]
     return starts, labels
-
-
-class BoundaryCycle(tuple):
-    """Orbit of the boundary permutation, as a dart tuple in word order."""
-
-    def word(self, graph):
-        return tuple(graph.dart_name(d) for d in self)
-
-
-class StandardCycle(tuple):
-    """One curve: darts along a straight-ahead traversal, one per edge used."""
-
-    def edges(self):
-        return tuple(d >> 1 for d in self)
-
-    def word(self, graph):
-        return tuple(graph.dart_name(d) for d in self)
 
 
 def canonical_code(sigma0, sigma1):
@@ -327,6 +314,14 @@ class FatGraph:
         self._labels = tuple(labels)
         if len(self._labels) != n // 2:
             raise MalformedGraphError("one label per undirected edge required")
+        for label in self._labels:
+            # the graph file writes a label with a sign, "#" starts an
+            # occurrence tag and U+2212 reads back as "-"
+            if not (isinstance(label, str) and label) or "#" in label \
+                    or "−" in label:
+                raise MalformedGraphError(
+                    "an edge label is a non-empty string without '#' or "
+                    f"'−', got {label!r}")
         if len(set(self._labels)) != len(self._labels):
             raise MalformedGraphError("duplicate edge labels")
         self._signature = None
@@ -340,7 +335,9 @@ class FatGraph:
 
         The callers, each with the proof in its docstring that ``sigma0``
         is a permutation of ``0..2m-1`` and the ``m >= 1`` labels are
-        distinct:
+        distinct.  Their labels are valid because they are made from the
+        labels of graphs that hold them: a surgery primes them with
+        ``'`` or appends a digit, and :meth:`shuffled` permutes them.
 
         * :func:`fillgraph.ops._rewired`, which builds every surgery
           result whose ``sigma0`` is not in its table of recent results
@@ -482,32 +479,23 @@ class FatGraph:
     # -- derived cycles ----------------------------------------------------
 
     @_cached
-    def boundary_successor(self):
-        """Word-order boundary successor d -> sigma0[d ^ 1], by dart."""
-        return tuple(_face_successor(self._sigma0))
-
-    @_cached
-    def boundary_cycles(self):
-        """Cycles of sigma1 * sigma0^-1 in word order (successor
-        d -> sigma0[d ^ 1]), each starting at its least dart."""
-        return _orbits(self.boundary_successor, BoundaryCycle)
-
-    @_cached
     def _face_orbits(self):
         """(starts, labels as a tuple) of :func:`_orbit_labels` over the
-        boundary successor, faces numbered as in boundary_cycles."""
+        boundary successor :func:`_face_successor`: the least dart of
+        each face, and by dart the number of its face, faces numbered by
+        least dart."""
         starts, labels = _orbit_labels(_face_successor(self._sigma0))
         return starts, tuple(labels)
 
     @property
     def boundary_component_of(self):
-        """dart -> index into boundary_cycles."""
+        """dart -> number of its face, faces numbered by least dart."""
         return self._face_orbits[1]
 
     @_cached
     def face_lengths(self):
-        """Length of each boundary component, by index into
-        boundary_cycles, counted from the face labels."""
+        """Length of each boundary component, faces numbered by least
+        dart, counted from the face labels."""
         starts, labels = self._face_orbits
         lengths = [0] * len(starts)
         for k in labels:
@@ -516,19 +504,13 @@ class FatGraph:
 
     @_cached
     def curve_lengths(self):
-        """Length of each curve, by index into standard_cycles, counted
-        from the curve labels."""
+        """Length of each curve, curves numbered by the least dart of
+        their kept orbit, counted from the curve labels."""
         starts, labels, _, kept = self._curve_orbits
         lengths = [0] * len(starts)
         for k in labels:
             lengths[k] += 1
         return tuple(lengths[k] for k in kept)
-
-    @_cached
-    def standard_successor(self):
-        """Straight-ahead successor d -> sigma0^k(d ^ 1) at a degree 2k
-        vertex, by dart; an odd degree raises :class:`NotDecoratedError`."""
-        return tuple(self._curve_orbits[2])
 
     @_cached
     def _curve_orbits(self):
@@ -568,18 +550,11 @@ class FatGraph:
         return starts, labels, succ, kept
 
     @_cached
-    def standard_cycles(self):
-        """Curves: orbits quotiented by orientation reversal.  Each curve is
-        reported once, traversed from its least dart: the kept orbit of
-        each mirror pair, the one whose mirror's label comes later."""
-        orbits = _orbits(self._curve_orbits[2], StandardCycle)
-        return tuple(orbits[k] for k in self._curve_orbits[3])
-
-    @_cached
     def curve_of_edge(self):
-        """undirected edge -> index into standard_cycles, read from the
-        curve labels: the darts of an edge lie on two mirror orbits, and
-        standard_cycles keeps the one with the smaller label."""
+        """undirected edge -> number of its curve, curves numbered as in
+        :attr:`curve_lengths`, read from the curve labels: the darts of an
+        edge lie on two mirror orbits, and the curve is the kept one, the
+        one with the smaller label."""
         _, labels, _, kept = self._curve_orbits
         index = {k: i for i, k in enumerate(kept)}
         return tuple(index[min(labels[d], labels[d ^ 1])]
@@ -752,10 +727,6 @@ class FatGraph:
             out.append(toks[k:] + toks[:k])
         out.sort()
         return out
-
-    def relabeled(self, mapping):
-        """New graph with edge labels renamed via ``mapping`` (total map)."""
-        return FatGraph(self._sigma0, [mapping[nm] for nm in self._labels])
 
     def shuffled(self, rng):
         """Random dart relabeling preserving the graph, for tests.

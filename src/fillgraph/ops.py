@@ -40,7 +40,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .core import (FatGraph, FatGraphError, InvariantError, SurfaceSignature,
-                   _orbit_labels)
+                   _face_successor, _orbit_labels)
 
 
 class OperationError(FatGraphError):
@@ -492,8 +492,8 @@ def _sum_prediction(left: FatGraph, w_darts, right: FatGraph, u_darts):
     both inputs are decorated.  A disconnected input raises
     :class:`DisconnectedError` from its signature."""
     ls, rs = left.signature(), right.signature()
-    b = _spliced_orbit_count(left.boundary_successor, w_darts,
-                             right.boundary_successor, u_darts)
+    b = _spliced_orbit_count(_face_successor(left.sigma0), w_darts,
+                             _face_successor(right.sigma0), u_darts)
     V = ls.vertex_count + rs.vertex_count - 2
     m = ls.edge_count + rs.edge_count - 4
     s = None

@@ -1,19 +1,20 @@
 """Shared test helpers: the synthesis grid, a reference canonical code, a
 reference isomorphism invariant, a reference walk for the census lookup
 of the search, a reference census witness, a reference pair search,
-the surface invariants, straight-ahead successor and curves read from
-the cycle tuples, and the census's and the pair search's face screens
-read from the face tuples, and the plan text of the standard library's
-indenting JSON encoder; and the earlier forms of four library routines,
-kept as references: the two-pass plan reader, the per-dart ``shuffled``,
-the isomorphism test without face screening and the pair candidates
-built whole."""
+the cycle walk of the tests (:func:`cycles`) and the faces, boundary
+words and curves walked with it, the surface invariants and
+straight-ahead successor read from those cycle tuples, and the census's
+and the pair search's face screens read from the face tuples, and the
+plan text of the standard library's indenting JSON encoder; the
+earlier forms of four library routines, kept as references: the
+two-pass plan reader, the per-dart ``shuffled``, the isomorphism test
+without face screening and the pair candidates built whole; and
+relabeling, path and degree readings that no library module needs."""
 
 import itertools
 import json
 
-from fillgraph.core import (FatGraph, StandardCycle, _orbits,
-                            _rooted_walk, canonical_code)
+from fillgraph.core import FatGraph, _rooted_walk, canonical_code
 from fillgraph.formats import (_STEP_FIELDS, _STEP_TYPES, PLAN_FORMAT,
                                FormatError, _require, plan_to_document)
 from fillgraph.oracle import iter_matchings, matching_to_graph
@@ -148,7 +149,7 @@ def pair_search_reference(V, target):
     for sigma0 in _pair_candidates(V):
         examined += 1
         graph = FatGraph(sigma0, labels)
-        faces = graph.boundary_cycles
+        faces = face_cycles(graph)
         if len(faces) != b or min(map(len, faces)) < 3:
             continue
         if (graph.is_filling_system()[0]
@@ -157,17 +158,58 @@ def pair_search_reference(V, target):
     return None, examined
 
 
+def cycles(succ):
+    """Cycles of the permutation ``succ`` of 0..n-1 as tuples, each
+    starting at its least element, listed in increasing order of that
+    element: the walk of the tests, so that the references below use no
+    library walk."""
+    seen = [False] * len(succ)
+    out = []
+    for s in range(len(succ)):
+        if not seen[s]:
+            cyc = []
+            d = s
+            while not seen[d]:
+                seen[d] = True
+                cyc.append(d)
+                d = succ[d]
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def face_cycles(graph):
+    """The boundary components of ``graph`` as dart tuples in word order
+    (successor ``d -> sigma0[d ^ 1]``), each starting at its least dart,
+    listed in increasing order of that dart: face k is the face that the
+    library numbers k."""
+    s0 = graph.sigma0
+    return cycles([s0[d ^ 1] for d in range(len(s0))])
+
+
+def face_words(graph):
+    """The boundary word of each face of :func:`face_cycles`: the signed
+    names of its darts, in word order."""
+    return [tuple(graph.dart_name(d) for d in face)
+            for face in face_cycles(graph)]
+
+
+def edges(cycle):
+    """The undirected edge of each dart of ``cycle``."""
+    return tuple(d >> 1 for d in cycle)
+
+
 def tuple_invariants(graph):
     """The invariants that the counting kernel of
     :meth:`FatGraph.signature` computes, read from the cycle tuples
     instead: vertex count, boundary count, curve count (None unless every
     degree is even), connectivity by a breadth-first search over the
     vertex cycles, 4-regularity, even degrees, the boundary component of
-    each dart as an index into ``boundary_cycles``, and the length of each
+    each dart as an index into :func:`face_cycles`, and the length of each
     boundary component; the vertex of each dart, read from
     ``vertex_cycles`` here, not from the library's ``vertex_of``; on a
-    decorated graph also :func:`reference_successor`, the curves of
-    :func:`tuple_curves`, their lengths, first revisit and edge map."""
+    decorated graph also :func:`reference_successor`, the first dart of
+    each curve of :func:`tuple_curves`, the curves' lengths, first
+    revisit and edge map."""
     vertices = graph.vertex_cycles
     vertex_of = vertex_map(graph)
     reached = {0}
@@ -179,30 +221,31 @@ def tuple_invariants(graph):
                 reached.add(w)
                 stack.append(w)
     decorated = all(len(c) % 2 == 0 for c in vertices)
+    faces = face_cycles(graph)
     component = [None] * graph.num_darts
-    for i, face in enumerate(graph.boundary_cycles):
+    for i, face in enumerate(faces):
         for d in face:
             component[d] = i
     out = {
         "V": len(vertices),
-        "b": len(graph.boundary_cycles),
+        "b": len(faces),
         "s": None,
         "connected": len(reached) == len(vertices),
         "four_regular": all(len(c) == 4 for c in vertices),
         "decorated": decorated,
         "boundary_component_of": tuple(component),
-        "face_lengths": tuple(map(len, graph.boundary_cycles)),
+        "face_lengths": tuple(map(len, faces)),
         "vertex_of": tuple(vertex_of),
     }
     if decorated:
         curves = tuple_curves(graph)
-        out.update(s=len(curves), standard_cycles=curves,
+        out.update(s=len(curves), curve_starts=tuple(c[0] for c in curves),
                    standard_successor=reference_successor(graph),
                    curve_lengths=tuple(map(len, curves)),
                    first_revisit=tuple_revisit(graph, curves),
                    curve_of_edge=tuple(
                        next(i for i, c in enumerate(curves)
-                            if k in c.edges())
+                            if k in edges(c))
                        for k in range(graph.num_edges)))
     return out
 
@@ -232,10 +275,10 @@ def reference_successor(graph):
 
 def tuple_curves(graph):
     """The curves as the orbits of :func:`reference_successor` (from
-    :func:`fillgraph.core._orbits`) whose least dart is less than every
-    reversed dart of the orbit, so each pair of mirror orbits gives the
-    one that starts first."""
-    orbits = _orbits(reference_successor(graph), StandardCycle)
+    :func:`cycles`) whose least dart is less than every reversed dart of
+    the orbit, so each pair of mirror orbits gives the one that starts
+    first."""
+    orbits = cycles(reference_successor(graph))
     return tuple(orb for orb in orbits if orb[0] < min(d ^ 1 for d in orb))
 
 
@@ -254,8 +297,8 @@ def tuple_revisit(graph, curves):
 def tuple_shortest_face_darts(rot, match):
     """The darts on the shortest faces of the census graph ``match``
     (orbits of d -> rot[match[d]]), read from the face tuples of
-    :func:`fillgraph.core._orbits`, face by face in their order."""
-    faces = _orbits([rot[e] for e in match])
+    :func:`cycles`, face by face in their order."""
+    faces = cycles([rot[e] for e in match])
     shortest = min(map(len, faces))
     return [d for face in faces if len(face) == shortest for d in face]
 
@@ -263,8 +306,9 @@ def tuple_shortest_face_darts(rot, match):
 def tuple_face_screen(sigma0, b):
     """The pair search's face screen from the face tuples: exactly b
     faces (orbits of d -> sigma0[d ^ 1]), none shorter than 3."""
-    faces = _orbits([sigma0[d ^ 1] for d in range(len(sigma0))], len)
-    return len(faces) == b and min(faces) >= 3
+    lengths = [len(face) for face in
+               cycles([sigma0[d ^ 1] for d in range(len(sigma0))])]
+    return len(lengths) == b and min(lengths) >= 3
 
 
 def reference_plan_from_document(doc):
@@ -385,3 +429,30 @@ def reference_pair_candidates(V):
                 sigma0[a_out], sigma0[b_out] = b_out, a_in
                 sigma0[a_in], sigma0[b_in] = b_in, a_out
             yield sigma0
+
+
+def relabeled(graph, mapping):
+    """``graph`` with its edge labels renamed by the total map
+    ``mapping``, through the checks of ``FatGraph(...)``."""
+    return FatGraph(graph.sigma0, [mapping[nm] for nm in graph.labels])
+
+
+def degree_profile(wig):
+    """The weighted degree of each curve of the intersection graph
+    ``wig``, by curve."""
+    return [wig.degree(v) for v in range(wig.num_curves)]
+
+
+def is_path(wig):
+    """True iff the simple graph underlying the intersection graph
+    ``wig`` is a path on all its curves."""
+    if not wig.is_connected():
+        return False
+    degs = sorted(len({j for (a, b) in wig.weights for j in (a, b)
+                       if v in (a, b) and (j != v)})
+                  for v in range(wig.num_curves))
+    if wig.num_curves == 1:
+        return True
+    if wig.num_curves == 2:
+        return len(wig.weights) == 1
+    return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import edges, face_cycles, face_words, tuple_curves
 
 import fillgraph
 from fillgraph import families
@@ -68,10 +69,20 @@ class TestFromVertexCycles:
         ((1, 0), ("a", "b"), "one label per undirected edge"),
         ((1, 0, 3, 2), ("a",), "one label per undirected edge"),
         ((1, 0, 3, 2), ("a", "a"), "duplicate edge labels"),
+        # labels that the graph file cannot write back as they are
+        ((1, 0), (7,), "edge label"),
+        ((1, 0), ("",), "edge label"),
+        ((1, 0), ("x#0",), "edge label"),
+        ((1, 0), ("a\u2212b",), "edge label"),
     ])
     def test_raw_constructor_rejects(self, sigma0, labels, message):
         with pytest.raises(MalformedGraphError, match=message):
             FatGraph(sigma0, labels)
+
+    def test_tuple_token_label_rejected(self):
+        # a (name, sign) token reaches the constructor through str(name)
+        with pytest.raises(MalformedGraphError, match="edge label"):
+            FatGraph.from_vertex_cycles([[("x#0", 1), ("x#0", -1)]])
 
     def test_same_sign_loop_needs_tags(self):
         with pytest.raises(MalformedGraphError, match="#0"):
@@ -91,25 +102,25 @@ class TestFromVertexCycles:
 class TestBoundaryCycles:
     def test_single_boundary_of_length_twelve(self):
         g = FatGraph.from_vertex_cycles(G1)
-        assert [len(c) for c in g.boundary_cycles] == [12]
+        assert list(g.face_lengths) == [12]
 
     def test_four_boundaries(self):
         g2 = families.build(families.G2)
-        assert len(g2.boundary_cycles) == 4
+        assert len(g2.face_lengths) == 4
 
     def test_sphere_circle_two_unit_boundaries(self):
         g = FatGraph.from_vertex_cycles(SPHERE_CIRCLE)
-        assert sorted(len(c) for c in g.boundary_cycles) == [1, 1]
+        assert sorted(g.face_lengths) == [1, 1]
 
     def test_boundaries_partition_darts(self):
         for cycles in (TORUS, G1, QUAD, ONE_VERTEX_SPHERE):
             g = FatGraph.from_vertex_cycles(cycles)
-            darts = [d for c in g.boundary_cycles for d in c]
+            darts = [d for c in face_cycles(g) for d in c]
             assert sorted(darts) == list(range(g.num_darts))
 
     def test_gamma_2_3_boundary_word(self):
         g = families.build(families.GAMMA_2_B, 3)
-        words = [c.word(g) for c in g.boundary_cycles]
+        words = face_words(g)
         want = ("f5-", "e4+", "f4+", "e3-", "f3+", "e4-", "f4-", "e5+")
         rotations = {tuple(w[i:] + w[:i]) for w in map(list, words)
                      for i in range(len(w))}
@@ -119,26 +130,26 @@ class TestBoundaryCycles:
 class TestStandardCycles:
     def test_lengths_three_two_one(self):
         g = FatGraph.from_vertex_cycles(G1)
-        assert sorted(len(c) for c in g.standard_cycles) == [1, 2, 3]
+        assert sorted(g.curve_lengths) == [1, 2, 3]
 
     def test_gamma0_lengths(self):
         g = families.build(families.GAMMA0)
-        assert sorted(len(c) for c in g.standard_cycles) == [2, 3, 5]
+        assert sorted(g.curve_lengths) == [2, 3, 5]
 
     def test_torus_two_unit_cycles(self):
         g = FatGraph.from_vertex_cycles(TORUS)
-        assert sorted(len(c) for c in g.standard_cycles) == [1, 1]
+        assert sorted(g.curve_lengths) == [1, 1]
 
     def test_odd_degree_rejected(self):
         g = FatGraph.from_vertex_cycles([cyc("a+ a- b+"), cyc("b- c+ c-")])
         with pytest.raises(NotDecoratedError, match="vertex 0"):
-            g.standard_cycles
+            g.curve_lengths
 
     def test_orbits_are_twice_the_curves(self):
         for cycles in (TORUS, G1, QUAD, ONE_VERTEX_SPHERE, SPHERE_CIRCLE):
             g = FatGraph.from_vertex_cycles(cycles)
-            starts, _ = _orbit_labels(g.standard_successor)
-            assert len(starts) == 2 * len(g.standard_cycles)
+            starts, _ = _orbit_labels(tuple(g._curve_orbits[2]))
+            assert len(starts) == 2 * len(g.curve_lengths)
 
     def test_successor_matches_rotation_walk(self):
         # reference: from d ^ 1, step sigma0 half the degree times
@@ -152,13 +163,13 @@ class TestStandardCycles:
                 for _ in range(g.degree(g.vertex_of[e]) // 2):
                     e = g.sigma0[e]
                 want.append(e)
-            assert g.standard_successor == tuple(want)
+            assert tuple(g._curve_orbits[2]) == tuple(want)
 
     def test_curves_partition_edges(self):
         for cycles in (TORUS, G1, QUAD):
             g = FatGraph.from_vertex_cycles(cycles)
-            edges = sorted(e for c in g.standard_cycles for e in c.edges())
-            assert edges == list(range(g.num_edges))
+            found = sorted(e for c in tuple_curves(g) for e in edges(c))
+            assert found == list(range(g.num_edges))
 
 
 class TestSignature:
@@ -326,8 +337,8 @@ class TestIsomorphism:
         t = FatGraph.from_vertex_cycles(TORUS)
         s = FatGraph.from_vertex_cycles(ONE_VERTEX_SPHERE)
         assert not t.is_isomorphic(s)
-        assert len(t.boundary_cycles) == 1
-        assert len(s.boundary_cycles) == 3
+        assert len(t.face_lengths) == 1
+        assert len(s.face_lengths) == 3
 
     def test_disconnected_components_all_compared(self):
         # planar bouquet + torus bouquet against two planar bouquets: the
@@ -375,8 +386,7 @@ class TestIsomorphism:
         g = families.build(families.GAMMA0)
         h = g.shuffled(rng)
         assert g.signature() == h.signature()
-        assert sorted(map(len, g.boundary_cycles)) == \
-            sorted(map(len, h.boundary_cycles))
+        assert sorted(g.face_lengths) == sorted(h.face_lengths)
 
 
 class TestSmoothing:
@@ -396,3 +406,28 @@ class TestSmoothing:
         g = FatGraph.from_vertex_cycles(SPHERE_CIRCLE)
         with pytest.raises(DegreeError):
             g.smoothed()
+
+
+class TestPublicSurface:
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(fillgraph.__all__) == [
+            "DegreeError", "DisconnectedError", "FatGraph", "FatGraphError",
+            "ImpossibleSignatureError", "InvariantError",
+            "MalformedGraphError", "NotDecoratedError", "OperationError",
+            "OperationInvariantError", "OperationReport", "SurfaceSignature",
+            "SynthesisPlan", "SynthesisRangeError", "TargetSignature",
+            "WeightedIntersectionGraph", "check_euler_identity",
+            "check_kn_bound", "check_max_weight_bound", "connected_sum",
+            "families", "filling", "formats", "intersection_graph", "join",
+            "max_filling", "minimal_filling", "oracle", "plumbing",
+            "search_filling", "tight_omega_filling"]
+        for name in fillgraph.__all__:
+            assert hasattr(fillgraph, name), name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from fillgraph import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(fillgraph.__all__)
+        for name, value in namespace.items():
+            assert value is getattr(fillgraph, name)

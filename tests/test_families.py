@@ -1,4 +1,5 @@
 import pytest
+from helpers import face_words
 
 from fillgraph import families
 from fillgraph.core import FatGraphError, InvariantError
@@ -15,7 +16,7 @@ def rotations(word):
 
 
 def words_match_up_to_rotation(graph, expected_words):
-    got = [c.word(graph) for c in graph.boundary_cycles]
+    got = face_words(graph)
     expected = list(expected_words)
     assert len(got) == len(expected)
     for want in expected:
@@ -42,8 +43,7 @@ class TestCatalog:
             sig = graph.signature()
             assert sig.triple == row.triple, row
             if row.lengths is not None:
-                got = sorted((len(c) for c in graph.standard_cycles),
-                             reverse=True)
+                got = sorted(graph.curve_lengths, reverse=True)
                 assert got == sorted(row.lengths, reverse=True), row
 
     def test_one_boundary_families_fill(self):
@@ -64,8 +64,8 @@ class TestGammaG:
     def test_boundary_word(self):
         for g in range(2, 9):
             graph = build(families.GAMMA_G, g)
-            (bnd,) = graph.boundary_cycles
-            assert tuple(gamma_g_boundary_word(g)) in rotations(bnd.word(graph))
+            (bnd,) = face_words(graph)
+            assert tuple(gamma_g_boundary_word(g)) in rotations(bnd)
 
     def test_last_vertex_carries_a_loop(self):
         graph = build(families.GAMMA_G, 3)

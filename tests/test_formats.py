@@ -12,7 +12,7 @@ from helpers import (grid_plans, reference_plan_from_document,
 from hypothesis import example, given, settings, strategies as st
 
 from fillgraph import cli, core, families, oracle
-from fillgraph.core import FatGraph, FatGraphError
+from fillgraph.core import FatGraph, FatGraphError, MalformedGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
                                graph_to_dot, loads_graph, loads_plan,
@@ -63,6 +63,25 @@ class TestGraphFile:
         doc = {"format": "fatgraph/1", "vertices": vertices}
         with pytest.raises(FormatError):
             loads_graph(json.dumps(doc))
+
+    @given(st.lists(st.text(max_size=4), min_size=2, max_size=2,
+                    unique=True))
+    @example(["a+", "-"])
+    @example(["a-b", "a\u2212b"])
+    @example(["x#0", "x"])
+    @example(["", "b"])
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_labels_round_trip(self, labels):
+        # the torus a+ b+ a- b- under the two drawn labels
+        sigma0 = (2, 3, 1, 0)
+        if any(not nm or "#" in nm or "\u2212" in nm for nm in labels):
+            with pytest.raises(MalformedGraphError, match="edge label"):
+                FatGraph(sigma0, labels)
+            return
+        g = FatGraph(sigma0, labels)
+        h = loads_graph(dumps_graph(g))
+        assert sorted(h.labels) == sorted(labels)
+        assert h.is_isomorphic(g)
 
     def test_tagged_loop_tokens_accepted(self):
         doc = {"format": "fatgraph/1",

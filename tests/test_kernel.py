@@ -2,7 +2,8 @@
 labels against the surface invariants and curves read from the cycle
 tuples (:func:`helpers.tuple_invariants`): V, b, s, the flags, the face
 labels and lengths, the vertex labels, and on decorated graphs the
-straight-ahead successor, the curves, their lengths, the first curve to
+straight-ahead successor, the first dart of each curve (the orbit kept
+of each mirror pair), the curves' lengths, the first curve to
 revisit a vertex (the diagnostic of :meth:`FatGraph.is_filling_system`,
 found by the walk over the curve labels alone) and ``curve_of_edge``.
 
@@ -31,8 +32,8 @@ def kernel_invariants(graph):
     leaves behind, or the flags, face labels and face lengths alone when
     the signature raises :class:`DisconnectedError`, and the vertex
     labels; on a decorated graph also the straight-ahead successor, the
-    curves, their lengths, first revisit and edge map, read from the
-    curve record."""
+    least dart of each kept orbit, the curves' lengths, first revisit and
+    edge map, read from the curve record."""
     fresh = FatGraph(graph.sigma0, graph.labels)
     try:
         sig = fresh.signature()
@@ -59,12 +60,12 @@ def kernel_invariants(graph):
                "face_lengths": fresh.face_lengths,
                "vertex_of": fresh.vertex_of}
     if fresh.is_decorated:
-        # the revisit verdict first, before any cycle tuple exists
+        starts, _, succ, kept = fresh._curve_orbits
         out.update(first_revisit=fresh.first_revisit(),
                    curve_lengths=fresh.curve_lengths,
                    curve_of_edge=fresh.curve_of_edge,
-                   standard_cycles=fresh.standard_cycles,
-                   standard_successor=fresh.standard_successor)
+                   curve_starts=tuple(starts[k] for k in kept),
+                   standard_successor=tuple(succ))
     return out
 
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import relabeled
 
 import fillgraph
 from fillgraph import families, oracle, ops
@@ -63,7 +64,7 @@ class TestJoin:
             for g, lab in ((gl, x), (gr, y)):
                 comp = g.boundary_component_of
                 for d in g.darts_of(lab):
-                    if len(g.boundary_cycles[comp[d]]) < 2:
+                    if g.face_lengths[comp[d]] < 2:
                         return True
             return False
 
@@ -138,7 +139,7 @@ class TestConnectedSum:
             ["e3-", "e4-", "b+", "b-"],
         ])
         assert dumbbell.is_connected
-        other = dumbbell.relabeled({n: n + "'" for n in dumbbell.labels})
+        other = relabeled(dumbbell, {n: n + "'" for n in dumbbell.labels})
         with pytest.raises(OperationError, match="disconnect"):
             connected_sum(dumbbell, other, 0, 0)
 
@@ -421,19 +422,19 @@ def _collision_pool(rng):
              "a''", "b", "y1", "f1", "f11", "f12"]
     tricky = [
         families.build(families.TORUS_PAIR),
-        families.build(families.TORUS_PAIR).relabeled({"a": "a'",
-                                                       "b": "a"}),
-        families.build(families.TORUS_PAIR).relabeled({"a": "e", "b": "f"}),
-        families.build(families.SPHERE_CIRCLE).relabeled({"a": "x1"}),
+        relabeled(families.build(families.TORUS_PAIR), {"a": "a'",
+                                                        "b": "a"}),
+        relabeled(families.build(families.TORUS_PAIR), {"a": "e", "b": "f"}),
+        relabeled(families.build(families.SPHERE_CIRCLE), {"a": "x1"}),
         families.build(families.G1),
-        g1().relabeled(dict(zip(g1().labels,
-                                ["e", "f", "g1", "x", "x1", "a'"]))),
+        relabeled(g1(), dict(zip(g1().labels,
+                                 ["e", "f", "g1", "x", "x1", "a'"]))),
         families.build(families.G2),
         families.build(families.GAMMA0),
     ]
     pool = list(tricky)
     for g in tricky[4:] + [families.build(families.GAMMA_2_B, 2)]:
-        pool.append(g.relabeled(dict(zip(
+        pool.append(relabeled(g, dict(zip(
             g.labels, rng.sample(names, g.num_edges)))).shuffled(rng))
     return pool
 

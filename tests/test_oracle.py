@@ -3,7 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import full_scan_relabeling, tuple_shortest_face_darts
+from helpers import (face_cycles, full_scan_relabeling, tuple_curves,
+                     tuple_shortest_face_darts)
 
 from fillgraph import oracle
 from fillgraph.analysis import intersection_graph
@@ -128,9 +129,9 @@ class TestGrowth:
                     (sig.genus, sig.boundary_count,
                      sig.standard_cycle_count, filling)
                 assert row.boundary_lengths == tuple(sorted(
-                    map(len, g.boundary_cycles), reverse=True))
+                    map(len, face_cycles(g)), reverse=True))
                 assert row.cycle_lengths == tuple(sorted(
-                    map(len, g.standard_cycles), reverse=True))
+                    map(len, tuple_curves(g)), reverse=True))
                 omega = (intersection_graph(g).omega_max() if filling
                          else None)
                 assert row.omega_max == omega

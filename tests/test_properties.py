@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import component_codes
+from helpers import component_codes, edges, face_cycles, tuple_curves
 from hypothesis import given, settings, strategies as st
 
 from fillgraph import families
@@ -28,17 +28,17 @@ def v3_graphs():
 @given(v3_graphs())
 @settings(max_examples=80, deadline=None)
 def test_boundary_cycles_partition_darts(g):
-    darts = sorted(d for c in g.boundary_cycles for d in c)
+    darts = sorted(d for c in face_cycles(g) for d in c)
     assert darts == list(range(g.num_darts))
 
 
 @given(v3_graphs())
 @settings(max_examples=80, deadline=None)
 def test_standard_orbit_count_is_even(g):
-    starts, _ = _orbit_labels(g.standard_successor)
-    assert len(starts) == 2 * len(g.standard_cycles)
-    edges = sorted(e for c in g.standard_cycles for e in c.edges())
-    assert edges == list(range(g.num_edges))
+    starts, _ = _orbit_labels(tuple(g._curve_orbits[2]))
+    assert len(starts) == 2 * len(g.curve_lengths)
+    found = sorted(e for c in tuple_curves(g) for e in edges(c))
+    assert found == list(range(g.num_edges))
 
 
 @given(v3_graphs())

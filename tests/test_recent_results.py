@@ -8,7 +8,7 @@ import random
 from collections import OrderedDict
 
 import pytest
-from helpers import grid_targets
+from helpers import grid_targets, relabeled
 
 from fillgraph import families, formats, oracle, ops
 from fillgraph.core import FatGraph, FatGraphError
@@ -84,7 +84,7 @@ def test_one_rotation_under_two_names():
     torus = families.build(families.TORUS_PAIR)
     g1 = families.build(families.G1)
     rename = {nm: nm.upper() + "x" for nm in g1.labels}
-    renamed = g1.relabeled(rename)
+    renamed = relabeled(g1, rename)
     first = join(torus, g1, "a", "f1").result
     before = (first.labels, [first.dart_name(d)
                              for d in range(first.num_darts)])
