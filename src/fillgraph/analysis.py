@@ -30,9 +30,6 @@ class WeightedIntersectionGraph:
     def omega_max(self):
         return max(self.weights.values(), default=0)
 
-    def degree(self, v):
-        return sum(w for (i, j), w in self.weights.items() if v in (i, j))
-
     def total_weight(self):
         return sum(self.weights.values())
 

@@ -90,12 +90,15 @@ class _cached:
 def _parse_token(tok):
     """Signed edge label -> (name, sign, occurrence).
 
-    Accepts "x+", "x-", and the loop disambiguated forms "x+#0" / "x+#1"
-    (same signed label twice at one vertex).  Unicode minus is tolerated.
+    Accepts "x+", "x-", the loop disambiguated forms "x+#0" / "x+#1"
+    (same signed label twice at one vertex), and the tuples (name, 1) and
+    (name, -1).  Unicode minus is tolerated.
     """
     if isinstance(tok, tuple):
-        name, sign = tok
-        return str(name), (1 if sign > 0 else -1), None
+        if len(tok) != 2 or tok[1] not in (1, -1):
+            raise MalformedGraphError(
+                f"(name, 1) or (name, -1) expected, got {tok!r}")
+        return str(tok[0]), (1 if tok[1] > 0 else -1), None
     s = str(tok)
     occ = None
     if "#" in s:
@@ -340,9 +343,9 @@ class FatGraph:
         ``'`` or appends a digit, and :meth:`shuffled` permutes them.
 
         * :func:`fillgraph.ops._rewired`, which builds every surgery
-          result whose ``sigma0`` is not in its table of recent results
-          and raises :class:`InvariantError` wherever a step of its proof
-          fails;
+          result, raising :class:`InvariantError` wherever a step of its
+          proof fails, and then presets the signature, face record and
+          vertex walk of a ``sigma0`` found in its memo;
         * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
           bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)
@@ -793,21 +796,12 @@ class FatGraph:
 
     # -- dunder -------------------------------------------------------------
 
-    def _twin(self, labels):
-        """A distinct graph on this graph's ``sigma0`` named by the tuple
-        ``labels``, sharing every structure computed so far (all of it
-        immutable, and a function of ``sigma0`` alone).  Unchecked, like
-        :meth:`_built`: the callers, :meth:`__copy__` and
-        :func:`fillgraph.ops._recent_result`, pass distinct labels."""
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin._labels = labels
-        return twin
-
     def __copy__(self):
         """A distinct graph equal to this one that shares every structure
         computed so far instead of recomputing it."""
-        return self._twin(self._labels)
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        return copy
 
     def __eq__(self, other):
         return (isinstance(other, FatGraph)

@@ -16,11 +16,14 @@ right labels are primed on collision, and the new edges, primed likewise,
 are ``e``/``f`` for a join, the cut edge labels with ``1``/``2`` appended
 for a plumbing, and ``g1``..``g4`` for a connected sum.
 
-Plans repeat their surgeries, so :func:`_rewired` keeps ``_recent``, a
-table of the last ``_RECENT_SIZE`` results by ``sigma0``, least recently
-used leaving first.  A checked result on a ``sigma0`` found there shares
-the earlier result's analysis under its own labels; every step and every
-report check still runs, and no other constructor reads the table.
+Plans repeat their surgeries, so ``_memo`` keeps the analysis of the last
+``_MEMO_SIZE`` distinct surgery results, keyed by ``sigma0``: the
+signature, the face record and the vertex walk, all functions of
+``sigma0`` alone, with the key and the face labels packed into bytes.  An
+op remembers a result once it has read the result's signature
+(:func:`_recomputed`), and :func:`_rewired` presets those three records
+on a later result with the same ``sigma0``.  Every step and every report
+check still runs, and no other constructor reads the memo.
 
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
@@ -124,27 +127,33 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
     return names, fresh
 
 
-# Fixed by measurement: on a synth-grid pass 64 finds 48 % of the results
-# in the table, 32 finds 42 %, 128 finds 55 % at twice the memory.
-_RECENT_SIZE = 64
-_recent: OrderedDict = OrderedDict()  # sigma0 -> the latest result on it
+# Fixed by measurement: a synth-grid pass makes 1,027 distinct surgery
+# results (seed 7), so this bound holds a whole pass; see BENCH_20.json.
+_MEMO_SIZE = 2048
+# key of sigma0 -> (signature, face starts, face labels, vertex walk), the
+# key and the face labels packed by _packed; oldest entry first
+_memo: OrderedDict = OrderedDict()
 
 
-def _recent_result(sigma0, labels):
-    """The surgery result on the tuples ``sigma0`` and ``labels``, made
-    the most recently used entry of ``_recent``: the twin of the result
-    held on ``sigma0`` (it shares what was computed there), else a graph
-    built by :meth:`FatGraph._built`, evicting the least recently used
-    entry of a full table."""
-    seen = _recent.pop(sigma0, None)
-    if seen is None:
-        graph = FatGraph._built(sigma0, labels)
-        if len(_recent) >= _RECENT_SIZE:
-            _recent.popitem(last=False)
-    else:
-        graph = seen._twin(labels)
-    _recent[sigma0] = graph
-    return graph
+def _packed(numbers, bound):
+    """The tuple ``numbers``, each below ``bound``, as bytes when
+    ``bound`` is at most 256, else the tuple itself."""
+    return bytes(numbers) if bound <= 256 else numbers
+
+
+def _recomputed(result):
+    """``result.signature()``, remembered in ``_memo`` with the face
+    record and vertex walk it read, unless :func:`_rewired` preset them
+    from there; a full memo drops its oldest entry.  Only a signature read
+    successfully is remembered, so a disconnected result never is."""
+    if result._signature is None:
+        signature = result.signature()
+        if len(_memo) >= _MEMO_SIZE:
+            _memo.popitem(last=False)
+        starts, faces = result._face_orbits
+        _memo[_packed(result.sigma0, result.num_darts)] = (
+            signature, starts, _packed(faces, len(starts)), result._walk)
+    return result._signature
 
 
 def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
@@ -184,8 +193,10 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     permutation.  The labels are distinct names of distinct edges
     (:func:`_edge_names` checks the names), at least one.
 
-    Only then is ``sigma0`` looked up in ``_recent``, the table of recent
-    surgery results (:func:`_recent_result`).
+    Only then is ``sigma0`` looked up in ``_memo``: when an earlier
+    result on it was analysed, its signature, face record (the labels
+    unpacked into a tuple) and vertex walk are preset on this one, and
+    every other structure stays lazy.
     """
     off = 2 * left.num_edges
     top = off + right.num_darts  # the first key dart of a new edge
@@ -244,7 +255,12 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
         raise InvariantError(
             f"walked {walked} darts for {len(labels)} edges")
     del sigma0[2 * len(labels):]
-    return _recent_result(tuple(sigma0), tuple(labels))
+    result = FatGraph._built(sigma0, labels)
+    known = _memo.get(_packed(result.sigma0, len(sigma0)))
+    if known is not None:
+        result._signature, starts, faces, result._walk = known
+        result._face_orbits = starts, tuple(faces)
+    return result
 
 
 def _require_edge(g, label, side):
@@ -304,7 +320,7 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
     rep = OperationReport(
         op="join", case=case, left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, -1),
-        result=result, recomputed=result.signature(),
+        result=result, recomputed=_recomputed(result),
         selectors={"x": x, "y": y, "flip": flip, "new_edges": (e, f)})
     return rep.check()
 
@@ -362,7 +378,7 @@ def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,
         op="plumb", case=PLUMB_ALL_DIFF if all_diff else PLUMB_OTHER,
         left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, 0),
-        result=result, recomputed=result.signature(),
+        result=result, recomputed=_recomputed(result),
         selectors={"x": x, "y": y, "flip": flip,
                    "new_vertex_edges": (x1, x2, y1, y2)})
     return rep.check()
@@ -554,7 +570,7 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
     rep = OperationReport(
         op="consum", case=case, left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=ps,
-        result=result, recomputed=result.signature(), chi=chi,
+        result=result, recomputed=_recomputed(result), chi=chi,
         selectors={"w": w, "u": u, "align": align,
                    "new_edges": tuple(gname)})
     return rep.check()

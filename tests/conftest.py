@@ -4,11 +4,11 @@ from fillgraph import ops
 
 
 @pytest.fixture(autouse=True)
-def empty_recent_results():
-    """Each test starts and ends with an empty table of recent surgery
-    results, so that no verdict depends on the tests run before it: a
-    result found in the table shares what an earlier test computed on its
-    ``sigma0``, even under a patched kernel."""
-    ops._recent.clear()
+def empty_surgery_memo():
+    """Each test starts and ends with an empty memo of surgery results,
+    so that no verdict depends on the tests run before it: a result on a
+    ``sigma0`` found in the memo shares what an earlier test computed
+    there, even under a patched kernel."""
+    ops._memo.clear()
     yield
-    ops._recent.clear()
+    ops._memo.clear()

@@ -439,8 +439,9 @@ def relabeled(graph, mapping):
 
 def degree_profile(wig):
     """The weighted degree of each curve of the intersection graph
-    ``wig``, by curve."""
-    return [wig.degree(v) for v in range(wig.num_curves)]
+    ``wig``, by curve: the total weight of the pairs that hold it."""
+    return [sum(w for (i, j), w in wig.weights.items() if v in (i, j))
+            for v in range(wig.num_curves)]
 
 
 def is_path(wig):

@@ -84,6 +84,22 @@ class TestFromVertexCycles:
         with pytest.raises(MalformedGraphError, match="edge label"):
             FatGraph.from_vertex_cycles([[("x#0", 1), ("x#0", -1)]])
 
+    @pytest.mark.parametrize("tokens", [
+        [("a", "+"), ("a", "-")],  # a sign that is not a number
+        [("a", 1, 0), ("a", -1)],  # three entries
+        [("a",), ("a", -1)],  # one entry
+        [("a", 2), ("a", -1)],  # a number that is not +1 or -1
+        [("a", 0), ("a", 1)],
+    ])
+    def test_malformed_tuple_token_rejected(self, tokens):
+        with pytest.raises(MalformedGraphError, match=r"\(name, 1\)"):
+            FatGraph.from_vertex_cycles([tokens])
+
+    def test_tuple_tokens_accepted(self):
+        g = FatGraph.from_vertex_cycles([[("a", 1), ("b", -1)],
+                                         [("a", -1), ("b", 1)]])
+        assert g == FatGraph.from_vertex_cycles([["a+", "b-"], ["a-", "b+"]])
+
     def test_same_sign_loop_needs_tags(self):
         with pytest.raises(MalformedGraphError, match="#0"):
             FatGraph.from_vertex_cycles([["a+", "b+", "a+", "b-"]])

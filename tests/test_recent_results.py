@@ -1,8 +1,9 @@
-"""The table of recent surgery results in ``ops``: a result found there
-is the earlier result's twin under its own labels, and equals in every
-structure the graph built fresh on its ``sigma0`` and labels; the table
-keeps the bound, least recently used leaving first; no other way of
-making a graph reads it."""
+"""The memo of surgery results in ``ops``: a result on a ``sigma0`` found
+there shares the memo's signature, face starts and vertex walk under its
+own labels, with the face labels unpacked, and equals in every structure
+the graph built fresh on its ``sigma0`` and labels; an entry is made only
+once an op has read the result's signature; the memo keeps its bound,
+oldest entry out first; no other way of making a graph reads it."""
 
 import random
 from collections import OrderedDict
@@ -12,7 +13,7 @@ from helpers import grid_targets, relabeled
 
 from fillgraph import families, formats, oracle, ops
 from fillgraph.core import FatGraph, FatGraphError
-from fillgraph.ops import join, plumbing
+from fillgraph.ops import OperationError, connected_sum, join, plumbing
 
 
 def outcome(read):
@@ -24,7 +25,8 @@ def outcome(read):
 
 
 def structures(g):
-    """What a surgery result can share with an earlier one."""
+    """What a surgery result can share with an earlier one, and the rest
+    of its analysis."""
     return (outcome(g.signature), outcome(lambda: g._walk),
             outcome(lambda: g._face_orbits), outcome(lambda: g._curve_orbits),
             outcome(g.first_revisit))
@@ -36,48 +38,54 @@ def is_fresh(g):
             and g._signature is None)
 
 
+def key(g):
+    """The memo key of the ``sigma0`` of ``g``."""
+    return ops._packed(g.sigma0, g.num_darts)
+
+
+def entry(g):
+    """The memo's entry for the ``sigma0`` of ``g``, or None."""
+    return ops._memo.get(key(g))
+
+
+def shares(g, known):
+    """``g`` holds the records of the memo entry ``known``."""
+    return (g.signature() is known[0] and g._face_orbits[0] is known[1]
+            and g._face_orbits[1] == tuple(known[2]) and g._walk is known[3])
+
+
 @pytest.fixture
 def registered(monkeypatch):
-    """Every call of ``ops._recent_result``: (sigma0 and labels asked for,
-    whether the table held sigma0, the graph returned)."""
+    """Every surgery result of ``ops._rewired``, with whether the memo
+    held its ``sigma0`` when it was built."""
     calls = []
-    inner = ops._recent_result
+    inner = ops._rewired
 
-    def spy(sigma0, labels):
-        held = sigma0 in ops._recent
-        calls.append((sigma0, labels, held, inner(sigma0, labels)))
-        return calls[-1][-1]
+    def spy(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((result, entry(result) is not None))
+        return result
 
-    monkeypatch.setattr(ops, "_recent_result", spy)
+    monkeypatch.setattr(ops, "_rewired", spy)
     return calls
 
 
 def test_grid_results_equal_fresh_graphs(registered):
     for build, args in grid_targets(5, 4, 5):
         build(*args).replay()  # checks the final graph against the target
-    hits = sum(held for _, _, held, _ in registered)
-    # each replay meets the results its build made a moment before
-    assert 2 * hits > len(registered) > 400
-    for sigma0, labels, _, result in registered:
-        assert (result.sigma0, result.labels) == (sigma0, labels)
-        assert structures(result) == structures(FatGraph(sigma0, labels))
-
-
-def test_table_keeps_the_bound_least_recently_used_first():
-    rng = random.Random(5)
-    graphs = [families.build(families.GAMMA_G, g) for g in (2, 3)]
-    graphs += [families.build(families.TORUS_PAIR),
-               families.build(families.G1)]
-    used = OrderedDict()  # sigma0 by last use, as the table should keep it
-    while len(used) <= ops._RECENT_SIZE + 10:
-        left, right = rng.sample(graphs, 2)
-        op = rng.choice((join, plumbing))
-        rep = op(left, right, rng.choice(left.labels),
-                 rng.choice(right.labels), rng.random() < 0.5)
-        used.pop(rep.result.sigma0, None)
-        used[rep.result.sigma0] = None
-        assert len(ops._recent) == min(len(used), ops._RECENT_SIZE)
-    assert list(ops._recent) == list(used)[-ops._RECENT_SIZE:]
+    hits = sum(held for _, held in registered)
+    # replays and plans that share a seed meet results made before
+    assert 3 * hits > 2 * len(registered) > 800
+    # the bound holds the whole grid: each connected sigma0 is analysed
+    # once (a sum that disconnects is rejected before any entry is made)
+    missed = [r.sigma0 for r, held in registered
+              if not held and r.is_connected]
+    assert len(missed) == len(set(missed)) < ops._MEMO_SIZE
+    for result, held in registered:
+        if held:
+            assert shares(result, entry(result))
+        assert structures(result) == structures(
+            FatGraph(result.sigma0, result.labels))
 
 
 def test_one_rotation_under_two_names():
@@ -86,13 +94,23 @@ def test_one_rotation_under_two_names():
     rename = {nm: nm.upper() + "x" for nm in g1.labels}
     renamed = relabeled(g1, rename)
     first = join(torus, g1, "a", "f1").result
+    known = entry(first)
+    starts, faces = first._face_orbits
+    assert known == (first.signature(), starts, bytes(faces), first._walk)
+    assert shares(first, known)
     before = (first.labels, [first.dart_name(d)
                              for d in range(first.num_darts)])
     second = join(torus, renamed, "a", "F1x").result
     assert second.sigma0 == first.sigma0
     assert second is not first and second != first
-    assert second._face_orbits is first._face_orbits  # shared, not redone
-    assert second.signature() is first.signature()
+    # the memo's records are shared, not redone; the rest stays lazy
+    assert shares(second, known)
+    assert second._face_orbits == first._face_orbits
+    assert entry(second) is known and len(ops._memo) == 1
+    assert set(second.__dict__) == {"_sigma0", "_labels", "_signature",
+                                    "_face_orbits", "_walk"}
+    assert second._curve_orbits == first._curve_orbits
+    assert second._curve_orbits is not first._curve_orbits
     assert second.labels == tuple(rename.get(nm, nm) for nm in first.labels)
     assert [second.dart_name(d) for d in range(second.num_darts)] == [
         nm + sign for nm in second.labels for sign in "+-"]
@@ -103,15 +121,78 @@ def test_one_rotation_under_two_names():
     assert first.darts_of("f2") == second.darts_of("F2x")
 
 
-def test_other_constructors_never_read_the_table():
+def test_memo_keeps_the_bound_oldest_first(monkeypatch):
+    monkeypatch.setattr(ops, "_MEMO_SIZE", 8)
+    rng = random.Random(5)
+    graphs = [families.build(families.TORUS_PAIR),
+              families.build(families.G1)]
+    model = OrderedDict()  # the keys the memo should hold, oldest first
+    hits = 0
+    for _ in range(200):
+        left, right = rng.sample(graphs, 2)
+        op = rng.choice((join, plumbing))
+        rep = op(left, right, rng.choice(left.labels),
+                 rng.choice(right.labels), rng.random() < 0.5)
+        made = key(rep.result)
+        if made in model:
+            # a hit leaves the entry where it is
+            hits += made != next(reversed(model))
+        else:
+            if len(model) >= 8:
+                model.popitem(last=False)
+            model[made] = None
+        assert list(ops._memo) == list(model)
+        assert ops._memo[made][0] is rep.recomputed
+    assert hits > 10 and len(ops._memo) == 8
+
+
+def test_packed_as_bytes_below_256():
+    assert ops._packed(tuple(range(256)), 256) == bytes(range(256))
+    big = tuple(range(258))
+    assert ops._packed(big, 258) is big
+    # a face label is below the face count, not the dart count
+    assert ops._packed((0, 1, 1, 0) * 70, 2) == bytes((0, 1, 1, 0) * 70)
+
+
+def test_results_past_256_darts_keyed_by_the_tuple():
+    big = families.build(families.GAMMA_G, 20)  # 156 darts
+    copy = big.shuffled(random.Random(1))
+    first = join(big, copy, "e1", "e2").result
+    assert first.num_darts > 256
+    assert key(first) is first.sigma0 and shares(first, entry(first))
+    second = join(big, copy, "e1", "e2").result
+    assert second == first and second is not first
+    assert shares(second, entry(first)) and len(ops._memo) == 1
+
+
+def test_disconnecting_sum_leaves_no_entry():
+    # the dumbbell of test_ops: the crosswise splice of two dumbbells
+    # pairs their four lobes into two separate components
+    dumbbell = FatGraph.from_vertex_cycles([
+        ["e1+", "e2+", "e3+", "e4+"],
+        ["e1-", "e2-", "a+", "a-"],
+        ["e3-", "e4-", "b+", "b-"],
+    ])
+    other = relabeled(dumbbell, {n: n + "'" for n in dumbbell.labels})
+    for _ in range(2):
+        with pytest.raises(OperationError, match="disconnect"):
+            connected_sum(dumbbell, other, 0, 0)
+        assert not ops._memo
+    # a sum of the same pair that stays connected is remembered
+    rep = connected_sum(dumbbell, other, 0, 0, align=1)
+    assert entry(rep.result)[0] is rep.recomputed
+
+
+def test_other_constructors_never_read_the_memo():
     torus = families.build(families.TORUS_PAIR)
     g1 = families.build(families.G1)
     res = join(torus, g1, "a", "f1").result
     res.is_filling_system()
-    # an equal surgery result in the table for the shuffled copy too
+    # an entry in the memo for the shuffled copy too
     copy = res.shuffled(random.Random(3))
-    ops._recent_result(copy.sigma0, copy.labels).is_filling_system()
-    assert {res.sigma0, copy.sigma0} <= set(ops._recent)
+    ops._recomputed(FatGraph(copy.sigma0, copy.labels))
+    assert entry(res) is not None and entry(copy) is not None
+    held = list(ops._memo.items())
     made = [FatGraph(res.sigma0, res.labels),
             FatGraph.from_vertex_cycles(res.to_vertex_cycle_tokens()),
             formats.loads_graph(formats.dumps_graph(res)),
@@ -120,11 +201,13 @@ def test_other_constructors_never_read_the_table():
     assert made[0] == res and made[-1] == copy
     # the ops audit remakes the right operand of a diagonal trial with
     # FatGraph(...), and perfbench checks each result through a fresh
-    # graph the same way: it recomputes, and reads nothing of the result
+    # graph the same way: it recomputes, and neither reads nor writes
+    # the memo
     assert structures(made[0]) == structures(res)
     assert made[0]._face_orbits is not res._face_orbits
+    assert all(outcome(g.signature) for g in made)
     # the census builds its graphs without surgery
-    table = list(ops._recent)
     rows = oracle.census(2)
-    assert list(ops._recent) == table
     assert all(is_fresh(row.graph()) for row in rows)
+    assert [(k, id(value)) for k, value in ops._memo.items()] == [
+        (k, id(value)) for k, value in held]
