@@ -21,8 +21,9 @@ Plans repeat their surgeries, so ``_memo`` keeps the analysis of the last
 signature, the face record and the vertex walk, all functions of
 ``sigma0`` alone, with the key and the face labels packed into bytes.  An
 op remembers a result once it has read the result's signature
-(:func:`_recomputed`), and :func:`_rewired` presets those three records
-on a later result with the same ``sigma0``.  Every step and every report
+(:func:`_recomputed`), and :func:`_restored` presets those three records
+on a later result with the same ``sigma0``, and on a synthesis sub-plan
+result rebuilt from its darts and labels.  Every step and every report
 check still runs, and no other constructor reads the memo.
 
 For join and plumbing the prediction comes from the two-branch case
@@ -143,7 +144,7 @@ def _packed(numbers, bound):
 
 def _recomputed(result):
     """``result.signature()``, remembered in ``_memo`` with the face
-    record and vertex walk it read, unless :func:`_rewired` preset them
+    record and vertex walk it read, unless :func:`_restored` preset them
     from there; a full memo drops its oldest entry.  Only a signature read
     successfully is remembered, so a disconnected result never is."""
     if result._signature is None:
@@ -193,10 +194,8 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     permutation.  The labels are distinct names of distinct edges
     (:func:`_edge_names` checks the names), at least one.
 
-    Only then is ``sigma0`` looked up in ``_memo``: when an earlier
-    result on it was analysed, its signature, face record (the labels
-    unpacked into a tuple) and vertex walk are preset on this one, and
-    every other structure stays lazy.
+    Only then is the result built, by :func:`_restored`, which presets
+    the records of a ``sigma0`` found in ``_memo``.
     """
     off = 2 * left.num_edges
     top = off + right.num_darts  # the first key dart of a new edge
@@ -255,12 +254,25 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
         raise InvariantError(
             f"walked {walked} darts for {len(labels)} edges")
     del sigma0[2 * len(labels):]
-    result = FatGraph._built(sigma0, labels)
-    known = _memo.get(_packed(result.sigma0, len(sigma0)))
+    return _restored(sigma0, labels)
+
+
+def _restored(sigma0, labels):
+    """The graph on ``sigma0`` and ``labels``, built by
+    :meth:`FatGraph._built`, with the signature, face record (the labels
+    unpacked into a tuple) and vertex walk of ``sigma0`` preset from
+    ``_memo`` when an earlier result on it was analysed; every other
+    structure stays lazy.
+
+    The caller proves the checks of ``FatGraph(...)``: :func:`_rewired`
+    for a result it built, and :func:`fillgraph.synthesis._subplan` for a
+    sub-plan result it kept as ``_packed`` darts and labels."""
+    graph = FatGraph._built(sigma0, labels)
+    known = _memo.get(_packed(graph.sigma0, graph.num_darts))
     if known is not None:
-        result._signature, starts, faces, result._walk = known
-        result._face_orbits = starts, tuple(faces)
-    return result
+        graph._signature, starts, faces, graph._walk = known
+        graph._face_orbits = starts, tuple(faces)
+    return graph
 
 
 def _require_edge(g, label, side):

@@ -11,11 +11,15 @@ builder records each step and then executes it once; its graphs are the
 replayed graphs, so the plan it returns is verified without a second run.
 
 Every filling starts from a seed (a filling pair, a two-disc pair, a
-two-curve seed, a minimal filling, a triple or a tight filling, grown by
-connected sums and plumbings) that many targets share.  Each distinct seed
-sub-plan is executed once per process and its steps are reused by every
-later plan that needs it (:func:`_subplan`); in a reused block only the
-result index has a graph.  :meth:`SynthesisPlan.replay` still executes
+two-curve seed, a minimal filling, a triple, a tight filling or a family
+member, grown by connected sums and plumbings) that many targets share,
+and most then join a chain of tori onto it, so the plan of (g, b, s) is
+often the plan of (g, b-1, s-1) and one torus join more.  Each distinct
+seed, and each prefix of a torus chain, is a sub-plan executed once per
+process, and its steps are reused by every later plan that needs it
+(:func:`_subplan`); in a reused block only the result index has a graph,
+rebuilt from the darts and labels the memo keeps.  Every plan's final
+graph is still checked, and :meth:`SynthesisPlan.replay` still executes
 and checks every step.
 
 Builders:
@@ -34,7 +38,6 @@ Builders:
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
@@ -42,8 +45,8 @@ from functools import lru_cache, wraps
 from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import (OperationReport, connected_sum, join, plumbing,
-                  predict_connected_sum)
+from .ops import (OperationReport, _packed, _restored, connected_sum, join,
+                  plumbing, predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -361,10 +364,10 @@ class _Builder:
     computes for step ``i``, and :meth:`verify` checks the finished plan
     without executing it a second time.
 
-    A seed sub-plan (see :func:`_subplan`) is run once per process and
-    then appended as a block by :meth:`reuse`; only the block's result
-    index gets a graph, and its inner indices hold None, because builders
-    read a sub-plan's result only."""
+    A sub-plan (see :func:`_subplan`) is run once per process and then
+    appended as a block by :meth:`reuse`; only the block's result index
+    gets a graph, and its inner indices hold None, because builders read
+    a sub-plan's result only."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -382,15 +385,17 @@ class _Builder:
         return self.plan
 
     def reuse(self, subplan):
-        """Append a sub-plan ``(steps, result, graph)`` built on an empty
-        plan: its steps, with their operand indices moved past this plan's
-        steps, and a copy of ``graph`` (so two results never share one
-        object) at the moved ``result``; returns that index."""
-        steps, result, graph = subplan
+        """Append a sub-plan ``(steps, result, darts, labels)`` built on
+        an empty plan: its steps, with their operand indices moved past
+        this plan's steps, and at the moved ``result`` a new graph (so two
+        results never share one object) on the result's packed ``darts``
+        and ``labels``, rebuilt by :func:`ops._restored`; returns that
+        index."""
+        steps, result, darts, labels = subplan
         base = len(self.graphs)
         self.plan.steps.extend(_shifted(st, base) for st in steps)
         self.graphs.extend([None] * len(steps))
-        self.graphs[base + result] = copy.copy(graph)
+        self.graphs[base + result] = _restored(darts, labels)
         return base + result
 
     def family(self, name, param=None):
@@ -462,19 +467,30 @@ def _shifted(step, base):
     return replace(step, **moved) if moved else step
 
 
-@lru_cache(maxsize=256)
+# Fixed by measurement: a synth-grid pass needs 1,098 entries (217 seeds
+# and 881 torus-chain prefixes), so this bound holds a whole pass; see
+# BENCH_21.json.
+_SUBPLAN_SIZE = 2048
+
+
+@lru_cache(maxsize=_SUBPLAN_SIZE)
 def _subplan(builder, args):
-    """Run the seed sub-builder ``builder(bld, *args)`` on an empty plan;
-    returns its steps, the plan index it returned and the graph there.
+    """Run the sub-builder ``builder(bld, *args)`` on an empty plan;
+    returns its steps, the plan index it returned, and the darts (packed
+    by :func:`ops._packed`) and labels of the graph there.
 
     The memo is shared by every builder in the process, least recently
-    used first out past 256 entries (the g <= 10, b <= 8 grid with the
-    tight plans to g <= 6 needs 216), so each distinct seed is executed,
-    with its operation reports checked, once.  A sub-builder that raises
-    stores nothing."""
+    used first out past ``_SUBPLAN_SIZE`` entries, so each distinct seed
+    and each prefix of a torus chain is executed, with its operation
+    reports checked, once.  A sub-builder that raises stores nothing.
+    An entry keeps no graph: :meth:`_Builder.reuse` rebuilds the result
+    with :func:`ops._restored`, which presets its signature, face record
+    and vertex walk from the ops memo."""
     bld = _Builder(SynthesisPlan(target=()))
     idx = builder(bld, *args)
-    return tuple(bld.plan.steps), idx, bld.graphs[idx]
+    graph = bld.graphs[idx]
+    return (tuple(bld.plan.steps), idx, _packed(graph.sigma0, graph.num_darts),
+            graph.labels)
 
 
 def _seed(builder):
@@ -489,21 +505,51 @@ def _seed(builder):
     return run
 
 
-def _join_torus_chain(bld, idx, count):
-    """Join ``count`` torus graphs onto plan index ``idx``, each along an
-    edge with both directions in one boundary component (b and s grow by one
-    per join, genus is fixed)."""
-    for _ in range(count):
-        x = _same_boundary_edge(bld.graphs[idx])
-        if x is None:
-            raise SynthesisError(
-                "no edge with both directions in one boundary component; "
-                "the join construction guarantees one, so this is a bug")
-        ti = bld.family(families.TORUS_PAIR)
-        idx, rep = bld.join(idx, ti, x, "a")
-        if rep.case != "SAME/SAME":
-            raise PlanVerificationError(
-                f"torus join expected case SAME/SAME, got {rep.case}")
+@_seed
+def _family_into(bld, name, param):
+    """A family member as a seed, for a torus chain that starts there."""
+    return bld.family(name, param)
+
+
+# the torus family step of every chain join: one object that every chain
+# sub-plan shares
+_TORUS_STEP = Step._of({"op": "family", "family": families.TORUS_PAIR,
+                        "param": None})
+
+
+def _join_torus_chain(bld, seed, args, count):
+    """Join ``count`` torus graphs onto the seed ``seed(bld, *args)``, a
+    :func:`_seed` builder, each along an edge with both directions in one
+    boundary component (b and s grow by one per join, genus is fixed);
+    returns the plan index of the last join.
+
+    The seed with its first k joins is the sub-plan
+    ``(_torus_joined, (seed, args, k))``, made from the one with k - 1
+    joins, so a process builds each prefix of a chain once, however many
+    targets share it.  The loop makes missing prefixes shortest first, so
+    making one finds every shorter one in the memo, and no call nests
+    more than one prefix deep, however long the chain."""
+    if not count:
+        return seed(bld, *args)
+    for k in range(1, count):
+        _subplan(_torus_joined, (seed, args, k))
+    return bld.reuse(_subplan(_torus_joined, (seed, args, count)))
+
+
+def _torus_joined(bld, seed, args, count):
+    """The seed ``seed(bld, *args)`` with ``count >= 1`` torus joins: the
+    chain with ``count - 1`` joins, one torus family step and one
+    SAME/SAME join."""
+    idx = _join_torus_chain(bld, seed, args, count - 1)
+    x = _same_boundary_edge(bld.graphs[idx])
+    if x is None:
+        raise SynthesisError(
+            "no edge with both directions in one boundary component; "
+            "the join construction guarantees one, so this is a bug")
+    idx, rep = bld.join(idx, bld.run(_TORUS_STEP), x, "a")
+    if rep.case != "SAME/SAME":
+        raise PlanVerificationError(
+            f"torus join expected case SAME/SAME, got {rep.case}")
     return idx
 
 
@@ -611,8 +657,7 @@ def max_filling(g, b) -> SynthesisPlan:
         raise SynthesisRangeError("max_filling needs g >= 1 and b >= 1")
     plan = SynthesisPlan(target=(g, b, 2 * g + b - 1))
     bld = _Builder(plan)
-    idx = bld.family(families.GAMMA_G, g)
-    _join_torus_chain(bld, idx, b - 1)
+    _join_torus_chain(bld, _family_into, (families.GAMMA_G, g), b - 1)
     return bld.verify()
 
 
@@ -671,18 +716,16 @@ def filling(g, b, s) -> SynthesisPlan:
     plan = SynthesisPlan(target=(g, b, s))
     bld = _Builder(plan)
     if b >= s:
-        seed = _two_cycle_seed_into(bld, g, b - s + 2)
-        _join_torus_chain(bld, seed, s - 2)
+        _join_torus_chain(bld, _two_cycle_seed_into, (g, b - s + 2), s - 2)
     else:
         k = s - b + 1
         if g == 2 and k == 2:
             # the minimal pair seed does not exist on genus 2; start the
             # join chain one step later, from the (2,2,3) example graph
-            seed = bld.family(families.EXAMPLE_5_2)
-            _join_torus_chain(bld, seed, b - 2)
+            _join_torus_chain(bld, _family_into,
+                              (families.EXAMPLE_5_2, None), b - 2)
         else:
-            seed = _minimal_into(bld, g, k)
-            _join_torus_chain(bld, seed, b - 1)
+            _join_torus_chain(bld, _minimal_into, (g, k), b - 1)
     return bld.verify()
 
 

@@ -74,8 +74,9 @@ def test_grid_results_equal_fresh_graphs(registered):
     for build, args in grid_targets(5, 4, 5):
         build(*args).replay()  # checks the final graph against the target
     hits = sum(held for _, held in registered)
-    # replays and plans that share a seed meet results made before
-    assert 3 * hits > 2 * len(registered) > 800
+    # replays and plans that share a seed meet results made before; the
+    # builds make 387 results, as each torus-chain prefix is built once
+    assert 3 * hits > 2 * len(registered) > 750
     # the bound holds the whole grid: each connected sigma0 is analysed
     # once (a sum that disconnects is rejected before any entry is made)
     missed = [r.sigma0 for r, held in registered

@@ -8,7 +8,7 @@ from helpers import (first_matching_graph, grid_plans, grid_targets,
                      pair_search_reference, reference_pair_candidates,
                      tuple_face_screen)
 
-from fillgraph import families, formats, oracle, synthesis
+from fillgraph import families, formats, ops, oracle, synthesis
 from fillgraph.analysis import intersection_graph
 from fillgraph.ops import OperationError
 from fillgraph.synthesis import (ImpossibleSignatureError, Step,
@@ -302,6 +302,14 @@ class TestPlans:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
             "edd249ef1d1ea5346d25b0cb5fda3528d17e7203a7f7af8056df6af3b5732bb6")
 
+    def test_synth_grid_plan_bytes_pinned(self):
+        # the same digest over the whole grid of the synth-grid benchmark:
+        # g <= 10, b <= 8 and the tight plans with g <= 6
+        texts = [formats.dumps_plan(plan) for plan in grid_plans(10, 8, 6)]
+        assert len(texts) == 1077
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "d2d6bab0944204bf4a784af3d1d46ed1a6a362ec10a60d61ca57ebb2d1f0ce9a")
+
     def test_empty_plan(self):
         with pytest.raises(SynthesisError):
             SynthesisPlan(target=(2, 1, 3)).replay()
@@ -324,42 +332,65 @@ def memo(monkeypatch):
 MEMO_GRID = list(grid_targets(6, 4, 5))
 
 
+def _cold_text(build, *args):
+    """The plan text of ``build(*args)`` from an empty sub-plan memo."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(synthesis, "_subplan", _empty_memo())
+        return formats.dumps_plan(build(*args))
+
+
 @pytest.fixture(scope="module")
 def cold_texts():
     """The plan text of every MEMO_GRID target, each built from an empty
     memo."""
-    texts = {}
-    with pytest.MonkeyPatch.context() as m:
-        for build, args in MEMO_GRID:
-            m.setattr(synthesis, "_subplan", _empty_memo())
-            texts[build, args] = formats.dumps_plan(build(*args))
-    return texts
+    return {(build, args): _cold_text(build, *args)
+            for build, args in MEMO_GRID}
+
+
+def _torus_seed(bld, i):
+    """A cheap sub-builder: each ``i`` keys an entry of its own."""
+    return bld.family(families.TORUS_PAIR)
 
 
 class TestSubplanMemo:
     def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
+        # the grid has 84 distinct seeds and 119 distinct torus-chain
+        # prefixes; from an empty memo each is built once, in either
+        # order, and a warm pass over the grid builds none
         for order in (MEMO_GRID, MEMO_GRID[::-1]):
             memo.cache_clear()
             for build, args in order:
                 text = formats.dumps_plan(build(*args))
                 assert text == cold_texts[build, args], (build, args)
-            assert memo.cache_info().hits > memo.cache_info().misses
+            assert memo.cache_info().misses == memo.cache_info().currsize
+            assert memo.cache_info().currsize == 84 + 119
+            for build, args in order:
+                build(*args)
+            assert memo.cache_info().misses == 84 + 119
 
     def test_hit_is_a_copy_and_replays(self, memo):
         minimal_filling(5, 2)
-        _, _, stored = memo(synthesis._pair_into.__wrapped__, (5,))
+        _, _, darts, labels = memo(synthesis._pair_into.__wrapped__, (5,))
         hits = memo.cache_info().hits
-        plan = SynthesisPlan(target=(5, 1, 2))
-        bld = synthesis._Builder(plan)
-        bld.family(families.TORUS_PAIR)  # the reused block starts at step 1
-        idx = synthesis._pair_into(bld, 5)
-        assert memo.cache_info().hits == hits + 1
-        assert bld.graphs[idx] == stored
-        assert bld.graphs[idx] is not stored
-        assert idx == len(plan.steps) - 1
+        restored = []
+        for _ in range(2):
+            plan = SynthesisPlan(target=(5, 1, 2))
+            bld = synthesis._Builder(plan)
+            bld.family(families.TORUS_PAIR)  # the reused block starts at 1
+            idx = synthesis._pair_into(bld, 5)
+            assert idx == len(plan.steps) - 1
+            restored.append(bld.graphs[idx])
+        assert memo.cache_info().hits == hits + 2
+        first, second = restored
+        assert first.sigma0 == tuple(darts) and first.labels == labels
+        assert first == second and first is not second
+        # the result's records come from the ops memo, not recomputed
+        known = ops._memo[ops._packed(first.sigma0, first.num_darts)]
+        assert first._signature is known[0]
+        assert first._walk is known[3]
         replayed, _ = plan.replay()
-        assert replayed.sigma0 == stored.sigma0
-        assert replayed.labels == stored.labels
+        assert replayed.sigma0 == first.sigma0
+        assert replayed.labels == first.labels
 
     def test_key_is_builder_and_args(self, memo):
         for _ in range(2):
@@ -390,20 +421,71 @@ class TestSubplanMemo:
         text = formats.dumps_plan(minimal_filling(4, 4))
         assert text == cold_texts[filling, (4, 1, 4)]
 
-    def test_evicts_past_256_entries(self, memo, cold_texts):
-        assert memo.cache_info().maxsize == 256
-        for b in range(2, 262):
-            bld = synthesis._Builder(SynthesisPlan(target=(2, b, 2)))
-            synthesis._two_cycle_seed_into(bld, 2, b)
-        assert memo.cache_info().currsize == 256
+    def test_evicts_past_the_bound(self, memo, cold_texts):
+        bound = synthesis._SUBPLAN_SIZE
+        assert memo.cache_info().maxsize == bound == 2048
+        for build, args in MEMO_GRID:
+            build(*args)
+        # cheap entries push out every grid entry and the first filler
+        for i in range(bound + 3):
+            bld = synthesis._Builder(SynthesisPlan(target=(1, 1, 2)))
+            synthesis._seed(_torus_seed)(bld, i)
+        assert memo.cache_info().currsize == bound
         misses = memo.cache_info().misses
-        synthesis._two_cycle_seed_into(
-            synthesis._Builder(SynthesisPlan(target=(2, 2, 2))), 2, 2)
+        memo(_torus_seed, (0,))
         assert memo.cache_info().misses == misses + 1
         for build, args in MEMO_GRID:
             text = formats.dumps_plan(build(*args))
             assert text == cold_texts[build, args], (build, args)
-        assert memo.cache_info().currsize == 256
+        assert memo.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("build, short, long", [
+        (filling, (3, 2, 5), (3, 4, 7)),  # minimal (3, 4) seed
+        (filling, (3, 4, 3), (3, 6, 5)),  # two-cycle (3, 3) seed
+        (filling, (2, 2, 3), (2, 4, 5)),  # the (2, 2, 3) example graph
+        (filling, (5, 1, 6), (5, 4, 9)),  # minimal (5, 6) seed, no join
+        (max_filling, (3, 2), (3, 6)),
+    ], ids=["minimal", "two-cycle", "example", "bare-seed", "max"])
+    def test_chain_either_side_of_a_longer_one(self, memo, build, short,
+                                                long):
+        # a chain and a longer one on the same seed share their prefix
+        cold = {args: _cold_text(build, *args) for args in (short, long)}
+        for order in ((short, long), (long, short)):
+            memo.cache_clear()
+            plans = {args: build(*args) for args in order}
+            for args in order:
+                assert formats.dumps_plan(plans[args]) == cold[args], args
+            steps = plans[short].steps
+            assert plans[long].steps[:len(steps)] == steps
+
+    def test_edited_plan_leaves_later_plans_alone(self, memo, cold_texts):
+        for args in ((3, 4, 7), (3, 2, 5), (3, 1, 4)):
+            plan = filling(*args)
+            steps = plan.steps
+            steps[-1] = steps[0]
+            steps.append(Step._of({"op": "smooth", "arg": 0}))
+            del steps[1]
+        for args in ((3, 4, 7), (3, 2, 5), (3, 3, 6), (3, 1, 4)):
+            text = formats.dumps_plan(filling(*args))
+            assert text == cold_texts[filling, args], args
+
+    @pytest.mark.parametrize("build, args, seed, joins", [
+        (filling, (2, 300, 301), (families.EXAMPLE_5_2, None), 298),
+        (max_filling, (2, 300), (families.GAMMA_G, 2), 299)],
+        ids=["filling", "max_filling"])
+    def test_long_chain_builds_and_verifies(self, memo, build, args, seed,
+                                            joins):
+        # a chain of about 300 joins nests no call per join, and its
+        # graphs pass 256 darts, where packed darts stay a tuple
+        plan = build(*args)  # verifies its final graph
+        assert len(plan.steps) == 1 + 2 * joins  # one family seed step
+        assert memo.cache_info().misses == memo.cache_info().currsize \
+            == 1 + joins
+        *_, darts, labels = memo(synthesis._torus_joined,
+                                 (synthesis._family_into, seed, joins))
+        assert memo.cache_info().misses == 1 + joins
+        assert isinstance(darts, tuple) and len(darts) > 256
+        assert len(labels) == len(darts) // 2
 
 
 class TestStepConstructor:
