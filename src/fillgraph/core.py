@@ -345,10 +345,10 @@ class FatGraph:
         * :func:`fillgraph.ops._restored`, called by
           :func:`fillgraph.ops._rewired`, which builds every surgery
           result, raising :class:`InvariantError` wherever a step of its
-          proof fails, and by :func:`fillgraph.synthesis._subplan`, which
-          rebuilds a result of a sub-plan from the darts and labels of a
-          graph it built; it then presets the signature, face record and
-          vertex walk of a ``sigma0`` found in the ops memo;
+          proof fails, and by :meth:`fillgraph.synthesis._Builder.reuse`,
+          which rebuilds a sub-plan's result from the darts and labels of
+          a graph built before; it then presets the signature, face record
+          and vertex walk of a ``sigma0`` found in the ops memo;
         * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
           bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)

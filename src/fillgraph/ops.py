@@ -265,8 +265,9 @@ def _restored(sigma0, labels):
     structure stays lazy.
 
     The caller proves the checks of ``FatGraph(...)``: :func:`_rewired`
-    for a result it built, and :func:`fillgraph.synthesis._subplan` for a
-    sub-plan result it kept as ``_packed`` darts and labels."""
+    for a result it built, and :meth:`fillgraph.synthesis._Builder.reuse`
+    for a sub-plan result kept as the ``_packed`` darts and the labels of
+    a graph built before."""
     graph = FatGraph._built(sigma0, labels)
     known = _memo.get(_packed(graph.sigma0, graph.num_darts))
     if known is not None:

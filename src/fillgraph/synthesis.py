@@ -17,7 +17,8 @@ and most then join a chain of tori onto it, so the plan of (g, b, s) is
 often the plan of (g, b-1, s-1) and one torus join more.  Each distinct
 seed, and each prefix of a torus chain, is a sub-plan executed once per
 process, and its steps are reused by every later plan that needs it
-(:func:`_subplan`); in a reused block only the result index has a graph,
+(:func:`_subplan`); in a reused block only the result index has a graph:
+the one the sub-builder made, at the first reuse, and later a graph
 rebuilt from the darts and labels the memo keeps.  Every plan's final
 graph is still checked, and :meth:`SynthesisPlan.replay` still executes
 and checks every step.
@@ -385,17 +386,26 @@ class _Builder:
         return self.plan
 
     def reuse(self, subplan):
-        """Append a sub-plan ``(steps, result, darts, labels)`` built on
-        an empty plan: its steps, with their operand indices moved past
-        this plan's steps, and at the moved ``result`` a new graph (so two
-        results never share one object) on the result's packed ``darts``
-        and ``labels``, rebuilt by :func:`ops._restored`; returns that
-        index."""
-        steps, result, darts, labels = subplan
+        """Append a sub-plan entry of :func:`_subplan`, built on an empty
+        plan: its steps, with their operand indices moved past this
+        plan's steps, and a graph of its result at the moved result
+        index; returns that index.
+
+        The first reuse of an entry takes the graph its sub-builder made,
+        with every record computed on it, and leaves the result's packed
+        darts and labels in the entry; every later one gets a new graph
+        on them, rebuilt by :func:`ops._restored`.  So two results never
+        share one object."""
+        steps, result, kept, labels = subplan
+        if labels is None:  # kept is the graph, not reused before
+            graph = kept
+            subplan[2:] = _packed(graph.sigma0, graph.num_darts), graph.labels
+        else:
+            graph = _restored(kept, labels)
         base = len(self.graphs)
         self.plan.steps.extend(_shifted(st, base) for st in steps)
         self.graphs.extend([None] * len(steps))
-        self.graphs[base + result] = _restored(darts, labels)
+        self.graphs[base + result] = graph
         return base + result
 
     def family(self, name, param=None):
@@ -476,21 +486,21 @@ _SUBPLAN_SIZE = 2048
 @lru_cache(maxsize=_SUBPLAN_SIZE)
 def _subplan(builder, args):
     """Run the sub-builder ``builder(bld, *args)`` on an empty plan;
-    returns its steps, the plan index it returned, and the darts (packed
-    by :func:`ops._packed`) and labels of the graph there.
+    returns the entry ``[steps, result, darts, labels]``: its steps, the
+    plan index it returned, and the darts (packed by :func:`ops._packed`)
+    and labels of the graph there.  Until :meth:`_Builder.reuse` first
+    reads the entry, ``darts`` is that graph itself and ``labels`` None.
 
     The memo is shared by every builder in the process, least recently
     used first out past ``_SUBPLAN_SIZE`` entries, so each distinct seed
     and each prefix of a torus chain is executed, with its operation
     reports checked, once.  A sub-builder that raises stores nothing.
-    An entry keeps no graph: :meth:`_Builder.reuse` rebuilds the result
-    with :func:`ops._restored`, which presets its signature, face record
-    and vertex walk from the ops memo."""
+    A reused entry keeps no graph: later reuses rebuild the result with
+    :func:`ops._restored`, which presets its signature, face record and
+    vertex walk from the ops memo."""
     bld = _Builder(SynthesisPlan(target=()))
     idx = builder(bld, *args)
-    graph = bld.graphs[idx]
-    return (tuple(bld.plan.steps), idx, _packed(graph.sigma0, graph.num_darts),
-            graph.labels)
+    return [tuple(bld.plan.steps), idx, bld.graphs[idx], None]
 
 
 def _seed(builder):

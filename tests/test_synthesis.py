@@ -392,6 +392,21 @@ class TestSubplanMemo:
         assert replayed.sigma0 == first.sigma0
         assert replayed.labels == first.labels
 
+    def test_first_reuse_takes_the_built_graph(self, memo):
+        # the pair seed of genus 5 joins G2 onto the one of genus 3
+        graphs = []
+        for _ in range(2):
+            bld = synthesis._Builder(SynthesisPlan(target=(5, 1, 2)))
+            graphs.append(bld.graphs[synthesis._pair_into(bld, 5)])
+        built, rebuilt = graphs
+        entry = memo(synthesis._pair_into.__wrapped__, (5,))
+        assert entry[2:] == [ops._packed(built.sigma0, built.num_darts),
+                             built.labels]
+        # the built graph keeps what its connected sum computed on it
+        assert "_curve_orbits" in built.__dict__
+        assert "_curve_orbits" not in rebuilt.__dict__
+        assert rebuilt == built and rebuilt is not built
+
     def test_key_is_builder_and_args(self, memo):
         for _ in range(2):
             bld = synthesis._Builder(SynthesisPlan(target=(4, 2, 2)))
