@@ -11,7 +11,7 @@ triangles, and two parallel curves can bound an annulus cut into squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import FatGraph, FatGraphError, InvariantError
 
@@ -20,12 +20,12 @@ class AnalysisPreconditionError(FatGraphError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightedIntersectionGraph:
-    """Vertices are curve indices; weights count pairwise crossings."""
+class WeightedIntersectionGraph(namedtuple("WeightedIntersectionGraph",
+                                           ("num_curves", "weights"))):
+    """Vertices are curve indices; weights count pairwise crossings:
+    ``weights`` maps (i, j) with i < j to a positive int."""
 
-    num_curves: int
-    weights: dict  # (i, j) with i < j -> positive int
+    __slots__ = ()
 
     def omega_max(self):
         return max(self.weights.values(), default=0)
@@ -95,13 +95,9 @@ def _require_filling(graph, b_required=None):
     return sig
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    value: int
-    bound: int
-    passed: bool
-    details: dict
+class BoundCheck(namedtuple("BoundCheck", (
+        "name", "value", "bound", "passed", "details"))):
+    __slots__ = ()
 
     def __str__(self):
         verdict = "ok" if self.passed else "FAIL"

@@ -36,7 +36,7 @@ Graphs are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class FatGraphError(ValueError):
@@ -112,8 +112,9 @@ def _parse_token(tok):
     return s[:-1], (1 if s[-1] == "+" else -1), occ
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class SurfaceSignature(namedtuple("SurfaceSignature", (
+        "genus", "boundary_count", "standard_cycle_count", "vertex_count",
+        "edge_count", "is_four_regular", "is_decorated"))):
     """Bookkeeping triple of a connected fat graph plus structural flags.
 
     Satisfies V - m + b = 2 - 2g.  ``s`` is None when the graph is not
@@ -122,13 +123,7 @@ class SurfaceSignature:
     signature.
     """
 
-    genus: int
-    boundary_count: int
-    standard_cycle_count: int | None
-    vertex_count: int
-    edge_count: int
-    is_four_regular: bool
-    is_decorated: bool
+    __slots__ = ()
 
     @property
     def triple(self):

@@ -12,8 +12,7 @@ hands out distinct copies of it, which share the structure computed on it.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import FatGraph, FatGraphError, InvariantError
@@ -233,7 +232,7 @@ def build(family, param=None):
             f"family {family!r} needs a {PARAMETRIC[family]} parameter")
     if family not in PARAMETRIC and param is not None:
         raise FamilyRangeError(f"family {family!r} takes no parameter")
-    return copy.copy(_validated(family, param))
+    return _validated(family, param).__copy__()
 
 
 @lru_cache(maxsize=256)
@@ -246,12 +245,12 @@ def _validated(family, param):
     return graph
 
 
-@dataclass(frozen=True)
-class CatalogRow:
-    family: str
-    param: int | None
-    triple: tuple  # (g, b, s)
-    lengths: tuple | None  # curve length multiset where pinned
+class CatalogRow(namedtuple("CatalogRow",
+                            ("family", "param", "triple", "lengths"))):
+    """A catalog instance: ``triple`` is its (g, b, s) and ``lengths``
+    its curve length multiset where pinned, else None."""
+
+    __slots__ = ()
 
     def build(self):
         return build(self.family, self.param)

@@ -171,7 +171,7 @@ def _read_step(i, d) -> Step:
             if type(c) is not list:
                 _require(f"step {i} vertex cycle", c, list)
         fields["vertices"] = tuple([tuple(c) for c in vertices])
-    return Step._of(fields)
+    return Step(**fields)
 
 
 def plan_from_document(doc) -> SynthesisPlan:

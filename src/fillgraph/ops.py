@@ -40,11 +40,10 @@ selectors can reject a candidate without building its result.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, namedtuple
 
-from .core import (FatGraph, FatGraphError, InvariantError, SurfaceSignature,
-                   _face_successor, _orbit_labels)
+from .core import (FatGraph, FatGraphError, InvariantError, _face_successor,
+                   _orbit_labels)
 
 
 class OperationError(FatGraphError):
@@ -65,20 +64,17 @@ SUM_TWO_SAME = "two-same-edges"
 SUM_OTHER = "otherwise"
 
 
-@dataclass
-class OperationReport:
-    op: str
-    case: str
-    left_signature: SurfaceSignature
-    right_signature: SurfaceSignature
-    predicted_b: int
-    predicted_g: int
-    predicted_s: int | None
-    result: FatGraph
-    recomputed: SurfaceSignature
-    # connected sum audit of the indicator-sum table (None for join/plumb)
-    chi: dict | None = None
-    selectors: dict = field(default_factory=dict)
+class OperationReport(namedtuple("OperationReport", (
+        "op", "case", "left_signature", "right_signature", "predicted_b",
+        "predicted_g", "predicted_s", "result", "recomputed", "chi",
+        "selectors"), defaults=(None, None))):
+    """What one operation did: its case, the operands' signatures, the
+    predicted b, g and s, the result graph and its recomputed signature.
+    ``chi`` is the connected sum's audit of the indicator-sum table (None
+    for join and plumbing), and ``selectors`` the arguments that chose
+    the splice."""
+
+    __slots__ = ()
 
     def check(self):
         got = (self.recomputed.boundary_count, self.recomputed.genus,

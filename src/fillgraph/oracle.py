@@ -18,10 +18,11 @@ first candidate of a class pays for its canonical code
 (:func:`canonical_code`), which gives the class's key and automorphism
 count.
 
-Each level is certified by the orbit-counting mass formula: the classes'
-orbit sizes 4^V V! / |Aut| must add up to the number of connected
-matchings on 4V darts, which follows from (4V-1)!! alone.  A census that
-missed or split a class fails it and raises :class:`CensusError`.
+Each level is certified by the orbit-counting mass formula, in integers:
+each class's orbit size 4^V V! / |Aut| must be whole, and their sum must
+be the number of connected matchings on 4V darts, which follows from
+(4V-1)!! alone.  A census that missed or split a class, or miscounted
+its automorphisms, fails it and raises :class:`CensusError`.
 
 Each row's invariants are read from its witness graph
 (:func:`matching_to_graph`): the signature, the face and curve lengths,
@@ -35,8 +36,7 @@ synthesis builders, and its graphs exercise the operation formulas through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
@@ -59,22 +59,18 @@ class CensusError(InvariantError):
     """The census failed its mass-formula certificate."""
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    key: bytes  # canonical form, identical to FatGraph.canonical_form()
-    # the fields up to omega_max are read from the witness graph, graph()
-    vertex_count: int
-    edge_count: int
-    genus: int
-    boundary_count: int
-    standard_cycle_count: int
-    boundary_lengths: tuple
-    cycle_lengths: tuple
-    filling: bool
-    omega_max: int | None
-    count: int  # matchings of iter_matchings(V) in this class
-    witness: tuple  # the first of them, as a partner tuple
-    automorphisms: int  # order of the automorphism group
+class CensusRow(namedtuple("CensusRow", (
+        "key", "vertex_count", "edge_count", "genus", "boundary_count",
+        "standard_cycle_count", "boundary_lengths", "cycle_lengths",
+        "filling", "omega_max", "count", "witness", "automorphisms"))):
+    """One census class.  ``key`` is its canonical form, identical to
+    :meth:`FatGraph.canonical_form`; the fields up to ``omega_max`` are
+    read from the witness graph, :meth:`graph`.  ``count`` is the number
+    of matchings of :func:`iter_matchings` in the class, ``witness`` the
+    first of them as a partner tuple, and ``automorphisms`` the order of
+    the automorphism group."""
+
+    __slots__ = ()
 
     def graph(self):
         return matching_to_graph(self.vertex_count, self.witness)
@@ -347,8 +343,15 @@ def census(V):
             f"got V={V}")
     classes = _classes(V)
     labelings = 4 ** V * factorial(V)
-    mass = sum(Fraction(labelings, automorphisms)
-               for automorphisms, _ in classes.values())
+    mass = 0
+    for automorphisms, match in classes.values():
+        orbit, rest = divmod(labelings, automorphisms)
+        if rest:
+            raise CensusError(
+                f"census at V={V}: the class of {match!r} has "
+                f"{automorphisms} automorphisms, which do not divide "
+                f"{labelings} labelings")
+        mass += orbit
     want = connected_matchings(V)
     if mass != want:
         raise CensusError(
@@ -398,25 +401,30 @@ def census_filter(V, genus=None, b=None, s=None, filling=None):
 # operation law verification
 
 
-@dataclass
 class OpAudit:
-    op: str
-    trials: int = 0
-    mismatches: int = 0  # hard predicted-vs-recomputed failures
-    case_counts: dict = None
-    corollary_violations: int = 0  # join: new boundary of length <= 2
-    printed_checked: int = 0
-    printed_matched: int = 0
-    printed_reliable_misses: int = 0
-    unreliable_miss_cases: dict = None
-    s_law_checked: int = 0
-    s_law_misses: int = 0
+    """The tallies of one operation's audit in
+    :func:`verify_formula_by_recompute`: trials, hard predicted-vs-
+    recomputed failures (``mismatches``), cases, join's corollary
+    violations (a new boundary of length <= 2), and the connected sum's
+    printed-table and s-law checks."""
 
-    def __post_init__(self):
-        if self.case_counts is None:
-            self.case_counts = {}
-        if self.unreliable_miss_cases is None:
-            self.unreliable_miss_cases = {}
+    def __init__(self, op, trials=0, mismatches=0, case_counts=None,
+                 corollary_violations=0, printed_checked=0,
+                 printed_matched=0, printed_reliable_misses=0,
+                 unreliable_miss_cases=None, s_law_checked=0,
+                 s_law_misses=0):
+        self.op = op
+        self.trials = trials
+        self.mismatches = mismatches
+        self.case_counts = {} if case_counts is None else case_counts
+        self.corollary_violations = corollary_violations
+        self.printed_checked = printed_checked
+        self.printed_matched = printed_matched
+        self.printed_reliable_misses = printed_reliable_misses
+        self.unreliable_miss_cases = ({} if unreliable_miss_cases is None
+                                      else unreliable_miss_cases)
+        self.s_law_checked = s_law_checked
+        self.s_law_misses = s_law_misses
 
     def record_case(self, case):
         self.case_counts[case] = self.case_counts.get(case, 0) + 1

@@ -40,7 +40,7 @@ Builders:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import lru_cache, wraps
 
 from . import families, oracle
@@ -66,52 +66,30 @@ class PlanVerificationError(InvariantError):
     pass
 
 
-@dataclass(frozen=True)
-class Step:
-    op: str  # family | graph | join | consum | plumb | smooth
-    family: str | None = None
-    param: int | None = None
-    vertices: tuple | None = None
-    left: int | None = None
-    right: int | None = None
-    x: str | None = None
-    y: str | None = None
-    w: int | None = None
-    u: int | None = None
-    align: int = 0
-    flip: bool = False
-    arg: int | None = None
+class Step(namedtuple("Step", (
+        "op", "family", "param", "vertices", "left", "right", "x", "y", "w",
+        "u", "align", "flip", "arg"),
+        defaults=(None,) * 9 + (0, False, None))):
+    """One plan step: ``op`` (family, graph, join, consum, plumb or
+    smooth) and the fields it reads, every other field at its default
+    (None, except ``align=0`` and ``flip=False``).  Builders and
+    :func:`formats._read_step` make it with keywords, and
+    :func:`_shifted` moves its operand indices with ``_replace``."""
 
-    @classmethod
-    def _of(cls, fields):
-        """The step with the values of the dict ``fields``, which names
-        "op" and any other fields, and every other field at its default.
-
-        The dataclass ``__init__`` writes all 13 fields one
-        ``object.__setattr__`` at a time; this writes the given ones into
-        the instance dict in one update, and a field left out reads its
-        default from the class.  Equality, hashing, ``repr`` and
-        :func:`dataclasses.replace` read the fields by name, so they see
-        the same step either way.  Like ``__init__``, it raises
-        :class:`TypeError` for an unknown field name or a missing "op"."""
-        if "op" not in fields or not _STEP_FIELD_NAMES.issuperset(fields):
-            raise TypeError(f"Step fields must include 'op' and be among "
-                            f"{sorted(_STEP_FIELD_NAMES)}, got "
-                            f"{list(fields)}")
-        step = object.__new__(cls)
-        step.__dict__.update(fields)
-        return step
+    __slots__ = ()
 
 
-_STEP_FIELD_NAMES = frozenset(Step.__dataclass_fields__)
-
-
-@dataclass
 class SynthesisPlan:
-    target: tuple  # (g, b, s)
-    steps: list[Step] = field(default_factory=list)
-    expect_filling: bool = True
-    expect_omega: int | None = None
+    """The target (g, b, s), the steps, and what the final graph must
+    meet besides the target: the filling predicate when
+    ``expect_filling``, and ``omega_max`` when ``expect_omega`` is set."""
+
+    def __init__(self, target, steps=None, expect_filling=True,
+                 expect_omega=None):
+        self.target = target
+        self.steps = [] if steps is None else steps
+        self.expect_filling = expect_filling
+        self.expect_omega = expect_omega
 
     def add(self, step: Step) -> int:
         self.steps.append(step)
@@ -202,10 +180,11 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
 # search
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    graph: FatGraph | None
-    examined: int  # pair candidates (s=2) or census classes read
+class SearchResult(namedtuple("SearchResult", ("graph", "examined"))):
+    """The graph found, or None, and how many pair candidates (s=2) or
+    census classes the search read."""
+
+    __slots__ = ()
 
     @property
     def found(self):
@@ -409,27 +388,24 @@ class _Builder:
         return base + result
 
     def family(self, name, param=None):
-        return self.run(Step._of({"op": "family", "family": name,
-                                   "param": param}))
+        return self.run(Step("family", family=name, param=param))
 
     def literal(self, graph):
         """A graph step; it runs from its recorded tokens, so the graph
         kept here is the replayed one, not ``graph`` itself."""
-        return self.run(Step._of({"op": "graph", "vertices": tuple(
-            map(tuple, graph.to_vertex_cycle_tokens()))}))
+        return self.run(Step("graph", vertices=tuple(
+            map(tuple, graph.to_vertex_cycle_tokens()))))
 
     def join(self, li, ri, x, y):
-        idx = self.run(Step._of({"op": "join", "left": li, "right": ri,
-                                  "x": x, "y": y}))
+        idx = self.run(Step("join", left=li, right=ri, x=x, y=y))
         return idx, self.reports[-1]
 
     def plumb(self, li, ri, x, y):
-        idx = self.run(Step._of({"op": "plumb", "left": li, "right": ri,
-                                  "x": x, "y": y}))
+        idx = self.run(Step("plumb", left=li, right=ri, x=x, y=y))
         return idx, self.reports[-1]
 
     def smooth(self, idx):
-        return self.run(Step._of({"op": "smooth", "arg": idx}))
+        return self.run(Step("smooth", arg=idx))
 
     def consum_reaching(self, li, ri, want_triple, require=None):
         """Add the first (w, u, align) connected sum that reaches the
@@ -448,9 +424,8 @@ class _Builder:
                         if predict_connected_sum(left, right, w, u,
                                                  align) != want_triple:
                             continue
-                        step = Step._of({"op": "consum", "left": li,
-                                          "right": ri, "w": w, "u": u,
-                                          "align": align})
+                        step = Step("consum", left=li, right=ri, w=w,
+                                    u=u, align=align)
                         graph = _run_step(step, self.graphs, self.reports)
                     except FatGraphError:
                         continue
@@ -474,7 +449,7 @@ def _shifted(step, base):
         return step
     moved = {name: getattr(step, name) + base for name in ("left", "right",
              "arg") if getattr(step, name) is not None}
-    return replace(step, **moved) if moved else step
+    return step._replace(**moved) if moved else step
 
 
 # Fixed by measurement: a synth-grid pass needs 1,098 entries (217 seeds
@@ -523,8 +498,7 @@ def _family_into(bld, name, param):
 
 # the torus family step of every chain join: one object that every chain
 # sub-plan shares
-_TORUS_STEP = Step._of({"op": "family", "family": families.TORUS_PAIR,
-                        "param": None})
+_TORUS_STEP = Step("family", family=families.TORUS_PAIR)
 
 
 def _join_torus_chain(bld, seed, args, count):
@@ -638,14 +612,11 @@ def upper_bound(g, b=1):
     return 2 * g + b - 1
 
 
-@dataclass(frozen=True)
-class TargetSignature:
+class TargetSignature(namedtuple("TargetSignature", ("g", "b", "s"))):
     """An admissible (g, b, s): g >= 2, b >= 1 and s within the size
     bounds, with (2, 1, 2) excluded."""
 
-    g: int
-    b: int
-    s: int
+    __slots__ = ()
 
     def validate(self):
         if self.g < 2 or self.b < 1:

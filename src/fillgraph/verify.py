@@ -7,7 +7,7 @@ operation laws).  ``fillgraph verify`` prints a suite's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import analysis, oracle, synthesis
 from .ops import JOIN_OTHER, JOIN_SAME_SAME, PLUMB_ALL_DIFF, PLUMB_OTHER
@@ -19,11 +19,8 @@ BMAX = 4
 THEOREM3_GMAX = 6
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    lines: tuple
-    failures: int
+class SuiteResult(namedtuple("SuiteResult", ("name", "lines", "failures"))):
+    __slots__ = ()
 
     @classmethod
     def of(cls, name, checks):

@@ -314,8 +314,8 @@ def tuple_face_screen(sigma0, b):
 def reference_plan_from_document(doc):
     """:func:`fillgraph.formats.plan_from_document` as two passes: the
     whole document is checked field by field through ``_require``, then
-    read, each step through the dataclass ``__init__`` of :class:`Step`
-    with every field given."""
+    read, each step through the :class:`Step` constructor with every
+    field given."""
     if not isinstance(doc, dict) or doc.get("format") != PLAN_FORMAT:
         raise FormatError(f"not a {PLAN_FORMAT} document")
     t = doc.get("target")

@@ -399,3 +399,18 @@ def test_python_m_fillgraph():
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "verify theorem2: ALL PASS"
+
+
+def test_bare_start_up_imports_no_code_generators():
+    # the records are named tuples and plain classes, and the census
+    # certificate is integer arithmetic, so importing the command line
+    # loads none of these; -S keeps a site-packages .pth file from
+    # importing one first
+    src = str(Path(fillgraph.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import fillgraph.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'typing', "
+            "'fractions') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

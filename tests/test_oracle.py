@@ -152,6 +152,30 @@ class TestGrowth:
         finally:
             census.cache_clear()
 
+    def test_fractional_orbit_names_its_class(self, monkeypatch):
+        # 3 does not divide the 4^2 * 2! = 32 labelings at V = 2, so the
+        # class has no whole orbit size, whatever the other classes sum to
+        victim = census(2)[3].key
+        real = oracle.canonical_code
+        matches = []
+
+        def corrupt(sigma0, sigma1):
+            key, automorphisms = real(sigma0, sigma1)
+            if key != victim:
+                return key, automorphisms
+            matches.append(tuple(sigma1))
+            return key, 3
+
+        monkeypatch.setattr(oracle, "canonical_code", corrupt)
+        census.cache_clear()
+        try:
+            with pytest.raises(CensusError) as caught:
+                census(2)
+        finally:
+            census.cache_clear()
+        assert matches and "3 automorphisms" in str(caught.value)
+        assert repr(matches[0]) in str(caught.value)
+
 
 def candidates(V):
     """The matchings the census looks up at level V: the connected
