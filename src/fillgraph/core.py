@@ -221,18 +221,25 @@ def _orbit_labels(succ):
     return starts, labels
 
 
-def canonical_code(sigma0, sigma1):
+def canonical_code(sigma0, sigma1, walked=None):
     """(code, automorphisms) of the connected map (sigma0, sigma1).
 
     The code of a start dart is :func:`_rooted_walk`'s code from it, and
     the canonical code is the lexicographically least over all starts; it
-    determines the pair of permutations up to dart relabeling.  Dart 0 is
-    walked in full and every other start against the least code so far,
-    so a start stops at its first dart that differs from it.  Two starts
-    give the same code exactly when an automorphism maps one to the
-    other, so the number of starts reaching the least code is the order of
-    the automorphism group.  Raises :class:`DisconnectedError` when the
-    walk from dart 0 misses a dart.
+    determines the pair of permutations up to dart relabeling.  Two
+    starts give the same code exactly when an automorphism maps one to
+    the other, so the number of starts reaching the least code is the
+    order of the automorphism group.
+
+    ``walked`` maps start darts to their full codes, walked already by
+    the caller (the census passes its shortest-face roots); without it,
+    dart 0 is walked in full.  Every other start is walked against the
+    least code so far, so it stops at its first dart that differs from
+    it, and only a start with a smaller code is walked again in full.
+    The least code and the number of starts reaching it do not depend on
+    the order the starts are taken in, so the result is the same with or
+    without ``walked``.  Raises :class:`DisconnectedError` when a full
+    walk misses a dart.
 
     The code packs one byte per number up to 256 darts and the fewest
     big-endian bytes that hold ``n - 1`` beyond; the length of a code
@@ -240,12 +247,16 @@ def canonical_code(sigma0, sigma1):
     never collide.
     """
     n = len(sigma0)
-    darts, best = _rooted_walk(sigma0, sigma1, 0)
-    if len(darts) < n:
+    if not walked:
+        walked = {0: _rooted_walk(sigma0, sigma1, 0)[1]}
+    best = min(walked.values())
+    if len(best) < 2 * n:
         raise DisconnectedError(
             "canonical code of a disconnected graph is not defined")
-    automorphisms = 1
-    for start in range(1, n):
+    automorphisms = sum(code == best for code in walked.values())
+    for start in range(n):
+        if start in walked:
+            continue
         code = _rooted_walk(sigma0, sigma1, start, best)[1]
         if code == best:
             automorphisms += 1

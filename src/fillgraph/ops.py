@@ -133,9 +133,26 @@ _memo: OrderedDict = OrderedDict()
 
 
 def _packed(numbers, bound):
-    """The tuple ``numbers``, each below ``bound``, as bytes when
-    ``bound`` is at most 256, else the tuple itself."""
-    return bytes(numbers) if bound <= 256 else numbers
+    """The tuple ``numbers``, each below ``bound``, as bytes: one byte a
+    number when ``bound`` is at most 256, two (in the machine's order) up
+    to 65,536, and beyond that the tuple itself.  :func:`_unpacked` reads
+    it back."""
+    if bound <= 256:
+        return bytes(numbers)
+    if bound <= 65536:
+        # imported here: no graph of the benchmarks or of a plain start
+        # reaches 256 darts, and loading the module costs start-up time
+        from array import array
+        return array("H", numbers).tobytes()
+    return numbers
+
+
+def _unpacked(packed, bound):
+    """The tuple of numbers below ``bound`` that :func:`_packed` made."""
+    if 256 < bound <= 65536:
+        from array import array
+        return tuple(array("H", packed))
+    return tuple(packed)
 
 
 def _recomputed(result):
@@ -268,7 +285,7 @@ def _restored(sigma0, labels):
     known = _memo.get(_packed(graph.sigma0, graph.num_darts))
     if known is not None:
         graph._signature, starts, faces, graph._walk = known
-        graph._face_orbits = starts, tuple(faces)
+        graph._face_orbits = starts, _unpacked(faces, len(starts))
     return graph
 
 

@@ -16,7 +16,9 @@ the least dart on its shortest faces, looked up among the walks of the
 classes found so far from every dart on their shortest faces.  Only the
 first candidate of a class pays for its canonical code
 (:func:`canonical_code`), which gives the class's key and automorphism
-count.
+count; its shortest-face roots are walked once, for the lookup set and
+the canonical code alike, and the canonical code walks only the other
+starts.
 
 Each level is certified by the orbit-counting mass formula, in integers:
 each class's orbit size 4^V V! / |Aut| must be whole, and their sum must
@@ -237,9 +239,12 @@ def _class_count(V, match, automorphisms):
     two steps on around their vertex (dart 0 paired with 1 or 2), B darts
     at another vertex (dart 0 paired with 4, one of 4(V-1) places).
     """
-    A = sum(1 for d in range(4 * V)
-            if match[d] in (_s0(d), _s0(_s0(d))))
-    B = sum(1 for d in range(4 * V) if match[d] // 4 != d // 4)
+    A = B = 0
+    for d, q in enumerate(match):
+        if q >> 2 != d >> 2:
+            B += 1
+        elif (q - d) & 3 in (1, 2):
+            A += 1
     total = A * 4 ** (V - 1) * factorial(V - 1)
     if B:
         total += B * 4 ** (V - 2) * factorial(V - 2)
@@ -273,7 +278,10 @@ def _classes(V):
     an isomorphism maps one root to the other, so a hit is exactly a
     candidate of a known class.  Only a miss pays for
     :func:`canonical_code`, which gives the class's key and automorphism
-    count.
+    count.  Each root of a miss is walked once: the lookup walk and full
+    walks from the other roots give the codes registered for the class,
+    and :func:`canonical_code` takes them as walked, so it walks only the
+    starts off the shortest faces, each against the least code so far.
     """
     rot = standard_rotation(V)
     if V == 1:
@@ -284,16 +292,19 @@ def _classes(V):
     rooted = set()  # codes of the classes found, from their roots
     for match in found:
         roots = _shortest_face_darts(rot, match)
-        if bytes(_rooted_walk(rot, match, roots[0])[1]) in rooted:
+        code = _rooted_walk(rot, match, roots[0])[1]
+        if bytes(code) in rooted:
             continue
-        key, automorphisms = canonical_code(rot, match)
+        walked = {roots[0]: code}
+        for root in roots[1:]:
+            walked[root] = _rooted_walk(rot, match, root)[1]
+        key, automorphisms = canonical_code(rot, match, walked)
         if key in classes:
             raise CensusError(
                 f"census at V={V}: rooted lookup missed the class of "
                 f"{tuple(match)!r}")
         classes[key] = (automorphisms, tuple(match))
-        rooted.update(bytes(_rooted_walk(rot, match, root)[1])
-                      for root in roots)
+        rooted.update(map(bytes, walked.values()))
     return classes
 
 

@@ -46,8 +46,8 @@ from functools import lru_cache, wraps
 from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import (OperationReport, _packed, _restored, connected_sum, join,
-                  plumbing, predict_connected_sum)
+from .ops import (OperationReport, _packed, _restored, _unpacked,
+                  connected_sum, join, plumbing, predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -181,8 +181,9 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
 
 
 class SearchResult(namedtuple("SearchResult", ("graph", "examined"))):
-    """The graph found, or None, and how many pair candidates (s=2) or
-    census classes the search read."""
+    """The graph found, or None, and how many candidates the search read:
+    the pair candidates of :func:`_pair_candidates` up to the hit (all of
+    them without one) for s=2, else the census classes of level V."""
 
     __slots__ = ()
 
@@ -195,11 +196,12 @@ HAMILTONIAN_CEILING = 8
 
 
 def _pair_candidates(V):
-    """The rotations ``sigma0`` of all fat graphs made of two transverse
-    curves, each visiting all of V vertices once.  Curve a runs
-    0,1,...,V-1; curve b's visit order and the crossing side at each
-    vertex vary.  Every filling with s=2 on V vertices is isomorphic to
-    one of these (curves of a 4-regular filling with s=2 are forced to be
+    """The rotations ``sigma0`` of fat graphs made of two transverse
+    curves, each visiting all of V vertices once, one of each class up to
+    the symmetries below.  Curve a runs 0,1,...,V-1; curve b's visit
+    order and the crossing side at each vertex vary.  Every filling with
+    s=2 on V vertices is isomorphic to one of these or to the mirror
+    image of one (curves of a 4-regular filling with s=2 are forced to be
     Hamiltonian by simplicity and edge count).
 
     Edge v leaves vertex v along curve a, and edge V+j is the j-th edge
@@ -207,11 +209,40 @@ def _pair_candidates(V):
     A list is yielded bare, so a candidate the face screen rejects is
     never built as a :class:`FatGraph`; each is a fresh list.
 
-    For each visit order, the crossing flags run through
-    ``itertools.product((0, 1), repeat=V)`` order by binary counting, so
-    each candidate is the one before it with the four entries of each
-    vertex whose flag changed rewritten from a table of every vertex's
-    entries under either flag."""
+    The full sequence runs over the visit orders ``beta`` of curve b
+    (``beta[0] == 0``, in lexicographic order, one direction of b kept)
+    and for each over the crossing flags in ``itertools.product((0, 1),
+    repeat=V)`` order; ``tests/helpers.reference_pair_candidates`` builds
+    it.  This yields an ordered subsequence of it, skipping two kinds of
+    candidate:
+
+    * a visit order that some relabelling of curve a, one of the V
+      rotations ``v -> v + r`` or a reflection ``v -> r - v``, maps to an
+      earlier order once b's start and direction are normalised
+      (:func:`_has_earlier_image`).  The relabelling is an isomorphism
+      that carries the candidates of ``beta`` onto those of the earlier
+      order, whatever their flags: rotating keeps every crossing side,
+      reversing a curve flips them all, and restarting curve b only
+      renumbers its edges;
+    * flag sets with vertex 0's flag at 1, the second half.  The
+      complement of a flag set reverses every vertex rotation, so it
+      gives the inverse rotation, the mirror image, with the same faces
+      reversed, the same curves and the same signature; it comes earlier
+      for the same order.
+
+    Whether a candidate passes the face screen and the filling predicate
+    with the target signature is the same for isomorphic candidates and
+    for mirror images.  So each candidate skipped has the verdict of one
+    earlier in the full sequence, and, following that chain back (each
+    link goes earlier, so it ends), of one yielded before it.  The first
+    hit of the full sequence therefore is never skipped, and it is the
+    first hit yielded: the search returns the same graph, and only
+    ``examined`` shrinks.
+
+    For each visit order kept, the flags run through the first half of
+    binary counting, so each candidate is the one before it with the
+    four entries of each vertex whose flag changed rewritten from a
+    table of every vertex's entries under either flag."""
     if V == 1:
         orders = [(0,)]
     else:
@@ -219,6 +250,8 @@ def _pair_candidates(V):
     for beta in orders:
         # curve b is unoriented: keep one direction (flags flip with it)
         if V > 2 and beta[1] > beta[-1]:
+            continue
+        if _has_earlier_image(beta):
             continue
         jpos = {v: j for j, v in enumerate(beta)}
         writes = []  # by vertex, by flag: its (dart, image) pairs
@@ -229,13 +262,31 @@ def _pair_candidates(V):
             writes.append([((a_out, bo), (bo, a_in), (a_in, bi), (bi, a_out))
                            for bo, bi in ((b_out, b_in), (b_in, b_out))])
         sigma0 = [0] * (4 * V)
-        for c in range(1 << V):  # flags[v] is bit V-1-v of c
+        for c in range(1 << (V - 1)):  # flags[v] is bit V-1-v of c
             # from c-1 to c the trailing ones and the bit above them flip
             changed = (c ^ (c - 1)).bit_length() if c else V
             for v in range(V - changed, V):
                 for d, img in writes[v][c >> (V - 1 - v) & 1]:
                     sigma0[d] = img
             yield sigma0[:]
+
+
+def _has_earlier_image(beta):
+    """True when relabelling curve a's vertices by a rotation or a
+    reflection turns the visit order ``beta`` of curve b into an order
+    that :func:`_pair_candidates` takes earlier: started at vertex 0 and
+    in the direction it keeps, lexicographically less."""
+    V = len(beta)
+    for r in range(V):
+        for image in ([(v + r) % V for v in beta],
+                      [(r - v) % V for v in beta]):
+            k = image.index(0)
+            image = image[k:] + image[:k]
+            if V > 2 and image[1] > image[-1]:
+                image[1:] = image[:0:-1]
+            if tuple(image) < beta:
+                return True
+    return False
 
 
 def search_filling(V, target):
@@ -250,10 +301,12 @@ def _search_cached(V, target):
     """Uncached body of :func:`search_filling`.
 
     For s=2 the search enumerates the two-Hamiltonian-curve normal form
-    (complete up to isomorphism, V <= 8).  :func:`_face_screen` walks
-    each bare rotation's faces, and only a candidate with b faces, all of
-    length at least 3, is built as a :class:`FatGraph` and checked in
-    full; ``examined`` counts every candidate.  Other sizes are looked
+    (complete up to isomorphism and mirroring, V <= 8), skipping the
+    candidates whose verdict an earlier one already gave
+    (:func:`_pair_candidates`).  :func:`_face_screen` walks each bare
+    rotation's faces, and only a candidate with b faces, all of length
+    at least 3, is built as a :class:`FatGraph` and checked in full;
+    ``examined`` counts every candidate read.  Other sizes are looked
     up in the census (:func:`oracle.census`, V up to its ceiling): the
     result is the class with the least witness, which is the first graph
     a walk over :func:`oracle.iter_matchings` would meet.  Both cover the
@@ -380,7 +433,7 @@ class _Builder:
             graph = kept
             subplan[2:] = _packed(graph.sigma0, graph.num_darts), graph.labels
         else:
-            graph = _restored(kept, labels)
+            graph = _restored(_unpacked(kept, 2 * len(labels)), labels)
         base = len(self.graphs)
         self.plan.steps.extend(_shifted(st, base) for st in steps)
         self.graphs.extend([None] * len(steps))

@@ -8,7 +8,8 @@ and the pair search's face screens read from the face tuples, and the
 plan text of the standard library's indenting JSON encoder; the
 earlier forms of four library routines, kept as references: the
 two-pass plan reader, the per-dart ``shuffled``, the isomorphism test
-without face screening and the pair candidates built whole; and
+without face screening and the pair candidates built whole, none
+skipped by symmetry; and
 relabeling, path and degree readings that no library module needs."""
 
 import itertools
@@ -18,9 +19,8 @@ from fillgraph.core import FatGraph, _rooted_walk, canonical_code
 from fillgraph.formats import (_STEP_FIELDS, _STEP_TYPES, PLAN_FORMAT,
                                FormatError, _require, plan_to_document)
 from fillgraph.oracle import iter_matchings, matching_to_graph
-from fillgraph.synthesis import (Step, SynthesisPlan, _pair_candidates,
-                                 filling, lower_bound, tight_omega_filling,
-                                 upper_bound)
+from fillgraph.synthesis import (Step, SynthesisPlan, filling, lower_bound,
+                                 tight_omega_filling, upper_bound)
 
 
 def grid_targets(gmax, bmax, tight_gmax):
@@ -139,14 +139,15 @@ def full_scan_relabeling(V, match):
 
 def pair_search_reference(V, target):
     """(vertex tokens or None, examined) of the two-curve pair search as
-    a loop that builds every candidate as a :class:`FatGraph` and screens
-    it by its boundary cycles: the first filling with signature
-    ``target`` among the candidates, and the number of candidates up to
-    it (all of them when none is found)."""
+    a loop over every candidate of :func:`reference_pair_candidates`,
+    none skipped by symmetry, that builds each as a :class:`FatGraph`
+    and screens it by its boundary cycles: the first filling with
+    signature ``target`` among the candidates, and the number of
+    candidates up to it (all of them when none is found)."""
     b = target[1]
     labels = [f"a{v}" for v in range(V)] + [f"b{j}" for j in range(V)]
     examined = 0
-    for sigma0 in _pair_candidates(V):
+    for sigma0 in reference_pair_candidates(V):
         examined += 1
         graph = FatGraph(sigma0, labels)
         faces = face_cycles(graph)
@@ -407,9 +408,10 @@ def reference_is_isomorphic(a, b):
 
 
 def reference_pair_candidates(V):
-    """:func:`fillgraph.synthesis._pair_candidates` building every
-    candidate whole: for each kept visit order of curve b and each flag
-    tuple of ``itertools.product``, all 4V entries of ``sigma0``."""
+    """The candidates of :func:`fillgraph.synthesis._pair_candidates`
+    before it skips any by symmetry, each built whole: for each visit
+    order of curve b in the direction kept and each flag tuple of
+    ``itertools.product``, all 4V entries of ``sigma0``."""
     if V == 1:
         orders = [(0,)]
     else:

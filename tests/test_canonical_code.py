@@ -1,13 +1,14 @@
 """core.canonical_code against a brute-force reference that walks every
-start dart in full (helpers.full_scan_code)."""
+start dart in full (helpers.full_scan_code), and given the full codes of
+some starts walked before against itself without them."""
 
 import random
 
 from helpers import full_scan_code
 
 from fillgraph import families
-from fillgraph.core import FatGraph, canonical_code
-from fillgraph.oracle import census, standard_rotation
+from fillgraph.core import FatGraph, _rooted_walk, canonical_code
+from fillgraph.oracle import _shortest_face_darts, census, standard_rotation
 
 
 def reversal(graph):
@@ -30,6 +31,30 @@ def test_census_classes():
             assert full_scan_code(rot, row.witness) == want
             # the census key is the key of the class's fat graphs
             assert assert_matches_reference(row.graph().shuffled(rng)) == want
+
+
+def pre_walked(sigma0, sigma1, starts):
+    """canonical_code given the full codes of ``starts``, checked against
+    the code it gives without them."""
+    walked = {start: _rooted_walk(sigma0, sigma1, start)[1]
+              for start in starts}
+    got = canonical_code(sigma0, sigma1, walked)
+    assert got == canonical_code(sigma0, sigma1)
+    return got
+
+
+def test_pre_walked_starts_change_nothing():
+    rng = random.Random(73)
+    for V in range(1, 5):
+        rot = standard_rotation(V)
+        for row in census(V):
+            want = (row.key, row.automorphisms)
+            roots = _shortest_face_darts(rot, row.witness)
+            assert pre_walked(rot, row.witness, roots) == want
+            assert pre_walked(rot, row.witness, range(4 * V)) == want
+            graph = row.graph().shuffled(rng)
+            starts = rng.sample(range(4 * V), rng.randint(1, 4 * V))
+            assert pre_walked(graph.sigma0, reversal(graph), starts) == want
 
 
 def test_gamma_g_automorphisms():

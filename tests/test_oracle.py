@@ -140,8 +140,8 @@ class TestGrowth:
         victim = census(2)[3].key
         real = oracle.canonical_code
 
-        def corrupt(sigma0, sigma1):
-            key, automorphisms = real(sigma0, sigma1)
+        def corrupt(sigma0, sigma1, walked=None):
+            key, automorphisms = real(sigma0, sigma1, walked)
             return key, automorphisms + (key == victim)
 
         monkeypatch.setattr(oracle, "canonical_code", corrupt)
@@ -159,8 +159,8 @@ class TestGrowth:
         real = oracle.canonical_code
         matches = []
 
-        def corrupt(sigma0, sigma1):
-            key, automorphisms = real(sigma0, sigma1)
+        def corrupt(sigma0, sigma1, walked=None):
+            key, automorphisms = real(sigma0, sigma1, walked)
             if key != victim:
                 return key, automorphisms
             matches.append(tuple(sigma1))
@@ -200,6 +200,18 @@ class TestClassLookup:
         # sha256 of repr(census(V)), witnesses and automorphism counts
         # included, as the census gave it when it coded every candidate
         assert hashlib.sha256(repr(census(V)).encode()).hexdigest() == digest
+
+    def test_five_vertices_pinned(self, monkeypatch):
+        # above the ceiling, so the level is built here and not kept
+        monkeypatch.setattr(oracle, "EXHAUSTIVE_CEILING", 5)
+        try:
+            rows = census(5)
+        finally:
+            census.cache_clear()
+        assert len(rows) == 5250
+        assert sum(row.count for row in rows) == 93028608
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "dd3b3b6350b9c97d1944474f72bc6ac4b703e7aebe2a588eeee09c0505cbdbaa")
 
     def test_candidates_land_in_their_class(self):
         # a candidate's walk from the least dart on its shortest faces

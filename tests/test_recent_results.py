@@ -51,7 +51,8 @@ def entry(g):
 def shares(g, known):
     """``g`` holds the records of the memo entry ``known``."""
     return (g.signature() is known[0] and g._face_orbits[0] is known[1]
-            and g._face_orbits[1] == tuple(known[2]) and g._walk is known[3])
+            and g._face_orbits[1] == ops._unpacked(known[2], len(known[1]))
+            and g._walk is known[3])
 
 
 @pytest.fixture
@@ -149,18 +150,27 @@ def test_memo_keeps_the_bound_oldest_first(monkeypatch):
 
 def test_packed_as_bytes_below_256():
     assert ops._packed(tuple(range(256)), 256) == bytes(range(256))
-    big = tuple(range(258))
-    assert ops._packed(big, 258) is big
+    # two bytes a number up to 65,536, the tuple itself beyond
+    for n in (258, 65536):
+        numbers = tuple(reversed(range(n)))
+        packed = ops._packed(numbers, n)
+        assert isinstance(packed, bytes) and len(packed) == 2 * n
+        assert ops._unpacked(packed, n) == numbers
+    huge = tuple(range(65537))
+    assert ops._packed(huge, 65537) is huge
+    assert ops._unpacked(huge, 65537) == huge
     # a face label is below the face count, not the dart count
     assert ops._packed((0, 1, 1, 0) * 70, 2) == bytes((0, 1, 1, 0) * 70)
+    assert ops._unpacked(bytes((0, 1, 1, 0) * 70), 2) == (0, 1, 1, 0) * 70
 
 
-def test_results_past_256_darts_keyed_by_the_tuple():
+def test_results_past_256_darts_keyed_by_two_bytes():
     big = families.build(families.GAMMA_G, 20)  # 156 darts
     copy = big.shuffled(random.Random(1))
     first = join(big, copy, "e1", "e2").result
     assert first.num_darts > 256
-    assert key(first) is first.sigma0 and shares(first, entry(first))
+    assert len(key(first)) == 2 * first.num_darts
+    assert shares(first, entry(first))
     second = join(big, copy, "e1", "e2").result
     assert second == first and second is not first
     assert shares(second, entry(first)) and len(ops._memo) == 1
