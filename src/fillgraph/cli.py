@@ -353,8 +353,16 @@ def build_parser():
     return p
 
 
+# the parser of :func:`main`, built by its first call: building it costs
+# about as much as a small command, and a process may call main often
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

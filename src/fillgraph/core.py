@@ -685,7 +685,10 @@ class FatGraph:
         Isomorphism of components is an equivalence relation, and the
         image of the root under any isomorphism is among the starts
         tried, so this greedy pairing succeeds exactly when the
-        components pair up isomorphically.
+        components pair up isomorphically.  A component holding every
+        dart (a connected graph) has an image holding every dart of
+        ``other``, so the answer is True as soon as the first root's code
+        is matched, before any dart is marked.
         """
         n = self.num_darts
         if n != other.num_darts:
@@ -719,6 +722,8 @@ class FatGraph:
                         break
             else:
                 return False
+            if len(comp) == n:  # one component: the whole graph matched
+                return True
             for d in comp:
                 matched[d] = True
             for d in image[0]:

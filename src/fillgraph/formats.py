@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .core import FatGraph, FatGraphError, NotDecoratedError
 from .synthesis import Step, SynthesisPlan
@@ -232,11 +233,74 @@ def _object_text(items, pad):
     return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
 
 
+def _templates():
+    """op -> [(kinds, values, texts, template)], one entry for each usual
+    shape of a step of that op: a family step without and with its
+    parameter, and a join, plumbing or connected sum with the fields it
+    needs.
+
+    A shape's own fields are those :func:`_step_items` writes for a
+    probe step that sets only them, so "flip" or "align" comes with its
+    op.  ``kinds`` lists the type of every field of that probe step: the
+    own fields typed by ``_STEP_TYPES``, the fields the op does not write
+    at their defaults' types (None; ``align=0`` and ``flip=False``).
+    ``values`` reads the own fields, in file order, as a tuple, and
+    ``template`` is the text :func:`_object_text` writes for the probe's
+    items with every value but the op null, each null then made a slot:
+    ``%d`` for an int, ``%s`` for a string or flag, whose JSON text
+    ``texts`` gives as (position, writer) pairs."""
+    probe = {str: "", int: 0, bool: False}
+    out = {}
+    for op, need in (("family", ("family",)), ("family", ("family", "param")),
+                     *((op, _STEP_FIELDS[op])
+                       for op in ("join", "plumb", "consum"))):
+        step = Step(op, **{k: probe[_STEP_TYPES[k]] for k in need})
+        own = [k for k, _ in _step_items(step)][1:]
+        types = [_STEP_TYPES[k] for k in own]
+        at = [Step._fields.index(k) for k in own]
+        text = _object_text([("op", op)] + [(k, None) for k in own], "    ")
+        slots = iter(["%d" if kind is int else "%s" for kind in types])
+        out.setdefault(op, []).append((
+            list(map(type, step)),
+            # one field is read as a slice, so that it too is a tuple
+            itemgetter(*at) if len(at) > 1 else itemgetter(
+                slice(at[0], at[0] + 1)),
+            tuple((i, _SCALAR_TEXT[kind]) for i, kind in enumerate(types)
+                  if kind is not int),
+            "".join(part + next(slots, "") for part in text.split("null"))))
+    return out
+
+
+_TEMPLATES = _templates()
+
+
+def _step_text(step):
+    """``_object_text(_step_items(step), "    ")``, filled into the
+    template of the step's shape when every field has the type the shape
+    lists (a bool is no int here); any other step is written field by
+    field."""
+    # a list: a 13-tuple freed here would park in the interpreter's
+    # free list of tuples, which keeps up to 2,000 of each length
+    kinds = list(map(type, step))
+    for want, values, texts, template in _TEMPLATES.get(step.op, ()):
+        if kinds == want:
+            args = values(step)
+            if texts:
+                args = list(args)
+                for i, text in texts:
+                    args[i] = text(args[i])
+                args = tuple(args)
+            return template % args
+    return _object_text(_step_items(step), "    ")
+
+
 def dumps_plan(plan) -> str:
     """``json.dumps(plan_to_document(plan), indent=2) + "\\n"``, written
     from :func:`_plan_items` and :func:`_step_items` without building the
-    document or running the pure-Python indenting encoder."""
-    steps = [_object_text(_step_items(st), "    ") for st in plan.steps]
+    document or running the pure-Python indenting encoder.  A step of a
+    usual shape is one fill of a template made from the same schema
+    (:func:`_step_text`), and any other goes through :func:`_object_text`."""
+    steps = [_step_text(st) for st in plan.steps]
     head = _object_text(_plan_items(plan), "")  # ends with "\n}"
     return (head[:-2] + ',\n  "steps": '
             + ("[\n    " + ",\n    ".join(steps) + "\n  ]" if steps else "[]")

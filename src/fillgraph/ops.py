@@ -18,13 +18,17 @@ for a plumbing, and ``g1``..``g4`` for a connected sum.
 
 Plans repeat their surgeries, so ``_memo`` keeps the analysis of the last
 ``_MEMO_SIZE`` distinct surgery results, keyed by ``sigma0``: the
-signature, the face record and the vertex walk, all functions of
-``sigma0`` alone, with the key and the face labels packed into bytes.  An
-op remembers a result once it has read the result's signature
-(:func:`_recomputed`), and :func:`_restored` presets those three records
-on a later result with the same ``sigma0``, and on a synthesis sub-plan
-result rebuilt from its darts and labels.  Every step and every report
-check still runs, and no other constructor reads the memo.
+signature, the face record, the vertex walk and, once a plan has checked
+it, the filling verdict, all functions of ``sigma0`` alone, with the key
+and the face labels packed into bytes.  An op remembers a result once it
+has read the result's signature (:func:`_recomputed`), and
+:func:`_restored` presets the first three records on a later result with
+the same ``sigma0``, and on a synthesis sub-plan result rebuilt from its
+darts and labels.  A plan's final check reads the verdict through
+:func:`_filling_verdict`, so the builder's check and replay's check of
+one final graph run :meth:`FatGraph.is_filling_system` once between
+them.  Every step and every report check still runs, and no other
+constructor reads the memo.
 
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
@@ -127,8 +131,9 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
 # Fixed by measurement: a synth-grid pass makes 1,027 distinct surgery
 # results (seed 7), so this bound holds a whole pass; see BENCH_20.json.
 _MEMO_SIZE = 2048
-# key of sigma0 -> (signature, face starts, face labels, vertex walk), the
-# key and the face labels packed by _packed; oldest entry first
+# key of sigma0 -> (signature, face starts, face labels, vertex walk,
+# filling verdict), the key and the face labels packed by _packed, the
+# verdict None until _filling_verdict puts it in; oldest entry first
 _memo: OrderedDict = OrderedDict()
 
 
@@ -166,8 +171,31 @@ def _recomputed(result):
             _memo.popitem(last=False)
         starts, faces = result._face_orbits
         _memo[_packed(result.sigma0, result.num_darts)] = (
-            signature, starts, _packed(faces, len(starts)), result._walk)
+            signature, starts, _packed(faces, len(starts)), result._walk,
+            None)
     return result._signature
+
+
+# the verdict of every filling: one object shared by their entries
+_FILLING = (True, None)
+
+
+def _filling_verdict(graph):
+    """(``graph.is_filling_system()[0]``, its first diagnostic or None),
+    kept in the ``_memo`` entry of ``graph.sigma0``: the first call on a
+    ``sigma0`` with an entry runs :meth:`FatGraph.is_filling_system` and
+    puts the answer in the entry, which keeps its place in the memo, and
+    every later one reads it there.  A graph without an entry is checked
+    on every call, and gets none."""
+    key = _packed(graph.sigma0, graph.num_darts)
+    entry = _memo.get(key)
+    if entry is not None and entry[4] is not None:
+        return entry[4]
+    ok, diags = graph.is_filling_system()
+    verdict = _FILLING if ok else (False, diags[0])
+    if entry is not None:
+        _memo[key] = entry[:4] + (verdict,)
+    return verdict
 
 
 def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
@@ -275,7 +303,7 @@ def _restored(sigma0, labels):
     :meth:`FatGraph._built`, with the signature, face record (the labels
     unpacked into a tuple) and vertex walk of ``sigma0`` preset from
     ``_memo`` when an earlier result on it was analysed; every other
-    structure stays lazy.
+    structure stays lazy, and the filling verdict stays in the entry.
 
     The caller proves the checks of ``FatGraph(...)``: :func:`_rewired`
     for a result it built, and :meth:`fillgraph.synthesis._Builder.reuse`
@@ -284,7 +312,7 @@ def _restored(sigma0, labels):
     graph = FatGraph._built(sigma0, labels)
     known = _memo.get(_packed(graph.sigma0, graph.num_darts))
     if known is not None:
-        graph._signature, starts, faces, graph._walk = known
+        graph._signature, starts, faces, graph._walk, _ = known
         graph._face_orbits = starts, _unpacked(faces, len(starts))
     return graph
 

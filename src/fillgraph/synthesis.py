@@ -46,8 +46,9 @@ from functools import lru_cache, wraps
 from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import (OperationReport, _packed, _restored, _unpacked,
-                  connected_sum, join, plumbing, predict_connected_sum)
+from .ops import (OperationReport, _filling_verdict, _packed, _restored,
+                  _unpacked, connected_sum, join, plumbing,
+                  predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -116,16 +117,23 @@ class SynthesisPlan:
     def verify_final(self, final: FatGraph) -> FatGraph:
         """Return ``final`` if it meets the plan's target signature and its
         filling and weight expectations, else raise
-        :class:`PlanVerificationError`."""
+        :class:`PlanVerificationError`.
+
+        The filling verdict, with its first diagnostic, is read by
+        :func:`ops._filling_verdict`, which keeps it in the ops memo entry
+        of ``final.sigma0`` when there is one: the builder's check of a
+        plan's last graph and replay's check of the same graph, or of any
+        later graph on that rotation, run :meth:`FatGraph.is_filling_system`
+        once between them, and give the same message."""
         sig = final.signature()
         if sig.triple != tuple(self.target):
             raise PlanVerificationError(
                 f"plan target {self.target} but replay gives {sig.triple}")
         if self.expect_filling:
-            ok, diags = final.is_filling_system()
+            ok, diag = _filling_verdict(final)
             if not ok:
                 raise PlanVerificationError(
-                    f"replayed graph is not a filling: {diags[0]}")
+                    f"replayed graph is not a filling: {diag}")
         if self.expect_omega is not None:
             wmax = intersection_graph(final).omega_max()
             if wmax != self.expect_omega:
@@ -564,8 +572,10 @@ def _join_torus_chain(bld, seed, args, count):
     ``(_torus_joined, (seed, args, k))``, made from the one with k - 1
     joins, so a process builds each prefix of a chain once, however many
     targets share it.  The loop makes missing prefixes shortest first, so
-    making one finds every shorter one in the memo, and no call nests
-    more than one prefix deep, however long the chain."""
+    making one finds the one before it in the memo with one probe, and
+    no call nests more than one prefix deep, however long the chain: a
+    chain of n joins built from empty memos probes the memo about 2n
+    times."""
     if not count:
         return seed(bld, *args)
     for k in range(1, count):
@@ -576,8 +586,13 @@ def _join_torus_chain(bld, seed, args, count):
 def _torus_joined(bld, seed, args, count):
     """The seed ``seed(bld, *args)`` with ``count >= 1`` torus joins: the
     chain with ``count - 1`` joins, one torus family step and one
-    SAME/SAME join."""
-    idx = _join_torus_chain(bld, seed, args, count - 1)
+    SAME/SAME join.  Only :func:`_join_torus_chain`'s loop makes this
+    entry, right after the entry with ``count - 1`` joins, so reusing
+    that one is one probe of the memo, which finds it."""
+    if count == 1:
+        idx = seed(bld, *args)
+    else:
+        idx = bld.reuse(_subplan(_torus_joined, (seed, args, count - 1)))
     x = _same_boundary_edge(bld.graphs[idx])
     if x is None:
         raise SynthesisError(

@@ -414,3 +414,25 @@ def test_bare_start_up_imports_no_code_generators():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_two_calls_print_what_two_processes_print():
+    # main builds its parser on the first call and keeps it; a second
+    # call in one process prints what a fresh process prints
+    src = str(Path(fillgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    calls = [["synth", "-g", "3", "-b", "2", "-s", "4"],
+             ["verify", "euler", "--gmax", "3", "--bmax", "2"]]
+    fresh = [subprocess.run([sys.executable, "-m", "fillgraph", *argv],
+                            capture_output=True, text=True, env=env,
+                            timeout=300) for argv in calls]
+    code = ("import sys; from fillgraph import cli; "
+            f"codes = [cli.main(argv) for argv in {calls!r}]; "
+            "print(codes, cli._parser is not None, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert [p.returncode for p in fresh] == [0, 0]
+    assert proc.stderr == "[0, 0] True\n"
+    assert proc.stdout == "".join(p.stdout for p in fresh)
+    assert "verify euler" in proc.stdout

@@ -11,7 +11,7 @@ from helpers import (grid_plans, reference_plan_from_document,
                      reference_plan_text)
 from hypothesis import example, given, settings, strategies as st
 
-from fillgraph import cli, core, families, oracle
+from fillgraph import cli, core, families, formats, oracle
 from fillgraph.core import FatGraph, FatGraphError, MalformedGraphError
 from fillgraph.formats import (FormatError, census_rows_to_csv,
                                census_rows_to_json, dumps_graph, dumps_plan,
@@ -172,6 +172,26 @@ WRITER_PLANS = st.builds(
     steps=st.lists(WRITER_STEPS, max_size=4),
     expect_filling=st.booleans(), expect_omega=st.none() | WRITER_INT)
 
+# steps with exactly the usual fields of one op, the shapes written from
+# a template: text that needs escaping or looks like a format slot, ints
+# far from 0, and a bool where an int goes or an int where a flag goes,
+# which only the general writer may write; the field an op does not
+# write (a join's align, a sum's flip, a family step's both) holds
+# anything
+USUAL_TEXT = st.one_of(WRITER_TEXT,
+                       st.sampled_from(["%s", "%d", "%%", "{}", "{0}", "null"]))
+USUAL_INT = st.one_of(st.integers(-3, 3), st.sampled_from([-2 ** 40, 2 ** 40]),
+                      st.booleans())
+UNWRITTEN = st.one_of(st.none(), st.booleans(), WRITER_INT, WRITER_TEXT)
+USUAL_STEPS = st.one_of(
+    st.builds(Step, st.just("family"), family=USUAL_TEXT,
+              param=st.none() | USUAL_INT, align=UNWRITTEN, flip=UNWRITTEN),
+    st.builds(Step, st.sampled_from(["join", "plumb"]), left=USUAL_INT,
+              right=USUAL_INT, x=USUAL_TEXT, y=USUAL_TEXT, align=UNWRITTEN,
+              flip=st.booleans() | st.integers(0, 1)),
+    st.builds(Step, st.just("consum"), left=USUAL_INT, right=USUAL_INT,
+              w=USUAL_INT, u=USUAL_INT, align=USUAL_INT, flip=UNWRITTEN))
+
 
 class TestPlanWriter:
     def test_grid_plans_match_the_reference(self):
@@ -189,6 +209,37 @@ class TestPlanWriter:
     @settings(max_examples=300, deadline=None)
     def test_drawn_plans_match_the_reference(self, plan):
         assert dumps_plan(plan) == reference_plan_text(plan)
+
+    @given(st.lists(USUAL_STEPS, min_size=1, max_size=4))
+    @example([Step("join", left=True, right=2 ** 40, x='"%s', y="\\é",
+                   flip=False, align=None),
+              Step("family", family="{0}", param=-2 ** 40),
+              Step("consum", left=0, right=1, w=2, u=3, align=True)])
+    @settings(max_examples=400, deadline=None)
+    def test_usual_steps_match_the_reference(self, steps):
+        plan = SynthesisPlan(target=(2, 1, 3), steps=steps)
+        assert dumps_plan(plan) == reference_plan_text(plan)
+
+    def test_usual_steps_take_a_template(self, monkeypatch):
+        # only the grid's graph and smooth steps are written field by
+        # field; every family, join, plumbing and sum step fills a template
+        plans = [(plan, reference_plan_text(plan))
+                 for plan in grid_plans(5, 4, 5)]
+        written = []
+        step_items = formats._step_items
+
+        def spy(step):
+            written.append(step.op)
+            return step_items(step)
+
+        monkeypatch.setattr(formats, "_step_items", spy)
+        for plan, text in plans:
+            assert dumps_plan(plan) == text
+        assert set(written) == {"graph", "smooth"}
+        # a bool where an int goes is written field by field
+        dumps_plan(SynthesisPlan((2, 1, 3), [
+            Step("family", family="g1", param=True)]))
+        assert written[-1] == "family"
 
 
 # --- plan-file fuzz: loads_plan plus replay raise only these ---------------

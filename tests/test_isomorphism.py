@@ -186,3 +186,20 @@ def test_disconnected_against_connected_of_the_same_size():
     graphs = [two, two.shuffled(rng), *connected]
     assert assert_agrees(itertools.product(graphs, repeat=2)) == (
         4 + len(connected))
+
+
+def test_a_matched_first_component_does_not_end_a_disconnected_test():
+    # a connected graph is answered when its one component is matched;
+    # a disconnected one must go on and pair the rest.  These unions
+    # share a component and face lengths and differ in the other
+    # component, in either order
+    torus = families.build(families.TORUS_PAIR)
+    square = [row.graph() for row in census(2)
+              if sorted(row.graph().face_lengths) == [4, 4]]
+    assert len(square) == 2
+    rng = random.Random(79)
+    graphs = [union(torus, square[0]), union(square[1], torus),
+              union(square[0], torus).shuffled(rng), union(torus, square[1])]
+    assert assert_agrees(itertools.product(graphs, repeat=2)) == 8
+    assert not graphs[0].is_isomorphic(graphs[1])
+    assert graphs[0].is_isomorphic(graphs[2])

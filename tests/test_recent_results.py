@@ -3,17 +3,21 @@ there shares the memo's signature, face starts and vertex walk under its
 own labels, with the face labels unpacked, and equals in every structure
 the graph built fresh on its ``sigma0`` and labels; an entry is made only
 once an op has read the result's signature; the memo keeps its bound,
-oldest entry out first; no other way of making a graph reads it."""
+oldest entry out first; no other way of making a graph reads it.  A
+plan's final check keeps the filling verdict in the entry, and reads the
+same verdict and message there as a fresh check would give."""
 
 import random
 from collections import OrderedDict
 
 import pytest
-from helpers import grid_targets, relabeled
+from helpers import grid_plans, grid_targets, relabeled
 
 from fillgraph import families, formats, oracle, ops
 from fillgraph.core import FatGraph, FatGraphError
 from fillgraph.ops import OperationError, connected_sum, join, plumbing
+from fillgraph.synthesis import (PlanVerificationError, Step, SynthesisPlan,
+                                 _run_step, filling)
 
 
 def outcome(read):
@@ -98,7 +102,8 @@ def test_one_rotation_under_two_names():
     first = join(torus, g1, "a", "f1").result
     known = entry(first)
     starts, faces = first._face_orbits
-    assert known == (first.signature(), starts, bytes(faces), first._walk)
+    assert known == (first.signature(), starts, bytes(faces), first._walk,
+                     None)
     assert shares(first, known)
     before = (first.labels, [first.dart_name(d)
                              for d in range(first.num_darts)])
@@ -222,3 +227,85 @@ def test_other_constructors_never_read_the_memo():
     assert all(is_fresh(row.graph()) for row in rows)
     assert [(k, id(value)) for k, value in ops._memo.items()] == [
         (k, id(value)) for k, value in held]
+
+
+def fresh_verdict(g):
+    """The filling verdict and first diagnostic of a graph built fresh on
+    the ``sigma0`` and labels of ``g``."""
+    ok, diags = FatGraph(g.sigma0, g.labels).is_filling_system()
+    return ok, diags[0] if diags else None
+
+
+def test_grid_verdicts_equal_fresh_checks():
+    kept = 0
+    for plan in grid_plans(5, 4, 5):
+        final, _ = plan.replay()
+        verdict = fresh_verdict(final)
+        assert verdict == (True, None)
+        known = entry(final)
+        if known is not None:
+            # the builder's check stored it, and replay read it
+            assert known[4] == verdict
+            kept += 1
+        assert ops._filling_verdict(final) == verdict
+    # every final graph that a surgery made: 115 of 142, the others are
+    # 20 family members, 4 searched graphs and 3 smoothed graphs
+    assert kept == 115
+
+
+def test_builder_and_replay_check_a_rotation_once(monkeypatch):
+    checked = []
+    check = FatGraph.is_filling_system
+
+    def counted(graph):
+        checked.append(graph.sigma0)
+        return check(graph)
+
+    monkeypatch.setattr(FatGraph, "is_filling_system", counted)
+    plan = formats.loads_plan(formats.dumps_plan(filling(3, 2, 4)))
+    for _ in range(3):
+        final, _ = plan.replay()
+    assert checked == [final.sigma0]
+    # a graph no surgery made has no entry, and is checked every time
+    torus = SynthesisPlan((1, 1, 2), [Step("family", family="torus_pair")])
+    for _ in range(2):
+        torus.replay()
+    assert len(checked) == 3
+
+
+# plans whose final graph is no filling, one for each kind of diagnostic:
+# (operand vertex cycles, op step, the message's diagnostic)
+NOT_FILLING = [
+    ([[["a+", "a-", "b+", "b-"]], [["c+", "c-"]]],
+     Step("plumb", left=0, right=1, x="a", y="c"),
+     "not 4-regular: vertex 2 has degree 2"),
+    ([[["m0+", "m0-", "m1+", "m1-"]], [["r0+", "r0-", "r1-", "r1+"]]],
+     Step("join", left=0, right=1, x="m0", y="r0"),
+     "curve 0 revisits vertex 0"),
+    ([[["m0+", "m1+", "m0-", "m1-"]],
+      [["r0+", "r3-", "r2+", "r1-"], ["r0-", "r1+", "r2-", "r3+"]]],
+     Step("join", left=0, right=1, x="m0", y="r1"),
+     "boundary face 1 has length 2 < 3"),
+]
+
+
+@pytest.mark.parametrize("operands, step, diagnostic", NOT_FILLING,
+                         ids=["degree", "revisit", "face"])
+def test_failed_check_gives_one_message(operands, step, diagnostic):
+    steps = [Step("graph", vertices=tuple(map(tuple, cycles)))
+             for cycles in operands] + [step]
+    graphs = []
+    for st in steps:
+        final = _run_step(st, graphs, [])
+    # the target is the result's signature, so only the filling check fails
+    plan = SynthesisPlan(final.signature().triple, steps)
+    message = f"replayed graph is not a filling: {diagnostic}"
+    for clear in (False, False, True):
+        if clear:
+            ops._memo.clear()
+        with pytest.raises(PlanVerificationError) as err:
+            plan.replay()
+        assert str(err.value) == message
+        # the first replay stored the verdict, the second read it, and
+        # after the memo was emptied the third checked the graph again
+        assert entry(final)[4] == (False, diagnostic)

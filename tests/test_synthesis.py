@@ -525,6 +525,17 @@ class TestSubplanMemo:
         assert isinstance(darts, bytes) and len(darts) == 2 * n > 512
         assert sorted(ops._unpacked(darts, n)) == list(range(n))
 
+    def test_long_chain_probes_the_memo_about_twice_a_join(self, memo):
+        # each chain prefix is made from the one before it with one probe,
+        # so from empty memos the 300 joins of this plan cost fewer than
+        # 600 probes (44,253 hits for 299 misses when each prefix probed
+        # every shorter one); the plan text is the one those probes built
+        text = formats.dumps_plan(filling(2, 300, 301))
+        info = memo.cache_info()
+        assert info.misses == 299 and info.hits + info.misses < 2 * 300
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1bb4ad8395720463761fc7efa4db085b3c3a6a404dec0d0b263b1d9eb52bd459")
+
 
 class TestStepConstructor:
     FIELDS = [{"op": "family", "family": "G1", "param": None},
