@@ -1,19 +1,22 @@
 """Command line surface.
 
 Exit codes: 0 success; 1 failed verification or internal invariant breach;
-2 malformed input, bad selector, or out-of-range parameter; 3 provably
-impossible signature.  Data goes to stdout, diagnostics to stderr.
+2 malformed input, bad selector, out-of-range parameter, or a file that
+cannot be read or written; 3 provably impossible signature.  A command
+raises on any error, and the one table in :func:`main` maps its class to
+the exit code and a one-line diagnostic.  Data goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import analysis, families, formats, oracle, synthesis, verify
 from .core import FatGraphError, InvariantError
-from .ops import (OperationError, OperationInvariantError, connected_sum,
-                  join, plumbing)
+from .ops import connected_sum, join, plumbing
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -21,87 +24,82 @@ EXIT_INPUT = 2
 EXIT_IMPOSSIBLE = 3
 
 
+class UsageError(Exception):
+    """Options that argparse accepts but the command cannot run with."""
+
+
 def _err(msg):
     print(msg, file=sys.stderr)
 
 
 def cmd_family(args):
-    name = args.name
-    if name not in families.ALL_FAMILIES:
-        _err(f"unknown family {name!r}; choose from "
-             f"{', '.join(families.ALL_FAMILIES)}")
-        return EXIT_INPUT
-    param = None
+    name, param = args.name, None
     if name in families.PARAMETRIC:
         kind = families.PARAMETRIC[name]
         param = args.genus if kind == "genus" else args.boundaries
         if param is None:
-            _err(f"family {name} needs --{kind}")
-            return EXIT_INPUT
-    try:
-        graph = families.build(name, param)
-    except families.FamilyRangeError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+            raise UsageError(f"family {name} needs --{kind}")
+    graph = families.build(name, param)
     print(graph.signature())
     if args.output:
         formats.write_graph(args.output, graph)
     return EXIT_OK
 
 
-def _load(path):
+@contextmanager
+def _naming(path):
+    """Name ``path`` in a :class:`formats.FormatError` raised in the
+    block; an OSError names its file already."""
     try:
-        return formats.read_graph(path)
-    except (OSError, formats.FormatError) as exc:
-        _err(f"cannot read {path}: {exc}")
-        return None
+        yield
+    except formats.FormatError as exc:
+        raise formats.FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _load(path, read=formats.read_graph):
+    """The graph (or, with ``formats.read_plan``, the plan) in ``path``."""
+    with _naming(path):
+        return read(path)
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
-def _parse_selector(spec):
+def _parse_selector(spec, option):
     """``g=..,b=..,s=..,filling=..`` -> {key: int or bool}, the one parser
-    of ``--expect`` and ``--filter``.  Raises ValueError for an item
-    without ``=``, an unknown key, or a value of the wrong kind."""
+    of ``--expect`` and ``--filter``.  Raises :class:`UsageError`, naming
+    ``option``, for an item without ``=``, an unknown key, or a value of
+    the wrong kind."""
+    def bad(why):
+        return UsageError(f"bad {option}: {why}")
+
     out = {}
-    for item in spec.split(","):
+    for item in (spec or "").split(","):
         if not item:
             continue
         k, eq, v = item.partition("=")
         k, v = k.strip(), v.strip()
         if not eq:
-            raise ValueError(f"selector item {item!r} is not key=value")
+            raise bad(f"selector item {item!r} is not key=value")
         if k == "filling":
             if v not in _BOOLEANS:
-                raise ValueError(f"filling={v!r}: use true/false/yes/no/1/0")
+                raise bad(f"filling={v!r}: use true/false/yes/no/1/0")
             out[k] = _BOOLEANS[v]
         elif k in ("g", "b", "s"):
             try:
                 out[k] = int(v)
             except ValueError:
-                raise ValueError(f"{k}={v!r} is not an integer") from None
+                raise bad(f"{k}={v!r} is not an integer") from None
         else:
-            raise ValueError(
-                f"unknown selector key {k!r} (use g, b, s, filling)")
+            raise bad(f"unknown selector key {k!r} (use g, b, s, filling)")
     return out
 
 
 def cmd_analyze(args):
-    try:
-        want = _parse_selector(args.expect or "")
-    except ValueError as exc:
-        _err(f"bad --expect: {exc}")
-        return EXIT_INPUT
+    want = _parse_selector(args.expect, "--expect")
     graph = _load(args.file)
-    if graph is None:
-        return EXIT_INPUT
-    try:
-        sig = graph.signature()
-    except FatGraphError as exc:
-        _err(f"analysis failed: {exc}")
-        return EXIT_INPUT
+    sig = graph.signature()
     filling, diags = graph.is_filling_system()
     blens = list(graph.face_lengths)
     info = {
@@ -147,26 +145,15 @@ def cmd_analyze(args):
 def cmd_op(args):
     left = _load(args.left)
     right = _load(args.right)
-    if left is None or right is None:
-        return EXIT_INPUT
-    try:
-        if args.kind == "consum":
-            if args.w is None or args.u is None:
-                _err("consum needs --w and --u vertex indices")
-                return EXIT_INPUT
-            rep = connected_sum(left, right, args.w, args.u, args.align)
-        elif args.x is None or args.y is None:
-            _err(f"{args.kind} needs --x and --y edge labels")
-            return EXIT_INPUT
-        else:
-            splice = join if args.kind == "join" else plumbing
-            rep = splice(left, right, args.x, args.y, args.flip)
-    except OperationInvariantError as exc:
-        _err(f"internal invariant breach: {exc}")
-        return EXIT_VERIFY
-    except (OperationError, FatGraphError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    if args.kind == "consum":
+        if args.w is None or args.u is None:
+            raise UsageError("consum needs --w and --u vertex indices")
+        rep = connected_sum(left, right, args.w, args.u, args.align)
+    elif args.x is None or args.y is None:
+        raise UsageError(f"{args.kind} needs --x and --y edge labels")
+    else:
+        splice = join if args.kind == "join" else plumbing
+        rep = splice(left, right, args.x, args.y, args.flip)
     print(rep.summary())
     if args.output:
         formats.write_graph(args.output, rep.result)
@@ -175,20 +162,12 @@ def cmd_op(args):
 
 def cmd_synth(args):
     g, b, s = args.genus, args.boundaries, args.size
-    try:
-        if args.tight:
-            if b != 1:
-                _err("--tight builds minimal fillings; use -b 1")
-                return EXIT_INPUT
-            plan = synthesis.tight_omega_filling(g, s)
-        else:
-            plan = synthesis.filling(g, b, s)
-    except synthesis.ImpossibleSignatureError as exc:
-        _err(f"impossible: ({g},{b},{s}) ({exc})")
-        return EXIT_IMPOSSIBLE
-    except synthesis.SynthesisRangeError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    if args.tight:
+        if b != 1:
+            raise UsageError("--tight builds minimal fillings; use -b 1")
+        plan = synthesis.tight_omega_filling(g, s)
+    else:
+        plan = synthesis.filling(g, b, s)
     graph, _ = plan.replay()
     line = str(graph.signature())
     if args.tight:
@@ -203,19 +182,7 @@ def cmd_synth(args):
 
 
 def cmd_replay(args):
-    try:
-        plan = formats.read_plan(args.plan)
-    except (OSError, formats.FormatError) as exc:
-        _err(f"cannot read {args.plan}: {exc}")
-        return EXIT_INPUT
-    try:
-        graph, _ = plan.replay()
-    except InvariantError as exc:
-        _err(f"plan verification failed: {exc}")
-        return EXIT_VERIFY
-    except FatGraphError as exc:
-        _err(f"cannot replay {args.plan}: {exc}")
-        return EXIT_INPUT
+    graph, _ = _load(args.plan, formats.read_plan).replay()
     print(graph.signature())
     if args.output:
         formats.write_graph(args.output, graph)
@@ -223,21 +190,10 @@ def cmd_replay(args):
 
 
 def cmd_enumerate(args):
-    try:
-        flt = _parse_selector(args.filter or "")
-    except ValueError as exc:
-        _err(f"bad --filter: {exc}")
-        return EXIT_INPUT
+    flt = _parse_selector(args.filter, "--filter")
     if "g" in flt:
         flt["genus"] = flt.pop("g")
-    try:
-        rows = oracle.census_filter(args.vertices, **flt)
-    except oracle.CensusRangeError as exc:
-        _err(str(exc))
-        return EXIT_INPUT
-    except oracle.CensusError as exc:
-        _err(f"internal invariant breach: {exc}")
-        return EXIT_VERIFY
+    rows = oracle.census_filter(args.vertices, **flt)
     if args.format == "json":
         sys.stdout.write(formats.census_rows_to_json(rows))
     else:
@@ -247,8 +203,6 @@ def cmd_enumerate(args):
 
 def cmd_export(args):
     graph = _load(args.file)
-    if graph is None:
-        return EXIT_INPUT
     if args.format == "dot":
         sys.stdout.write(formats.graph_to_dot(graph))
     else:
@@ -260,23 +214,19 @@ def cmd_verify(args):
     run, reads = verify.SUITES[args.what]
     for name in ("gmax", "bmax", "unsafe_large"):
         if getattr(args, name) is not None and name not in reads:
-            _err(f"verify {args.what} does not read "
-                 f"--{name.replace('_', '-')}")
-            return EXIT_INPUT
+            raise UsageError(f"verify {args.what} does not read "
+                             f"--{name.replace('_', '-')}")
     gmax = verify.GMAX if args.gmax is None else args.gmax
     bmax = verify.BMAX if args.bmax is None else args.bmax
     if args.what == "theorem3" and gmax > verify.THEOREM3_GMAX:
-        _err(f"verify theorem3 checks g <= {verify.THEOREM3_GMAX}, "
-             f"got --gmax {gmax}")
-        return EXIT_INPUT
+        raise UsageError(f"verify theorem3 checks g <= "
+                         f"{verify.THEOREM3_GMAX}, got --gmax {gmax}")
     if gmax < 2 or bmax < 1:
-        _err(f"empty grid: verify needs --gmax >= 2 and --bmax >= 1, "
-             f"got --gmax {gmax} --bmax {bmax}")
-        return EXIT_INPUT
+        raise UsageError(f"empty grid: verify needs --gmax >= 2 and "
+                         f"--bmax >= 1, got --gmax {gmax} --bmax {bmax}")
     if (gmax > verify.GMAX or bmax > verify.BMAX) and not args.unsafe_large:
-        _err(f"grid above g<={verify.GMAX}, b<={verify.BMAX} "
-             f"needs --unsafe-large")
-        return EXIT_INPUT
+        raise UsageError(f"grid above g<={verify.GMAX}, b<={verify.BMAX} "
+                         f"needs --unsafe-large")
     grid = {"gmax": gmax, "bmax": bmax}
     result = run(**{k: grid[k] for k in reads if k in grid})
     sys.stdout.write(result.text())
@@ -359,11 +309,28 @@ _parser = None
 
 
 def main(argv=None):
+    """Run one command; returns its exit code.  A command raises on any
+    error, and the first row of this table that the error matches picks
+    the exit code and the prefix of its one stderr line."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for kinds, code, prefix in (
+                (synthesis.ImpossibleSignatureError, EXIT_IMPOSSIBLE,
+                 "impossible: "),
+                (synthesis.PlanVerificationError, EXIT_VERIFY,
+                 "plan verification failed: "),
+                (InvariantError, EXIT_VERIFY, "internal invariant breach: "),
+                ((FatGraphError, formats.FormatError, oracle.CensusRangeError,
+                  OSError, UsageError), EXIT_INPUT, "")):
+            if isinstance(exc, kinds):
+                _err(f"{prefix}{exc}")
+                return code
+        raise
 
 
 if __name__ == "__main__":

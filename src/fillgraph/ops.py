@@ -543,7 +543,7 @@ def _coupled_darts(left: FatGraph, right: FatGraph, w: int, u: int,
     if align not in (0, 1, 2, 3):
         raise OperationError(f"align must be in 0..3, got {align}")
     for g, v, side in ((left, w, "left"), (right, u, "right")):
-        if not 0 <= v < g.num_vertices:
+        if not isinstance(v, int) or not 0 <= v < g.num_vertices:
             raise OperationError(f"{side} graph has no vertex {v}")
         if g.degree(v) != 4:
             raise OperationError(

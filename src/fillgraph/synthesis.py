@@ -15,9 +15,12 @@ two-curve seed, a minimal filling, a triple, a tight filling or a family
 member, grown by connected sums and plumbings) that many targets share,
 and most then join a chain of tori onto it, so the plan of (g, b, s) is
 often the plan of (g, b-1, s-1) and one torus join more.  Each distinct
-seed, and each prefix of a torus chain, is a sub-plan executed once per
-process, and its steps are reused by every later plan that needs it
-(:func:`_subplan`); in a reused block only the result index has a graph:
+seed other than a lone family step, and each prefix of a torus chain, is
+a sub-plan executed once per process, and its steps are reused by every
+later plan that needs it (:func:`_subplan`).  A seed grown from a
+smaller one of its kind, like a torus chain, is a ladder
+(:func:`_ladder`) whose rungs are made lowest first, so no genus is too
+high for the stack.  In a reused block only the result index has a graph:
 the one the sub-builder made, at the first reuse, and later a graph
 rebuilt from the darts and labels the memo keeps.  Every plan's final
 graph is still checked, and :meth:`SynthesisPlan.replay` still executes
@@ -513,7 +516,7 @@ def _shifted(step, base):
     return step._replace(**moved) if moved else step
 
 
-# Fixed by measurement: a synth-grid pass needs 1,098 entries (217 seeds
+# Fixed by measurement: a synth-grid pass needs 1,097 entries (216 seeds
 # and 881 torus-chain prefixes), so this bound holds a whole pass; see
 # BENCH_21.json.
 _SUBPLAN_SIZE = 2048
@@ -551,10 +554,41 @@ def _seed(builder):
     return run
 
 
-@_seed
-def _family_into(bld, name, param):
-    """A family member as a seed, for a torus chain that starts there."""
-    return bld.family(name, param)
+def _ladder(below):
+    """A :func:`_seed` for a sub-builder ``builder(bld, prev, *args)`` that
+    builds on the rung below it: ``below(*args)`` gives that rung's
+    arguments, or None at the foot of the ladder, and ``prev`` is the
+    plan index of its reused block, or None.  ``__wrapped__`` is the
+    sub-builder that :func:`_subplan` keys, as for :func:`_seed`.
+
+    Built from empty memos, a ladder of n rungs would nest n sub-builds,
+    a few frames each, past the interpreter's stack for n in the
+    hundreds.  So a call first makes the rungs below the one under its
+    own, lowest first, each of which finds the rung under it in the memo;
+    its own rung then reuses the one under it, which reuses a made one,
+    and no call nests more than two rungs deep.  A warm call probes the
+    memo once for each rung but the one just under its own."""
+
+    def wrap(builder):
+        def rung(bld, *args):
+            lower = below(*args)
+            prev = None if lower is None else bld.reuse(_subplan(rung, lower))
+            return builder(bld, prev, *args)
+
+        @wraps(builder)
+        def run(bld, *args):
+            lowers = []
+            lower = below(*args)
+            while lower is not None:
+                lowers.append(lower)
+                lower = below(*lower)
+            for lower in lowers[:0:-1]:
+                _subplan(rung, lower)
+            return bld.reuse(_subplan(rung, args))
+
+        run.__wrapped__ = rung
+        return run
+    return wrap
 
 
 # the torus family step of every chain join: one object that every chain
@@ -564,35 +598,24 @@ _TORUS_STEP = Step("family", family=families.TORUS_PAIR)
 
 def _join_torus_chain(bld, seed, args, count):
     """Join ``count`` torus graphs onto the seed ``seed(bld, *args)``, a
-    :func:`_seed` builder, each along an edge with both directions in one
-    boundary component (b and s grow by one per join, genus is fixed);
-    returns the plan index of the last join.
-
-    The seed with its first k joins is the sub-plan
-    ``(_torus_joined, (seed, args, k))``, made from the one with k - 1
-    joins, so a process builds each prefix of a chain once, however many
-    targets share it.  The loop makes missing prefixes shortest first, so
-    making one finds the one before it in the memo with one probe, and
-    no call nests more than one prefix deep, however long the chain: a
-    chain of n joins built from empty memos probes the memo about 2n
-    times."""
+    :func:`_seed` or :func:`_ladder` builder or :meth:`_Builder.family`,
+    each along an edge with both directions in one boundary component (b
+    and s grow by one per join, genus is fixed); returns the plan index
+    of the last join.  The seed with its first k joins is the rung
+    ``(seed, args, k)`` of the ladder :func:`_torus_joined`, so a process
+    builds each prefix of a chain once, however many targets share it."""
     if not count:
         return seed(bld, *args)
-    for k in range(1, count):
-        _subplan(_torus_joined, (seed, args, k))
-    return bld.reuse(_subplan(_torus_joined, (seed, args, count)))
+    return _torus_joined(bld, seed, args, count)
 
 
-def _torus_joined(bld, seed, args, count):
+@_ladder(lambda seed, args, count:
+         (seed, args, count - 1) if count > 1 else None)
+def _torus_joined(bld, prev, seed, args, count):
     """The seed ``seed(bld, *args)`` with ``count >= 1`` torus joins: the
     chain with ``count - 1`` joins, one torus family step and one
-    SAME/SAME join.  Only :func:`_join_torus_chain`'s loop makes this
-    entry, right after the entry with ``count - 1`` joins, so reusing
-    that one is one probe of the memo, which finds it."""
-    if count == 1:
-        idx = seed(bld, *args)
-    else:
-        idx = bld.reuse(_subplan(_torus_joined, (seed, args, count - 1)))
+    SAME/SAME join."""
+    idx = seed(bld, *args) if prev is None else prev
     x = _same_boundary_edge(bld.graphs[idx])
     if x is None:
         raise SynthesisError(
@@ -610,8 +633,8 @@ def _torus_joined(bld, seed, args, count):
 # plus within-catalog composition, verified at every step)
 
 
-@_seed
-def _pair_into(bld, g):
+@_ladder(lambda g: (g - 2,) if g >= 5 else None)
+def _pair_into(bld, prev, g):
     """Minimal filling pair of genus g: plan index of a (g, 1, 2) graph."""
     if g == 1:
         return bld.family(families.TORUS_PAIR)
@@ -624,14 +647,13 @@ def _pair_into(bld, g):
         if not res.found:
             raise SynthesisError(f"no filling pair found at V={V}")
         return bld.literal(res.graph)
-    prev = _pair_into(bld, g - 2)
     gi = bld.family(families.G2)
     idx, _ = bld.consum_reaching(prev, gi, (g, 1, 2))
     return idx
 
 
-@_seed
-def _two_disc_pair_into(bld, g, need_diff_edge):
+@_ladder(lambda g, need_diff_edge: (g - 2, False) if g >= 4 else None)
+def _two_disc_pair_into(bld, prev, g, need_diff_edge):
     """(g, 2, 2) filling pair with two complementary discs, g >= 2."""
     if g < 2:
         raise SynthesisRangeError("two-disc pairs start at genus 2")
@@ -643,14 +665,13 @@ def _two_disc_pair_into(bld, g, need_diff_edge):
         c = bld.family(families.GAMMA_2_B, 2)
         idx, _ = bld.consum_reaching(a, c, (3, 2, 2), require=require)
         return idx
-    prev = _two_disc_pair_into(bld, g - 2, False)
     gi = bld.family(families.G2)
     idx, _ = bld.consum_reaching(prev, gi, (g, 2, 2), require=require)
     return idx
 
 
-@_seed
-def _two_cycle_seed_into(bld, g, b):
+@_ladder(lambda g, b: (g - 2, b) if g >= 4 else None)
+def _two_cycle_seed_into(bld, prev, g, b):
     """(g, b, 2) filling with a same-boundary edge, g >= 2, b >= 2."""
     if b < 2:
         raise SynthesisRangeError("two-cycle seeds need b >= 2")
@@ -662,7 +683,6 @@ def _two_cycle_seed_into(bld, g, b):
         c = bld.family(families.GAMMA_2_B, b)
         idx, _ = bld.consum_reaching(a, c, (3, b, 2), require=require)
         return idx
-    prev = _two_cycle_seed_into(bld, g - 2, b)
     gi = bld.family(families.G2)
     idx, _ = bld.consum_reaching(prev, gi, (g, b, 2), require=require)
     return idx
@@ -701,12 +721,15 @@ class TargetSignature(namedtuple("TargetSignature", ("g", "b", "s"))):
 
 
 def max_filling(g, b) -> SynthesisPlan:
-    """Filling of maximal size 2g+b-1 with b complementary discs, g >= 1."""
+    """Filling of maximal size 2g+b-1 with b complementary discs, g >= 1:
+    for g >= 2 the plan of :func:`filling`, for g = 1 a chain of torus
+    joins on the torus."""
     if g < 1 or b < 1:
         raise SynthesisRangeError("max_filling needs g >= 1 and b >= 1")
-    plan = SynthesisPlan(target=(g, b, 2 * g + b - 1))
-    bld = _Builder(plan)
-    _join_torus_chain(bld, _family_into, (families.GAMMA_G, g), b - 1)
+    if g >= 2:
+        return filling(g, b, 2 * g + b - 1)
+    bld = _Builder(SynthesisPlan(target=(1, b, b + 1)))
+    _join_torus_chain(bld, _Builder.family, (families.GAMMA_G, 1), b - 1)
     return bld.verify()
 
 
@@ -715,8 +738,9 @@ def minimal_filling(g, s) -> SynthesisPlan:
     return filling(g, 1, s)
 
 
-@_seed
-def _minimal_into(bld, g, s):
+@_ladder(lambda g, s: (g - 1, s - 2) if g >= 4 and 4 <= s <= 2 * g - 2
+         else None)
+def _minimal_into(bld, prev, g, s):
     base2 = {3: (families.G1, None), 4: (families.GAMMA_G, 2)}
     base3 = {3: (families.GAMMA0, None), 4: (families.QUADRUPLE_F3, None),
              5: (families.GIRTH_2GM1, 3), 6: (families.GAMMA_G, 3)}
@@ -735,7 +759,6 @@ def _minimal_into(bld, g, s):
     if s == 2 * g - 1:
         return bld.family(families.GIRTH_2GM1, g)
     # 4 <= s <= 2g-2: plumb a torus onto a smaller minimal filling
-    prev = _minimal_into(bld, g - 1, s - 2)
     ti = bld.family(families.TORUS_PAIR)
     idx, _ = bld.plumb(prev, ti, bld.graphs[prev].labels[0], "a")
     return idx
@@ -745,10 +768,6 @@ def _minimal_into(bld, g, s):
 def _triple_into(bld, g):
     """Minimal filling triple of genus g >= 2 via connected sums with the
     genus 2 four-disc pair graph (parity picks the seed)."""
-    if g == 2:
-        return bld.family(families.G1)
-    if g == 3:
-        return bld.family(families.GAMMA0)
     idx = bld.family(families.GAMMA0 if g % 2 else families.G1)
     cur = 3 if g % 2 else 2
     while cur < g:
@@ -771,7 +790,7 @@ def filling(g, b, s) -> SynthesisPlan:
         if g == 2 and k == 2:
             # the minimal pair seed does not exist on genus 2; start the
             # join chain one step later, from the (2,2,3) example graph
-            _join_torus_chain(bld, _family_into,
+            _join_torus_chain(bld, _Builder.family,
                               (families.EXAMPLE_5_2, None), b - 2)
         else:
             _join_torus_chain(bld, _minimal_into, (g, k), b - 1)
@@ -788,8 +807,8 @@ def tight_omega_filling(g, s) -> SynthesisPlan:
     return bld.verify()
 
 
-@_seed
-def _tight_into(bld, g, s):
+@_ladder(lambda g, s: (g - 1, s - 2) if 5 <= s <= 2 * g - 1 else None)
+def _tight_into(bld, prev, g, s):
     if s == 2:
         return _pair_into(bld, g)
     if s == 3:
@@ -816,7 +835,6 @@ def _tight_into(bld, g, s):
         return idx
     # 5 <= s <= 2g-1: a torus plumb adds one handle and two curves while
     # keeping the extremal crossing pair untouched
-    prev = _tight_into(bld, g - 1, s - 2)
     ti = bld.family(families.TORUS_PAIR)
     idx, _ = bld.plumb(prev, ti, bld.graphs[prev].labels[0], "a")
     return idx

@@ -439,6 +439,20 @@ def relabeled(graph, mapping):
     return FatGraph(graph.sigma0, [mapping[nm] for nm in graph.labels])
 
 
+def dumbbells():
+    """Two dumbbells with disjoint labels.  The centre, vertex 0, is a cut
+    vertex: strands 1, 2 hold one lobe and strands 3, 4 the other.  It is
+    the only vertex without a loop, and the connected sum of the two
+    centres disconnects the graph at aligns 0 and 2, where the crosswise
+    splice pairs the four lobes into two separate components."""
+    dumbbell = FatGraph.from_vertex_cycles([
+        ["e1+", "e2+", "e3+", "e4+"],
+        ["e1-", "e2-", "a+", "a-"],
+        ["e3-", "e4-", "b+", "b-"],
+    ])
+    return dumbbell, relabeled(dumbbell, {n: n + "'" for n in dumbbell.labels})
+
+
 def degree_profile(wig):
     """The weighted degree of each curve of the intersection graph
     ``wig``, by curve: the total weight of the pairs that hold it."""

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import fillgraph
-from fillgraph import oracle
+from fillgraph import cli, formats, oracle, ops
 from fillgraph.cli import main
+from fillgraph.core import FatGraph
 from fillgraph.ops import (JOIN_OTHER, JOIN_SAME_SAME, PLUMB_ALL_DIFF,
                            PLUMB_OTHER, SUM_ALL4_ONE, SUM_BLOCKS4, SUM_OTHER,
                            SUM_TWO_SAME)
@@ -292,6 +293,105 @@ class TestExport:
         run(capsys, "family", "--name", "torus_pair", "-o", str(path))
         code, out, _ = run(capsys, "export", str(path), "--format", "json")
         assert json.loads(out)["format"] == "fatgraph/1"
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+class TestErrorTable:
+    """Every row of the error table in ``cli.main``: the exit code and one
+    stderr line, with the row's prefix, for each kind of fault."""
+
+    @pytest.fixture()
+    def files(self, capsys, tmp_path):
+        paths = {k: str(tmp_path / f"{k}.json")
+                 for k in ("graph", "torus", "plan", "split", "bad", "wrong")}
+        run(capsys, "family", "--name", "gamma_g", "--genus", "2",
+            "-o", paths["graph"])
+        run(capsys, "family", "--name", "torus_pair", "-o", paths["torus"])
+        run(capsys, "synth", "-g", "3", "-b", "3", "-s", "4",
+            "--plan-out", paths["plan"])
+        two_tori = FatGraph.from_vertex_cycles([
+            ["a+", "b+", "a-", "b-"], ["c+", "d+", "c-", "d-"]])
+        formats.write_graph(paths["split"], two_tori)
+        Path(paths["bad"]).write_text("{")
+        doc = json.loads(Path(paths["plan"]).read_text())
+        doc["target"]["s"] = 5
+        Path(paths["wrong"]).write_text(json.dumps(doc))
+        paths["nowhere"] = str(tmp_path / "missing" / "out.json")
+        return paths
+
+    CASES = {
+        "unknown-family": (["family", "--name", "nope"], 2,
+                           "unknown family 'nope'"),
+        "missing-genus": (["family", "--name", "gamma_g"], 2,
+                          "family gamma_g needs --genus"),
+        "disconnected-analyze": (["analyze", "{split}"], 2, "disconnected"),
+        "op-without-selectors": (
+            ["op", "plumb", "--left", "{graph}", "--right", "{torus}"], 2,
+            "plumb needs --x and --y"),
+        "op-invariant": (
+            ["op", "join", "--left", "{graph}", "--right", "{torus}",
+             "--x", "e1", "--y", "a"], 1, "internal invariant breach: "),
+        "tight-b2": (["synth", "-g", "3", "-b", "2", "-s", "3", "--tight"],
+                     2, "--tight builds minimal fillings"),
+        "impossible": (["synth", "-g", "2", "-b", "1", "-s", "2"], 3,
+                       "impossible: "),
+        "census-invariant": (["enumerate", "-V", "2"], 1,
+                             "internal invariant breach: "),
+        "unreadable-export": (["export", "{nowhere}"], 2, "No such file"),
+        "family-out": (["family", "--name", "g1", "-o", "{nowhere}"], 2,
+                       "No such file"),
+        "op-out": (["op", "join", "--left", "{graph}", "--right", "{torus}",
+                    "--x", "e1", "--y", "a", "-o", "{nowhere}"], 2,
+                   "No such file"),
+        "synth-out": (["synth", "-g", "3", "-s", "4", "-o", "{nowhere}"], 2,
+                      "No such file"),
+        "synth-plan-out": (["synth", "-g", "3", "-s", "4",
+                            "--plan-out", "{nowhere}"], 2, "No such file"),
+        "replay-out": (["replay", "{plan}", "-o", "{nowhere}"], 2,
+                       "No such file"),
+        "invalid-json-plan": (["replay", "{bad}"], 2,
+                              "cannot read {bad}: invalid JSON"),
+        "wrong-target-plan": (["replay", "{wrong}"], 1,
+                              "plan verification failed: plan target"),
+    }
+    PATCHES = {
+        "op-invariant": (cli, "join", ops.OperationInvariantError(
+            "injected report mismatch")),
+        "census-invariant": (oracle, "census_filter", oracle.CensusError(
+            "injected census fault")),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_one_line(self, capsys, monkeypatch, files, case):
+        argv, code, text = self.CASES[case]
+        if case in self.PATCHES:
+            module, name, exc = self.PATCHES[case]
+            monkeypatch.setattr(module, name, _raise(exc))
+        got, _, err = run(capsys, *(a.format(**files) for a in argv))
+        assert got == code
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+        assert text.format(**files) in err
+        if text.endswith(": "):
+            assert err.startswith(text)
+
+    def test_through_python_m(self, files):
+        src = str(Path(fillgraph.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fillgraph", "synth", "-g", "3", "-s", "4",
+             "-o", files["nowhere"]],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        assert proc.stdout == "g=3 b=1 s=4\n"
+        assert proc.stderr == ("[Errno 2] No such file or directory: "
+                               f"{files['nowhere']!r}\n")
 
 
 def _clean_audits():

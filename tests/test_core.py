@@ -335,6 +335,12 @@ class TestFillingPredicate:
         assert g.is_filling_system() == (
             False, ["not 4-regular: vertex 2 has degree 6"])
 
+    def test_disconnected_rejected(self):
+        # two tori side by side: each part fills, the whole does not
+        g = FatGraph.from_vertex_cycles(TORUS + [cyc("c+ d+ c- d-")])
+        assert not g.is_connected
+        assert g.is_filling_system() == (False, ["not connected"])
+
 
 class TestIsomorphism:
     def test_shuffle_invariance(self):

@@ -103,6 +103,11 @@ class TestPlanFile:
             with pytest.raises(FormatError):
                 loads_plan(text)
 
+    @pytest.mark.parametrize("text", ["", "{", '{"format": "fillplan/1",}'])
+    def test_invalid_json(self, text):
+        with pytest.raises(FormatError, match="invalid JSON"):
+            loads_plan(text)
+
     @pytest.mark.parametrize("path, value", [
         (("target",), [2, 1, 3]),
         (("target", "s"), "3"),

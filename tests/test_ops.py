@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import relabeled
+from helpers import dumbbells, relabeled
 
 import fillgraph
 from fillgraph import families, oracle, ops
@@ -130,16 +130,8 @@ class TestConnectedSum:
             connected_sum(sphere, g2(), 0, 0)
 
     def test_disconnecting_sum_rejected(self):
-        # dumbbell: the center is a cut vertex; strands 1,2 hold one lobe
-        # and strands 3,4 the other, so the crosswise splice of two
-        # dumbbells pairs the four lobes into two separate components
-        dumbbell = FatGraph.from_vertex_cycles([
-            ["e1+", "e2+", "e3+", "e4+"],
-            ["e1-", "e2-", "a+", "a-"],
-            ["e3-", "e4-", "b+", "b-"],
-        ])
+        dumbbell, other = dumbbells()
         assert dumbbell.is_connected
-        other = relabeled(dumbbell, {n: n + "'" for n in dumbbell.labels})
         with pytest.raises(OperationError, match="disconnect"):
             connected_sum(dumbbell, other, 0, 0)
 
@@ -164,8 +156,10 @@ class TestConnectedSum:
     def test_prediction_rejects_what_the_sum_rejects(self):
         a, b = g1(), g1()
         looped = next(v for v in range(3) if a.loops_at(v))
+        # a vertex that is no int is rejected like one out of range, not
+        # by a TypeError from comparing it
         for args in ((a, a, 0, 0, 0), (a, b, looped, 0, 0), (a, b, 0, 9, 0),
-                     (a, b, 0, 0, 4)):
+                     (a, b, 0, 0, 4), (a, b, None, 0, 0), (a, b, 0, "1", 0)):
             with pytest.raises(OperationError):
                 predict_connected_sum(*args)
             with pytest.raises(OperationError):

@@ -1,9 +1,10 @@
 import hashlib
+import sys
 from functools import lru_cache
 
 import pytest
-from helpers import (first_matching_graph, full_scan_code, grid_plans,
-                     grid_targets, pair_search_reference,
+from helpers import (dumbbells, first_matching_graph, full_scan_code,
+                     grid_plans, grid_targets, pair_search_reference,
                      reference_pair_candidates, tuple_face_screen)
 
 from fillgraph import families, formats, ops, oracle, synthesis
@@ -376,19 +377,20 @@ def _torus_seed(bld, i):
 
 class TestSubplanMemo:
     def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
-        # the grid has 84 distinct seeds and 119 distinct torus-chain
-        # prefixes; from an empty memo each is built once, in either
-        # order, and a warm pass over the grid builds none
+        # the grid has 83 distinct seed sub-plans and 119 distinct
+        # torus-chain prefixes (a chain on a family member starts from a
+        # plain family step, no sub-plan); from an empty memo each is
+        # built once, in either order, and a warm pass builds none
         for order in (MEMO_GRID, MEMO_GRID[::-1]):
             memo.cache_clear()
             for build, args in order:
                 text = formats.dumps_plan(build(*args))
                 assert text == cold_texts[build, args], (build, args)
             assert memo.cache_info().misses == memo.cache_info().currsize
-            assert memo.cache_info().currsize == 84 + 119
+            assert memo.cache_info().currsize == 83 + 119
             for build, args in order:
                 build(*args)
-            assert memo.cache_info().misses == 84 + 119
+            assert memo.cache_info().misses == 83 + 119
 
     def test_hit_is_a_copy_and_replays(self, memo):
         minimal_filling(5, 2)
@@ -506,35 +508,85 @@ class TestSubplanMemo:
             text = formats.dumps_plan(filling(*args))
             assert text == cold_texts[filling, args], args
 
-    @pytest.mark.parametrize("build, args, seed, joins", [
-        (filling, (2, 300, 301), (families.EXAMPLE_5_2, None), 298),
-        (max_filling, (2, 300), (families.GAMMA_G, 2), 299)],
+    @pytest.mark.parametrize("build, args, seed, seed_args, joins", [
+        # a family step is no sub-plan; the max_filling plan of genus 2 is
+        # the filling plan on the minimal (2, 4) seed, one sub-plan
+        (filling, (2, 300, 301), synthesis._Builder.family,
+         (families.EXAMPLE_5_2, None), 298),
+        (max_filling, (2, 300), synthesis._minimal_into, (2, 4), 299)],
         ids=["filling", "max_filling"])
     def test_long_chain_builds_and_verifies(self, memo, build, args, seed,
-                                            joins):
+                                            seed_args, joins):
         # a chain of about 300 joins nests no call per join, and its
         # graphs pass 256 darts, where packed darts take two bytes each
+        entries = joins + (seed is not synthesis._Builder.family)
         plan = build(*args)  # verifies its final graph
         assert len(plan.steps) == 1 + 2 * joins  # one family seed step
         assert memo.cache_info().misses == memo.cache_info().currsize \
-            == 1 + joins
-        *_, darts, labels = memo(synthesis._torus_joined,
-                                 (synthesis._family_into, seed, joins))
-        assert memo.cache_info().misses == 1 + joins
+            == entries
+        *_, darts, labels = memo(synthesis._torus_joined.__wrapped__,
+                                 (seed, seed_args, joins))
+        assert memo.cache_info().misses == entries
         n = 2 * len(labels)
         assert isinstance(darts, bytes) and len(darts) == 2 * n > 512
         assert sorted(ops._unpacked(darts, n)) == list(range(n))
 
     def test_long_chain_probes_the_memo_about_twice_a_join(self, memo):
         # each chain prefix is made from the one before it with one probe,
-        # so from empty memos the 300 joins of this plan cost fewer than
+        # so from empty memos the 298 joins of this plan cost fewer than
         # 600 probes (44,253 hits for 299 misses when each prefix probed
         # every shorter one); the plan text is the one those probes built
         text = formats.dumps_plan(filling(2, 300, 301))
         info = memo.cache_info()
-        assert info.misses == 299 and info.hits + info.misses < 2 * 300
+        assert info.misses == 298 and info.hits + info.misses < 2 * 300
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1bb4ad8395720463761fc7efa4db085b3c3a6a404dec0d0b263b1d9eb52bd459")
+
+    def test_cold_ladder_past_the_recursion_limit(self, memo):
+        # the pair seed of genus 661 is a ladder of 330 rungs (genus 3, 5,
+        # ..., 661), deeper than the default recursion limit when each
+        # rung nests the build of the one below; made lowest first, each
+        # rung is built once and no build nests more than two rungs
+        assert sys.getrecursionlimit() <= 1000
+        plan = filling(661, 1, 2)  # verifies its final graph
+        assert len(plan.steps) == 1 + 2 * 329
+        assert memo.cache_info().misses == memo.cache_info().currsize \
+            == 330 + 1  # the rungs and the minimal (661, 2) seed
+
+
+class TestConsumReaching:
+    def builder(self, target):
+        bld = synthesis._Builder(SynthesisPlan(target, expect_filling=False))
+        return (bld, *map(bld.literal, dumbbells()))
+
+    def test_require_rejects_a_candidate(self):
+        # aligns 1 and 3 of the two centres reach (0, 6, 1); a require
+        # that rejects the first built sum takes the second
+        bld, li, ri = self.builder((0, 6, 1))
+        seen = []
+
+        def require(graph):
+            seen.append(graph)
+            return len(seen) == 2
+
+        idx, rep = bld.consum_reaching(li, ri, (0, 6, 1), require=require)
+        assert rep.selectors["align"] == 3 and len(seen) == 2
+        assert idx == 2 and bld.graphs[idx] is seen[1]
+        assert len(bld.graphs) == len(bld.plan.steps) == 3
+        assert bld.reports == [rep]
+        replayed, _ = bld.verify().replay()
+        assert replayed == seen[1]
+
+    def test_candidates_that_raise_then_none_reaches(self):
+        # aligns 0 and 2 predict (-1, 8, 2), and building either raises
+        # for a disconnected sum; no candidate is left
+        bld, li, ri = self.builder((-1, 8, 2))
+        with pytest.raises(SynthesisError,
+                           match=r"no connected-sum vertex pair reaches "
+                                 r"\(-1, 8, 2\)"):
+            bld.consum_reaching(li, ri, (-1, 8, 2))
+        assert len(bld.graphs) == len(bld.plan.steps) == 2
+        assert bld.reports == []
 
 
 class TestStepConstructor:
