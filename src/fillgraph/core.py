@@ -352,9 +352,10 @@ class FatGraph:
           :func:`fillgraph.ops._rewired`, which builds every surgery
           result, raising :class:`InvariantError` wherever a step of its
           proof fails, and by :meth:`fillgraph.synthesis._Builder.reuse`,
-          which rebuilds a sub-plan's result from the darts and labels of
-          a graph built before; it then presets the signature, face record
-          and vertex walk of a ``sigma0`` found in the ops memo;
+          which rebuilds a ladder rung's result from the darts and labels
+          that ``synthesis._subplans`` keeps of a graph built before; it
+          then presets the signature, face record and vertex walk of a
+          ``sigma0`` found in the ops memo;
         * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
           bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)
@@ -364,7 +365,7 @@ class FatGraph:
         return graph
 
     @classmethod
-    def from_vertex_cycles(cls, vertex_cycles, labels=None):
+    def from_vertex_cycles(cls, vertex_cycles):
         """Build from cyclic sequences of signed edge labels.
 
         Each undirected label must appear exactly twice over all cycles; a

@@ -1,10 +1,11 @@
 """Catalog of the explicit fat graph families.
 
-Every constructor validates the built graph against its documented signature
-(and curve length data where stated) before returning, so a transcription
-error surfaces as a loud :class:`FamilyValidationError` instead of a wrong
-graph.  Parameter ranges follow the source constructions; out of range
-parameters raise :class:`FamilyRangeError`.
+Every member is validated against its one record of documented signature
+(and curve lengths where stated), the record :func:`catalog` lists, so a
+transcription error surfaces as a loud :class:`FamilyValidationError`
+instead of a wrong graph.  Parameter ranges follow the source
+constructions; a parameter out of range, or not an int, raises
+:class:`FamilyRangeError`.
 
 Each family member is built and validated once per process; :func:`build`
 hands out distinct copies of it, which share the structure computed on it.
@@ -45,191 +46,98 @@ ALL_FAMILIES = (G1, GAMMA0, G2, GAMMA_G, GIRTH_2GM1, QUADRUPLE_F3,
                 GAMMA_2_B, EXAMPLE_5_2, TORUS_PAIR, SPHERE_CIRCLE)
 
 
-def _cyc(spec):
-    return spec.split()
-
-
-def _check(graph, name, triple, lengths=None):
-    sig = graph.signature()
-    if sig.triple != triple:
-        raise FamilyValidationError(
-            f"{name}: built signature {sig.triple} != expected {triple}")
-    if lengths is not None:
-        got = sorted(graph.curve_lengths, reverse=True)
-        if got != sorted(lengths, reverse=True):
-            raise FamilyValidationError(
-                f"{name}: curve lengths {got} != expected {lengths}")
-    return graph
-
-
-def _build_g1():
-    g = FatGraph.from_vertex_cycles([
-        _cyc("f1+ f2+ f3+ f4+"),
-        _cyc("f3- f4- f5+ f2-"),
-        _cyc("f5- f6+ f1- f6-"),
-    ])
-    return _check(g, "G1", (2, 1, 3), [3, 2, 1])
-
-
-def _build_gamma0():
-    # transcribed from the genus 3 triple figure; validated below
-    g = FatGraph.from_vertex_cycles([
-        _cyc("f1+ f2+ f3+ f4+"),
-        _cyc("f3- f5+ f6+ f7+"),
-        _cyc("f6- f8+ f9+ f4-"),
-        _cyc("f7- f9- f5- f10+"),
-        _cyc("f1- f2- f10- f8-"),
-    ])
-    return _check(g, "Gamma0", (3, 1, 3), [5, 3, 2])
-
-
-def _build_g2():
-    # transcribed from the genus 2 pair-with-4-discs figure; validated below
-    g = FatGraph.from_vertex_cycles([
-        _cyc("x6- y1+ x1+ y6-"),
-        _cyc("y1- x3+ y2+ x2-"),
-        _cyc("y2- x2+ y3+ x1-"),
-        _cyc("x4+ y3- x3- y4+"),
-        _cyc("y5+ x5- y4- x6+"),
-        _cyc("y6+ x4- y5- x5+"),
-    ])
-    return _check(g, "G2", (2, 4, 2), [6, 6])
-
-
-def _build_torus_pair():
-    g = FatGraph.from_vertex_cycles([_cyc("a+ b+ a- b-")])
-    return _check(g, "torus pair", (1, 1, 2), [1, 1])
-
-
-def _build_sphere_circle():
-    g = FatGraph.from_vertex_cycles([_cyc("a+ a-")])
-    return _check(g, "sphere circle", (0, 2, 1), [1])
-
-
-def _build_gamma_g(g):
-    if g is None or g < 1:
-        raise FamilyRangeError("gamma_g needs genus g >= 1")
-    if g == 1:
-        return _build_torus_pair()
-    cycles = [_cyc("e1+ e2+ e1- e3-")]
-    for j in range(2, 2 * g - 1):
-        cycles.append(_cyc(f"e{2*j-1}+ e{2*j}+ e{2*j-2}- e{2*j+1}-"))
-    # edge 4g-2 is a loop at the last vertex, as written in the source list
-    cycles.append(_cyc(f"e{4*g-3}+ e{4*g-2}+ e{4*g-4}- e{4*g-2}-"))
-    graph = FatGraph.from_vertex_cycles(cycles)
-    return _check(graph, f"Gamma_{g}", (g, 1, 2 * g))
-
-
-def gamma_g_boundary_word(g):
-    """The single boundary word P(g) Q(g) R(g) S(g), as signed labels."""
-    P = []
-    for i in range(1, g):
-        P += [f"e{4*i-1}-", f"e{4*i}+"]
-    P += [f"e{4*g-2}-"]
-    Q = [f"e{i}-" for i in range(4 * g - 4, 0, -2)] + ["e1-"]
-    R = ["e2+"]
-    for i in range(1, g):
-        R += [f"e{4*i+1}-", f"e{4*i+2}+"]
-    S = [f"e{i}+" for i in range(4 * g - 3, 0, -2)]
-    return tuple(P + Q + R + S)
-
-
-def _build_girth(g):
-    if g is None or g < 3:
-        raise FamilyRangeError("girth family needs genus g >= 3")
-    cycles = [_cyc("e1+ e2+ e3+ e2-"), _cyc("e3- e5+ e4+ e6+")]
-    for j in range(3, 2 * g - 1):
-        cycles.append(_cyc(f"e{2*j}- e{2*j+2}+ e{2*j-1}- e{2*j+1}+"))
-    cycles.append(_cyc(f"e{4*g-3}- e4- e{4*g-2}- e1-"))
-    graph = FatGraph.from_vertex_cycles(cycles)
-    return _check(graph, f"girth_{g}", (g, 1, 2 * g - 1))
-
-
-def _build_quadruple_f3():
-    g = FatGraph.from_vertex_cycles([
-        _cyc("f1+ f2+ f3+ f2-"),
-        _cyc("f3- f4+ f5+ f6+"),
-        _cyc("f6- f9- f10- f1-"),
-        _cyc("f5- f7+ f8+ f7-"),
-        _cyc("f4- f9+ f10+ f8-"),
-    ])
-    return _check(g, "quadruple_f3", (3, 1, 4), [5, 3, 1, 1])
-
-
-def _build_gamma2b(b):
-    if b is None or b < 2:
-        raise FamilyRangeError("gamma2b needs b >= 2 boundary components")
-    cycles = [_cyc(f"e1+ f1+ e{b+2}- f{b+2}-")]
-    for j in range(2, b + 1):
-        cycles.append(_cyc(f"e{j-1}- f{j-1}- e{j}+ f{j}+"))
-    cycles.append(_cyc(f"e{b}- f{b+2}+ e{b+1}+ f{b+1}-"))
-    cycles.append(_cyc(f"e{b+1}- f{b+1}+ e{b+2}+ f{b}-"))
-    graph = FatGraph.from_vertex_cycles(cycles)
-    _check(graph, f"Gamma(2,{b})", (2, b, 2), [b + 2, b + 2])
-    # defining anchor: edge f_{b+1} has both directions in one boundary
-    comp = graph.boundary_component_of
-    d0, d1 = graph.darts_of(f"f{b+1}")
-    if comp[d0] != comp[d1]:
-        raise FamilyValidationError(
-            f"Gamma(2,{b}): f{b+1} directions not in one boundary component")
-    return graph
-
-
-def gamma2b_boundary_words(b):
-    """The b boundary words of Gamma(2,b) as printed, as signed labels."""
-    words = [tuple([f"e1+", f"f1-", f"e{b+2}-", f"f{b}-", f"e{b-1}-",
-                    f"f{b-1}+", f"e{b}+", f"f{b+2}+"])]
-    for j in range(2, b):
-        words.append((f"e{j}+", f"f{j}-", f"e{j-1}-", f"f{j-1}+"))
-    words.append((f"f{b+2}-", f"e{b+1}+", f"f{b+1}+", f"e{b}-",
-                  f"f{b}+", f"e{b+1}-", f"f{b+1}-", f"e{b+2}+"))
-    return words
-
-
-def _build_example_5_2():
-    g = FatGraph.from_vertex_cycles([
-        _cyc("x3- y1+ x1+ y3-"),
-        _cyc("x2+ y1- x1- y2+"),
-        _cyc("z1+ x3+ z2- x2-"),
-        _cyc("z1- y3+ z2+ y2-"),
-    ])
-    return _check(g, "example_5_2", (2, 2, 3), [3, 3, 2])
-
-
-EXAMPLE_5_2_BOUNDARY_WORDS = (
-    ("x1+", "y2+", "z1-", "x3+", "y1+", "x1-", "y3-", "z2+", "x2-", "y1-"),
-    ("x2+", "z1+", "y3+", "x3-", "z2-", "y2-"),
-)
-
-
-_BUILDERS = {
-    G1: lambda p: _build_g1(),
-    GAMMA0: lambda p: _build_gamma0(),
-    G2: lambda p: _build_g2(),
-    GAMMA_G: _build_gamma_g,
-    GIRTH_2GM1: _build_girth,
-    QUADRUPLE_F3: lambda p: _build_quadruple_f3(),
-    GAMMA_2_B: _build_gamma2b,
-    EXAMPLE_5_2: lambda p: _build_example_5_2(),
-    TORUS_PAIR: lambda p: _build_torus_pair(),
-    SPHERE_CIRCLE: lambda p: _build_sphere_circle(),
+# each fixed member: the (g, b, s) and curve lengths it must have, and its
+# vertex cycles as transcribed from the source
+_FIXED = {
+    G1: ((2, 1, 3), (3, 2, 1),
+         ("f1+ f2+ f3+ f4+", "f3- f4- f5+ f2-", "f5- f6+ f1- f6-")),
+    # the genus 3 triple figure
+    GAMMA0: ((3, 1, 3), (5, 3, 2),
+             ("f1+ f2+ f3+ f4+", "f3- f5+ f6+ f7+", "f6- f8+ f9+ f4-",
+              "f7- f9- f5- f10+", "f1- f2- f10- f8-")),
+    # the genus 2 pair-with-4-discs figure
+    G2: ((2, 4, 2), (6, 6),
+         ("x6- y1+ x1+ y6-", "y1- x3+ y2+ x2-", "y2- x2+ y3+ x1-",
+          "x4+ y3- x3- y4+", "y5+ x5- y4- x6+", "y6+ x4- y5- x5+")),
+    QUADRUPLE_F3: ((3, 1, 4), (5, 3, 1, 1),
+                   ("f1+ f2+ f3+ f2-", "f3- f4+ f5+ f6+", "f6- f9- f10- f1-",
+                    "f5- f7+ f8+ f7-", "f4- f9+ f10+ f8-")),
+    EXAMPLE_5_2: ((2, 2, 3), (3, 3, 2),
+                  ("x3- y1+ x1+ y3-", "x2+ y1- x1- y2+", "z1+ x3+ z2- x2-",
+                   "z1- y3+ z2+ y2-")),
+    TORUS_PAIR: ((1, 1, 2), (1, 1), ("a+ b+ a- b-",)),
+    SPHERE_CIRCLE: ((0, 2, 1), (1,), ("a+ a-",)),
 }
 
 
+def _expected(family, p):
+    """The (g, b, s) and the curve lengths, or None where they are not
+    pinned, of the member ``family`` with parameter ``p``: the one record
+    that :func:`catalog` lists and :func:`_validated` checks."""
+    if family == GAMMA_G:
+        return (p, 1, 2 * p), None
+    if family == GIRTH_2GM1:
+        return (p, 1, 2 * p - 1), None
+    if family == GAMMA_2_B:
+        return (2, p, 2), (p + 2, p + 2)
+    return _FIXED[family][:2]
+
+
+def _gamma_g_cycles(g):
+    if g < 1:
+        raise FamilyRangeError("gamma_g needs genus g >= 1")
+    if g == 1:
+        return _FIXED[TORUS_PAIR][2]
+    cycles = ["e1+ e2+ e1- e3-"]
+    for j in range(2, 2 * g - 1):
+        cycles.append(f"e{2*j-1}+ e{2*j}+ e{2*j-2}- e{2*j+1}-")
+    # edge 4g-2 is a loop at the last vertex, as written in the source list
+    cycles.append(f"e{4*g-3}+ e{4*g-2}+ e{4*g-4}- e{4*g-2}-")
+    return cycles
+
+
+def _girth_cycles(g):
+    if g < 3:
+        raise FamilyRangeError("girth family needs genus g >= 3")
+    cycles = ["e1+ e2+ e3+ e2-", "e3- e5+ e4+ e6+"]
+    for j in range(3, 2 * g - 1):
+        cycles.append(f"e{2*j}- e{2*j+2}+ e{2*j-1}- e{2*j+1}+")
+    cycles.append(f"e{4*g-3}- e4- e{4*g-2}- e1-")
+    return cycles
+
+
+def _gamma2b_cycles(b):
+    if b < 2:
+        raise FamilyRangeError("gamma2b needs b >= 2 boundary components")
+    cycles = [f"e1+ f1+ e{b+2}- f{b+2}-"]
+    for j in range(2, b + 1):
+        cycles.append(f"e{j-1}- f{j-1}- e{j}+ f{j}+")
+    cycles.append(f"e{b}- f{b+2}+ e{b+1}+ f{b+1}-")
+    cycles.append(f"e{b+1}- f{b+1}+ e{b+2}+ f{b}-")
+    return cycles
+
+
+_PARAMETRIC_CYCLES = {GAMMA_G: _gamma_g_cycles, GIRTH_2GM1: _girth_cycles,
+                      GAMMA_2_B: _gamma2b_cycles}
+
+
 def build(family, param=None):
-    """Instantiate a family member; parametric families need ``param``.
+    """Instantiate a family member; parametric families need an int
+    ``param`` (not a bool), and the others none.
 
     Every call returns a distinct graph, so two members of one family can
     be the two operands of an operation, which rejects ``left is right``.
     The copies share the structure computed when the member was validated
     (graphs are immutable), so only the first call builds and checks it.
     """
-    if family not in _BUILDERS:
+    if family not in ALL_FAMILIES:
         raise FamilyRangeError(
             f"unknown family {family!r}; choose from {ALL_FAMILIES}")
-    if family in PARAMETRIC and param is None:
+    if family in PARAMETRIC and (isinstance(param, bool)
+                                 or not isinstance(param, int)):
         raise FamilyRangeError(
-            f"family {family!r} needs a {PARAMETRIC[family]} parameter")
+            f"family {family!r} needs an integer {PARAMETRIC[family]} "
+            f"parameter, got {param!r}")
     if family not in PARAMETRIC and param is not None:
         raise FamilyRangeError(f"family {family!r} takes no parameter")
     return _validated(family, param).__copy__()
@@ -237,10 +145,34 @@ def build(family, param=None):
 
 @lru_cache(maxsize=256)
 def _validated(family, param):
-    """The validated member, with its vertex cycles built so that every
-    copy shares them (the connected-sum selectors read them); a range
-    error is raised, not cached."""
-    graph = _BUILDERS[family](param)
+    """The member built and checked against :func:`_expected`, with its
+    vertex cycles built so that every copy shares them (the connected-sum
+    selectors read them); a range error is raised, not cached.
+
+    A wrong transcription raises :class:`FamilyValidationError`, and so
+    does a ``gamma2b`` member whose defining anchor, edge ``f{b+1}``, has
+    its two directions in two boundary components."""
+    cycles = (_FIXED[family][2] if param is None
+              else _PARAMETRIC_CYCLES[family](param))
+    graph = FatGraph.from_vertex_cycles(map(str.split, cycles))
+    name = family if param is None else f"{family}({param})"
+    triple, lengths = _expected(family, param)
+    got = graph.signature().triple
+    if got != triple:
+        raise FamilyValidationError(
+            f"{name}: built signature {got} != expected {triple}")
+    if lengths is not None:
+        got = sorted(graph.curve_lengths, reverse=True)
+        if got != sorted(lengths, reverse=True):
+            raise FamilyValidationError(
+                f"{name}: curve lengths {got} != expected {list(lengths)}")
+    if family == GAMMA_2_B:
+        comp = graph.boundary_component_of
+        d0, d1 = graph.darts_of(f"f{param+1}")
+        if comp[d0] != comp[d1]:
+            raise FamilyValidationError(
+                f"{name}: f{param+1} directions not in one boundary "
+                "component")
     graph.vertex_cycles
     return graph
 
@@ -262,19 +194,9 @@ def catalog(gmax=8, bmax=8):
     Parametric families are instantiated over the verification ranges:
     gamma_g for 1..gmax, the girth family for 3..gmax, gamma2b for 2..bmax.
     """
-    rows = [
-        CatalogRow(G1, None, (2, 1, 3), (3, 2, 1)),
-        CatalogRow(GAMMA0, None, (3, 1, 3), (5, 3, 2)),
-        CatalogRow(G2, None, (2, 4, 2), (6, 6)),
-        CatalogRow(QUADRUPLE_F3, None, (3, 1, 4), (5, 3, 1, 1)),
-        CatalogRow(EXAMPLE_5_2, None, (2, 2, 3), (3, 3, 2)),
-        CatalogRow(TORUS_PAIR, None, (1, 1, 2), (1, 1)),
-        CatalogRow(SPHERE_CIRCLE, None, (0, 2, 1), (1,)),
-    ]
-    for g in range(1, gmax + 1):
-        rows.append(CatalogRow(GAMMA_G, g, (g, 1, 2 * g), None))
-    for g in range(3, gmax + 1):
-        rows.append(CatalogRow(GIRTH_2GM1, g, (g, 1, 2 * g - 1), None))
-    for b in range(2, bmax + 1):
-        rows.append(CatalogRow(GAMMA_2_B, b, (2, b, 2), (b + 2, b + 2)))
-    return rows
+    members = [(family, None) for family in _FIXED]
+    members += [(GAMMA_G, g) for g in range(1, gmax + 1)]
+    members += [(GIRTH_2GM1, g) for g in range(3, gmax + 1)]
+    members += [(GAMMA_2_B, b) for b in range(2, bmax + 1)]
+    return [CatalogRow(family, p, *_expected(family, p))
+            for family, p in members]

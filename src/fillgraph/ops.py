@@ -307,8 +307,8 @@ def _restored(sigma0, labels):
 
     The caller proves the checks of ``FatGraph(...)``: :func:`_rewired`
     for a result it built, and :meth:`fillgraph.synthesis._Builder.reuse`
-    for a sub-plan result kept as the ``_packed`` darts and the labels of
-    a graph built before."""
+    for a ladder rung's result, kept in ``synthesis._subplans`` as the
+    ``_packed`` darts and the labels of a graph built before."""
     graph = FatGraph._built(sigma0, labels)
     known = _memo.get(_packed(graph.sigma0, graph.num_darts))
     if known is not None:

@@ -14,17 +14,17 @@ Every filling starts from a seed (a filling pair, a two-disc pair, a
 two-curve seed, a minimal filling, a triple, a tight filling or a family
 member, grown by connected sums and plumbings) that many targets share,
 and most then join a chain of tori onto it, so the plan of (g, b, s) is
-often the plan of (g, b-1, s-1) and one torus join more.  Each distinct
-seed other than a lone family step, and each prefix of a torus chain, is
-a sub-plan executed once per process, and its steps are reused by every
-later plan that needs it (:func:`_subplan`).  A seed grown from a
-smaller one of its kind, like a torus chain, is a ladder
-(:func:`_ladder`) whose rungs are made lowest first, so no genus is too
-high for the stack.  In a reused block only the result index has a graph:
-the one the sub-builder made, at the first reuse, and later a graph
-rebuilt from the darts and labels the memo keeps.  Every plan's final
-graph is still checked, and :meth:`SynthesisPlan.replay` still executes
-and checks every step.
+often the plan of (g, b-1, s-1) and one torus join more.  Every seed
+other than a lone family step is a ladder (:func:`_ladder`): it grows
+from a smaller seed of its kind, as a torus chain grows by one join, and
+each rung is a sub-plan executed once per process, kept in one table
+(``_subplans``), and reused by every later plan that needs it.  Missing
+rungs are made lowest first, so no genus is too high for the stack.  In
+a reused block only the result index has a graph: the one the rung's
+build made, at the reuse right after it, and later a graph rebuilt from
+the darts and labels the table keeps.  Every plan's final graph is still
+checked, and :meth:`SynthesisPlan.replay` still executes and checks
+every step.
 
 Builders:
 
@@ -43,7 +43,7 @@ Builders:
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from functools import lru_cache, wraps
 
 from . import families, oracle
@@ -408,7 +408,7 @@ class _Builder:
     computes for step ``i``, and :meth:`verify` checks the finished plan
     without executing it a second time.
 
-    A sub-plan (see :func:`_subplan`) is run once per process and then
+    A ladder rung (see :func:`_ladder`) is run once per process and then
     appended as a block by :meth:`reuse`; only the block's result index
     gets a graph, and its inner indices hold None, because builders read
     a sub-plan's result only."""
@@ -428,23 +428,20 @@ class _Builder:
         self.plan.verify_final(self.graphs[-1])
         return self.plan
 
-    def reuse(self, subplan):
-        """Append a sub-plan entry of :func:`_subplan`, built on an empty
-        plan: its steps, with their operand indices moved past this
-        plan's steps, and a graph of its result at the moved result
-        index; returns that index.
+    def reuse(self, entry, graph=None):
+        """Append an entry of ``_subplans``, built on an empty plan: its
+        steps, with their operand indices moved past this plan's steps,
+        and a graph of its result at the moved result index; returns that
+        index.
 
-        The first reuse of an entry takes the graph its sub-builder made,
-        with every record computed on it, and leaves the result's packed
-        darts and labels in the entry; every later one gets a new graph
-        on them, rebuilt by :func:`ops._restored`.  So two results never
-        share one object."""
-        steps, result, kept, labels = subplan
-        if labels is None:  # kept is the graph, not reused before
-            graph = kept
-            subplan[2:] = _packed(graph.sigma0, graph.num_darts), graph.labels
-        else:
-            graph = _restored(_unpacked(kept, 2 * len(labels)), labels)
+        ``graph`` is the graph the entry's build just made, with every
+        record computed on it, which :func:`_ladder` hands to the one
+        reuse right after the build; without it, the result is rebuilt
+        from the entry's packed darts and labels by
+        :func:`ops._restored`.  So two results never share one object."""
+        steps, result, darts, labels = entry
+        if graph is None:
+            graph = _restored(_unpacked(darts, 2 * len(labels)), labels)
         base = len(self.graphs)
         self.plan.steps.extend(_shifted(st, base) for st in steps)
         self.graphs.extend([None] * len(steps))
@@ -516,77 +513,59 @@ def _shifted(step, base):
     return step._replace(**moved) if moved else step
 
 
-# Fixed by measurement: a synth-grid pass needs 1,097 entries (216 seeds
+# Fixed by measurement: a synth-grid pass needs 1,099 entries (218 seeds
 # and 881 torus-chain prefixes), so this bound holds a whole pass; see
 # BENCH_21.json.
 _SUBPLAN_SIZE = 2048
 
-
-@lru_cache(maxsize=_SUBPLAN_SIZE)
-def _subplan(builder, args):
-    """Run the sub-builder ``builder(bld, *args)`` on an empty plan;
-    returns the entry ``[steps, result, darts, labels]``: its steps, the
-    plan index it returned, and the darts (packed by :func:`ops._packed`)
-    and labels of the graph there.  Until :meth:`_Builder.reuse` first
-    reads the entry, ``darts`` is that graph itself and ``labels`` None.
-
-    The memo is shared by every builder in the process, least recently
-    used first out past ``_SUBPLAN_SIZE`` entries, so each distinct seed
-    and each prefix of a torus chain is executed, with its operation
-    reports checked, once.  A sub-builder that raises stores nothing.
-    A reused entry keeps no graph: later reuses rebuild the result with
-    :func:`ops._restored`, which presets its signature, face record and
-    vertex walk from the ops memo."""
-    bld = _Builder(SynthesisPlan(target=()))
-    idx = builder(bld, *args)
-    return [tuple(bld.plan.steps), idx, bld.graphs[idx], None]
-
-
-def _seed(builder):
-    """Route the sub-builder ``builder(bld, *args)`` through
-    :func:`_subplan`, keyed by the builder and its positional arguments.
-    The sub-builder runs on an empty plan of its own, so what it builds
-    depends on its arguments alone."""
-
-    @wraps(builder)
-    def run(bld, *args):
-        return bld.reuse(_subplan(builder, args))
-    return run
+# (ladder, rung arguments) -> (steps, result, packed darts, labels) of
+# the rung built on an empty plan; least recently used first out past
+# _SUBPLAN_SIZE entries
+_subplans = OrderedDict()
 
 
 def _ladder(below):
-    """A :func:`_seed` for a sub-builder ``builder(bld, prev, *args)`` that
-    builds on the rung below it: ``below(*args)`` gives that rung's
-    arguments, or None at the foot of the ladder, and ``prev`` is the
-    plan index of its reused block, or None.  ``__wrapped__`` is the
-    sub-builder that :func:`_subplan` keys, as for :func:`_seed`.
+    """Make a sub-builder ``builder(bld, prev, *args)`` a ladder whose
+    rungs are sub-plans of ``_subplans``, each executed once per process.
+    ``below(*args)`` gives the arguments of the rung under a rung, or None
+    at the foot of the ladder; ``prev`` is the plan index of that rung's
+    reused block, or None at the foot.
 
-    Built from empty memos, a ladder of n rungs would nest n sub-builds,
-    a few frames each, past the interpreter's stack for n in the
-    hundreds.  So a call first makes the rungs below the one under its
-    own, lowest first, each of which finds the rung under it in the memo;
-    its own rung then reuses the one under it, which reuses a made one,
-    and no call nests more than two rungs deep.  A warm call probes the
-    memo once for each rung but the one just under its own."""
+    A call walks down from its own rung to the first rung in the table,
+    or past the foot, with one probe a rung, so a warm call probes once.
+    It then makes the missing rungs lowest first, each on an empty plan
+    that reuses the rung under it, so no call nests one rung in another
+    and no ladder is too long for the interpreter's stack.  A rung's entry
+    keeps its steps, its result index, and the darts (packed by
+    :func:`ops._packed`) and labels of the graph there; a sub-builder that
+    raises stores nothing, and the rungs made under it stay.  The graph a
+    rung's build made goes to the next reuse, by the rung above or by the
+    caller; every later reuse rebuilds it (:meth:`_Builder.reuse`)."""
 
     def wrap(builder):
-        def rung(bld, *args):
-            lower = below(*args)
-            prev = None if lower is None else bld.reuse(_subplan(rung, lower))
-            return builder(bld, prev, *args)
-
         @wraps(builder)
         def run(bld, *args):
-            lowers = []
-            lower = below(*args)
-            while lower is not None:
-                lowers.append(lower)
-                lower = below(*lower)
-            for lower in lowers[:0:-1]:
-                _subplan(rung, lower)
-            return bld.reuse(_subplan(rung, args))
-
-        run.__wrapped__ = rung
+            missing = []
+            key = args
+            while key is not None:
+                entry = _subplans.get((run, key))
+                if entry is not None:
+                    _subplans.move_to_end((run, key))
+                    break
+                missing.append(key)
+                key = below(*key)
+            graph = None
+            for key in reversed(missing):
+                sub = _Builder(SynthesisPlan(target=()))
+                prev = None if entry is None else sub.reuse(entry, graph)
+                idx = builder(sub, prev, *key)
+                graph = sub.graphs[idx]
+                entry = (tuple(sub.plan.steps), idx,
+                         _packed(graph.sigma0, graph.num_darts), graph.labels)
+                _subplans[run, key] = entry
+                if len(_subplans) > _SUBPLAN_SIZE:
+                    _subplans.popitem(last=False)
+            return bld.reuse(entry, graph)
         return run
     return wrap
 
@@ -598,12 +577,12 @@ _TORUS_STEP = Step("family", family=families.TORUS_PAIR)
 
 def _join_torus_chain(bld, seed, args, count):
     """Join ``count`` torus graphs onto the seed ``seed(bld, *args)``, a
-    :func:`_seed` or :func:`_ladder` builder or :meth:`_Builder.family`,
-    each along an edge with both directions in one boundary component (b
-    and s grow by one per join, genus is fixed); returns the plan index
-    of the last join.  The seed with its first k joins is the rung
-    ``(seed, args, k)`` of the ladder :func:`_torus_joined`, so a process
-    builds each prefix of a chain once, however many targets share it."""
+    :func:`_ladder` builder or :meth:`_Builder.family`, each along an edge
+    with both directions in one boundary component (b and s grow by one
+    per join, genus is fixed); returns the plan index of the last join.
+    The seed with its first k joins is the rung ``(seed, args, k)`` of the
+    ladder :func:`_torus_joined`, so a process builds each prefix of a
+    chain once, however many targets share it."""
     if not count:
         return seed(bld, *args)
     return _torus_joined(bld, seed, args, count)
@@ -764,16 +743,15 @@ def _minimal_into(bld, prev, g, s):
     return idx
 
 
-@_seed
-def _triple_into(bld, g):
-    """Minimal filling triple of genus g >= 2 via connected sums with the
-    genus 2 four-disc pair graph (parity picks the seed)."""
-    idx = bld.family(families.GAMMA0 if g % 2 else families.G1)
-    cur = 3 if g % 2 else 2
-    while cur < g:
-        gi = bld.family(families.G2)
-        idx, _ = bld.consum_reaching(idx, gi, (cur + 2, 1, 3))
-        cur += 2
+@_ladder(lambda g: (g - 2,) if g >= 4 else None)
+def _triple_into(bld, prev, g):
+    """Minimal filling triple of genus g >= 2: G1 or Gamma0 (parity picks
+    the foot), or the triple of genus g-2 connected-summed with the genus
+    2 four-disc pair graph."""
+    if prev is None:
+        return bld.family(families.GAMMA0 if g % 2 else families.G1)
+    gi = bld.family(families.G2)
+    idx, _ = bld.consum_reaching(prev, gi, (g, 1, 3))
     return idx
 
 

@@ -2,7 +2,8 @@
 reference isomorphism invariant, a reference walk for the census lookup
 of the search, a reference census witness, a reference pair search,
 the cycle walk of the tests (:func:`cycles`) and the faces, boundary
-words and curves walked with it, the surface invariants and
+words and curves walked with it, the boundary words the paper prints for
+three catalog families, the surface invariants and
 straight-ahead successor read from those cycle tuples, and the census's
 and the pair search's face screens read from the face tuples, and the
 plan text of the standard library's indenting JSON encoder; the
@@ -192,6 +193,39 @@ def face_words(graph):
     names of its darts, in word order."""
     return [tuple(graph.dart_name(d) for d in face)
             for face in face_cycles(graph)]
+
+
+def gamma_g_boundary_word(g):
+    """The single boundary word P(g) Q(g) R(g) S(g) of Gamma_g, as the
+    paper prints it, in signed labels."""
+    P = []
+    for i in range(1, g):
+        P += [f"e{4*i-1}-", f"e{4*i}+"]
+    P += [f"e{4*g-2}-"]
+    Q = [f"e{i}-" for i in range(4 * g - 4, 0, -2)] + ["e1-"]
+    R = ["e2+"]
+    for i in range(1, g):
+        R += [f"e{4*i+1}-", f"e{4*i+2}+"]
+    S = [f"e{i}+" for i in range(4 * g - 3, 0, -2)]
+    return tuple(P + Q + R + S)
+
+
+def gamma2b_boundary_words(b):
+    """The b boundary words of Gamma(2,b) as printed, as signed labels."""
+    words = [tuple([f"e1+", f"f1-", f"e{b+2}-", f"f{b}-", f"e{b-1}-",
+                    f"f{b-1}+", f"e{b}+", f"f{b+2}+"])]
+    for j in range(2, b):
+        words.append((f"e{j}+", f"f{j}-", f"e{j-1}-", f"f{j-1}+"))
+    words.append((f"f{b+2}-", f"e{b+1}+", f"f{b+1}+", f"e{b}-",
+                  f"f{b}+", f"e{b+1}-", f"f{b+1}-", f"e{b+2}+"))
+    return words
+
+
+# the two boundary words of the (2, 2, 3) example graph, as printed
+EXAMPLE_5_2_BOUNDARY_WORDS = (
+    ("x1+", "y2+", "z1-", "x3+", "y1+", "x1-", "y3-", "z2+", "x2-", "y1-"),
+    ("x2+", "z1+", "y3+", "x3-", "z2-", "y2-"),
+)
 
 
 def edges(cycle):

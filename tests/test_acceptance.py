@@ -17,12 +17,12 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from helpers import face_words
+from helpers import (EXAMPLE_5_2_BOUNDARY_WORDS, face_words,
+                     gamma2b_boundary_words, gamma_g_boundary_word)
 
 import fillgraph
 from fillgraph import cli, families, formats, oracle, verify
-from fillgraph.families import (EXAMPLE_5_2_BOUNDARY_WORDS, catalog,
-                                gamma2b_boundary_words, gamma_g_boundary_word)
+from fillgraph.families import catalog
 
 
 def report(num, text, elapsed=None):

@@ -100,6 +100,12 @@ class TestFromVertexCycles:
                                          [("a", -1), ("b", 1)]])
         assert g == FatGraph.from_vertex_cycles([["a+", "b-"], ["a-", "b+"]])
 
+    def test_labels_come_from_the_tokens_only(self):
+        # labels passed beside the tokens would be ignored, so none are
+        # taken
+        with pytest.raises(TypeError):
+            FatGraph.from_vertex_cycles(TORUS, ["x", "y"])
+
     def test_same_sign_loop_needs_tags(self):
         with pytest.raises(MalformedGraphError, match="#0"):
             FatGraph.from_vertex_cycles([["a+", "b+", "a+", "b-"]])

@@ -1,13 +1,12 @@
 import pytest
-from helpers import face_words
+from helpers import (EXAMPLE_5_2_BOUNDARY_WORDS, face_words,
+                     gamma2b_boundary_words, gamma_g_boundary_word)
 
 from fillgraph import families
 from fillgraph.core import FatGraphError, InvariantError
 from fillgraph.ops import join
-from fillgraph.families import (FamilyRangeError, build, catalog,
-                                gamma2b_boundary_words,
-                                gamma_g_boundary_word,
-                                EXAMPLE_5_2_BOUNDARY_WORDS)
+from fillgraph.families import FamilyRangeError, build, catalog
+from fillgraph.synthesis import Step, SynthesisPlan
 
 
 def rotations(word):
@@ -124,6 +123,39 @@ class TestFixedGraphs:
             build(families.GAMMA_G)
         with pytest.raises(FamilyRangeError):
             build(families.G1, 3)
+
+
+class TestExpectedRecord:
+    @pytest.mark.parametrize("family, param", [
+        (families.G1, None), (families.GAMMA_2_B, 3)])
+    @pytest.mark.parametrize("record, match", [
+        (lambda triple, lengths: ((9,) + triple[1:], lengths), "signature"),
+        (lambda triple, lengths: (triple, (1,) * 9), "curve lengths")])
+    def test_build_that_misses_its_record_raises(self, monkeypatch, family,
+                                                 param, record, match):
+        # the one record that catalog() lists is what each build must meet
+        expected = families._expected
+        monkeypatch.setattr(families, "_expected",
+                            lambda f, p: record(*expected(f, p)))
+        with pytest.raises(families.FamilyValidationError, match=match):
+            families._validated.__wrapped__(family, param)
+
+
+class TestParameterType:
+    @pytest.mark.parametrize("family, param", [
+        (families.GAMMA_G, 2.5), (families.GAMMA_2_B, 2.0),
+        (families.GIRTH_2GM1, "3"), (families.GAMMA_G, True),
+        (families.GAMMA_2_B, False)])
+    def test_non_int_parameter_is_a_range_error(self, family, param):
+        # a bool is an int to Python, yet True would build genus 1
+        with pytest.raises(FamilyRangeError, match="needs an integer"):
+            build(family, param)
+
+    def test_replay_of_a_non_int_parameter(self):
+        plan = SynthesisPlan(target=(2, 1, 4), steps=[
+            Step("family", family=families.GAMMA_G, param=2.5)])
+        with pytest.raises(FamilyRangeError):
+            plan.replay()
 
 
 class TestBuildCopies:

@@ -1,6 +1,6 @@
 import hashlib
 import sys
-from functools import lru_cache
+from collections import OrderedDict
 
 import pytest
 from helpers import (dumbbells, first_matching_graph, full_scan_code,
@@ -338,17 +338,33 @@ class TestPlans:
             SynthesisPlan(target=(2, 1, 3)).replay()
 
 
-def _empty_memo():
-    return lru_cache(maxsize=synthesis._subplan.cache_info().maxsize)(
-        synthesis._subplan.__wrapped__)
+class _Table(OrderedDict):
+    """A sub-plan table that counts its probes (``get`` calls), the probes
+    that find an entry, and the entries stored."""
+
+    probes = hits = stores = 0
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        self.probes += 1
+        self.hits += entry is not None
+        return entry
+
+    def __setitem__(self, key, entry):
+        self.stores += 1
+        super().__setitem__(key, entry)
+
+    def clear(self):
+        super().clear()
+        self.probes = self.hits = self.stores = 0
 
 
 @pytest.fixture
 def memo(monkeypatch):
-    """An empty sub-plan memo for one test; the process memo comes back
+    """An empty sub-plan table for one test; the process table comes back
     afterwards."""
-    fresh = _empty_memo()
-    monkeypatch.setattr(synthesis, "_subplan", fresh)
+    fresh = _Table()
+    monkeypatch.setattr(synthesis, "_subplans", fresh)
     return fresh
 
 
@@ -356,46 +372,56 @@ MEMO_GRID = list(grid_targets(6, 4, 5))
 
 
 def _cold_text(build, *args):
-    """The plan text of ``build(*args)`` from an empty sub-plan memo."""
+    """The plan text of ``build(*args)`` from an empty sub-plan table."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(synthesis, "_subplan", _empty_memo())
+        m.setattr(synthesis, "_subplans", _Table())
         return formats.dumps_plan(build(*args))
 
 
 @pytest.fixture(scope="module")
 def cold_texts():
     """The plan text of every MEMO_GRID target, each built from an empty
-    memo."""
+    table."""
     return {(build, args): _cold_text(build, *args)
             for build, args in MEMO_GRID}
 
 
-def _torus_seed(bld, i):
-    """A cheap sub-builder: each ``i`` keys an entry of its own."""
+@synthesis._ladder(lambda i: None)
+def _torus_seed(bld, prev, i):
+    """A cheap one-rung ladder: each ``i`` keys an entry of its own."""
     return bld.family(families.TORUS_PAIR)
+
+
+def _chain_key(joins):
+    """The key of the chain of ``joins`` torus joins on the (2, 2, 3)
+    example graph, the chain of ``filling(2, b, b + 1)``."""
+    return synthesis._torus_joined, (
+        synthesis._Builder.family, (families.EXAMPLE_5_2, None), joins)
 
 
 class TestSubplanMemo:
     def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
-        # the grid has 83 distinct seed sub-plans and 119 distinct
+        # the grid has 85 distinct seed sub-plans and 119 distinct
         # torus-chain prefixes (a chain on a family member starts from a
-        # plain family step, no sub-plan); from an empty memo each is
-        # built once, in either order, and a warm pass builds none
+        # plain family step, no sub-plan); from an empty table each is
+        # built once, in either order, and a warm pass builds none and
+        # probes the table once a ladder call
         for order in (MEMO_GRID, MEMO_GRID[::-1]):
-            memo.cache_clear()
+            memo.clear()
             for build, args in order:
                 text = formats.dumps_plan(build(*args))
                 assert text == cold_texts[build, args], (build, args)
-            assert memo.cache_info().misses == memo.cache_info().currsize
-            assert memo.cache_info().currsize == 83 + 119
+            assert memo.stores == len(memo) == 85 + 119
+            memo.probes = memo.hits = 0
             for build, args in order:
                 build(*args)
-            assert memo.cache_info().misses == 83 + 119
+            assert memo.stores == 85 + 119
+            assert memo.hits == memo.probes <= len(order)
 
     def test_hit_is_a_copy_and_replays(self, memo):
         minimal_filling(5, 2)
-        _, _, darts, labels = memo(synthesis._pair_into.__wrapped__, (5,))
-        hits = memo.cache_info().hits
+        _, _, darts, labels = memo[synthesis._pair_into, (5,)]
+        hits = memo.hits
         restored = []
         for _ in range(2):
             plan = SynthesisPlan(target=(5, 1, 2))
@@ -404,7 +430,7 @@ class TestSubplanMemo:
             idx = synthesis._pair_into(bld, 5)
             assert idx == len(plan.steps) - 1
             restored.append(bld.graphs[idx])
-        assert memo.cache_info().hits == hits + 2
+        assert memo.hits == hits + 2
         first, second = restored
         assert first.sigma0 == tuple(darts) and first.labels == labels
         assert first == second and first is not second
@@ -423,9 +449,9 @@ class TestSubplanMemo:
             bld = synthesis._Builder(SynthesisPlan(target=(5, 1, 2)))
             graphs.append(bld.graphs[synthesis._pair_into(bld, 5)])
         built, rebuilt = graphs
-        entry = memo(synthesis._pair_into.__wrapped__, (5,))
-        assert entry[2:] == [ops._packed(built.sigma0, built.num_darts),
-                             built.labels]
+        entry = memo[synthesis._pair_into, (5,)]
+        assert entry[2:] == (ops._packed(built.sigma0, built.num_darts),
+                             built.labels)
         # the built graph keeps what its connected sum computed on it
         assert "_curve_orbits" in built.__dict__
         assert "_curve_orbits" not in rebuilt.__dict__
@@ -435,16 +461,17 @@ class TestSubplanMemo:
         for _ in range(2):
             bld = synthesis._Builder(SynthesisPlan(target=(4, 2, 2)))
             synthesis._two_disc_pair_into(bld, 4, True)
-        assert memo.cache_info().misses == 2  # (4, True) and (2, False)
-        assert memo.cache_info().hits == 1
+        assert list(memo) == [(synthesis._two_disc_pair_into, (2, False)),
+                              (synthesis._two_disc_pair_into, (4, True))]
+        assert memo.stores == 2 and memo.hits == 1 and memo.probes == 3
 
     def test_raising_subplan_stores_nothing(self, memo):
         bld = synthesis._Builder(SynthesisPlan(target=(2, 1, 2)))
         for _ in range(2):
             with pytest.raises(ImpossibleSignatureError):
                 synthesis._pair_into(bld, 2)
-        assert memo.cache_info().currsize == 0
-        assert memo.cache_info().misses == 2
+        assert len(memo) == memo.stores == 0
+        assert memo.probes == 2
 
     def test_failed_outer_subplan_keeps_inner_ones(self, memo, monkeypatch,
                                                    cold_texts):
@@ -456,27 +483,34 @@ class TestSubplanMemo:
             m.setattr(synthesis, "plumbing", broken)
             with pytest.raises(OperationError):
                 minimal_filling(4, 4)
-        assert memo.cache_info().currsize == 2
+        assert list(memo) == [(synthesis._pair_into, (3,)),
+                              (synthesis._minimal_into, (3, 2))]
         text = formats.dumps_plan(minimal_filling(4, 4))
         assert text == cold_texts[filling, (4, 1, 4)]
 
     def test_evicts_past_the_bound(self, memo, cold_texts):
         bound = synthesis._SUBPLAN_SIZE
-        assert memo.cache_info().maxsize == bound == 2048
+        assert bound == 2048
         for build, args in MEMO_GRID:
             build(*args)
-        # cheap entries push out every grid entry and the first filler
+        # cheap entries push out every grid entry and the first three
+        # fillers, least recently used first
+        bld = synthesis._Builder(SynthesisPlan(target=(1, 1, 2)))
         for i in range(bound + 3):
-            bld = synthesis._Builder(SynthesisPlan(target=(1, 1, 2)))
-            synthesis._seed(_torus_seed)(bld, i)
-        assert memo.cache_info().currsize == bound
-        misses = memo.cache_info().misses
-        memo(_torus_seed, (0,))
-        assert memo.cache_info().misses == misses + 1
+            _torus_seed(bld, i)
+        assert len(memo) == bound
+        assert all(key[0] is _torus_seed for key in memo)
+        assert (_torus_seed, (2,)) not in memo
+        _torus_seed(bld, 3)  # a hit makes filler 3 the most recent
+        stores = memo.stores
+        _torus_seed(bld, 0)
+        assert memo.stores == stores + 1
+        assert (_torus_seed, (3,)) in memo
+        assert (_torus_seed, (4,)) not in memo
         for build, args in MEMO_GRID:
             text = formats.dumps_plan(build(*args))
             assert text == cold_texts[build, args], (build, args)
-        assert memo.cache_info().currsize == bound
+        assert len(memo) == bound
 
     @pytest.mark.parametrize("build, short, long", [
         (filling, (3, 2, 5), (3, 4, 7)),  # minimal (3, 4) seed
@@ -490,7 +524,7 @@ class TestSubplanMemo:
         # a chain and a longer one on the same seed share their prefix
         cold = {args: _cold_text(build, *args) for args in (short, long)}
         for order in ((short, long), (long, short)):
-            memo.cache_clear()
+            memo.clear()
             plans = {args: build(*args) for args in order}
             for args in order:
                 assert formats.dumps_plan(plans[args]) == cold[args], args
@@ -522,36 +556,51 @@ class TestSubplanMemo:
         entries = joins + (seed is not synthesis._Builder.family)
         plan = build(*args)  # verifies its final graph
         assert len(plan.steps) == 1 + 2 * joins  # one family seed step
-        assert memo.cache_info().misses == memo.cache_info().currsize \
-            == entries
-        *_, darts, labels = memo(synthesis._torus_joined.__wrapped__,
-                                 (seed, seed_args, joins))
-        assert memo.cache_info().misses == entries
+        assert memo.stores == len(memo) == entries
+        *_, darts, labels = memo[synthesis._torus_joined,
+                                 (seed, seed_args, joins)]
         n = 2 * len(labels)
         assert isinstance(darts, bytes) and len(darts) == 2 * n > 512
         assert sorted(ops._unpacked(darts, n)) == list(range(n))
 
-    def test_long_chain_probes_the_memo_about_twice_a_join(self, memo):
-        # each chain prefix is made from the one before it with one probe,
-        # so from empty memos the 298 joins of this plan cost fewer than
-        # 600 probes (44,253 hits for 299 misses when each prefix probed
-        # every shorter one); the plan text is the one those probes built
+    def test_long_chain_probes_the_table_once_a_join(self, memo):
+        # a cold chain probes each prefix once on its way down, and makes
+        # each from the one below it with no further probe: 298 probes
+        # for the 298 joins of this plan; the plan text is the one those
+        # probes built
         text = formats.dumps_plan(filling(2, 300, 301))
-        info = memo.cache_info()
-        assert info.misses == 298 and info.hits + info.misses < 2 * 300
+        assert memo.probes == memo.stores == 298 and memo.hits == 0
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1bb4ad8395720463761fc7efa4db085b3c3a6a404dec0d0b263b1d9eb52bd459")
+
+    def test_warm_ladder_probes_once(self, memo):
+        # the walk down from a warm rung stops at its first probe
+        cold = formats.dumps_plan(filling(2, 300, 301))
+        memo.probes = memo.hits = 0
+        assert formats.dumps_plan(filling(2, 300, 301)) == cold
+        assert memo.probes == memo.hits == 1
+        assert memo.stores == 298
+
+    def test_missing_middle_rung_rebuilds_the_same_text(self, memo):
+        # a call whose rung is gone makes it again from the rung under it,
+        # and a rung above the gap still reuses its own entry
+        cold = {b: _cold_text(filling, 2, b, b + 1) for b in (11, 20)}
+        filling(2, 20, 21)
+        del memo[_chain_key(9)]
+        stores = memo.stores
+        for b in (20, 11):
+            assert formats.dumps_plan(filling(2, b, b + 1)) == cold[b], b
+        assert memo.stores == stores + 1 and _chain_key(9) in memo
 
     def test_cold_ladder_past_the_recursion_limit(self, memo):
         # the pair seed of genus 661 is a ladder of 330 rungs (genus 3, 5,
         # ..., 661), deeper than the default recursion limit when each
         # rung nests the build of the one below; made lowest first, each
-        # rung is built once and no build nests more than two rungs
+        # rung is built once and no build nests one rung in another
         assert sys.getrecursionlimit() <= 1000
         plan = filling(661, 1, 2)  # verifies its final graph
         assert len(plan.steps) == 1 + 2 * 329
-        assert memo.cache_info().misses == memo.cache_info().currsize \
-            == 330 + 1  # the rungs and the minimal (661, 2) seed
+        assert memo.stores == len(memo) == 330 + 1  # and minimal (661, 2)
 
 
 class TestConsumReaching:
