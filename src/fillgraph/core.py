@@ -307,6 +307,29 @@ def _rooted_walk(sigma0, sigma1, root, code=None):
     return order, out
 
 
+def _packed(numbers, bound):
+    """The tuple ``numbers``, each below ``bound``, as bytes: one byte a
+    number when ``bound`` is at most 256, two (in the machine's order) up
+    to 65,536, and beyond that the tuple itself.  :func:`_unpacked` reads
+    it back."""
+    if bound <= 256:
+        return bytes(numbers)
+    if bound <= 65536:
+        # imported here: no graph of the benchmarks or of a plain start
+        # reaches 256 darts, and loading the module costs start-up time
+        from array import array
+        return array("H", numbers).tobytes()
+    return numbers
+
+
+def _unpacked(packed, bound):
+    """The tuple of numbers below ``bound`` that :func:`_packed` made."""
+    if 256 < bound <= 65536:
+        from array import array
+        return tuple(array("H", packed))
+    return tuple(packed)
+
+
 class FatGraph:
     """Immutable fat graph; construct via :meth:`from_vertex_cycles`."""
 
@@ -352,10 +375,10 @@ class FatGraph:
           :func:`fillgraph.ops._rewired`, which builds every surgery
           result, raising :class:`InvariantError` wherever a step of its
           proof fails, and by :meth:`fillgraph.synthesis._Builder.reuse`,
-          which rebuilds a ladder rung's result from the darts and labels
-          that ``synthesis._subplans`` keeps of a graph built before; it
-          then presets the signature, face record and vertex walk of a
-          ``sigma0`` found in the ops memo;
+          which rebuilds a chain rung's result from the key (the packed
+          darts) and labels that ``synthesis._subplans`` keeps of a graph
+          built before; it then presets the key, and the signature, face
+          record and vertex walk of a ``sigma0`` found in the ops memo;
         * :meth:`shuffled`, whose result conjugates ``sigma0`` by a dart
           bijection and permutes the labels of this graph."""
         graph = object.__new__(cls)
@@ -460,6 +483,14 @@ class FatGraph:
     def vertex_of(self):
         """dart -> index into vertex_cycles, by :func:`_orbit_labels`."""
         return tuple(_orbit_labels(self._sigma0)[1])
+
+    @_cached
+    def _key(self):
+        """``sigma0`` packed by :func:`_packed`: the key of the rotation's
+        entry in the ops memo, and the darts a synthesis sub-plan keeps of
+        its result.  :func:`fillgraph.ops._restored` presets it when its
+        caller has packed it already."""
+        return _packed(self._sigma0, len(self._sigma0))
 
     @_cached
     def _walk(self):

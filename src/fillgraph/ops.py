@@ -20,7 +20,8 @@ Plans repeat their surgeries, so ``_memo`` keeps the analysis of the last
 ``_MEMO_SIZE`` distinct surgery results, keyed by ``sigma0``: the
 signature, the face record, the vertex walk and, once a plan has checked
 it, the filling verdict, all functions of ``sigma0`` alone, with the key
-and the face labels packed into bytes.  An op remembers a result once it
+and the face labels packed into bytes; a graph packs its key once
+(:attr:`FatGraph._key`).  An op remembers a result once it
 has read the result's signature (:func:`_recomputed`), and
 :func:`_restored` presets the first three records on a later result with
 the same ``sigma0``, and on a synthesis sub-plan result rebuilt from its
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 
 from .core import (FatGraph, FatGraphError, InvariantError, _face_successor,
-                   _orbit_labels)
+                   _orbit_labels, _packed, _unpacked)
 
 
 class OperationError(FatGraphError):
@@ -131,33 +132,11 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
 # Fixed by measurement: a synth-grid pass makes 1,027 distinct surgery
 # results (seed 7), so this bound holds a whole pass; see BENCH_20.json.
 _MEMO_SIZE = 2048
-# key of sigma0 -> (signature, face starts, face labels, vertex walk,
-# filling verdict), the key and the face labels packed by _packed, the
-# verdict None until _filling_verdict puts it in; oldest entry first
+# key of sigma0 (FatGraph._key) -> (signature, face starts, face labels,
+# vertex walk, filling verdict), the key and the face labels packed by
+# _packed, the verdict None until _filling_verdict puts it in; oldest
+# entry first
 _memo: OrderedDict = OrderedDict()
-
-
-def _packed(numbers, bound):
-    """The tuple ``numbers``, each below ``bound``, as bytes: one byte a
-    number when ``bound`` is at most 256, two (in the machine's order) up
-    to 65,536, and beyond that the tuple itself.  :func:`_unpacked` reads
-    it back."""
-    if bound <= 256:
-        return bytes(numbers)
-    if bound <= 65536:
-        # imported here: no graph of the benchmarks or of a plain start
-        # reaches 256 darts, and loading the module costs start-up time
-        from array import array
-        return array("H", numbers).tobytes()
-    return numbers
-
-
-def _unpacked(packed, bound):
-    """The tuple of numbers below ``bound`` that :func:`_packed` made."""
-    if 256 < bound <= 65536:
-        from array import array
-        return tuple(array("H", packed))
-    return tuple(packed)
 
 
 def _recomputed(result):
@@ -170,7 +149,7 @@ def _recomputed(result):
         if len(_memo) >= _MEMO_SIZE:
             _memo.popitem(last=False)
         starts, faces = result._face_orbits
-        _memo[_packed(result.sigma0, result.num_darts)] = (
+        _memo[result._key] = (
             signature, starts, _packed(faces, len(starts)), result._walk,
             None)
     return result._signature
@@ -187,7 +166,7 @@ def _filling_verdict(graph):
     puts the answer in the entry, which keeps its place in the memo, and
     every later one reads it there.  A graph without an entry is checked
     on every call, and gets none."""
-    key = _packed(graph.sigma0, graph.num_darts)
+    key = graph._key
     entry = _memo.get(key)
     if entry is not None and entry[4] is not None:
         return entry[4]
@@ -298,19 +277,24 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     return _restored(sigma0, labels)
 
 
-def _restored(sigma0, labels):
+def _restored(sigma0, labels, key=None):
     """The graph on ``sigma0`` and ``labels``, built by
-    :meth:`FatGraph._built`, with the signature, face record (the labels
-    unpacked into a tuple) and vertex walk of ``sigma0`` preset from
-    ``_memo`` when an earlier result on it was analysed; every other
-    structure stays lazy, and the filling verdict stays in the entry.
+    :meth:`FatGraph._built`, with its memo key (``key`` when the caller
+    has ``sigma0`` packed already) and, when an earlier result on
+    ``sigma0`` was analysed, the signature, face record (the labels
+    unpacked into a tuple) and vertex walk preset from ``_memo``; every
+    other structure stays lazy, and the filling verdict stays in the
+    entry.  The key packed here is the one :func:`_recomputed` and
+    :func:`_filling_verdict` read, and the one a synthesis sub-plan keeps.
 
     The caller proves the checks of ``FatGraph(...)``: :func:`_rewired`
     for a result it built, and :meth:`fillgraph.synthesis._Builder.reuse`
-    for a ladder rung's result, kept in ``synthesis._subplans`` as the
-    ``_packed`` darts and the labels of a graph built before."""
+    for a sub-plan's result, kept in ``synthesis._subplans`` as the key
+    and the labels of a graph built before."""
     graph = FatGraph._built(sigma0, labels)
-    known = _memo.get(_packed(graph.sigma0, graph.num_darts))
+    if key is not None:
+        graph._key = key
+    known = _memo.get(graph._key)
     if known is not None:
         graph._signature, starts, faces, graph._walk, _ = known
         graph._face_orbits = starts, _unpacked(faces, len(starts))

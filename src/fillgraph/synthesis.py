@@ -10,21 +10,23 @@ expectations, so a wrong plan cannot silently produce a wrong graph.  A
 builder records each step and then executes it once; its graphs are the
 replayed graphs, so the plan it returns is verified without a second run.
 
-Every filling starts from a seed (a filling pair, a two-disc pair, a
-two-curve seed, a minimal filling, a triple, a tight filling or a family
-member, grown by connected sums and plumbings) that many targets share,
-and most then join a chain of tori onto it, so the plan of (g, b, s) is
-often the plan of (g, b-1, s-1) and one torus join more.  Every seed
-other than a lone family step is a ladder (:func:`_ladder`): it grows
-from a smaller seed of its kind, as a torus chain grows by one join, and
-each rung is a sub-plan executed once per process, kept in one table
-(``_subplans``), and reused by every later plan that needs it.  Missing
-rungs are made lowest first, so no genus is too high for the stack.  In
-a reused block only the result index has a graph: the one the rung's
-build made, at the reuse right after it, and later a graph rebuilt from
-the darts and labels the table keeps.  Every plan's final graph is still
-checked, and :meth:`SynthesisPlan.replay` still executes and checks
-every step.
+Every filling starts from a seed and grows by repeating one of three
+moves, as in the paper's existence proof: a torus join (b and s grow by
+one), a torus plumbing (g by one, s by two) and a connected sum with the
+genus 2 graph G2 (g by two).  A pair, two-curve or triple seed is G2
+summed onto a foot of genus 2, 3 or 4; a minimal or tight filling is
+torus plumbings onto a foot; and most targets then join a chain of tori
+onto a minimal or two-curve seed, so the plan of (g, b, s) is often the
+plan of (g, b-1, s-1) and one torus join more.  Each is one chain
+(:func:`_chain`): a seed and a number of runs of one move, whose every
+rung is a sub-plan executed once per process, kept in one table
+(``_subplans``), and reused by every later plan that needs it, so plans
+that coincide share their rungs.  Missing rungs are made lowest first,
+so no genus is too high for the stack.  In a reused block only the
+result index has a graph: the one the rung's build made, at the reuse
+right after it, and later a graph rebuilt from the key and labels the
+table keeps.  Every plan's final graph is still checked, and
+:meth:`SynthesisPlan.replay` still executes and checks every step.
 
 Builders:
 
@@ -44,14 +46,13 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, namedtuple
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import (OperationReport, _filling_verdict, _packed, _restored,
-                  _unpacked, connected_sum, join, plumbing,
-                  predict_connected_sum)
+from .ops import (OperationReport, _filling_verdict, _restored, _unpacked,
+                  connected_sum, join, plumbing, predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -381,18 +382,12 @@ def _face_screen(sigma0, b):
     return faces == b
 
 
-def _same_boundary_edge(g: FatGraph):
-    comp = g.boundary_component_of
-    for k, nm in enumerate(g.labels):
-        if comp[2 * k] == comp[2 * k + 1]:
-            return nm
-    return None
-
-
-def _diff_boundary_edge(g: FatGraph):
-    comp = g.boundary_component_of
-    for k, nm in enumerate(g.labels):
-        if comp[2 * k] != comp[2 * k + 1]:
+def _boundary_edge(graph: FatGraph, same):
+    """The first edge whose two directions lie in one boundary component
+    (``same``) or in two (not ``same``), or None."""
+    comp = graph.boundary_component_of
+    for k, nm in enumerate(graph.labels):
+        if (comp[2 * k] == comp[2 * k + 1]) == same:
             return nm
     return None
 
@@ -408,7 +403,7 @@ class _Builder:
     computes for step ``i``, and :meth:`verify` checks the finished plan
     without executing it a second time.
 
-    A ladder rung (see :func:`_ladder`) is run once per process and then
+    A chain rung (see :func:`_chain`) is run once per process and then
     appended as a block by :meth:`reuse`; only the block's result index
     gets a graph, and its inner indices hold None, because builders read
     a sub-plan's result only."""
@@ -435,13 +430,13 @@ class _Builder:
         index.
 
         ``graph`` is the graph the entry's build just made, with every
-        record computed on it, which :func:`_ladder` hands to the one
+        record computed on it, which :func:`_chain` hands to the one
         reuse right after the build; without it, the result is rebuilt
-        from the entry's packed darts and labels by
+        from the entry's key (the packed darts) and labels by
         :func:`ops._restored`.  So two results never share one object."""
-        steps, result, darts, labels = entry
+        steps, result, key, labels = entry
         if graph is None:
-            graph = _restored(_unpacked(darts, 2 * len(labels)), labels)
+            graph = _restored(_unpacked(key, 2 * len(labels)), labels, key)
         base = len(self.graphs)
         self.plan.steps.extend(_shifted(st, base) for st in steps)
         self.graphs.extend([None] * len(steps))
@@ -513,158 +508,200 @@ def _shifted(step, base):
     return step._replace(**moved) if moved else step
 
 
-# Fixed by measurement: a synth-grid pass needs 1,099 entries (218 seeds
-# and 881 torus-chain prefixes), so this bound holds a whole pass; see
-# BENCH_21.json.
+# Fixed by measurement: a synth-grid pass needs 1,018 entries, so this
+# bound holds a whole pass; see BENCH_27.json.
 _SUBPLAN_SIZE = 2048
 
-# (ladder, rung arguments) -> (steps, result, packed darts, labels) of
-# the rung built on an empty plan; least recently used first out past
-# _SUBPLAN_SIZE entries
+# (move, seed, seed arguments, moves) -> (steps, result, key, labels) of
+# the chain rung built on an empty plan, the key and labels those of its
+# result graph; least recently used first out past _SUBPLAN_SIZE entries
 _subplans = OrderedDict()
 
 
-def _ladder(below):
-    """Make a sub-builder ``builder(bld, prev, *args)`` a ladder whose
-    rungs are sub-plans of ``_subplans``, each executed once per process.
-    ``below(*args)`` gives the arguments of the rung under a rung, or None
-    at the foot of the ladder; ``prev`` is the plan index of that rung's
-    reused block, or None at the foot.
+def _chain(bld, move, seed, args, count):
+    """``seed(bld, *args)`` followed by ``count`` runs of ``move(bld,
+    prev)``, each on the plan index the one before returned; returns the
+    plan index of the last.
 
-    A call walks down from its own rung to the first rung in the table,
-    or past the foot, with one probe a rung, so a warm call probes once.
-    It then makes the missing rungs lowest first, each on an empty plan
-    that reuses the rung under it, so no call nests one rung in another
-    and no ladder is too long for the interpreter's stack.  A rung's entry
-    keeps its steps, its result index, and the darts (packed by
-    :func:`ops._packed`) and labels of the graph there; a sub-builder that
+    Rung k >= 1 of the chain, the seed and its first k moves, is a
+    sub-plan of ``_subplans`` under the key ``(move, seed, args, k)``,
+    executed once per process; with no move the chain is the seed itself,
+    and is no sub-plan.  A call walks down from its own rung to the first
+    rung in the table, one probe a rung, so a warm call probes once.  It
+    then makes the missing rungs lowest first, each on an empty plan that
+    runs the seed (rung 1) or reuses the rung under it, so no call nests
+    one rung in another and no chain is too long for the interpreter's
+    stack; a seed that is a chain itself keeps its rungs under its own
+    keys.  A rung's entry keeps its steps, its result index, and the key
+    (:attr:`FatGraph._key`) and labels of the graph there; a move that
     raises stores nothing, and the rungs made under it stay.  The graph a
     rung's build made goes to the next reuse, by the rung above or by the
     caller; every later reuse rebuilds it (:meth:`_Builder.reuse`)."""
-
-    def wrap(builder):
-        @wraps(builder)
-        def run(bld, *args):
-            missing = []
-            key = args
-            while key is not None:
-                entry = _subplans.get((run, key))
-                if entry is not None:
-                    _subplans.move_to_end((run, key))
-                    break
-                missing.append(key)
-                key = below(*key)
-            graph = None
-            for key in reversed(missing):
-                sub = _Builder(SynthesisPlan(target=()))
-                prev = None if entry is None else sub.reuse(entry, graph)
-                idx = builder(sub, prev, *key)
-                graph = sub.graphs[idx]
-                entry = (tuple(sub.plan.steps), idx,
-                         _packed(graph.sigma0, graph.num_darts), graph.labels)
-                _subplans[run, key] = entry
-                if len(_subplans) > _SUBPLAN_SIZE:
-                    _subplans.popitem(last=False)
-            return bld.reuse(entry, graph)
-        return run
-    return wrap
+    if not count:
+        return seed(bld, *args)
+    missing = []
+    for k in range(count, 0, -1):
+        entry = _subplans.get((move, seed, args, k))
+        if entry is not None:
+            _subplans.move_to_end((move, seed, args, k))
+            break
+        missing.append(k)
+    graph = None
+    for k in reversed(missing):
+        sub = _Builder(SynthesisPlan(target=()))
+        prev = seed(sub, *args) if k == 1 else sub.reuse(entry, graph)
+        idx = move(sub, prev)
+        graph = sub.graphs[idx]
+        entry = (tuple(sub.plan.steps), idx, graph._key, graph.labels)
+        _subplans[move, seed, args, k] = entry
+        if len(_subplans) > _SUBPLAN_SIZE:
+            _subplans.popitem(last=False)
+    return bld.reuse(entry, graph)
 
 
-# the torus family step of every chain join: one object that every chain
-# sub-plan shares
+# ---------------------------------------------------------------------------
+# the three moves
+
+
+# the torus family step of every torus join and plumbing: one object that
+# every chain sub-plan shares
 _TORUS_STEP = Step("family", family=families.TORUS_PAIR)
 
 
-def _join_torus_chain(bld, seed, args, count):
-    """Join ``count`` torus graphs onto the seed ``seed(bld, *args)``, a
-    :func:`_ladder` builder or :meth:`_Builder.family`, each along an edge
-    with both directions in one boundary component (b and s grow by one
-    per join, genus is fixed); returns the plan index of the last join.
-    The seed with its first k joins is the rung ``(seed, args, k)`` of the
-    ladder :func:`_torus_joined`, so a process builds each prefix of a
-    chain once, however many targets share it."""
-    if not count:
-        return seed(bld, *args)
-    return _torus_joined(bld, seed, args, count)
-
-
-@_ladder(lambda seed, args, count:
-         (seed, args, count - 1) if count > 1 else None)
-def _torus_joined(bld, prev, seed, args, count):
-    """The seed ``seed(bld, *args)`` with ``count >= 1`` torus joins: the
-    chain with ``count - 1`` joins, one torus family step and one
-    SAME/SAME join."""
-    idx = seed(bld, *args) if prev is None else prev
-    x = _same_boundary_edge(bld.graphs[idx])
+def _join_torus(bld, prev):
+    """Join a torus onto ``prev`` along its first edge with both
+    directions in one boundary component: b and s grow by one, g stays."""
+    x = _boundary_edge(bld.graphs[prev], True)
     if x is None:
         raise SynthesisError(
             "no edge with both directions in one boundary component; "
             "the join construction guarantees one, so this is a bug")
-    idx, rep = bld.join(idx, bld.run(_TORUS_STEP), x, "a")
+    idx, rep = bld.join(prev, bld.run(_TORUS_STEP), x, "a")
     if rep.case != "SAME/SAME":
         raise PlanVerificationError(
             f"torus join expected case SAME/SAME, got {rep.case}")
     return idx
 
 
+def _plumb_torus(bld, prev):
+    """Plumb a torus onto ``prev`` at its first edge: g grows by one and s
+    by two, b stays, and the extremal crossing pair is untouched."""
+    idx, _ = bld.plumb(prev, bld.run(_TORUS_STEP), bld.graphs[prev].labels[0],
+                       "a")
+    return idx
+
+
+def _sum_g2(bld, prev, require=None):
+    """The first connected sum of ``prev`` with the genus 2 four-disc pair
+    graph G2 that reaches genus g+2 with the same b and s (and satisfies
+    ``require``)."""
+    g, b, s = bld.graphs[prev].signature().triple
+    idx, _ = bld.consum_reaching(prev, bld.family(families.G2), (g + 2, b, s),
+                                 require)
+    return idx
+
+
+def _sum_g2_same(bld, prev):
+    """:func:`_sum_g2` keeping an edge inside one boundary component."""
+    return _sum_g2(bld, prev, lambda graph: _boundary_edge(graph, True))
+
+
+def _sum_g2_diff(bld, prev):
+    """:func:`_sum_g2` keeping an edge between two boundary components."""
+    return _sum_g2(bld, prev, lambda graph: _boundary_edge(graph, False))
+
+
 # ---------------------------------------------------------------------------
-# pair plans (replacing the cited external pair constructions by search
-# plus within-catalog composition, verified at every step)
+# seeds (the pair foot replaces the cited external pair constructions by
+# search, verified at every step)
 
 
-@_ladder(lambda g: (g - 2,) if g >= 5 else None)
-def _pair_into(bld, prev, g):
-    """Minimal filling pair of genus g: plan index of a (g, 1, 2) graph."""
-    if g == 1:
-        return bld.family(families.TORUS_PAIR)
+def _pair(bld, g):
+    """Minimal filling pair of genus g: a (g, 1, 2) graph, G2 summed onto
+    the searched pair of genus 3 or 4."""
+    k = max(0, (g - 3) // 2)
+    return _chain(bld, _sum_g2, _pair_foot, (g - 2 * k,), k)
+
+
+def _pair_foot(bld, g):
+    """The minimal filling pair of genus 3 or 4, searched; none of genus
+    2."""
     if g == 2:
         raise ImpossibleSignatureError(
             "no minimal filling pair of a closed surface of genus 2")
-    if g in (3, 4):
-        V = 2 * g - 1
-        res = search_filling(V, (g, 1, 2))
-        if not res.found:
-            raise SynthesisError(f"no filling pair found at V={V}")
-        return bld.literal(res.graph)
-    gi = bld.family(families.G2)
-    idx, _ = bld.consum_reaching(prev, gi, (g, 1, 2))
-    return idx
+    V = 2 * g - 1
+    res = search_filling(V, (g, 1, 2))
+    if not res.found:
+        raise SynthesisError(f"no filling pair found at V={V}")
+    return bld.literal(res.graph)
 
 
-@_ladder(lambda g, need_diff_edge: (g - 2, False) if g >= 4 else None)
-def _two_disc_pair_into(bld, prev, g, need_diff_edge):
-    """(g, 2, 2) filling pair with two complementary discs, g >= 2."""
-    if g < 2:
-        raise SynthesisRangeError("two-disc pairs start at genus 2")
-    require = _diff_boundary_edge if need_diff_edge else None
-    if g == 2:
-        return bld.family(families.GAMMA_2_B, 2)
-    if g == 3:
-        a = bld.family(families.GAMMA_2_B, 2)
-        c = bld.family(families.GAMMA_2_B, 2)
-        idx, _ = bld.consum_reaching(a, c, (3, 2, 2), require=require)
-        return idx
-    gi = bld.family(families.G2)
-    idx, _ = bld.consum_reaching(prev, gi, (g, 2, 2), require=require)
-    return idx
+def _two_curve(bld, g, b, same):
+    """(g, b, 2) filling, g >= 2 and b >= 2, with an edge whose two
+    directions lie in one boundary component (``same``) or in two: G2
+    summed onto the foot of genus 2 or 3."""
+    if g < 2 or b < 2:
+        raise SynthesisRangeError("two-curve seeds need g >= 2 and b >= 2")
+    move = _sum_g2_same if same else _sum_g2_diff
+    return _chain(bld, move, _two_curve_foot, (2 + g % 2, b, same),
+                  (g - 2) // 2)
 
 
-@_ladder(lambda g, b: (g - 2, b) if g >= 4 else None)
-def _two_cycle_seed_into(bld, prev, g, b):
-    """(g, b, 2) filling with a same-boundary edge, g >= 2, b >= 2."""
-    if b < 2:
-        raise SynthesisRangeError("two-cycle seeds need b >= 2")
-    require = lambda gr: _same_boundary_edge(gr) is not None  # noqa: E731
+def _two_curve_foot(bld, g, b, same):
+    """gamma2b(b) for g = 2; for g = 3 its first connected sum with
+    gamma2b(2) that reaches (3, b, 2) with the edge :func:`_two_curve`
+    asks for."""
     if g == 2:
         return bld.family(families.GAMMA_2_B, b)
-    if g == 3:
-        a = bld.family(families.GAMMA_2_B, 2)
-        c = bld.family(families.GAMMA_2_B, b)
-        idx, _ = bld.consum_reaching(a, c, (3, b, 2), require=require)
-        return idx
-    gi = bld.family(families.G2)
-    idx, _ = bld.consum_reaching(prev, gi, (g, b, 2), require=require)
+    a = bld.family(families.GAMMA_2_B, 2)
+    c = bld.family(families.GAMMA_2_B, b)
+    idx, _ = bld.consum_reaching(
+        a, c, (3, b, 2), lambda graph: _boundary_edge(graph, same))
     return idx
+
+
+def _triple(bld, g):
+    """Minimal filling triple of genus g >= 2: G2 summed onto G1 or
+    Gamma0, parity picking the foot."""
+    foot = families.GAMMA0 if g % 2 else families.G1
+    return _chain(bld, _sum_g2, _Builder.family, (foot, None), (g - 2) // 2)
+
+
+def _minimal(bld, g, s):
+    """Minimal filling (g, 1, s): torus plumbings onto the foot
+    :func:`_minimal_foot` of genus 3, or of size 2 or 3, down the
+    diagonal; the top two sizes are family members."""
+    j = min(g - 3, (s - 2) // 2) if s < 2 * g - 1 else 0
+    return _chain(bld, _plumb_torus, _minimal_foot, (g - j, s - 2 * j), j)
+
+
+def _minimal_foot(bld, g, s):
+    """Minimal (g, 1, s) of size 2 or 3, of genus 3, or of the top two
+    sizes: a seed or a family member."""
+    if s == 2:
+        return _pair(bld, g)
+    if s == 3:
+        return _triple(bld, g)
+    if (g, s) == (3, 4):
+        return bld.family(families.QUADRUPLE_F3)
+    if s == 2 * g - 1:
+        return bld.family(families.GIRTH_2GM1, g)
+    return bld.family(families.GAMMA_G, g)
+
+
+def _sphere_foot(bld, g):
+    """Tight (g, 1, 3): G1 for g = 2, else the sphere circle plumbed onto
+    a two-disc pair of genus g-1 across its two boundary components, with
+    the bivalent vertex erased."""
+    if g == 2:
+        return bld.family(families.G1)
+    pi = _two_curve(bld, g - 1, 2, False)
+    x = _boundary_edge(bld.graphs[pi], False)
+    idx, rep = bld.plumb(pi, bld.family(families.SPHERE_CIRCLE), x, "a")
+    if rep.case != "ALL-DIFFERENT":
+        raise PlanVerificationError(
+            f"sphere plumb expected case ALL-DIFFERENT, got {rep.case}")
+    return bld.smooth(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +745,7 @@ def max_filling(g, b) -> SynthesisPlan:
     if g >= 2:
         return filling(g, b, 2 * g + b - 1)
     bld = _Builder(SynthesisPlan(target=(1, b, b + 1)))
-    _join_torus_chain(bld, _Builder.family, (families.GAMMA_G, 1), b - 1)
+    _chain(bld, _join_torus, _Builder.family, (families.GAMMA_G, 1), b - 1)
     return bld.verify()
 
 
@@ -717,102 +754,35 @@ def minimal_filling(g, s) -> SynthesisPlan:
     return filling(g, 1, s)
 
 
-@_ladder(lambda g, s: (g - 1, s - 2) if g >= 4 and 4 <= s <= 2 * g - 2
-         else None)
-def _minimal_into(bld, prev, g, s):
-    base2 = {3: (families.G1, None), 4: (families.GAMMA_G, 2)}
-    base3 = {3: (families.GAMMA0, None), 4: (families.QUADRUPLE_F3, None),
-             5: (families.GIRTH_2GM1, 3), 6: (families.GAMMA_G, 3)}
-    if s == 2:
-        return _pair_into(bld, g)
-    if g == 2:
-        name, p = base2[s]
-        return bld.family(name, p)
-    if g == 3:
-        name, p = base3[s]
-        return bld.family(name, p)
-    if s == 3:
-        return _triple_into(bld, g)
-    if s == 2 * g:
-        return bld.family(families.GAMMA_G, g)
-    if s == 2 * g - 1:
-        return bld.family(families.GIRTH_2GM1, g)
-    # 4 <= s <= 2g-2: plumb a torus onto a smaller minimal filling
-    ti = bld.family(families.TORUS_PAIR)
-    idx, _ = bld.plumb(prev, ti, bld.graphs[prev].labels[0], "a")
-    return idx
-
-
-@_ladder(lambda g: (g - 2,) if g >= 4 else None)
-def _triple_into(bld, prev, g):
-    """Minimal filling triple of genus g >= 2: G1 or Gamma0 (parity picks
-    the foot), or the triple of genus g-2 connected-summed with the genus
-    2 four-disc pair graph."""
-    if prev is None:
-        return bld.family(families.GAMMA0 if g % 2 else families.G1)
-    gi = bld.family(families.G2)
-    idx, _ = bld.consum_reaching(prev, gi, (g, 1, 3))
-    return idx
-
-
 def filling(g, b, s) -> SynthesisPlan:
     """Filling of genus g >= 2 with b discs and size s, over the full
-    admissible range lower_bound(g,b) <= s <= 2g+b-1."""
+    admissible range lower_bound(g,b) <= s <= 2g+b-1: torus joins onto a
+    two-curve seed when b >= s, else onto a minimal filling."""
     TargetSignature(g, b, s).validate()
-    plan = SynthesisPlan(target=(g, b, s))
-    bld = _Builder(plan)
+    bld = _Builder(SynthesisPlan(target=(g, b, s)))
     if b >= s:
-        _join_torus_chain(bld, _two_cycle_seed_into, (g, b - s + 2), s - 2)
+        _chain(bld, _join_torus, _two_curve, (g, b - s + 2, True), s - 2)
+    elif g == 2 and s == b + 1:
+        # the minimal pair seed does not exist on genus 2; start the join
+        # chain one step later, from the (2,2,3) example graph
+        _chain(bld, _join_torus, _Builder.family,
+               (families.EXAMPLE_5_2, None), b - 2)
     else:
-        k = s - b + 1
-        if g == 2 and k == 2:
-            # the minimal pair seed does not exist on genus 2; start the
-            # join chain one step later, from the (2,2,3) example graph
-            _join_torus_chain(bld, _Builder.family,
-                              (families.EXAMPLE_5_2, None), b - 2)
-        else:
-            _join_torus_chain(bld, _minimal_into, (g, k), b - 1)
+        _chain(bld, _join_torus, _minimal, (g, s - b + 1), b - 1)
     return bld.verify()
 
 
 def tight_omega_filling(g, s) -> SynthesisPlan:
     """Minimal filling of size s whose weighted intersection graph attains
-    the bound: omega_max = 2g-s+1 exactly."""
+    the bound: omega_max = 2g-s+1 exactly.  An even size is the plan of
+    :func:`minimal_filling`; an odd one plumbs tori onto a sphere foot
+    (:func:`_sphere_foot`), each keeping the extremal crossing pair."""
     TargetSignature(g, 1, s).validate()
-    plan = SynthesisPlan(target=(g, 1, s), expect_omega=2 * g - s + 1)
-    bld = _Builder(plan)
-    _tight_into(bld, g, s)
+    bld = _Builder(SynthesisPlan(target=(g, 1, s),
+                                 expect_omega=2 * g - s + 1))
+    if s % 2:
+        j = (s - 3) // 2
+        _chain(bld, _plumb_torus, _sphere_foot, (g - j,), j)
+    else:
+        _minimal(bld, g, s)
     return bld.verify()
-
-
-@_ladder(lambda g, s: (g - 1, s - 2) if 5 <= s <= 2 * g - 1 else None)
-def _tight_into(bld, prev, g, s):
-    if s == 2:
-        return _pair_into(bld, g)
-    if s == 3:
-        if g == 2:
-            return bld.family(families.G1)
-        # plumb the sphere circle onto a two-disc pair across its two
-        # boundary components, then erase the bivalent vertex
-        pi = _two_disc_pair_into(bld, g - 1, True)
-        x = _diff_boundary_edge(bld.graphs[pi])
-        si = bld.family(families.SPHERE_CIRCLE)
-        idx, rep = bld.plumb(pi, si, x, "a")
-        if rep.case != "ALL-DIFFERENT":
-            raise PlanVerificationError(
-                f"sphere plumb expected case ALL-DIFFERENT, got {rep.case}")
-        return bld.smooth(idx)
-    if s == 2 * g:
-        return bld.family(families.GAMMA_G, g)
-    if s == 4:
-        if g == 3:
-            return bld.family(families.QUADRUPLE_F3)
-        pi = _pair_into(bld, g - 1)
-        ti = bld.family(families.TORUS_PAIR)
-        idx, _ = bld.plumb(pi, ti, bld.graphs[pi].labels[0], "a")
-        return idx
-    # 5 <= s <= 2g-1: a torus plumb adds one handle and two curves while
-    # keeping the extremal crossing pair untouched
-    ti = bld.family(families.TORUS_PAIR)
-    idx, _ = bld.plumb(prev, ti, bld.graphs[prev].labels[0], "a")
-    return idx

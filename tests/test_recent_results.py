@@ -114,8 +114,10 @@ def test_one_rotation_under_two_names():
     assert shares(second, known)
     assert second._face_orbits == first._face_orbits
     assert entry(second) is known and len(ops._memo) == 1
+    # and the memo key, packed once, by the lookup that found the entry
     assert set(second.__dict__) == {"_sigma0", "_labels", "_signature",
-                                    "_face_orbits", "_walk"}
+                                    "_face_orbits", "_walk", "_key"}
+    assert second._key == first._key == key(first)
     assert second._curve_orbits == first._curve_orbits
     assert second._curve_orbits is not first._curve_orbits
     assert second.labels == tuple(rename.get(nm, nm) for nm in first.labels)

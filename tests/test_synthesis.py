@@ -333,6 +333,29 @@ class TestPlans:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
             "d2d6bab0944204bf4a784af3d1d46ed1a6a362ec10a60d61ca57ebb2d1f0ce9a")
 
+    @pytest.mark.parametrize("plans, count, digest", [
+        (lambda: (max_filling(g, b) for g in range(1, 11)
+                  for b in range(1, 9)), 80,
+         "68b43b95f1dd8b56c6ed8444b73864d3ebaa09de185b37c3cefd9873538a348d"),
+        (lambda: (tight_omega_filling(g, s) for g in range(2, 13)
+                  for s in range(lower_bound(g), 2 * g + 1)), 142,
+         "2bdda885a733f32cef2162be32f00ca5584e21e6d57f840297afde4245bc44b9"),
+        (lambda: (filling(g, b, s) for g in range(11, 15)
+                  for b in range(1, 4)
+                  for s in range(lower_bound(g, b), upper_bound(g, b) + 1)),
+         300,
+         "2dcde7e2023f61e19656a1c4829a32c6fc2b5e5f650fb730d75ff861bc85c328"),
+        (lambda: (minimal_filling(g, s) for g in range(2, 16)
+                  for s in range(lower_bound(g), 2 * g + 1)), 223,
+         "98f51e78e66ce6554dc528fd35a098770f223bafb667a111a0993aa87d36dc45"),
+    ], ids=["max", "tight", "filling", "minimal"])
+    def test_plan_bytes_beyond_the_grid_pinned(self, plans, count, digest):
+        # the chains' foot and length come from g, s and parity, which the
+        # synth-grid pins reach only up to g = 10 (tight g = 6)
+        texts = [formats.dumps_plan(plan) for plan in plans()]
+        assert len(texts) == count
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
     def test_empty_plan(self):
         with pytest.raises(SynthesisError):
             SynthesisPlan(target=(2, 1, 3)).replay()
@@ -386,56 +409,73 @@ def cold_texts():
             for build, args in MEMO_GRID}
 
 
-@synthesis._ladder(lambda i: None)
-def _torus_seed(bld, prev, i):
-    """A cheap one-rung ladder: each ``i`` keys an entry of its own."""
+def _torus(bld, i):
     return bld.family(families.TORUS_PAIR)
+
+
+def _torus_seed(bld, i):
+    """A cheap one-rung chain, one torus join on a torus: each ``i`` keys
+    an entry of its own."""
+    return synthesis._chain(bld, synthesis._join_torus, _torus, (i,), 1)
+
+
+def _torus_key(i):
+    """The key of :func:`_torus_seed`'s rung."""
+    return synthesis._join_torus, _torus, (i,), 1
 
 
 def _chain_key(joins):
     """The key of the chain of ``joins`` torus joins on the (2, 2, 3)
     example graph, the chain of ``filling(2, b, b + 1)``."""
-    return synthesis._torus_joined, (
-        synthesis._Builder.family, (families.EXAMPLE_5_2, None), joins)
+    return (synthesis._join_torus, synthesis._Builder.family,
+            (families.EXAMPLE_5_2, None), joins)
+
+
+def _pair_key(g):
+    """The key of the minimal filling pair of odd genus g >= 5: G2 summed
+    (g - 3) / 2 times onto the searched pair of genus 3."""
+    return synthesis._sum_g2, synthesis._pair_foot, (3,), (g - 3) // 2
 
 
 class TestSubplanMemo:
     def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
-        # the grid has 85 distinct seed sub-plans and 119 distinct
-        # torus-chain prefixes (a chain on a family member starts from a
-        # plain family step, no sub-plan); from an empty table each is
-        # built once, in either order, and a warm pass builds none and
-        # probes the table once a ladder call
+        # the grid has 36 distinct seed rungs (21 torus plumbings and 15
+        # G2 sums) and 119 distinct torus-join rungs (a chain of no moves
+        # is its seed, no sub-plan); from an empty table each is built
+        # once, in either order, and a warm pass builds none and probes
+        # the table at most once a chain call
         for order in (MEMO_GRID, MEMO_GRID[::-1]):
             memo.clear()
             for build, args in order:
                 text = formats.dumps_plan(build(*args))
                 assert text == cold_texts[build, args], (build, args)
-            assert memo.stores == len(memo) == 85 + 119
+            assert memo.stores == len(memo) == 36 + 119
             memo.probes = memo.hits = 0
             for build, args in order:
                 build(*args)
-            assert memo.stores == 85 + 119
+            assert memo.stores == 36 + 119
             assert memo.hits == memo.probes <= len(order)
 
     def test_hit_is_a_copy_and_replays(self, memo):
         minimal_filling(5, 2)
-        _, _, darts, labels = memo[synthesis._pair_into, (5,)]
+        _, _, darts, labels = memo[_pair_key(5)]
         hits = memo.hits
         restored = []
         for _ in range(2):
             plan = SynthesisPlan(target=(5, 1, 2))
             bld = synthesis._Builder(plan)
             bld.family(families.TORUS_PAIR)  # the reused block starts at 1
-            idx = synthesis._pair_into(bld, 5)
+            idx = synthesis._pair(bld, 5)
             assert idx == len(plan.steps) - 1
             restored.append(bld.graphs[idx])
         assert memo.hits == hits + 2
         first, second = restored
         assert first.sigma0 == tuple(darts) and first.labels == labels
         assert first == second and first is not second
-        # the result's records come from the ops memo, not recomputed
-        known = ops._memo[ops._packed(first.sigma0, first.num_darts)]
+        # the result's key is the one the entry keeps, not packed again,
+        # and its records come from the ops memo, not recomputed
+        assert first._key is second._key is darts
+        known = ops._memo[darts]
         assert first._signature is known[0]
         assert first._walk is known[3]
         replayed, _ = plan.replay()
@@ -447,46 +487,52 @@ class TestSubplanMemo:
         graphs = []
         for _ in range(2):
             bld = synthesis._Builder(SynthesisPlan(target=(5, 1, 2)))
-            graphs.append(bld.graphs[synthesis._pair_into(bld, 5)])
+            graphs.append(bld.graphs[synthesis._pair(bld, 5)])
         built, rebuilt = graphs
-        entry = memo[synthesis._pair_into, (5,)]
-        assert entry[2:] == (ops._packed(built.sigma0, built.num_darts),
-                             built.labels)
+        entry = memo[_pair_key(5)]
+        # the entry keeps the key the build packed, not a second packing
+        assert entry[2:] == (built._key, built.labels)
+        assert entry[2] is built._key
+        assert built._key == ops._packed(built.sigma0, built.num_darts)
         # the built graph keeps what its connected sum computed on it
         assert "_curve_orbits" in built.__dict__
         assert "_curve_orbits" not in rebuilt.__dict__
         assert rebuilt == built and rebuilt is not built
 
     def test_key_is_builder_and_args(self, memo):
+        # the two-disc pair of genus 6 is two G2 sums on gamma2b(2)
         for _ in range(2):
-            bld = synthesis._Builder(SynthesisPlan(target=(4, 2, 2)))
-            synthesis._two_disc_pair_into(bld, 4, True)
-        assert list(memo) == [(synthesis._two_disc_pair_into, (2, False)),
-                              (synthesis._two_disc_pair_into, (4, True))]
+            bld = synthesis._Builder(SynthesisPlan(target=(6, 2, 2)))
+            synthesis._two_curve(bld, 6, 2, False)
+        key = synthesis._sum_g2_diff, synthesis._two_curve_foot, (2, 2, False)
+        assert list(memo) == [(*key, 1), (*key, 2)]
         assert memo.stores == 2 and memo.hits == 1 and memo.probes == 3
 
     def test_raising_subplan_stores_nothing(self, memo):
-        bld = synthesis._Builder(SynthesisPlan(target=(2, 1, 2)))
+        bld = synthesis._Builder(SynthesisPlan(target=(4, 1, 2)))
         for _ in range(2):
             with pytest.raises(ImpossibleSignatureError):
-                synthesis._pair_into(bld, 2)
+                synthesis._chain(bld, synthesis._sum_g2,
+                                 synthesis._pair_foot, (2,), 1)
         assert len(memo) == memo.stores == 0
         assert memo.probes == 2
 
     def test_failed_outer_subplan_keeps_inner_ones(self, memo, monkeypatch,
                                                    cold_texts):
-        # minimal (4, 4) plumbs a torus onto minimal (3, 2), the pair seed
+        # (6, 2, 5) joins a torus onto minimal (6, 4), which plumbs a
+        # torus onto the pair seed of genus 5
         def broken(*args):
-            raise OperationError("injected plumbing fault")
+            raise OperationError("injected join fault")
 
         with monkeypatch.context() as m:
-            m.setattr(synthesis, "plumbing", broken)
+            m.setattr(synthesis, "join", broken)
             with pytest.raises(OperationError):
-                minimal_filling(4, 4)
-        assert list(memo) == [(synthesis._pair_into, (3,)),
-                              (synthesis._minimal_into, (3, 2))]
-        text = formats.dumps_plan(minimal_filling(4, 4))
-        assert text == cold_texts[filling, (4, 1, 4)]
+                filling(6, 2, 5)
+        assert list(memo) == [
+            _pair_key(5),
+            (synthesis._plumb_torus, synthesis._minimal_foot, (5, 2), 1)]
+        text = formats.dumps_plan(filling(6, 2, 5))
+        assert text == cold_texts[filling, (6, 2, 5)]
 
     def test_evicts_past_the_bound(self, memo, cold_texts):
         bound = synthesis._SUBPLAN_SIZE
@@ -499,14 +545,14 @@ class TestSubplanMemo:
         for i in range(bound + 3):
             _torus_seed(bld, i)
         assert len(memo) == bound
-        assert all(key[0] is _torus_seed for key in memo)
-        assert (_torus_seed, (2,)) not in memo
+        assert all(key[1] is _torus for key in memo)
+        assert _torus_key(2) not in memo
         _torus_seed(bld, 3)  # a hit makes filler 3 the most recent
         stores = memo.stores
         _torus_seed(bld, 0)
         assert memo.stores == stores + 1
-        assert (_torus_seed, (3,)) in memo
-        assert (_torus_seed, (4,)) not in memo
+        assert _torus_key(3) in memo
+        assert _torus_key(4) not in memo
         for build, args in MEMO_GRID:
             text = formats.dumps_plan(build(*args))
             assert text == cold_texts[build, args], (build, args)
@@ -543,22 +589,22 @@ class TestSubplanMemo:
             assert text == cold_texts[filling, args], args
 
     @pytest.mark.parametrize("build, args, seed, seed_args, joins", [
-        # a family step is no sub-plan; the max_filling plan of genus 2 is
-        # the filling plan on the minimal (2, 4) seed, one sub-plan
+        # each seed is one family step and no sub-plan: the max_filling
+        # plan of genus 2 is the filling plan on the minimal (2, 4) seed,
+        # gamma_g(2)
         (filling, (2, 300, 301), synthesis._Builder.family,
          (families.EXAMPLE_5_2, None), 298),
-        (max_filling, (2, 300), synthesis._minimal_into, (2, 4), 299)],
+        (max_filling, (2, 300), synthesis._minimal, (2, 4), 299)],
         ids=["filling", "max_filling"])
     def test_long_chain_builds_and_verifies(self, memo, build, args, seed,
                                             seed_args, joins):
         # a chain of about 300 joins nests no call per join, and its
         # graphs pass 256 darts, where packed darts take two bytes each
-        entries = joins + (seed is not synthesis._Builder.family)
         plan = build(*args)  # verifies its final graph
         assert len(plan.steps) == 1 + 2 * joins  # one family seed step
-        assert memo.stores == len(memo) == entries
-        *_, darts, labels = memo[synthesis._torus_joined,
-                                 (seed, seed_args, joins)]
+        assert memo.stores == len(memo) == joins
+        *_, darts, labels = memo[synthesis._join_torus, seed, seed_args,
+                                 joins]
         n = 2 * len(labels)
         assert isinstance(darts, bytes) and len(darts) == 2 * n > 512
         assert sorted(ops._unpacked(darts, n)) == list(range(n))
@@ -592,15 +638,48 @@ class TestSubplanMemo:
             assert formats.dumps_plan(filling(2, b, b + 1)) == cold[b], b
         assert memo.stores == stores + 1 and _chain_key(9) in memo
 
-    def test_cold_ladder_past_the_recursion_limit(self, memo):
-        # the pair seed of genus 661 is a ladder of 330 rungs (genus 3, 5,
-        # ..., 661), deeper than the default recursion limit when each
+    @pytest.mark.parametrize("build, args, steps, entries", [
+        # the pair seed of genus 661: 329 G2 sums on the pair of genus 3
+        (filling, (661, 1, 2), 1 + 2 * 329, 329),
+        # the tight chain: 198 torus plumbings on the sphere foot of genus
+        # 202, whose two-disc pair of genus 201 is 99 G2 sums
+        (tight_omega_filling, (400, 399), 3 + 2 * 99 + 3 + 2 * 198,
+         99 + 198),
+        # the minimal chain: 199 torus plumbings on the pair seed of
+        # genus 201, 99 G2 sums on the pair of genus 3
+        (filling, (400, 1, 400), 1 + 2 * 99 + 2 * 199, 99 + 199),
+        # the sphere foot of genus 400 on the two-disc pair of genus 399:
+        # 198 G2 sums on a sum of two gamma2b(2), a plumbing, a smoothing
+        (tight_omega_filling, (400, 3), 3 + 2 * 198 + 3, 198)],
+        ids=["pair", "tight", "minimal", "two-disc"])
+    def test_cold_ladder_past_the_recursion_limit(self, memo, build, args,
+                                                  steps, entries):
+        # each chain is deeper than the default recursion limit when each
         # rung nests the build of the one below; made lowest first, each
         # rung is built once and no build nests one rung in another
         assert sys.getrecursionlimit() <= 1000
-        plan = filling(661, 1, 2)  # verifies its final graph
-        assert len(plan.steps) == 1 + 2 * 329
-        assert memo.stores == len(memo) == 330 + 1  # and minimal (661, 2)
+        plan = build(*args)  # verifies its final graph
+        assert len(plan.steps) == steps
+        assert memo.stores == len(memo) == entries
+
+    def test_tight_plan_shares_the_minimal_rungs(self, memo):
+        # a tight plan of even size has the steps of the minimal plan,
+        # and reuses its rungs
+        minimal = minimal_filling(6, 4)
+        stores = memo.stores
+        assert tight_omega_filling(6, 4).steps == minimal.steps
+        assert memo.stores == stores
+        # the tight plans of genus 2 to 6 add only the rungs of their
+        # sphere feet and odd-size chains to the minimal plans' rungs
+        memo.clear()
+        for g in range(2, 7):
+            for s in range(lower_bound(g), 2 * g + 1):
+                minimal_filling(g, s)
+        stores = memo.stores
+        for g in range(2, 7):
+            for s in range(lower_bound(g), 2 * g + 1):
+                tight_omega_filling(g, s)
+        assert memo.stores == stores + 12
 
 
 class TestConsumReaching:
