@@ -374,7 +374,9 @@ class FatGraph:
         * :func:`fillgraph.ops._restored`, called by
           :func:`fillgraph.ops._rewired`, which builds every surgery
           result, raising :class:`InvariantError` wherever a step of its
-          proof fails, and by :meth:`fillgraph.synthesis._Builder.reuse`,
+          proof fails (a construction walked before is read from the
+          walk kept once its proof passed), and by
+          :meth:`fillgraph.synthesis._Builder.reuse`,
           which rebuilds a chain rung's result from the key (the packed
           darts) and labels that ``synthesis._subplans`` keeps of a graph
           built before; it then presets the key, and the signature, face

@@ -146,8 +146,10 @@ def build(family, param=None):
 @lru_cache(maxsize=256)
 def _validated(family, param):
     """The member built and checked against :func:`_expected`, with its
-    vertex cycles built so that every copy shares them (the connected-sum
-    selectors read them); a range error is raised, not cached.
+    vertex cycles and its key (:attr:`FatGraph._key`) made so that every
+    copy shares them (the connected-sum selectors read the cycles, and
+    every surgery on a copy reads the key); a range error is raised, not
+    cached.
 
     A wrong transcription raises :class:`FamilyValidationError`, and so
     does a ``gamma2b`` member whose defining anchor, edge ``f{b+1}``, has
@@ -174,6 +176,7 @@ def _validated(family, param):
                 f"{name}: f{param+1} directions not in one boundary "
                 "component")
     graph.vertex_cycles
+    graph._key
     return graph
 
 

@@ -31,6 +31,14 @@ one final graph run :meth:`FatGraph.is_filling_system` once between
 them.  Every step and every report check still runs, and no other
 constructor reads the memo.
 
+Replay runs every surgery of a plan again, so ``_constructions`` keeps
+the last ``_MEMO_SIZE`` distinct walks of :func:`_rewired`, keyed by the
+operands' keys and the splice: the result's key and the operand edge key
+of each result edge.  Each distinct construction is walked once; a later
+call on it names the edges with its own names.  The names check, the
+splice checks, the prediction from the operands, the signature read by
+:func:`_recomputed` and the report check run on every call.
+
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
 indicator-sum table turns out to be under-determined in two of its branches (the boundary
@@ -121,7 +129,13 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
     that, and a shortfall is an :class:`InvariantError`."""
     used = set(left.labels)
     names = list(left.labels)
-    names += [_fresh(nm, used) for nm in right.labels]
+    for nm in right.labels:
+        # a name not taken yet is kept without a call to _fresh
+        if nm in used:
+            nm = _fresh(nm, used)
+        else:
+            used.add(nm)
+        names.append(nm)
     fresh = [_fresh(nm, used) for nm in new]
     names += fresh
     if len(used) != len(names):
@@ -130,13 +144,18 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
 
 
 # Fixed by measurement: a synth-grid pass makes 1,027 distinct surgery
-# results (seed 7), so this bound holds a whole pass; see BENCH_20.json.
+# results (seed 7), from as many distinct constructions, so this bound
+# holds a whole pass in each table; see BENCH_20.json and BENCH_28.json.
 _MEMO_SIZE = 2048
 # key of sigma0 (FatGraph._key) -> (signature, face starts, face labels,
 # vertex walk, filling verdict), the key and the face labels packed by
 # _packed, the verdict None until _filling_verdict puts it in; oldest
 # entry first
 _memo: OrderedDict = OrderedDict()
+# (left key, right key, 2 * len(names), packed splice) of a _rewired call
+# -> (key of the result's sigma0, the operand edge key of each result
+# edge packed by _packed); oldest entry first
+_constructions: OrderedDict = OrderedDict()
 
 
 def _recomputed(result):
@@ -214,25 +233,45 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     permutation.  The labels are distinct names of distinct edges
     (:func:`_edge_names` checks the names), at least one.
 
-    Only then is the result built, by :func:`_restored`, which presets
-    the records of a ``sigma0`` found in ``_memo``.
+    The first two checks run on every call.  The walk's output, the
+    result's ``sigma0`` and the key of each result edge, is a function
+    of the operands' ``sigma0`` and the splice alone, so it is kept in
+    ``_constructions`` once its count check has passed, and a later call
+    on the same construction reads it there and names the edges with its
+    own ``names``.  Either way the result is built by :func:`_restored`,
+    which presets the records of a ``sigma0`` found in ``_memo``.
     """
     off = 2 * left.num_edges
     top = off + right.num_darts  # the first key dart of a new edge
+    n = 2 * len(names)
+    new_keys = sorted([*lmap.values(), *rmap.values(), *(new_vertex or ())])
+    if new_keys != list(range(top, n)):
+        raise InvariantError(f"new keys {new_keys} are not the darts "
+                             f"{top}..{n - 1} of the new edges")
+    ldel, rdel = set(skip[0]), set(skip[1])
+    if (ldel or rdel) and (
+            set(map(left.sigma0.__getitem__, ldel)) != ldel
+            or set(map(right.sigma0.__getitem__, rdel)) != rdel):
+        raise InvariantError(f"deleted darts {skip} are not whole vertices")
+    # n, in the key, sets the bytes a number takes, and each part but the
+    # last is led by its length, so a splice reads back one way
+    splice = _packed((len(lmap), *lmap, *lmap.values(), len(rmap), *rmap,
+                      *rmap.values(), len(skip[0]), *skip[0], len(skip[1]),
+                      *skip[1], *(new_vertex or ())), n)
+    construction = (left._key, right._key, n, splice)
+    known = _constructions.get(construction)
+    if known is not None:
+        key, order = known
+        order = _unpacked(order, len(names))
+        return _restored(_unpacked(key, 2 * len(order)),
+                         list(map(names.__getitem__, order)), key)
+
     lkey = list(range(off))
     rkey = list(range(off, top))
     for d, kd in lmap.items():
         lkey[d] = kd
     for d, kd in rmap.items():
         rkey[d] = kd
-    new_keys = sorted([*lmap.values(), *rmap.values(), *(new_vertex or ())])
-    if new_keys != list(range(top, 2 * len(names))):
-        raise InvariantError(f"new keys {new_keys} are not the darts "
-                             f"{top}..{2 * len(names) - 1} of the new edges")
-    ldel, rdel = set(skip[0]), set(skip[1])
-    if (set(map(left.sigma0.__getitem__, ldel)) != ldel
-            or set(map(right.sigma0.__getitem__, rdel)) != rdel):
-        raise InvariantError(f"deleted darts {skip} are not whole vertices")
     for d in ldel:
         lkey[d] = -1
     for d in rdel:
@@ -246,10 +285,12 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
         parts.append((list(range(1, k)) + [0], list(new_vertex)))
         walked += k
 
-    new_of = [-1] * (2 * len(names))  # key dart -> result dart
+    new_of = [-1] * n  # key dart -> result dart
+    order = []  # the key of each result edge
     labels = []
+    nd_next = 0  # the forward dart of the next result edge
     # the slot past the result's darts holds each cycle's first dart
-    sigma0 = [0] * (2 * len(names) + 1)
+    sigma0 = [0] * (n + 1)
     for s0, key in parts:  # key[d] is -1 once dart d is walked
         for start in range(len(s0)):
             if key[start] < 0:
@@ -261,8 +302,10 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
                 key[d] = -1
                 nd = new_of[kd]
                 if nd < 0:
-                    nd = new_of[kd] = 2 * len(labels) + (kd & 1)
+                    nd = new_of[kd] = nd_next + (kd & 1)
+                    nd_next += 2
                     new_of[kd ^ 1] = nd ^ 1
+                    order.append(kd >> 1)
                     labels.append(names[kd >> 1])
                 sigma0[prev] = nd
                 prev = nd
@@ -270,11 +313,16 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
                 if d == start:
                     break
             sigma0[prev] = sigma0[-1]
-    if not walked or walked != 2 * len(labels):
+    if not walked or walked != nd_next:
         raise InvariantError(
-            f"walked {walked} darts for {len(labels)} edges")
-    del sigma0[2 * len(labels):]
-    return _restored(sigma0, labels)
+            f"walked {walked} darts for {len(order)} edges")
+    del sigma0[nd_next:]
+    result = _restored(sigma0, labels)
+    if len(_constructions) >= _MEMO_SIZE:
+        _constructions.popitem(last=False)
+    _constructions[construction] = (result._key,
+                                    _packed(order, len(names)))
+    return result
 
 
 def _restored(sigma0, labels, key=None):

@@ -606,11 +606,6 @@ def _sum_g2_same(bld, prev):
     return _sum_g2(bld, prev, lambda graph: _boundary_edge(graph, True))
 
 
-def _sum_g2_diff(bld, prev):
-    """:func:`_sum_g2` keeping an edge between two boundary components."""
-    return _sum_g2(bld, prev, lambda graph: _boundary_edge(graph, False))
-
-
 # ---------------------------------------------------------------------------
 # seeds (the pair foot replaces the cited external pair constructions by
 # search, verified at every step)
@@ -639,24 +634,30 @@ def _pair_foot(bld, g):
 def _two_curve(bld, g, b, same):
     """(g, b, 2) filling, g >= 2 and b >= 2, with an edge whose two
     directions lie in one boundary component (``same``) or in two: G2
-    summed onto the foot of genus 2 or 3."""
+    summed onto the foot of genus 2 or 3.
+
+    Only an edge in one component is asked of a sum: a connected graph
+    with b >= 2 faces always has an edge between two of them, for
+    otherwise the darts of one face would be closed under ``sigma0`` and
+    reversal, and so make up the whole graph."""
     if g < 2 or b < 2:
         raise SynthesisRangeError("two-curve seeds need g >= 2 and b >= 2")
-    move = _sum_g2_same if same else _sum_g2_diff
+    move = _sum_g2_same if same else _sum_g2
     return _chain(bld, move, _two_curve_foot, (2 + g % 2, b, same),
                   (g - 2) // 2)
 
 
 def _two_curve_foot(bld, g, b, same):
     """gamma2b(b) for g = 2; for g = 3 its first connected sum with
-    gamma2b(2) that reaches (3, b, 2) with the edge :func:`_two_curve`
-    asks for."""
+    gamma2b(2) that reaches (3, b, 2), with an edge in one boundary
+    component when ``same``."""
     if g == 2:
         return bld.family(families.GAMMA_2_B, b)
     a = bld.family(families.GAMMA_2_B, 2)
     c = bld.family(families.GAMMA_2_B, b)
     idx, _ = bld.consum_reaching(
-        a, c, (3, b, 2), lambda graph: _boundary_edge(graph, same))
+        a, c, (3, b, 2),
+        (lambda graph: _boundary_edge(graph, True)) if same else None)
     return idx
 
 

@@ -168,8 +168,8 @@ class TestBuildCopies:
             assert a.signature() == b.signature()
 
     def test_copies_share_structure(self):
-        # the surgeries read vertex cycles and the curve record of their
-        # operands, so two copies must hold the very same objects
+        # the surgeries read vertex cycles, the curve record and the key
+        # of their operands, so two copies must hold the very same objects
         for name, param in ((families.TORUS_PAIR, None),
                             (families.SPHERE_CIRCLE, None),
                             (families.GAMMA_G, 3),
@@ -178,6 +178,7 @@ class TestBuildCopies:
             assert a.vertex_cycles is b.vertex_cycles
             assert a._curve_orbits is b._curve_orbits
             assert a.boundary_component_of is b.boundary_component_of
+            assert a._key is b._key
 
     def test_two_torus_builds_join(self):
         rep = join(build(families.TORUS_PAIR), build(families.TORUS_PAIR),

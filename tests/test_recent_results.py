@@ -5,17 +5,24 @@ the graph built fresh on its ``sigma0`` and labels; an entry is made only
 once an op has read the result's signature; the memo keeps its bound,
 oldest entry out first; no other way of making a graph reads it.  A
 plan's final check keeps the filling verdict in the entry, and reads the
-same verdict and message there as a fresh check would give."""
+same verdict and message there as a fresh check would give.
+
+The table of surgery constructions in ``ops``: a call whose operands'
+rotations and splice were walked before reads the walk there, takes the
+names of its own call, and gives the graph a cold build gives; the table
+keeps the memo's bound, oldest entry out first, and every check but the
+walk's own runs on every call."""
 
 import random
 from collections import OrderedDict
 
 import pytest
-from helpers import grid_plans, grid_targets, relabeled
+from helpers import dumbbells, grid_plans, grid_targets, relabeled
 
 from fillgraph import families, formats, oracle, ops
-from fillgraph.core import FatGraph, FatGraphError
-from fillgraph.ops import OperationError, connected_sum, join, plumbing
+from fillgraph.core import FatGraph, FatGraphError, InvariantError
+from fillgraph.ops import (OperationError, OperationInvariantError,
+                           connected_sum, join, plumbing)
 from fillgraph.synthesis import (PlanVerificationError, Step, SynthesisPlan,
                                  _run_step, filling)
 
@@ -186,16 +193,13 @@ def test_results_past_256_darts_keyed_by_two_bytes():
 def test_disconnecting_sum_leaves_no_entry():
     # the dumbbell of test_ops: the crosswise splice of two dumbbells
     # pairs their four lobes into two separate components
-    dumbbell = FatGraph.from_vertex_cycles([
-        ["e1+", "e2+", "e3+", "e4+"],
-        ["e1-", "e2-", "a+", "a-"],
-        ["e3-", "e4-", "b+", "b-"],
-    ])
-    other = relabeled(dumbbell, {n: n + "'" for n in dumbbell.labels})
+    dumbbell, other = dumbbells()
     for _ in range(2):
         with pytest.raises(OperationError, match="disconnect"):
             connected_sum(dumbbell, other, 0, 0)
         assert not ops._memo
+        # the walk is kept, and the repeat, built from it, raises again
+        assert len(ops._constructions) == 1
     # a sum of the same pair that stays connected is remembered
     rep = connected_sum(dumbbell, other, 0, 0, align=1)
     assert entry(rep.result)[0] is rep.recomputed
@@ -311,3 +315,133 @@ def test_failed_check_gives_one_message(operands, step, diagnostic):
         # the first replay stored the verdict, the second read it, and
         # after the memo was emptied the third checked the graph again
         assert entry(final)[4] == (False, diagnostic)
+
+
+def cold(call):
+    """``call()`` from empty surgery tables."""
+    ops._memo.clear()
+    ops._constructions.clear()
+    return call()
+
+
+# a new copy of a family member on every call
+member = families.build
+
+
+# join and plumbing with flip both ways, connected sums at all four aligns;
+# each call builds new operand copies
+CALLS = {
+    **{f"join-{flip}": lambda flip=flip: join(
+        member(families.TORUS_PAIR), member(families.G1), "a", "f1", flip)
+       for flip in (False, True)},
+    **{f"plumb-{flip}": lambda flip=flip: plumbing(
+        member(families.G1), member(families.G2), "f2", "y3", flip)
+       for flip in (False, True)},
+    **{f"consum-{align}": lambda align=align: connected_sum(
+        member(families.GAMMA_G, 2), member(families.G1), 1, 0, align)
+       for align in range(4)},
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_hit_equals_cold_build(call):
+    first = cold(call).result
+    (construction, (darts, _)), = ops._constructions.items()
+    assert first._key is darts
+    # the same construction again: read, not walked
+    rep = call()
+    hit = rep.result
+    assert list(ops._constructions) == [construction]
+    assert hit is not first and hit._key is darts
+    assert (hit.sigma0, hit.labels) == (first.sigma0, first.labels)
+    assert structures(hit) == structures(FatGraph(first.sigma0,
+                                                  first.labels))
+    assert rep.recomputed is first.signature()
+
+
+def test_hit_takes_the_names_of_its_call():
+    torus = member(families.TORUS_PAIR)
+    g1 = member(families.G1)
+    first = join(torus, g1, "a", "f1").result
+    # the same rotation under the torus's names and the join's new names,
+    # each primed in the result
+    clash = relabeled(g1, dict(zip(g1.labels, ("e", "a", "f", "b", "e'",
+                                               "x"))))
+
+    def call():
+        return join(torus, clash, "a", "e").result
+
+    hit = call()
+    assert len(ops._constructions) == 1 and hit._key is first._key
+    fresh = cold(call)
+    assert (hit.sigma0, hit.labels) == (fresh.sigma0, fresh.labels)
+    assert hit.labels != first.labels
+    assert {"a'", "b'", "e''", "f'"} <= set(hit.labels)
+
+
+def test_hit_past_256_darts_equals_cold_build():
+    plan = filling(2, 300, 301)
+    final, _ = cold(plan.replay)
+    walked = dict(ops._constructions)
+    # the last join packs the edge order of its result two bytes an edge
+    order, = [order for key, order in walked.values()
+              if key is final._key]
+    assert final.num_darts > 256 and len(final._key) == 2 * final.num_darts
+    assert len(order) == 2 * final.num_edges
+    again, _ = plan.replay()
+    assert ops._constructions == walked
+    assert again is not final and again._key is final._key
+    assert (again.sigma0, again.labels) == (final.sigma0, final.labels)
+
+
+def test_constructions_keep_the_bound_oldest_first(monkeypatch):
+    monkeypatch.setattr(ops, "_MEMO_SIZE", 8)
+    rng = random.Random(5)
+    graphs = [member(families.TORUS_PAIR), member(families.G1)]
+    model = OrderedDict()  # the calls the table should hold, oldest first
+    held = {}  # call -> its construction
+    hits = 0
+    for _ in range(200):
+        left, right = rng.sample(graphs, 2)
+        op = rng.choice((join, plumbing))
+        call = (op, left is graphs[0], rng.choice(left.labels),
+                rng.choice(right.labels), rng.random() < 0.5)
+        before = list(ops._constructions)
+        result = op(left, right, *call[2:]).result
+        if call in model:
+            # a hit leaves the table as it is
+            assert list(ops._constructions) == before
+            hits += held[call] != before[-1]
+        else:
+            if len(model) >= 8:
+                model.popitem(last=False)
+            model[call] = None
+            held[call] = next(reversed(ops._constructions))
+        assert list(ops._constructions) == [held[c] for c in model]
+        assert ops._constructions[held[call]][0] is result._key
+    assert hits > 10 and len(ops._constructions) == 8
+
+
+def test_checks_run_on_a_hit(monkeypatch):
+    left, right = member(families.TORUS_PAIR), member(families.G1)
+    names, _ = ops._edge_names(left, right, ("e", "f"))
+    ke = 2 * (left.num_edges + right.num_edges)
+    (xp, xm), (yp, ym) = left.darts_of("a"), right.darts_of("f1")
+    rmap = {yp: ke + 1, ym: ke + 2}
+    ops._rewired(left, right, {xp: ke, xm: ke + 3}, rmap, names)
+    assert len(ops._constructions) == 1
+    with pytest.raises(InvariantError, match="not the darts"):
+        ops._rewired(left, right, {xp: ke, xm: ke}, rmap, names)
+    with pytest.raises(InvariantError, match="whole vertices"):
+        ops._rewired(left, right, {xp: ke, xm: ke + 3}, rmap, names,
+                     skip=((), (right.sigma0[0],)))
+    # the join's own checks: the names, and the prediction against the
+    # recomputed signature of this construction's result
+    with monkeypatch.context() as m:
+        m.setattr(ops, "_fresh", lambda name, used: used.add(name) or name)
+        with pytest.raises(InvariantError, match="share a name"):
+            join(left, member(families.TORUS_PAIR), "a", "a")
+    monkeypatch.setattr(ops, "_same_component", lambda g, label: False)
+    with pytest.raises(OperationInvariantError, match="predicted"):
+        join(left, right, "a", "f1")
+    assert len(ops._constructions) == 1

@@ -504,7 +504,7 @@ class TestSubplanMemo:
         for _ in range(2):
             bld = synthesis._Builder(SynthesisPlan(target=(6, 2, 2)))
             synthesis._two_curve(bld, 6, 2, False)
-        key = synthesis._sum_g2_diff, synthesis._two_curve_foot, (2, 2, False)
+        key = synthesis._sum_g2, synthesis._two_curve_foot, (2, 2, False)
         assert list(memo) == [(*key, 1), (*key, 2)]
         assert memo.stores == 2 and memo.hits == 1 and memo.probes == 3
 
@@ -680,6 +680,43 @@ class TestSubplanMemo:
             for s in range(lower_bound(g), 2 * g + 1):
                 tight_omega_filling(g, s)
         assert memo.stores == stores + 12
+
+
+def test_each_construction_walked_once(monkeypatch):
+    # every surgery probes the construction table once, and only a probe
+    # that misses walks, and stores its construction; a table that holds
+    # every store, none pushed out by the bound, walked each distinct
+    # construction once
+    table = _Table()
+    monkeypatch.setattr(ops, "_constructions", table)
+    plans = []
+    for build, args in MEMO_GRID:
+        plan = formats.loads_plan(formats.dumps_plan(build(*args)))
+        plan.replay()
+        plans.append(plan)
+    # 604 surgeries, of 160 distinct constructions
+    assert table.stores == len(table) == table.probes - table.hits == 160
+    assert table.probes == 604 and len(table) < ops._MEMO_SIZE
+    # a second replay of every plan, 434 surgeries, walks none
+    for plan in plans:
+        plan.replay()
+    assert table.stores == table.probes - table.hits == 160
+    assert table.probes == 604 + 434
+
+
+def test_two_faces_have_an_edge_between_them():
+    # why the two-disc chain asks nothing of its sums: a connected graph
+    # with b >= 2 faces has an edge whose two directions lie in two of
+    # them
+    graphs = [row.graph() for V in range(1, 5) for row in oracle.census(V)
+              if row.boundary_count >= 2]
+    assert len(graphs) == 403
+    for g in range(2, 13):
+        bld = synthesis._Builder(SynthesisPlan(target=(g, 2, 2)))
+        graphs.append(bld.graphs[synthesis._two_curve(bld, g, 2, False)])
+        assert graphs[-1].signature().triple == (g, 2, 2)
+    assert all(graph.is_connected for graph in graphs)
+    assert all(synthesis._boundary_edge(graph, False) for graph in graphs)
 
 
 class TestConsumReaching:
