@@ -27,9 +27,10 @@ with its straight-ahead orbit in flat arrays, building no cycle tuple.
 Each successor has one cached record, which all its readers read:
 ``_face_orbits`` (the face labels) and ``_curve_orbits`` (the curve
 labels, the straight-ahead successor and the orbit kept of each mirror
-pair).  Faces and curves exist only as these labels; the one cycle
-tuple is ``vertex_cycles``, built by :func:`_orbits` when a caller reads
-it.
+pair), and ``_positions`` holds each dart's place along both orbits,
+for the connected sum's side records.  Faces and curves exist only as
+these labels; the one cycle tuple is ``vertex_cycles``, built by
+:func:`_orbits` when a caller reads it.
 
 Graphs are immutable; every operation returns a fresh value.
 """
@@ -134,10 +135,11 @@ class SurfaceSignature(namedtuple("SurfaceSignature", (
         return f"g={self.genus} b={self.boundary_count} s={s}"
 
 
-def _orbits(succ):
+def _orbits(succ, count=None):
     """Cycles of the permutation ``succ`` of 0..n-1 as tuples, each
     starting at its least element, listed in increasing order of that
-    element."""
+    element; with ``count``, only the first ``count`` of them, walking
+    no other."""
     n = len(succ)
     seen = [False] * n
     out = []
@@ -152,6 +154,8 @@ def _orbits(succ):
             cyc.append(d)
             d = succ[d]
         out.append(tuple(cyc))
+        if len(out) == count:
+            break
     return tuple(out)
 
 
@@ -219,6 +223,21 @@ def _orbit_labels(succ):
                 labels[d] = k
                 d = succ[d]
     return starts, labels
+
+
+def _orbit_positions(succ, starts):
+    """By element, its place along its cycle of the permutation ``succ``,
+    counted from the cycle's element in ``starts`` (one per cycle, as
+    :func:`_orbit_labels` lists them), which is at place 0."""
+    pos = [0] * len(succ)
+    for s in starts:
+        i = 1
+        d = succ[s]
+        while d != s:
+            pos[d] = i
+            i += 1
+            d = succ[d]
+    return pos
 
 
 def canonical_code(sigma0, sigma1, walked=None):
@@ -481,6 +500,15 @@ class FatGraph:
         listed in increasing order of that least dart."""
         return _orbits(self._sigma0)
 
+    def _vertex_darts(self, v):
+        """``vertex_cycles[v]``, read from the cycles once they are built,
+        else walked over the vertices up to v alone, keeping nothing: on
+        a large graph the first vertices cost O(1)."""
+        cycles = self.__dict__.get("vertex_cycles")
+        if cycles is None:
+            cycles = _orbits(self._sigma0, v + 1)
+        return cycles[v]
+
     @_cached
     def vertex_of(self):
         """dart -> index into vertex_cycles, by :func:`_orbit_labels`."""
@@ -594,6 +622,21 @@ class FatGraph:
                 raise InvariantError(
                     "orientation reversal fixes a curve orbit")
         return starts, labels, succ, kept
+
+    @_cached
+    def _positions(self):
+        """(face positions, curve positions): by dart, its place along
+        its face and along its straight-ahead orbit
+        (:func:`_orbit_positions`), each counted from the orbit's least
+        dart; the curve positions are None when some vertex has odd
+        degree.  Read only where :func:`fillgraph.ops._side` makes a
+        connected sum's side record of a vertex of this graph."""
+        faces = _orbit_positions(_face_successor(self._sigma0),
+                                 self._face_orbits[0])
+        if not self.is_decorated:
+            return faces, None
+        starts, _, succ, _ = self._curve_orbits
+        return faces, _orbit_positions(succ, starts)
 
     @_cached
     def curve_of_edge(self):

@@ -147,9 +147,9 @@ def build(family, param=None):
 def _validated(family, param):
     """The member built and checked against :func:`_expected`, with its
     vertex cycles and its key (:attr:`FatGraph._key`) made so that every
-    copy shares them (the connected-sum selectors read the cycles, and
-    every surgery on a copy reads the key); a range error is raised, not
-    cached.
+    copy shares them (a connected sum's side record is made from the
+    cycles, and every surgery on a copy reads the key); a range error is
+    raised, not cached.
 
     A wrong transcription raises :class:`FamilyValidationError`, and so
     does a ``gamma2b`` member whose defining anchor, edge ``f{b+1}``, has

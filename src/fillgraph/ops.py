@@ -43,20 +43,33 @@ For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
 indicator-sum table turns out to be under-determined in two of its branches (the boundary
 count also depends on how the eight darts interleave along the boundary
-words, not only on the indicator sums), so the prediction here is computed
-by splicing the *input* graphs' successor maps (boundary and straight-ahead)
-and counting the orbits; the printed table is still evaluated and audited
-in the report (``OperationReport.chi``, ``printed_b``).  That prediction is
-also public as :func:`predict_connected_sum`, so a caller searching for
-selectors can reject a candidate without building its result.
+words, not only on the indicator sums), so the prediction here counts the
+orbits of the spliced successors (boundary and straight-ahead) from the
+*input* graphs by their cut points: deleting a vertex cuts the orbits
+through it into four segments, and the sum's orbits are the untouched
+orbits of both inputs plus the cycles of a permutation of the four left
+segments (:func:`_spliced_count`).  The printed table is still evaluated
+and audited in the report (``OperationReport.chi``, ``printed_b``).  That
+prediction is also public as :func:`predict_connected_sum`, so a caller
+searching for selectors can reject a candidate without building its
+result.
+
+What the prediction, the selector checks and the audit read of a vertex
+is its side record (:class:`_Side`): its darts, the faces through it,
+the untouched orbit counts and the four-entry cut maps.  ``_sides``
+keeps the records of the last ``_MEMO_SIZE`` vertices, keyed by
+(:attr:`FatGraph._key`, vertex), so the screens of a plan's build, its
+replay, the copies of a family member and the ops audit make each once
+per process, and a prediction costs O(1) once its two records are kept.
+A record is made from the operand alone: its face and curve labels and
+one walk of orbit places (:attr:`FatGraph._positions`) per graph.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 
-from .core import (FatGraph, FatGraphError, InvariantError, _face_successor,
-                   _orbit_labels, _packed, _unpacked)
+from .core import FatGraph, FatGraphError, InvariantError, _packed, _unpacked
 
 
 class OperationError(FatGraphError):
@@ -470,36 +483,118 @@ def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,
     return rep.check()
 
 
-def _spliced_orbit_count(succ_l, w_darts, succ_r, u_darts):
-    """Number of orbits of a successor map on the connected sum, spliced
-    from the maps ``succ_l``/``succ_r`` of the *inputs* alone (never from
-    the result graph).
+class _Side(namedtuple("_Side", (
+        "darts", "faces", "untouched_faces", "face_map", "untouched_curves",
+        "curve_map", "two_curves"))):
+    """What a connected sum reads of one operand's loop-free 4-valent
+    vertex v, from the operand alone: the side record of v.
 
-    Darts of the combined map: left dart d is d, right dart d is n1 + d,
-    and merged edge g_i has darts g + 2i (g_i+) and g + 2i + 1 (g_i-).
-    Strand i of w (dart e_i) merges with strand 3-i of u (dart f_{3-i}):
-    g_i+ replaces the pair (rev e_i, f_{3-i}) and g_i- replaces
-    (rev f_{3-i}, e_i).  The darts of both deleted vertices and their
-    reverses drop out: each is made a fixed point of the spliced map and
-    its orbit taken off the count.  Neither vertex carries a loop, so no
-    surviving dart steps onto a dropped one.
-    """
-    n1 = len(succ_l)
-    g = n1 + len(succ_r)
-    to = list(range(g))
+    * ``darts``: v's darts c_0..c_3, its cycle in ``vertex_cycles``;
+    * ``faces``: the faces of c_0..c_3, numbered by first appearance, so
+      ``(0, 0, 1, 2)`` puts c_0 and c_1 on one face; the face of
+      ``c_i ^ 1`` is the face of c_{i+1} (the boundary successor takes
+      ``c_i ^ 1`` to ``sigma0[c_i]``), so these four name every face
+      through v;
+    * ``untouched_faces``: the faces of the operand through none of
+      c_0..c_3;
+    * ``face_map``: by i, the j of the first cut dart ``c_j ^ 1`` met
+      along the boundary successor from the segment start
+      ``succ(c_i)`` (itself included); see :func:`_side`;
+    * ``untouched_curves`` and ``curve_map``: the same for the
+      straight-ahead successor (both mirrors of each curve), None when
+      the operand has a vertex of odd degree;
+    * ``two_curves``: :func:`_strands_distinct` on c_0, c_1, whether
+      the two strands through v lie on two curves."""
+
+    __slots__ = ()
+
+
+# (FatGraph._key, v) -> the _Side of the loop-free 4-valent vertex v of
+# every graph on that rotation, with _memo's bound; oldest entry first
+_sides: OrderedDict = OrderedDict()
+
+
+def _cut_map(starts, darts, labels, pos):
+    """By i, the j of the first dart ``darts[j] ^ 1`` met walking a
+    successor from ``starts[i]``, itself included, read from the orbit
+    ``labels`` and the places ``pos`` along each orbit: the cut dart on
+    the start's orbit at the least place not before the start's, else
+    the least place on that orbit (the walk wraps past the orbit's
+    first dart)."""
+    cuts = [(labels[d ^ 1], pos[d ^ 1], j) for j, d in enumerate(darts)]
+    out = []
+    for s in starts:
+        here, at = labels[s], pos[s]
+        out.append(min((p < at, p, j) for lab, p, j in cuts
+                       if lab == here)[2])
+    return tuple(out)
+
+
+def _side(graph, v):
+    """The :class:`_Side` of vertex ``v`` of ``graph``, read from
+    ``_sides`` or made and kept there (a full table drops its oldest
+    entry); None, and nothing kept, when v has degree other than 4 or
+    carries a loop.  The caller checks that v is a vertex.
+
+    Deleting v leaves each successor orbit through v's darts cut into
+    segments: one starts at ``succ(c_i)`` for each i, and ends at the
+    first cut dart ``c_j ^ 1`` it meets, whose successor was deleted
+    (it is a dart of v, and no loop makes ``succ(c_i)`` or ``c_j ^ 1``
+    one).  An orbit through v holds some c_i, and every other orbit is
+    untouched.  The map from i to j is read from the orbit labels and
+    the orbit places of :attr:`FatGraph._positions`, walked once per
+    graph, so each record costs O(1) after that walk."""
+    key = (graph._key, v)
+    side = _sides.get(key)
+    if side is not None:
+        return side
+    darts = graph._vertex_darts(v)
+    if len(darts) != 4 or any(d ^ 1 in darts for d in darts):
+        return None
+    s0 = graph.sigma0
+    fpos, cpos = graph._positions
+    fstarts, flabels = graph._face_orbits
+    names = {}
+    faces = tuple(names.setdefault(flabels[d], len(names)) for d in darts)
+    face_map = _cut_map([s0[d ^ 1] for d in darts], darts, flabels, fpos)
+    untouched_curves = curve_map = None
+    if cpos is not None:
+        cstarts, clabels, csucc, _ = graph._curve_orbits
+        untouched_curves = len(cstarts) - len({clabels[d] for d in darts})
+        curve_map = _cut_map([csucc[d] for d in darts], darts, clabels, cpos)
+    side = _Side(darts, faces, len(fstarts) - len(names), face_map,
+                 untouched_curves, curve_map, _strands_distinct(graph, darts))
+    if len(_sides) >= _MEMO_SIZE:
+        _sides.popitem(last=False)
+    _sides[key] = side
+    return side
+
+
+def _spliced_count(left_untouched, left_map, right_untouched, right_map,
+                   align):
+    """Orbits of a successor on the connected sum: the untouched orbits
+    of both operands, plus one for each cycle of P on the left segments.
+
+    Strand i of w (dart e_i) merges with strand 3-i of u (dart
+    f_{3-i}, f_k being u's dart ``(k + align) % 4``), so the cut dart
+    ``e_j ^ 1`` now steps to the right segment start ``succ(f_{3-j})``
+    and ``f_k ^ 1`` to the left one ``succ(e_{3-k})``.  Following a left
+    segment to its cut dart (``left_map``), across, along a right one
+    (``right_map``, in u's own numbering) and back gives
+    P(i) = 3 - ((R[(3 - L[i] + align) % 4] - align) % 4), and every
+    orbit through the splice holds a left segment."""
+    step = [3 - (right_map[(3 - j + align) % 4] - align) % 4
+            for j in left_map]
+    count = left_untouched + right_untouched
+    seen = [False] * 4
     for i in range(4):
-        e, f = w_darts[i], n1 + u_darts[3 - i]
-        to[e ^ 1] = g + 2 * i
-        to[f ^ 1] = g + 2 * i + 1
-    nxt = [to[d] for d in succ_l]
-    nxt += [to[n1 + d] for d in succ_r]
-    for i in range(4):
-        nxt.append(to[n1 + succ_r[u_darts[3 - i]]])
-        nxt.append(to[succ_l[w_darts[i]]])
-    for e in (*w_darts, *(n1 + f for f in u_darts)):
-        nxt[e] = e
-        nxt[e ^ 1] = e ^ 1
-    return len(_orbit_labels(nxt)[0]) - 16
+        if not seen[i]:
+            count += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = step[j]
+    return count
 
 
 def _strands_distinct(graph, darts):
@@ -515,29 +610,26 @@ def _strands_distinct(graph, darts):
     return min(labels[d], labels[d ^ 1]) != min(labels[e], labels[e ^ 1])
 
 
-def _chi_audit(left, w_darts, right, u_darts, ls, rs):
+def _chi_audit(left_side, right_side, ls, rs):
     """Evaluate the four-branch indicator-sum classification of the connected
     sum and return its diagnostics.  The table value is recorded for audit;
-    only the two structurally forced branches are reliable in general."""
-    comp2 = right.boundary_component_of
-    same = [comp2[d] == comp2[d ^ 1] for d in u_darts]
-    count_same = sum(same)
-    per_eta = {}
-    for d in u_darts:
-        if comp2[d] == comp2[d ^ 1]:
-            per_eta[comp2[d]] = per_eta.get(comp2[d], 0) + 1
-    max_eta_same = max(per_eta.values(), default=0)
+    only the two structurally forced branches are reliable in general.
+
+    The sides' face patterns hold every face it reads: the face of the
+    reverse of u's dart i is the face of its dart i+1, and the counts do
+    not depend on the alignment."""
+    faces = right_side.faces
+    # u's dart i and its reverse share a face when darts i and i+1 do
+    same = [f for i, f in enumerate(faces) if f == faces[i - 3]]
+    count_same = len(same)
+    max_eta_same = max(map(same.count, same), default=0)
     exists_eta_all4 = max_eta_same == 4
-    block_comps = [comp2[u_darts[i] ^ 1] for i in range(4)]
-    n_block_comps = len(set(block_comps))
-    comp1 = left.boundary_component_of
-    w_comps = {comp1[d] for d in w_darts} | {comp1[d ^ 1] for d in w_darts}
-    hypothesis = len(w_comps) == 1
+    n_block_comps = len(set(faces))
+    hypothesis = left_side.faces == (0, 0, 0, 0)
 
     # the printed curve law s1+s2-2 silently assumes the two strands at each
     # deleted vertex belong to two different curves
-    s_law_premise = _strands_distinct(left, w_darts) and \
-        _strands_distinct(right, u_darts)
+    s_law_premise = left_side.two_curves and right_side.two_curves
 
     if exists_eta_all4:
         case, delta = SUM_ALL4_ONE, 2
@@ -565,43 +657,48 @@ def _chi_audit(left, w_darts, right, u_darts, ls, rs):
     }
 
 
-def _coupled_darts(left: FatGraph, right: FatGraph, w: int, u: int,
+def _coupled_sides(left: FatGraph, right: FatGraph, w: int, u: int,
                    align: int):
-    """Checked selectors of a connected sum -> (darts of w, darts of u
-    rotated by ``align``); raises :class:`OperationError` when the sum is
+    """Checked selectors of a connected sum -> the side records of w and
+    u (:func:`_side`); raises :class:`OperationError` when the sum is
     undefined."""
     if left is right:
         raise OperationError("self-sum rejected: pass two graph values")
     if align not in (0, 1, 2, 3):
         raise OperationError(f"align must be in 0..3, got {align}")
+    sides = []
     for g, v, side in ((left, w, "left"), (right, u, "right")):
         if not isinstance(v, int) or not 0 <= v < g.num_vertices:
             raise OperationError(f"{side} graph has no vertex {v}")
-        if g.degree(v) != 4:
-            raise OperationError(
-                f"{side} vertex {v} has degree {g.degree(v)}, need 4")
-        if g.loops_at(v):
+        record = _side(g, v)
+        if record is None:
+            if g.degree(v) != 4:
+                raise OperationError(
+                    f"{side} vertex {v} has degree {g.degree(v)}, need 4")
             raise OperationError(
                 f"{side} vertex {v} carries a loop; connected sum undefined")
-    u_darts = right.vertex_cycles[u]
-    return list(left.vertex_cycles[w]), list(u_darts[align:] + u_darts[:align])
+        sides.append(record)
+    return sides
 
 
-def _sum_prediction(left: FatGraph, w_darts, right: FatGraph, u_darts):
+def _sum_prediction(left: FatGraph, left_side, right: FatGraph, right_side,
+                    align):
     """(g, b, s) of a connected sum from the inputs alone: b and s count
-    the orbits of the spliced boundary and straight-ahead successors, g
-    follows from Euler's formula for a connected result; s is None unless
-    both inputs are decorated.  A disconnected input raises
-    :class:`DisconnectedError` from its signature."""
+    the orbits of the spliced boundary and straight-ahead successors from
+    the side records (:func:`_spliced_count`), g follows from Euler's
+    formula for a connected result; s is None unless both inputs are
+    decorated.  A disconnected input raises :class:`DisconnectedError`
+    from its signature."""
     ls, rs = left.signature(), right.signature()
-    b = _spliced_orbit_count(_face_successor(left.sigma0), w_darts,
-                             _face_successor(right.sigma0), u_darts)
+    b = _spliced_count(left_side.untouched_faces, left_side.face_map,
+                       right_side.untouched_faces, right_side.face_map, align)
     V = ls.vertex_count + rs.vertex_count - 2
     m = ls.edge_count + rs.edge_count - 4
     s = None
-    if left.is_decorated and right.is_decorated:
-        orbits = _spliced_orbit_count(left._curve_orbits[2], w_darts,
-                                      right._curve_orbits[2], u_darts)
+    if left_side.curve_map is not None and right_side.curve_map is not None:
+        orbits = _spliced_count(
+            left_side.untouched_curves, left_side.curve_map,
+            right_side.untouched_curves, right_side.curve_map, align)
         if orbits % 2:
             raise OperationInvariantError(
                 "standard orbits of a connected sum do not pair up")
@@ -612,11 +709,12 @@ def _sum_prediction(left: FatGraph, w_darts, right: FatGraph, u_darts):
 def predict_connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
                           align: int = 0):
     """The (g, b, s) that :func:`connected_sum` with these arguments
-    predicts, without building the result: a cheap screen for selectors.
-    Raises :class:`OperationError` where ``connected_sum`` rejects the
+    predicts, without building the result: a cheap screen for selectors,
+    O(1) once the side records of w and u are kept.  Raises
+    :class:`OperationError` where ``connected_sum`` rejects the
     selectors; a sum that would disconnect is not detected here."""
-    w_darts, u_darts = _coupled_darts(left, right, w, u, align)
-    return _sum_prediction(left, w_darts, right, u_darts)
+    left_side, right_side = _coupled_sides(left, right, w, u, align)
+    return _sum_prediction(left, left_side, right, right_side, align)
 
 
 def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
@@ -637,10 +735,12 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
     vertex to lie on two different curves, which filling systems always
     satisfy).
     """
-    w_darts, u_darts = _coupled_darts(left, right, w, u, align)
-    pg, pb, ps = _sum_prediction(left, w_darts, right, u_darts)
+    left_side, right_side = _coupled_sides(left, right, w, u, align)
+    pg, pb, ps = _sum_prediction(left, left_side, right, right_side, align)
     names, gname = _edge_names(left, right, ("g1", "g2", "g3", "g4"))
     kg = 2 * (left.num_edges + right.num_edges)  # key dart g1+; g2+ is +2
+    w_darts = left_side.darts
+    u_darts = right_side.darts[align:] + right_side.darts[:align]
     # rev(e_i) -> g_i+,  rev(f_j) -> g_{3-j}-   (0-based coupling)
     lmap = {d ^ 1: kg + 2 * i for i, d in enumerate(w_darts)}
     rmap = {d ^ 1: kg + 2 * (3 - j) + 1 for j, d in enumerate(u_darts)}
@@ -652,7 +752,7 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
             f"connected sum at (w={w}, u={u}) disconnects the graph")
 
     ls, rs = left.signature(), right.signature()
-    case, chi = _chi_audit(left, w_darts, right, u_darts, ls, rs)
+    case, chi = _chi_audit(left_side, right_side, ls, rs)
     rep = OperationReport(
         op="consum", case=case, left_signature=ls, right_signature=rs,
         predicted_b=pb, predicted_g=pg, predicted_s=ps,

@@ -51,8 +51,9 @@ from functools import lru_cache
 from . import families, oracle
 from .analysis import intersection_graph
 from .core import FatGraph, FatGraphError, InvariantError
-from .ops import (OperationReport, _filling_verdict, _restored, _unpacked,
-                  connected_sum, join, plumbing, predict_connected_sum)
+from .ops import (OperationReport, _filling_verdict, _restored, _side,
+                  _unpacked, connected_sum, join, plumbing,
+                  predict_connected_sum)
 
 
 class SynthesisError(FatGraphError):
@@ -472,7 +473,7 @@ class _Builder:
         a candidate that reaches ``want_triple`` is built.
         """
         left, right = self.graphs[li], self.graphs[ri]
-        right_vertices = _sum_vertices(right)
+        right_vertices = list(_sum_vertices(right))
         for w in _sum_vertices(left):
             for u in right_vertices:
                 for align in range(4):
@@ -494,9 +495,13 @@ class _Builder:
 
 
 def _sum_vertices(graph):
-    """Vertices a connected sum can use: degree 4 and no loop, ascending."""
-    return [v for v in range(graph.num_vertices)
-            if graph.degree(v) == 4 and not graph.loops_at(v)]
+    """Vertices a connected sum can use, ascending: those of degree 4
+    with no loop, which have a side record in the ops table
+    (:func:`ops._side`).  Each is found when the caller takes it, so a
+    screen that hits early reads the records of the vertices before the
+    hit only."""
+    return (v for v in range(graph.num_vertices)
+            if _side(graph, v) is not None)
 
 
 def _shifted(step, base):
@@ -508,13 +513,15 @@ def _shifted(step, base):
     return step._replace(**moved) if moved else step
 
 
-# Fixed by measurement: a synth-grid pass needs 1,018 entries, so this
-# bound holds a whole pass; see BENCH_27.json.
+# Fixed by measurement: a synth-grid pass needs 1,030 entries (1,018
+# before the feet that make a surgery kept theirs), so this bound holds
+# a whole pass; see BENCH_27.json and BENCH_29.json.
 _SUBPLAN_SIZE = 2048
 
-# (move, seed, seed arguments, moves) -> (steps, result, key, labels) of
-# the chain rung built on an empty plan, the key and labels those of its
-# result graph; least recently used first out past _SUBPLAN_SIZE entries
+# (move or None, seed, seed arguments, moves) -> (steps, result, key,
+# labels) of the chain rung built on an empty plan, the key and labels
+# those of its result graph; least recently used first out past
+# _SUBPLAN_SIZE entries
 _subplans = OrderedDict()
 
 
@@ -525,13 +532,15 @@ def _chain(bld, move, seed, args, count):
 
     Rung k >= 1 of the chain, the seed and its first k moves, is a
     sub-plan of ``_subplans`` under the key ``(move, seed, args, k)``,
-    executed once per process; with no move the chain is the seed itself,
-    and is no sub-plan.  A call walks down from its own rung to the first
-    rung in the table, one probe a rung, so a warm call probes once.  It
-    then makes the missing rungs lowest first, each on an empty plan that
-    runs the seed (rung 1) or reuses the rung under it, so no call nests
-    one rung in another and no chain is too long for the interpreter's
-    stack; a seed that is a chain itself keeps its rungs under its own
+    executed once per process; with no move (``count`` 0) the chain is
+    the seed itself, and is no sub-plan.  A foot that makes a surgery is
+    kept as the one rung of a chain whose ``move`` is None, which runs
+    no move: that rung is the seed itself.  A call walks down from its
+    own rung to the first rung in the table, one probe a rung, so a
+    warm call probes once.  It then makes the missing rungs lowest
+    first, each on an empty plan that runs the seed (rung 1) or reuses
+    the rung under it, so no call nests one rung in another and no chain
+    is too long for the interpreter's stack; a seed that is a chain itself keeps its rungs under its own
     keys.  A rung's entry keeps its steps, its result index, and the key
     (:attr:`FatGraph._key`) and labels of the graph there; a move that
     raises stores nothing, and the rungs made under it stay.  The graph a
@@ -550,7 +559,7 @@ def _chain(bld, move, seed, args, count):
     for k in reversed(missing):
         sub = _Builder(SynthesisPlan(target=()))
         prev = seed(sub, *args) if k == 1 else sub.reuse(entry, graph)
-        idx = move(sub, prev)
+        idx = prev if move is None else move(sub, prev)
         graph = sub.graphs[idx]
         entry = (tuple(sub.plan.steps), idx, graph._key, graph.labels)
         _subplans[move, seed, args, k] = entry
@@ -648,11 +657,17 @@ def _two_curve(bld, g, b, same):
 
 
 def _two_curve_foot(bld, g, b, same):
-    """gamma2b(b) for g = 2; for g = 3 its first connected sum with
-    gamma2b(2) that reaches (3, b, 2), with an edge in one boundary
-    component when ``same``."""
+    """gamma2b(b) for g = 2; for g = 3 :func:`_summed_gamma2b`, kept as
+    a rung of its own, so that its search runs once per process."""
     if g == 2:
         return bld.family(families.GAMMA_2_B, b)
+    return _chain(bld, None, _summed_gamma2b, (b, same), 1)
+
+
+def _summed_gamma2b(bld, b, same):
+    """The first connected sum of gamma2b(2) with gamma2b(b) that
+    reaches (3, b, 2), with an edge in one boundary component when
+    ``same``."""
     a = bld.family(families.GAMMA_2_B, 2)
     c = bld.family(families.GAMMA_2_B, b)
     idx, _ = bld.consum_reaching(
@@ -691,11 +706,17 @@ def _minimal_foot(bld, g, s):
 
 
 def _sphere_foot(bld, g):
-    """Tight (g, 1, 3): G1 for g = 2, else the sphere circle plumbed onto
-    a two-disc pair of genus g-1 across its two boundary components, with
-    the bivalent vertex erased."""
+    """Tight (g, 1, 3): G1 for g = 2, else :func:`_plumbed_sphere`,
+    kept as a rung of its own, so that its plumbing runs once per
+    process."""
     if g == 2:
         return bld.family(families.G1)
+    return _chain(bld, None, _plumbed_sphere, (g,), 1)
+
+
+def _plumbed_sphere(bld, g):
+    """The sphere circle plumbed onto a two-disc pair of genus g-1 across
+    its two boundary components, with the bivalent vertex erased."""
     pi = _two_curve(bld, g - 1, 2, False)
     x = _boundary_edge(bld.graphs[pi], False)
     idx, rep = bld.plumb(pi, bld.family(families.SPHERE_CIRCLE), x, "a")

@@ -7,10 +7,11 @@ three catalog families, the surface invariants and
 straight-ahead successor read from those cycle tuples, and the census's
 and the pair search's face screens read from the face tuples, and the
 plan text of the standard library's indenting JSON encoder; the
-earlier forms of four library routines, kept as references: the
+earlier forms of five library routines, kept as references: the
 two-pass plan reader, the per-dart ``shuffled``, the isomorphism test
-without face screening and the pair candidates built whole, none
-skipped by symmetry; and
+without face screening, the pair candidates built whole, none
+skipped by symmetry, and the connected sum's prediction by splicing
+and relabelling both operands' whole successor maps; and
 relabeling, path and degree readings that no library module needs."""
 
 import itertools
@@ -306,6 +307,71 @@ def reference_successor(graph):
         for i, d in enumerate(cyc):
             succ[d ^ 1] = cyc[i - k]
     return tuple(succ)
+
+
+def spliced_orbit_count(succ_l, w_darts, succ_r, u_darts):
+    """Number of orbits of a successor map on the connected sum, spliced
+    from the maps ``succ_l``/``succ_r`` of the two operands and counted
+    by a walk over the whole spliced map.
+
+    Darts of the spliced map: left dart d is d, right dart d is n1 + d,
+    and merged edge g_i has darts g + 2i (g_i+) and g + 2i + 1 (g_i-).
+    Strand i of w (dart e_i) merges with strand 3-i of u (dart f_{3-i}):
+    g_i+ replaces the pair (rev e_i, f_{3-i}) and g_i- replaces
+    (rev f_{3-i}, e_i).  The darts of both deleted vertices and their
+    reverses drop out: each is marked walked before the count starts.
+    Neither vertex carries a loop, so no surviving dart steps onto a
+    dropped one."""
+    n1 = len(succ_l)
+    g = n1 + len(succ_r)
+    to = list(range(g))
+    for i in range(4):
+        e, f = w_darts[i], n1 + u_darts[3 - i]
+        to[e ^ 1] = g + 2 * i
+        to[f ^ 1] = g + 2 * i + 1
+    nxt = [to[d] for d in succ_l]
+    nxt += [to[n1 + d] for d in succ_r]
+    for i in range(4):
+        nxt.append(to[n1 + succ_r[u_darts[3 - i]]])
+        nxt.append(to[succ_l[w_darts[i]]])
+    seen = bytearray(len(nxt))
+    for e in (*w_darts, *(n1 + f for f in u_darts)):
+        seen[e] = seen[e ^ 1] = 1
+    orbits = 0
+    for s in range(len(nxt)):
+        if not seen[s]:
+            orbits += 1
+            d = s
+            while not seen[d]:
+                seen[d] = 1
+                d = nxt[d]
+    return orbits
+
+
+def reference_sum_prediction(left, right, w, u, align):
+    """The (g, b, s) of ``ops.connected_sum(left, right, w, u, align)``
+    by splicing both operands' whole boundary and straight-ahead
+    successor maps and relabelling every orbit
+    (:func:`spliced_orbit_count`), the prediction the library made
+    before it kept side records; s is None unless both operands are
+    decorated, and the answer is None where w or u is not a loop-free
+    4-valent vertex.  The operands must be connected."""
+    w_darts, u_darts = left.vertex_cycles[w], right.vertex_cycles[u]
+    for darts in (w_darts, u_darts):
+        if len(darts) != 4 or any(d ^ 1 in darts for d in darts):
+            return None
+    u_darts = u_darts[align:] + u_darts[:align]
+    b = spliced_orbit_count([left.sigma0[d ^ 1] for d in range(left.num_darts)],
+                            w_darts,
+                            [right.sigma0[d ^ 1]
+                             for d in range(right.num_darts)], u_darts)
+    V = len(left.vertex_cycles) + len(right.vertex_cycles) - 2
+    m = left.num_edges + right.num_edges - 4
+    s = None
+    if all(len(c) % 2 == 0 for g in (left, right) for c in g.vertex_cycles):
+        s = spliced_orbit_count(reference_successor(left), w_darts,
+                                reference_successor(right), u_darts) // 2
+    return (2 - b - V + m) // 2, b, s
 
 
 def tuple_curves(graph):

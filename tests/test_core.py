@@ -4,10 +4,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import edges, face_cycles, face_words, tuple_curves
+from helpers import (cycles, edges, face_cycles, face_words,
+                     reference_successor, tuple_curves)
 
 import fillgraph
-from fillgraph import families
+from fillgraph import families, oracle
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
                             InvariantError, MalformedGraphError,
                             NotDecoratedError, _cached, _orbit_labels)
@@ -192,6 +193,38 @@ class TestStandardCycles:
             g = FatGraph.from_vertex_cycles(cycles)
             found = sorted(e for c in tuple_curves(g) for e in edges(c))
             assert found == list(range(g.num_edges))
+
+
+class TestVertexDartsAndPositions:
+    GRAPHS = [row.graph() for V in range(1, 4) for row in oracle.census(V)]
+    GRAPHS += [families.build(families.SPHERE_CIRCLE),
+               FatGraph.from_vertex_cycles([cyc("a+ a- b+"),
+                                            cyc("b- c+ c-")])]
+
+    def test_vertex_darts_walk_only_what_they_need(self):
+        # a graph without its vertex cycles walks them up to the vertex
+        # asked, and builds nothing to keep
+        for graph in self.GRAPHS:
+            for v, darts in enumerate(graph.vertex_cycles):
+                fresh = FatGraph(graph.sigma0, graph.labels)
+                assert fresh._vertex_darts(v) == darts
+                assert "vertex_cycles" not in fresh.__dict__
+                assert graph._vertex_darts(v) is darts
+
+    def test_positions_follow_the_orbits(self):
+        # place i along an orbit is the i-th dart of the orbit walked from
+        # its least dart, for faces and, on a decorated graph, curves
+        for graph in self.GRAPHS:
+            faces, curves = graph._positions
+            assert [faces[d] for face in face_cycles(graph)
+                    for d in face] == [i for face in face_cycles(graph)
+                                       for i in range(len(face))]
+            if not graph.is_decorated:
+                assert curves is None
+                continue
+            orbits = cycles(reference_successor(graph))
+            assert [curves[d] for orb in orbits for d in orb] == [
+                i for orb in orbits for i in range(len(orb))]
 
 
 class TestSignature:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import subprocess
@@ -5,14 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import dumbbells, relabeled
+from helpers import dumbbells, reference_sum_prediction, relabeled
 
 import fillgraph
-from fillgraph import families, oracle, ops
+from fillgraph import families, oracle, ops, synthesis
 from fillgraph.core import FatGraph, InvariantError
 from fillgraph.ops import (OperationError, connected_sum, join,
                            new_join_face_lengths, plumbing,
                            predict_connected_sum)
+from fillgraph.synthesis import SynthesisPlan
 
 
 def torus():
@@ -152,6 +154,54 @@ class TestConnectedSum:
                     assert predict_connected_sum(left, right, w, u, align) \
                         == rep.recomputed.triple, (w, u, align)
         assert built >= 4 * 6
+
+    @staticmethod
+    def census_pairs():
+        """The census classes with V <= 3, each with a copy of every
+        member of the small catalog."""
+        small = [row.build() for row in families.catalog(2, 3)]
+        return [(row.graph(), copy.copy(b)) for V in range(1, 4)
+                for row in oracle.census(V) for b in small]
+
+    @staticmethod
+    def chain_pairs():
+        """The two-disc chain of G2 sums, genus 2 to 12, each with G2."""
+        pairs = []
+        for g in range(2, 13):
+            bld = synthesis._Builder(SynthesisPlan(target=(g, 2, 2)))
+            pairs.append((bld.graphs[synthesis._two_curve(bld, g, 2, False)],
+                          g2()))
+        return pairs
+
+    @pytest.mark.parametrize("pairs, least", [(census_pairs, 15_000),
+                                              (chain_pairs, 7_000)],
+                             ids=["census", "chain"])
+    def test_prediction_equals_the_splice_reference(self, pairs, least):
+        # the cut-point count of the side records against the splice and
+        # relabelling of both operands' whole successor maps, and against
+        # the built result where the sum builds, at every (w, u, align)
+        # in both operand orders
+        trials = built = 0
+        for a, b in pairs():
+            for left, right in ((a, b), (b, a)):
+                for w, u, align in itertools.product(
+                        range(left.num_vertices), range(right.num_vertices),
+                        range(4)):
+                    args = (left, right, w, u, align)
+                    want = reference_sum_prediction(*args)
+                    if want is None:
+                        with pytest.raises(OperationError):
+                            predict_connected_sum(*args)
+                        continue
+                    trials += 1
+                    assert predict_connected_sum(*args) == want, args
+                    try:
+                        rep = connected_sum(*args)
+                    except OperationError:
+                        continue  # the sum disconnects
+                    built += 1
+                    assert rep.recomputed.triple == want, args
+        assert trials >= least and built > 0.95 * trials
 
     def test_prediction_rejects_what_the_sum_rejects(self):
         a, b = g1(), g1()

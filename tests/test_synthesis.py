@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import sys
 from collections import OrderedDict
@@ -7,7 +8,7 @@ from helpers import (dumbbells, first_matching_graph, full_scan_code,
                      grid_plans, grid_targets, pair_search_reference,
                      reference_pair_candidates, tuple_face_screen)
 
-from fillgraph import families, formats, ops, oracle, synthesis
+from fillgraph import core, families, formats, ops, oracle, synthesis
 from fillgraph.analysis import intersection_graph
 from fillgraph.ops import OperationError
 from fillgraph.synthesis import (ImpossibleSignatureError, Step,
@@ -440,20 +441,21 @@ def _pair_key(g):
 class TestSubplanMemo:
     def test_warm_plans_equal_cold_plans(self, memo, cold_texts):
         # the grid has 36 distinct seed rungs (21 torus plumbings and 15
-        # G2 sums) and 119 distinct torus-join rungs (a chain of no moves
-        # is its seed, no sub-plan); from an empty table each is built
-        # once, in either order, and a warm pass builds none and probes
-        # the table at most once a chain call
+        # G2 sums), 7 feet that make a surgery (4 two-curve feet of genus
+        # 3 and 3 sphere feet) and 119 distinct torus-join rungs (a chain
+        # of no moves is its seed, no sub-plan); from an empty table each
+        # is built once, in either order, and a warm pass builds none and
+        # probes the table at most once a chain call
         for order in (MEMO_GRID, MEMO_GRID[::-1]):
             memo.clear()
             for build, args in order:
                 text = formats.dumps_plan(build(*args))
                 assert text == cold_texts[build, args], (build, args)
-            assert memo.stores == len(memo) == 36 + 119
+            assert memo.stores == len(memo) == 36 + 7 + 119
             memo.probes = memo.hits = 0
             for build, args in order:
                 build(*args)
-            assert memo.stores == 36 + 119
+            assert memo.stores == 36 + 7 + 119
             assert memo.hits == memo.probes <= len(order)
 
     def test_hit_is_a_copy_and_replays(self, memo):
@@ -642,15 +644,17 @@ class TestSubplanMemo:
         # the pair seed of genus 661: 329 G2 sums on the pair of genus 3
         (filling, (661, 1, 2), 1 + 2 * 329, 329),
         # the tight chain: 198 torus plumbings on the sphere foot of genus
-        # 202, whose two-disc pair of genus 201 is 99 G2 sums
+        # 202, whose two-disc pair of genus 201 is 99 G2 sums on the
+        # two-curve foot of genus 3; each foot is a rung of its own
         (tight_omega_filling, (400, 399), 3 + 2 * 99 + 3 + 2 * 198,
-         99 + 198),
+         99 + 198 + 2),
         # the minimal chain: 199 torus plumbings on the pair seed of
         # genus 201, 99 G2 sums on the pair of genus 3
         (filling, (400, 1, 400), 1 + 2 * 99 + 2 * 199, 99 + 199),
         # the sphere foot of genus 400 on the two-disc pair of genus 399:
-        # 198 G2 sums on a sum of two gamma2b(2), a plumbing, a smoothing
-        (tight_omega_filling, (400, 3), 3 + 2 * 198 + 3, 198)],
+        # 198 G2 sums on a sum of two gamma2b(2), a plumbing, a smoothing;
+        # the sum of two gamma2b(2) and the sphere foot are rungs too
+        (tight_omega_filling, (400, 3), 3 + 2 * 198 + 3, 198 + 2)],
         ids=["pair", "tight", "minimal", "two-disc"])
     def test_cold_ladder_past_the_recursion_limit(self, memo, build, args,
                                                   steps, entries):
@@ -670,7 +674,8 @@ class TestSubplanMemo:
         assert tight_omega_filling(6, 4).steps == minimal.steps
         assert memo.stores == stores
         # the tight plans of genus 2 to 6 add only the rungs of their
-        # sphere feet and odd-size chains to the minimal plans' rungs
+        # sphere feet and odd-size chains to the minimal plans' rungs:
+        # 12 moves, 4 sphere feet and the two-curve foot of genus 3
         memo.clear()
         for g in range(2, 7):
             for s in range(lower_bound(g), 2 * g + 1):
@@ -679,7 +684,7 @@ class TestSubplanMemo:
         for g in range(2, 7):
             for s in range(lower_bound(g), 2 * g + 1):
                 tight_omega_filling(g, s)
-        assert memo.stores == stores + 12
+        assert memo.stores == stores + 12 + 5
 
 
 def test_each_construction_walked_once(monkeypatch):
@@ -694,14 +699,57 @@ def test_each_construction_walked_once(monkeypatch):
         plan = formats.loads_plan(formats.dumps_plan(build(*args)))
         plan.replay()
         plans.append(plan)
-    # 604 surgeries, of 160 distinct constructions
+    # 596 surgeries, of 160 distinct constructions
     assert table.stores == len(table) == table.probes - table.hits == 160
-    assert table.probes == 604 and len(table) < ops._MEMO_SIZE
+    assert table.probes == 596 and len(table) < ops._MEMO_SIZE
     # a second replay of every plan, 434 surgeries, walks none
     for plan in plans:
         plan.replay()
     assert table.stores == table.probes - table.hits == 160
-    assert table.probes == 604 + 434
+    assert table.probes == 596 + 434
+
+
+def test_side_records_made_once_per_vertex(monkeypatch):
+    # a cold filling(60, 1, 2) sums G2 onto the searched pair of genus 4
+    # 28 times, screening every (w, u, align) before its hit by the
+    # prediction: the position walk runs once on each distinct operand
+    # (the copies of G2 share one key), each side record is made once,
+    # however many candidates read it, and the screen reads the records
+    # of the vertices up to its hit only
+    walks, made, screened, operands = [], [], [], set()
+    real_walk = core.FatGraph.__dict__["_positions"].func
+
+    @functools.wraps(real_walk)
+    def walk(graph):
+        walks.append(graph._key)
+        return real_walk(graph)
+
+    real_side = ops._side
+
+    def side(graph, v):
+        if (graph._key, v) not in ops._sides:
+            made.append((graph._key, v))
+        return real_side(graph, v)
+
+    real_predict = synthesis.predict_connected_sum
+
+    def predict(left, right, *args):
+        operands.update((left._key, right._key))
+        screened.append(args)
+        return real_predict(left, right, *args)
+
+    monkeypatch.setattr(core.FatGraph, "_positions", core._cached(walk))
+    monkeypatch.setattr(ops, "_side", side)
+    monkeypatch.setattr(synthesis, "_side", side)
+    monkeypatch.setattr(synthesis, "predict_connected_sum", predict)
+    plan = filling(60, 1, 2)
+    assert sum(st.op == "consum" for st in plan.steps) == 28
+    assert len(operands) == 28 + 1
+    assert sorted(walks) == sorted(operands)
+    assert len(set(made)) == len(made) == len(ops._sides)
+    # G2's six vertices and one of each left operand: every hit is at
+    # w = 0, the fifth candidate (u = 1, align = 0)
+    assert len(made) == 6 + 28 and len(screened) == 5 * 28
 
 
 def test_two_faces_have_an_edge_between_them():
