@@ -35,9 +35,10 @@ Replay runs every surgery of a plan again, so ``_constructions`` keeps
 the last ``_MEMO_SIZE`` distinct walks of :func:`_rewired`, keyed by the
 operands' keys and the splice: the result's key and the operand edge key
 of each result edge.  Each distinct construction is walked once; a later
-call on it names the edges with its own names.  The names check, the
-splice checks, the prediction from the operands, the signature read by
-:func:`_recomputed` and the report check run on every call.
+call on it (a hit) reads the packed edge order, maps its own names over
+it and unpacks the key into the result's ``sigma0``.  The names check,
+the splice checks, the prediction from the operands, the signature read
+by :func:`_recomputed` and the report check run on every call.
 
 For join and plumbing the prediction comes from the two-branch case
 tables, which are complete.  For the connected sum the classical four-branch
@@ -98,7 +99,8 @@ class OperationReport(namedtuple("OperationReport", (
     predicted b, g and s, the result graph and its recomputed signature.
     ``chi`` is the connected sum's audit of the indicator-sum table (None
     for join and plumbing), and ``selectors`` the arguments that chose
-    the splice."""
+    the splice.  The three operations build it positionally, in this
+    field order."""
 
     __slots__ = ()
 
@@ -250,9 +252,12 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     result's ``sigma0`` and the key of each result edge, is a function
     of the operands' ``sigma0`` and the splice alone, so it is kept in
     ``_constructions`` once its count check has passed, and a later call
-    on the same construction reads it there and names the edges with its
-    own ``names``.  Either way the result is built by :func:`_restored`,
-    which presets the records of a ``sigma0`` found in ``_memo``.
+    on the same construction reads it there: it maps its own ``names``
+    over the packed edge order, iterated as it lies when it takes one byte
+    a number (up to 256 names) and unpacked when it takes two, and
+    unpacks the key into ``sigma0``.  Either way the result is built by
+    :func:`_restored`, which presets the records of a ``sigma0`` found in
+    ``_memo``.
     """
     off = 2 * left.num_edges
     top = off + right.num_darts  # the first key dart of a new edge
@@ -275,9 +280,12 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
     known = _constructions.get(construction)
     if known is not None:
         key, order = known
-        order = _unpacked(order, len(names))
-        return _restored(_unpacked(key, 2 * len(order)),
-                         list(map(names.__getitem__, order)), key)
+        if len(names) > 256:
+            order = _unpacked(order, len(names))
+        # else the order takes one byte a number (core._packed), and the
+        # bytes iterate as those numbers
+        labels = list(map(names.__getitem__, order))
+        return _restored(_unpacked(key, 2 * len(labels)), labels, key)
 
     lkey = list(range(off))
     rkey = list(range(off, top))
@@ -417,10 +425,9 @@ def join(left: FatGraph, right: FatGraph, x: str, y: str,
         case, pb, pg = JOIN_OTHER, ls.boundary_count + rs.boundary_count - 2, \
             ls.genus + rs.genus
     rep = OperationReport(
-        op="join", case=case, left_signature=ls, right_signature=rs,
-        predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, -1),
-        result=result, recomputed=_recomputed(result),
-        selectors={"x": x, "y": y, "flip": flip, "new_edges": (e, f)})
+        "join", case, ls, rs, pb, pg, _predicted_s(ls, rs, -1), result,
+        _recomputed(result), None,
+        {"x": x, "y": y, "flip": flip, "new_edges": (e, f)})
     return rep.check()
 
 
@@ -474,12 +481,9 @@ def plumbing(left: FatGraph, right: FatGraph, x: str, y: str,
     m = ls.edge_count + rs.edge_count + 2
     pg = (2 - pb - V + m) // 2
     rep = OperationReport(
-        op="plumb", case=PLUMB_ALL_DIFF if all_diff else PLUMB_OTHER,
-        left_signature=ls, right_signature=rs,
-        predicted_b=pb, predicted_g=pg, predicted_s=_predicted_s(ls, rs, 0),
-        result=result, recomputed=_recomputed(result),
-        selectors={"x": x, "y": y, "flip": flip,
-                   "new_vertex_edges": (x1, x2, y1, y2)})
+        "plumb", PLUMB_ALL_DIFF if all_diff else PLUMB_OTHER, ls, rs, pb,
+        pg, _predicted_s(ls, rs, 0), result, _recomputed(result), None,
+        {"x": x, "y": y, "flip": flip, "new_vertex_edges": (x1, x2, y1, y2)})
     return rep.check()
 
 
@@ -754,9 +758,6 @@ def connected_sum(left: FatGraph, right: FatGraph, w: int, u: int,
     ls, rs = left.signature(), right.signature()
     case, chi = _chi_audit(left_side, right_side, ls, rs)
     rep = OperationReport(
-        op="consum", case=case, left_signature=ls, right_signature=rs,
-        predicted_b=pb, predicted_g=pg, predicted_s=ps,
-        result=result, recomputed=_recomputed(result), chi=chi,
-        selectors={"w": w, "u": u, "align": align,
-                   "new_edges": tuple(gname)})
+        "consum", case, ls, rs, pb, pg, ps, result, _recomputed(result), chi,
+        {"w": w, "u": u, "align": align, "new_edges": tuple(gname)})
     return rep.check()

@@ -147,12 +147,34 @@ class SynthesisPlan:
         return final
 
 
+@lru_cache(maxsize=256)
+def _literal(vertices):
+    """The graph of a literal step's ``vertices``, parsed and checked once
+    per process, as :func:`families._validated` does for a family member:
+    its key (:attr:`FatGraph._key`), vertex walk and face record, and its
+    signature when it is connected, are made here so that every step's
+    copy shares them.  A literal that fails to parse raises, every time,
+    and is not kept; a disconnected one is kept without a signature, so
+    it raises :class:`DisconnectedError` only where a step reads that."""
+    graph = FatGraph.from_vertex_cycles(vertices)
+    graph._key
+    graph._face_orbits
+    if graph.is_connected:
+        graph.signature()
+    return graph
+
+
 def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
     """Run one plan step on ``graphs``, the graphs of the steps before it.
 
     Appends the step's graph to ``graphs`` and, for an operation, its
     checked report to ``reports``, and returns the graph.  A step that
     raises appends nothing.
+
+    A family step copies its validated member (:func:`families.build`),
+    and a graph step copies the parsed graph of its vertex tuple
+    (:func:`_literal`), so every distinct literal is parsed once per
+    process, and no two steps share one graph object.
     """
 
     def operand(i):
@@ -168,7 +190,14 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
         if step.vertices is None:
             raise SynthesisError(
                 f"step {len(graphs)}: graph step without vertices")
-        graph = FatGraph.from_vertex_cycles(step.vertices)
+        try:
+            hash(step.vertices)
+        except TypeError:
+            # vertices that do not hash (lists, in a hand-made Step) are
+            # parsed on every call
+            graph = FatGraph.from_vertex_cycles(step.vertices)
+        else:
+            graph = _literal(step.vertices).__copy__()
     elif op == "smooth":
         graph = operand(step.arg).smoothed()
     else:
@@ -449,7 +478,8 @@ class _Builder:
 
     def literal(self, graph):
         """A graph step; it runs from its recorded tokens, so the graph
-        kept here is the replayed one, not ``graph`` itself."""
+        kept here is the replayed one, a copy of the tokens' parsed graph
+        (:func:`_literal`), not ``graph`` itself."""
         return self.run(Step("graph", vertices=tuple(
             map(tuple, graph.to_vertex_cycle_tokens()))))
 

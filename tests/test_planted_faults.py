@@ -5,8 +5,12 @@ test."""
 
 import pytest
 
-from fillgraph import families, oracle, ops
-from fillgraph.ops import OperationInvariantError, connected_sum
+from fillgraph import cli, families, formats, oracle, ops, synthesis
+from fillgraph.core import MalformedGraphError
+from fillgraph.ops import (OperationInvariantError, connected_sum, join,
+                           plumbing)
+from fillgraph.synthesis import (PlanVerificationError, SynthesisError,
+                                 filling)
 
 
 def _g2():
@@ -60,3 +64,119 @@ def test_wrong_side_record_counts_in_the_audit(monkeypatch, field):
     assert audits["consum"].trials == 6 * 6 * 4
     assert audits["consum"].mismatches > 0
     assert audits["join"].mismatches == audits["plumb"].mismatches == 0
+
+
+def _opposite_same_component(monkeypatch):
+    """``ops._same_component`` answering the opposite: the join and
+    plumbing case tables then read the wrong branch whenever both
+    operands' edges sit alike."""
+    real = ops._same_component
+    monkeypatch.setattr(ops, "_same_component",
+                        lambda graph, label: not real(graph, label))
+
+
+@pytest.mark.parametrize("op", [join, plumbing], ids=["join", "plumb"])
+def test_wrong_component_fails_the_edge_ops(monkeypatch, op):
+    # the same edge of two copies of G2 sits alike in both, so the case
+    # flips, and with it the predicted boundary count
+    _opposite_same_component(monkeypatch)
+    with pytest.raises(OperationInvariantError):
+        op(_g2(), _g2(), "x1", "x1")
+
+
+def test_wrong_component_counts_in_the_audit(monkeypatch):
+    # the ops audit on a pool of G2 alone: the fault shows as join and
+    # plumbing mismatches, no connected sum reads it, and the same audit
+    # without it counts none
+    monkeypatch.setattr(oracle, "_operand_pool", lambda *args: [
+        ("g2", _g2())])
+    clean = oracle.verify_formula_by_recompute()
+    assert clean["join"].trials == clean["plumb"].trials == 9 * 9
+    assert all(audit.mismatches == 0 for audit in clean.values())
+    _opposite_same_component(monkeypatch)
+    audits = oracle.verify_formula_by_recompute()
+    assert audits["join"].trials == audits["plumb"].trials == 9 * 9
+    assert audits["join"].mismatches > 0
+    assert audits["plumb"].mismatches > 0
+    assert audits["consum"].mismatches == 0
+
+
+# Faults on the replay path.  Each must raise the same error with the
+# same message on every replay, and leave nothing in the tables that a
+# correct replay would not: no literal memo entry for a malformed
+# literal, and no filling verdict for a plan that never reached it.
+
+def _tables():
+    return (len(ops._memo), len(ops._constructions),
+            synthesis._literal.cache_info().currsize)
+
+
+def _raises_alike_twice(call, kind):
+    """What ``call()`` raised, the same type and message both times, with
+    no table grown by either run: the plan's build made every entry that
+    its correct steps make."""
+    tables = _tables()
+    with pytest.raises(kind) as first:
+        call()
+    with pytest.raises(kind) as second:
+        call()
+    assert _tables() == tables
+    assert type(second.value) is type(first.value)
+    assert str(second.value) == str(first.value)
+    return str(first.value)
+
+
+def _plan_text():
+    # a literal graph step, then torus joins
+    text = formats.dumps_plan(filling(3, 3, 4))
+    assert '"op": "graph"' in text and '"op": "join"' in text
+    return text
+
+
+def test_changed_target_fails_verification():
+    text = _plan_text().replace('"g": 3', '"g": 4', 1)
+    plan = formats.loads_plan(text)
+    verdicts = {key: entry[4] for key, entry in ops._memo.items()}
+    message = _raises_alike_twice(plan.replay, PlanVerificationError)
+    assert message == "plan target (4, 3, 4) but replay gives (3, 3, 4)"
+    # the build's verdicts only: the replays stopped before the filling
+    # check
+    assert {key: entry[4] for key, entry in ops._memo.items()} == verdicts
+
+
+def test_operand_naming_a_later_step_fails():
+    doc = formats.plan_to_document(formats.loads_plan(_plan_text()))
+    doc["steps"][2]["left"] = 3
+    plan = formats.plan_from_document(doc)
+    message = _raises_alike_twice(plan.replay, SynthesisError)
+    assert message == "step 2: operand 3 is not an earlier step"
+
+
+def test_label_twice_with_one_sign_fails_the_literal():
+    doc = formats.plan_to_document(formats.loads_plan(_plan_text()))
+    cycles = doc["steps"][0]["vertices"]
+    label = cycles[0][0]
+    # the other end of the first edge gets the first end's sign
+    cycles[:] = [[label if tok[:-1] == label[:-1] else tok for tok in c]
+                 for c in cycles]
+    plan = formats.plan_from_document(doc)
+    message = _raises_alike_twice(plan.replay, MalformedGraphError)
+    assert message == (f"edge {label[:-1]!r} appears twice with the same "
+                       "sign; use '#0'/'#1' occurrence tags")
+    # the build's literal only, and the malformed one parsed on each run
+    info = synthesis._literal.cache_info()
+    assert info.currsize == 1 and info.misses == 3
+
+
+def test_plan_file_cut_short_fails_to_parse(tmp_path, capsys):
+    text = _plan_text()
+    path = tmp_path / "cut.json"
+    path.write_text(text[:len(text) // 2])
+    message = _raises_alike_twice(lambda: formats.read_plan(path),
+                                  formats.FormatError)
+    assert message.startswith("invalid JSON: ")
+    capsys.readouterr()
+    assert cli.main(["replay", str(path)]) == cli.EXIT_INPUT == 2
+    assert cli.main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"cannot read {path}: {message}"] * 2

@@ -343,9 +343,25 @@ CALLS = {
 }
 
 
+# every field of an OperationReport but the result graph
+REPORT_FIELDS = ("op", "case", "left_signature", "right_signature",
+                 "predicted_b", "predicted_g", "predicted_s", "recomputed",
+                 "chi", "selectors")
+
+
+def assert_same_report(rep, want):
+    """``rep`` equals ``want`` field by field, and in its result's
+    ``sigma0`` and labels."""
+    for name in REPORT_FIELDS:
+        assert getattr(rep, name) == getattr(want, name), name
+    assert rep.result.sigma0 == want.result.sigma0
+    assert rep.result.labels == want.result.labels
+
+
 @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
 def test_hit_equals_cold_build(call):
-    first = cold(call).result
+    cold_rep = cold(call)
+    first = cold_rep.result
     (construction, (darts, _)), = ops._constructions.items()
     assert first._key is darts
     # the same construction again: read, not walked
@@ -357,6 +373,10 @@ def test_hit_equals_cold_build(call):
     assert structures(hit) == structures(FatGraph(first.sigma0,
                                                   first.labels))
     assert rep.recomputed is first.signature()
+    # the hit's report, built positionally, equals a cold build's in
+    # every field
+    assert_same_report(rep, cold_rep)
+    assert_same_report(rep, cold(call))
 
 
 def test_hit_takes_the_names_of_its_call():
@@ -381,17 +401,27 @@ def test_hit_takes_the_names_of_its_call():
 
 def test_hit_past_256_darts_equals_cold_build():
     plan = filling(2, 300, 301)
-    final, _ = cold(plan.replay)
+    final, cold_reports = cold(plan.replay)
     walked = dict(ops._constructions)
     # the last join packs the edge order of its result two bytes an edge
     order, = [order for key, order in walked.values()
               if key is final._key]
     assert final.num_darts > 256 and len(final._key) == 2 * final.num_darts
     assert len(order) == 2 * final.num_edges
-    again, _ = plan.replay()
+    again, reports = plan.replay()
     assert ops._constructions == walked
     assert again is not final and again._key is final._key
     assert (again.sigma0, again.labels) == (final.sigma0, final.labels)
+    # every surgery of the second replay is a hit; a join passes two names
+    # more than its result has edges, so the plan's joins read edge orders
+    # of one byte a name (up to 256 names, the one at 256 included) and of
+    # two
+    names = {rep.result.num_edges + 2 for rep in reports
+             if rep.op == "join"}
+    assert 256 in names and min(names) < 256 < max(names)
+    assert len(reports) == len(cold_reports)
+    for rep, want in zip(reports, cold_reports):
+        assert_same_report(rep, want)
 
 
 def test_constructions_keep_the_bound_oldest_first(monkeypatch):

@@ -362,6 +362,97 @@ class TestPlans:
             SynthesisPlan(target=(2, 1, 3)).replay()
 
 
+# a literal of two components, and the torus as a literal
+DISCONNECTED = (("a+", "a-"), ("b+", "b-"))
+TORUS = (("a+", "b+", "a-", "b-"),)
+
+
+def _literal_plan(target, *steps):
+    return SynthesisPlan(target=target, steps=list(steps),
+                         expect_filling=False)
+
+
+class TestLiteralMemo:
+    """A graph step copies the graph its vertex tuple parsed to once per
+    process (``synthesis._literal``), as a family step copies its
+    validated member."""
+
+    def test_one_parse_per_distinct_literal(self, monkeypatch):
+        parsed = []
+        real = core.FatGraph.from_vertex_cycles.__func__
+
+        def counting(cls, vertex_cycles):
+            parsed.append(vertex_cycles)
+            return real(cls, vertex_cycles)
+
+        monkeypatch.setattr(core.FatGraph, "from_vertex_cycles",
+                            classmethod(counting))
+        plans = [formats.loads_plan(formats.dumps_plan(filling(3, b, b + 1)))
+                 for b in range(1, 6)]
+        literals = {st.vertices for plan in plans for st in plan.steps
+                    if st.op == "graph"}
+        assert len(literals) == 1
+        for _ in range(3):
+            for plan in plans:
+                plan.replay()
+        # the build parsed it; five plans replayed three times did not
+        # (a family member's first build parses its cycles too)
+        assert [v for v in parsed if v in literals] == [*literals]
+
+    def test_copies_are_distinct_and_share_records(self):
+        step = Step("graph", vertices=TORUS)
+        graphs = []
+        for _ in range(2):
+            synthesis._run_step(step, graphs, [])
+        a, b = graphs
+        assert a is not b and a == b
+        assert a._key is b._key and a._walk is b._walk
+        assert a._face_orbits is b._face_orbits
+        assert a._signature is b._signature is not None
+        assert synthesis._literal.cache_info().currsize == 1
+
+    def test_join_of_one_literal_twice_replays(self):
+        want = ops.join(families.build(families.TORUS_PAIR),
+                        families.build(families.TORUS_PAIR), "a", "a").result
+        plan = _literal_plan(
+            want.signature().triple, Step("graph", vertices=TORUS),
+            Step("graph", vertices=TORUS),
+            Step("join", left=0, right=1, x="a", y="a"))
+        for _ in range(2):
+            got = replay(plan)
+            assert (got.sigma0, got.labels) == (want.sigma0, want.labels)
+
+    def test_disconnected_literal_raises_where_it_is_read(self):
+        graph = Step("graph", vertices=DISCONNECTED)
+        torus = Step("family", family=families.TORUS_PAIR)
+        unread = _literal_plan((1, 1, 2), graph, torus)
+        for _ in range(2):
+            assert replay(unread).signature().triple == (1, 1, 2)
+        # kept, without a signature
+        assert synthesis._literal(DISCONNECTED)._signature is None
+        # the final check and a join read its signature
+        for plan in (_literal_plan((0, 2, 1), graph),
+                     _literal_plan((1, 1, 2), graph, torus,
+                                   Step("join", left=0, right=1, x="a",
+                                        y="a"))):
+            for _ in range(2):
+                with pytest.raises(core.DisconnectedError):
+                    plan.replay()
+
+    def test_unhashable_vertices_are_parsed_each_time(self):
+        step = Step("graph", vertices=[list(c) for c in TORUS])
+        graphs = []
+        synthesis._run_step(step, graphs, [])
+        assert graphs[0] == core.FatGraph.from_vertex_cycles(TORUS)
+        bad = Step("graph", vertices=[["a+", "a+", "b+", "b-"]])
+        for _ in range(2):
+            with pytest.raises(core.MalformedGraphError,
+                               match="appears twice with the same sign"):
+                synthesis._run_step(bad, graphs, [])
+        assert len(graphs) == 1
+        assert synthesis._literal.cache_info().currsize == 0
+
+
 class _Table(OrderedDict):
     """A sub-plan table that counts its probes (``get`` calls), the probes
     that find an entry, and the entries stored."""
