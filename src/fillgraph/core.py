@@ -37,7 +37,7 @@ Graphs are immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 
 
 class FatGraphError(ValueError):
@@ -347,6 +347,33 @@ def _unpacked(packed, bound):
         from array import array
         return tuple(array("H", packed))
     return tuple(packed)
+
+
+# Fixed by measurement: a synth-grid pass (seed 7) fills the fullest
+# table to 1,030 entries, so this bound holds a whole pass in each.
+_TABLE_SIZE = 2048
+_tables = []  # every _Table made, for clear_tables
+
+
+class _Table(OrderedDict):
+    """A process-wide table of at most ``_TABLE_SIZE`` entries, oldest first
+    out; a hit or an update in place leaves an entry where it is."""
+
+    def __init__(self):
+        super().__init__()
+        _tables.append(self)
+
+    def keep(self, key, value):
+        """Store ``value`` under ``key``; a full table drops its oldest."""
+        if len(self) >= _TABLE_SIZE:
+            self.popitem(last=False)
+        self[key] = value
+
+
+def clear_tables():
+    """Empty every :class:`_Table`."""
+    for table in _tables:
+        table.clear()
 
 
 class FatGraph:

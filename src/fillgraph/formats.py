@@ -143,7 +143,8 @@ def _read_step(i, d) -> Step:
     goes through :func:`_require`, which also accepts an int subclass
     other than bool.  A fault raises the :class:`FormatError` of the
     first one in this order: ``d`` is a dict, "op", the fields in
-    ``_STEP_TYPES`` order, the fields the op needs, the vertex cycles.
+    ``_STEP_TYPES`` order, a field not in ``_STEP_TYPES`` (the first in
+    the document), the fields the op needs, the vertex cycles.
     An explicit null is read as given, so ``"align": null`` gives
     ``align=None``."""
     if type(d) is not dict:
@@ -163,6 +164,9 @@ def _read_step(i, d) -> Step:
                 if d.get(k2) is not None:
                     _require(f"step {i} {k2}", d[k2], kind2)
         fields[k] = v
+    if len(fields) != len(d):
+        k = next(k for k in d if k not in _STEP_TYPES)
+        raise FormatError(f"step {i} ({op}) has unknown field {k!r}")
     for k in _STEP_FIELDS.get(op, ()):
         if fields.get(k) is None:
             raise FormatError(f"step {i} ({op}) needs field {k!r}")

@@ -16,13 +16,14 @@ right labels are primed on collision, and the new edges, primed likewise,
 are ``e``/``f`` for a join, the cut edge labels with ``1``/``2`` appended
 for a plumbing, and ``g1``..``g4`` for a connected sum.
 
-Plans repeat their surgeries, so ``_memo`` keeps the analysis of the last
-``_MEMO_SIZE`` distinct surgery results, keyed by ``sigma0``: the
+Plans repeat their surgeries, so ``_memo``, like each table here a
+:class:`core._Table` (one bound, oldest entry first out), keeps the
+analysis of distinct surgery results, keyed by ``sigma0``: the
 signature, the face record, the vertex walk and, once a plan has checked
 it, the filling verdict, all functions of ``sigma0`` alone, with the key
 and the face labels packed into bytes; a graph packs its key once
-(:attr:`FatGraph._key`).  An op remembers a result once it
-has read the result's signature (:func:`_recomputed`), and
+(:attr:`FatGraph._key`).  An op remembers a result once it has read the
+result's signature (:func:`_recomputed`), and
 :func:`_restored` presets the first three records on a later result with
 the same ``sigma0``, and on a synthesis sub-plan result rebuilt from its
 darts and labels.  A plan's final check reads the verdict through
@@ -32,7 +33,7 @@ them.  Every step and every report check still runs, and no other
 constructor reads the memo.
 
 Replay runs every surgery of a plan again, so ``_constructions`` keeps
-the last ``_MEMO_SIZE`` distinct walks of :func:`_rewired`, keyed by the
+distinct walks of :func:`_rewired`, keyed by the
 operands' keys and the splice: the result's key and the operand edge key
 of each result edge.  Each distinct construction is walked once; a later
 call on it (a hit) reads the packed edge order, maps its own names over
@@ -58,7 +59,7 @@ result.
 What the prediction, the selector checks and the audit read of a vertex
 is its side record (:class:`_Side`): its darts, the faces through it,
 the untouched orbit counts and the four-entry cut maps.  ``_sides``
-keeps the records of the last ``_MEMO_SIZE`` vertices, keyed by
+keeps the records of vertices, keyed by
 (:attr:`FatGraph._key`, vertex), so the screens of a plan's build, its
 replay, the copies of a family member and the ops audit make each once
 per process, and a prediction costs O(1) once its two records are kept.
@@ -68,9 +69,10 @@ one walk of orbit places (:attr:`FatGraph._positions`) per graph.
 
 from __future__ import annotations
 
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 
-from .core import FatGraph, FatGraphError, InvariantError, _packed, _unpacked
+from .core import (FatGraph, FatGraphError, InvariantError, _packed, _Table,
+                   _unpacked)
 
 
 class OperationError(FatGraphError):
@@ -158,34 +160,27 @@ def _edge_names(left: FatGraph, right: FatGraph, new):
     return names, fresh
 
 
-# Fixed by measurement: a synth-grid pass makes 1,027 distinct surgery
-# results (seed 7), from as many distinct constructions, so this bound
-# holds a whole pass in each table; see BENCH_20.json and BENCH_28.json.
-_MEMO_SIZE = 2048
 # key of sigma0 (FatGraph._key) -> (signature, face starts, face labels,
 # vertex walk, filling verdict), the key and the face labels packed by
-# _packed, the verdict None until _filling_verdict puts it in; oldest
-# entry first
-_memo: OrderedDict = OrderedDict()
+# _packed, the verdict None until _filling_verdict puts it in
+_memo = _Table()
 # (left key, right key, 2 * len(names), packed splice) of a _rewired call
 # -> (key of the result's sigma0, the operand edge key of each result
-# edge packed by _packed); oldest entry first
-_constructions: OrderedDict = OrderedDict()
+# edge packed by _packed)
+_constructions = _Table()
 
 
 def _recomputed(result):
     """``result.signature()``, remembered in ``_memo`` with the face
     record and vertex walk it read, unless :func:`_restored` preset them
-    from there; a full memo drops its oldest entry.  Only a signature read
-    successfully is remembered, so a disconnected result never is."""
+    from there.  Only a signature read successfully is remembered, so a
+    disconnected result never is."""
     if result._signature is None:
         signature = result.signature()
-        if len(_memo) >= _MEMO_SIZE:
-            _memo.popitem(last=False)
         starts, faces = result._face_orbits
-        _memo[result._key] = (
+        _memo.keep(result._key, (
             signature, starts, _packed(faces, len(starts)), result._walk,
-            None)
+            None))
     return result._signature
 
 
@@ -339,10 +334,8 @@ def _rewired(left: FatGraph, right: FatGraph, lmap, rmap, names,
             f"walked {walked} darts for {len(order)} edges")
     del sigma0[nd_next:]
     result = _restored(sigma0, labels)
-    if len(_constructions) >= _MEMO_SIZE:
-        _constructions.popitem(last=False)
-    _constructions[construction] = (result._key,
-                                    _packed(order, len(names)))
+    _constructions.keep(construction, (result._key,
+                                       _packed(order, len(names))))
     return result
 
 
@@ -514,8 +507,8 @@ class _Side(namedtuple("_Side", (
 
 
 # (FatGraph._key, v) -> the _Side of the loop-free 4-valent vertex v of
-# every graph on that rotation, with _memo's bound; oldest entry first
-_sides: OrderedDict = OrderedDict()
+# every graph on that rotation
+_sides = _Table()
 
 
 def _cut_map(starts, darts, labels, pos):
@@ -536,9 +529,9 @@ def _cut_map(starts, darts, labels, pos):
 
 def _side(graph, v):
     """The :class:`_Side` of vertex ``v`` of ``graph``, read from
-    ``_sides`` or made and kept there (a full table drops its oldest
-    entry); None, and nothing kept, when v has degree other than 4 or
-    carries a loop.  The caller checks that v is a vertex.
+    ``_sides`` or made and kept there; None, and nothing kept, when v
+    has degree other than 4 or carries a loop.  The caller checks that v
+    is a vertex.
 
     Deleting v leaves each successor orbit through v's darts cut into
     segments: one starts at ``succ(c_i)`` for each i, and ends at the
@@ -568,9 +561,7 @@ def _side(graph, v):
         curve_map = _cut_map([csucc[d] for d in darts], darts, clabels, cpos)
     side = _Side(darts, faces, len(fstarts) - len(names), face_map,
                  untouched_curves, curve_map, _strands_distinct(graph, darts))
-    if len(_sides) >= _MEMO_SIZE:
-        _sides.popitem(last=False)
-    _sides[key] = side
+    _sides.keep(key, side)
     return side
 
 

@@ -20,13 +20,13 @@ onto a minimal or two-curve seed, so the plan of (g, b, s) is often the
 plan of (g, b-1, s-1) and one torus join more.  Each is one chain
 (:func:`_chain`): a seed and a number of runs of one move, whose every
 rung is a sub-plan executed once per process, kept in one table
-(``_subplans``), and reused by every later plan that needs it, so plans
-that coincide share their rungs.  Missing rungs are made lowest first,
-so no genus is too high for the stack.  In a reused block only the
-result index has a graph: the one the rung's build made, at the reuse
-right after it, and later a graph rebuilt from the key and labels the
-table keeps.  Every plan's final graph is still checked, and
-:meth:`SynthesisPlan.replay` still executes and checks every step.
+(``_subplans``, a :class:`core._Table`), and reused by every later plan
+that needs it, so plans that coincide share their rungs.  Missing rungs
+are made lowest first, so no genus is too high for the stack.  In a
+reused block only the result index has a graph: the one the rung's build
+made, at the reuse right after it, and later a graph rebuilt from the key
+and labels the table keeps.  Every plan's final graph is still checked,
+and :meth:`SynthesisPlan.replay` still executes and checks every step.
 
 Builders:
 
@@ -45,12 +45,12 @@ Builders:
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 
 from . import families, oracle
 from .analysis import intersection_graph
-from .core import FatGraph, FatGraphError, InvariantError
+from .core import FatGraph, FatGraphError, InvariantError, _Table
 from .ops import (OperationReport, _filling_verdict, _restored, _side,
                   _unpacked, connected_sum, join, plumbing,
                   predict_connected_sum)
@@ -147,7 +147,9 @@ class SynthesisPlan:
         return final
 
 
-@lru_cache(maxsize=256)
+_literals = _Table()  # vertex tuple of a literal step -> its graph
+
+
 def _literal(vertices):
     """The graph of a literal step's ``vertices``, parsed and checked once
     per process, as :func:`families._validated` does for a family member:
@@ -155,12 +157,19 @@ def _literal(vertices):
     signature when it is connected, are made here so that every step's
     copy shares them.  A literal that fails to parse raises, every time,
     and is not kept; a disconnected one is kept without a signature, so
-    it raises :class:`DisconnectedError` only where a step reads that."""
-    graph = FatGraph.from_vertex_cycles(vertices)
-    graph._key
-    graph._face_orbits
-    if graph.is_connected:
-        graph.signature()
+    it raises :class:`DisconnectedError` only where a step reads that.
+    Vertices that do not hash (lists, in a hand-made Step) are not kept."""
+    try:
+        graph = _literals.get(vertices)
+    except TypeError:
+        return FatGraph.from_vertex_cycles(vertices)
+    if graph is None:
+        graph = FatGraph.from_vertex_cycles(vertices)
+        graph._key
+        graph._face_orbits
+        if graph.is_connected:
+            graph.signature()
+        _literals.keep(vertices, graph)
     return graph
 
 
@@ -190,14 +199,7 @@ def _run_step(step: Step, graphs: list, reports: list) -> FatGraph:
         if step.vertices is None:
             raise SynthesisError(
                 f"step {len(graphs)}: graph step without vertices")
-        try:
-            hash(step.vertices)
-        except TypeError:
-            # vertices that do not hash (lists, in a hand-made Step) are
-            # parsed on every call
-            graph = FatGraph.from_vertex_cycles(step.vertices)
-        else:
-            graph = _literal(step.vertices).__copy__()
+        graph = _literal(step.vertices).__copy__()
     elif op == "smooth":
         graph = operand(step.arg).smoothed()
     else:
@@ -543,16 +545,10 @@ def _shifted(step, base):
     return step._replace(**moved) if moved else step
 
 
-# Fixed by measurement: a synth-grid pass needs 1,030 entries (1,018
-# before the feet that make a surgery kept theirs), so this bound holds
-# a whole pass; see BENCH_27.json and BENCH_29.json.
-_SUBPLAN_SIZE = 2048
-
 # (move or None, seed, seed arguments, moves) -> (steps, result, key,
 # labels) of the chain rung built on an empty plan, the key and labels
-# those of its result graph; least recently used first out past
-# _SUBPLAN_SIZE entries
-_subplans = OrderedDict()
+# those of its result graph; oldest entry first out, like every _Table
+_subplans = _Table()
 
 
 def _chain(bld, move, seed, args, count):
@@ -582,7 +578,6 @@ def _chain(bld, move, seed, args, count):
     for k in range(count, 0, -1):
         entry = _subplans.get((move, seed, args, k))
         if entry is not None:
-            _subplans.move_to_end((move, seed, args, k))
             break
         missing.append(k)
     graph = None
@@ -592,9 +587,7 @@ def _chain(bld, move, seed, args, count):
         idx = prev if move is None else move(sub, prev)
         graph = sub.graphs[idx]
         entry = (tuple(sub.plan.steps), idx, graph._key, graph.labels)
-        _subplans[move, seed, args, k] = entry
-        if len(_subplans) > _SUBPLAN_SIZE:
-            _subplans.popitem(last=False)
+        _subplans.keep((move, seed, args, k), entry)
     return bld.reuse(entry, graph)
 
 

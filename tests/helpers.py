@@ -11,18 +11,22 @@ earlier forms of five library routines, kept as references: the
 two-pass plan reader, the per-dart ``shuffled``, the isomorphism test
 without face screening, the pair candidates built whole, none
 skipped by symmetry, and the connected sum's prediction by splicing
-and relabelling both operands' whole successor maps; and
-relabeling, path and degree readings that no library module needs."""
+and relabelling both operands' whole successor maps; the three
+surgeries built from label tokens, and a plan replayed through them;
+and relabeling, path and degree readings that no library module
+needs."""
 
 import itertools
 import json
 
+from fillgraph import families
 from fillgraph.core import FatGraph, _rooted_walk, canonical_code
 from fillgraph.formats import (_STEP_FIELDS, _STEP_TYPES, PLAN_FORMAT,
                                FormatError, _require, plan_to_document)
 from fillgraph.oracle import iter_matchings, matching_to_graph
-from fillgraph.synthesis import (Step, SynthesisPlan, filling, lower_bound,
-                                 tight_omega_filling, upper_bound)
+from fillgraph.synthesis import (Step, SynthesisPlan, _run_step, filling,
+                                 lower_bound, tight_omega_filling,
+                                 upper_bound)
 
 
 def grid_targets(gmax, bmax, tight_gmax):
@@ -433,6 +437,10 @@ def reference_plan_from_document(doc):
         for k, kind in _STEP_TYPES.items():
             if d.get(k) is not None:
                 _require(f"step {i} {k}", d[k], kind)
+        for k in d:
+            if k not in _STEP_TYPES:
+                raise FormatError(
+                    f"step {i} ({d['op']}) has unknown field {k!r}")
         for k in _STEP_FIELDS.get(d["op"], ()):
             if d.get(k) is None:
                 raise FormatError(f"step {i} ({d['op']}) needs field {k!r}")
@@ -573,3 +581,88 @@ def is_path(wig):
     if wig.num_curves == 2:
         return len(wig.weights) == 1
     return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+
+
+# -- reference: the label-token construction -------------------------------
+#
+# Each operation used to write its result as signed label tokens and parse
+# them back with FatGraph.from_vertex_cycles.  The dart-level surgery must
+# build exactly the same graph: the same sigma0 and the same labels.
+
+
+def _fresh(name, used):
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
+def token_reference(op, left, right, a, b, c):
+    """Result graph of ``op(left, right, a, b, c)`` built from tokens."""
+    used = set()
+    ren_l = {nm: _fresh(nm, used) for nm in left.labels}
+    ren_r = {nm: _fresh(nm, used) for nm in right.labels}
+
+    def tokens(g, ren, sub, skip):
+        out = []
+        for vi, cyc in enumerate(g.vertex_cycles):
+            if vi != skip:
+                toks = [(g.labels[d >> 1], 1 - 2 * (d & 1)) for d in cyc]
+                out.append([sub.get(t, (ren[t[0]], t[1])) for t in toks])
+        return out
+
+    extra, skip = [], (None, None)
+    if op == "join":
+        e, f = _fresh("e", used), _fresh("f", used)
+        sub_l = {(a, 1): (e, 1), (a, -1): (f, -1)}
+        sub_r = {(b, 1): (e, -1), (b, -1): (f, 1)}
+    elif op == "plumb":
+        x1, x2, y1, y2 = [_fresh(nm, used)
+                          for nm in (a + "1", a + "2", b + "1", b + "2")]
+        sub_l = {(a, 1): (x1, 1), (a, -1): (x2, -1)}
+        sub_r = {(b, 1): (y1, 1), (b, -1): (y2, -1)}
+        extra = [[(x1, -1), (y1, -1), (x2, 1), (y2, 1)]]
+    else:
+        g = [_fresh(f"g{i + 1}", used) for i in range(4)]
+        u_cyc = right.vertex_cycles[b]
+        # the reverse of dart i at w becomes g_i+, of dart j at u g_(3-j)-
+        sub_l = {(left.labels[d >> 1], 2 * (d & 1) - 1): (g[i], 1)
+                 for i, d in enumerate(left.vertex_cycles[a])}
+        sub_r = {(right.labels[d >> 1], 2 * (d & 1) - 1): (g[3 - j], -1)
+                 for j, d in enumerate(u_cyc[c:] + u_cyc[:c])}
+        skip = (a, b)
+    if op != "consum" and c:  # flip reverses y before the splice
+        sub_r = {(nm, -sg): t for (nm, sg), t in sub_r.items()}
+    return FatGraph.from_vertex_cycles(
+        tokens(left, ren_l, sub_l, skip[0])
+        + tokens(right, ren_r, sub_r, skip[1]) + extra)
+
+
+def reference_replay(plan):
+    """Run ``plan`` step by step twice: through the library's step
+    executor, whose surgeries are those of ``ops``, and through
+    :func:`token_reference`, each family member and literal built anew
+    and each smoothing by :meth:`FatGraph.smoothed` on the reference's
+    own graphs.  Returns the index of the first step whose two graphs
+    differ in ``sigma0`` or labels, None when every step agrees, and the
+    reference's last graph."""
+    graphs, ref = [], []
+    for i, step in enumerate(plan.steps):
+        got = _run_step(step, graphs, [])
+        if step.op == "family":
+            want = families.build(step.family, step.param)
+        elif step.op == "graph":
+            want = FatGraph.from_vertex_cycles(step.vertices)
+        elif step.op == "smooth":
+            want = ref[step.arg].smoothed()
+        elif step.op == "consum":
+            want = token_reference("consum", ref[step.left],
+                                   ref[step.right], step.w, step.u,
+                                   step.align)
+        else:
+            want = token_reference(step.op, ref[step.left], ref[step.right],
+                                   step.x, step.y, step.flip)
+        ref.append(want)
+        if (got.sigma0, got.labels) != (want.sigma0, want.labels):
+            return i, want
+    return None, ref[-1]

@@ -1,6 +1,9 @@
+import importlib
+import pkgutil
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,7 @@ from helpers import (cycles, edges, face_cycles, face_words,
                      reference_successor, tuple_curves)
 
 import fillgraph
-from fillgraph import families, oracle
+from fillgraph import core, families, formats, oracle, synthesis
 from fillgraph.core import (DegreeError, DisconnectedError, FatGraph,
                             InvariantError, MalformedGraphError,
                             NotDecoratedError, _cached, _orbit_labels)
@@ -492,3 +495,39 @@ class TestPublicSurface:
         assert sorted(namespace) == sorted(fillgraph.__all__)
         for name, value in namespace.items():
             assert value is getattr(fillgraph, name)
+
+
+class TestTables:
+    def test_oldest_first_out(self, monkeypatch):
+        monkeypatch.setattr(core, "_TABLE_SIZE", 3)
+        table = core._Table()
+        for k in "abc":
+            table.keep(k, k.upper())
+        # a hit, and an update in place, leave an entry where it is
+        assert table.get("a") == "A"
+        table["b"] = "B2"
+        assert list(table.items()) == [("a", "A"), ("b", "B2"), ("c", "C")]
+        table.keep("d", "D")
+        assert list(table) == ["b", "c", "d"]
+        table.keep("e", "E")
+        assert list(table.items()) == [("c", "C"), ("d", "D"), ("e", "E")]
+
+    def test_every_table_is_registered_and_cleared(self):
+        # every module but __main__, which runs the command line
+        modules = [importlib.import_module(f"fillgraph.{info.name}")
+                   for info in pkgutil.iter_modules(fillgraph.__path__)
+                   if info.name != "__main__"]
+        tables = [value for module in modules
+                  for value in vars(module).values()
+                  if isinstance(value, OrderedDict)]
+        assert len(tables) == 5
+        assert all(type(t) is core._Table
+                   and any(t is kept for kept in core._tables)
+                   for t in tables)
+        # the plan's joins, its searched seed and its connected sums fill
+        # all five
+        plan = synthesis.filling(5, 3, 4)
+        formats.loads_plan(formats.dumps_plan(plan)).replay()
+        assert all(tables)
+        core.clear_tables()
+        assert not any(tables)

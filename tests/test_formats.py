@@ -393,6 +393,9 @@ def faulty(*steps):
 @example(faulty({"op": "graph", "vertices": [["a+"], "b"]}))
 @example(faulty({"op": "graph", "vertices": [], "arg": 1.5}))
 @example(faulty({"op": "family"}, 7))
+# an unknown field is named after the ill-typed ones, before a missing one
+@example(faulty({"op": "join", "lft": 7, "y": 5}))
+@example(faulty({"op": "join", "lft": 7, "flp": True, "left": 0}))
 @settings(max_examples=300, deadline=None)
 def test_reader_matches_the_two_pass_reference(doc):
     outcome = read_outcome(plan_from_document, doc)

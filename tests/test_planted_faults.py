@@ -3,9 +3,11 @@ answers wrong, and checks that the check named for that fault catches
 it.  No fault lives in the library; every patch is undone after its
 test."""
 
+import json
+
 import pytest
 
-from fillgraph import cli, families, formats, oracle, ops, synthesis
+from fillgraph import cli, core, families, formats, oracle, ops, synthesis
 from fillgraph.core import MalformedGraphError
 from fillgraph.ops import (OperationInvariantError, connected_sum, join,
                            plumbing)
@@ -101,14 +103,33 @@ def test_wrong_component_counts_in_the_audit(monkeypatch):
     assert audits["consum"].mismatches == 0
 
 
+def test_doubled_automorphisms_fail_the_census(monkeypatch):
+    # the class keeps a whole orbit, half its true size, so only the
+    # level's mass check can see it
+    victim = next(row.key for row in oracle.census(3)
+                  if row.automorphisms == 1)
+    real = oracle.canonical_code
+
+    def doubled(sigma0, sigma1, walked=None):
+        key, automorphisms = real(sigma0, sigma1, walked)
+        return key, automorphisms * (1 + (key == victim))
+
+    monkeypatch.setattr(oracle, "canonical_code", doubled)
+    oracle.census.cache_clear()
+    try:
+        with pytest.raises(oracle.CensusError, match="total orbit size"):
+            oracle.census(3)
+    finally:
+        oracle.census.cache_clear()
+
+
 # Faults on the replay path.  Each must raise the same error with the
 # same message on every replay, and leave nothing in the tables that a
-# correct replay would not: no literal memo entry for a malformed
+# correct replay would not: no literal table entry for a malformed
 # literal, and no filling verdict for a plan that never reached it.
 
 def _tables():
-    return (len(ops._memo), len(ops._constructions),
-            synthesis._literal.cache_info().currsize)
+    return [len(table) for table in core._tables]
 
 
 def _raises_alike_twice(call, kind):
@@ -152,8 +173,18 @@ def test_operand_naming_a_later_step_fails():
     assert message == "step 2: operand 3 is not an earlier step"
 
 
-def test_label_twice_with_one_sign_fails_the_literal():
+def test_label_twice_with_one_sign_fails_the_literal(monkeypatch):
+    parsed = []
+    real = core.FatGraph.from_vertex_cycles.__func__
+
+    def counting(cls, vertex_cycles):
+        parsed.append(vertex_cycles)
+        return real(cls, vertex_cycles)
+
+    monkeypatch.setattr(core.FatGraph, "from_vertex_cycles",
+                        classmethod(counting))
     doc = formats.plan_to_document(formats.loads_plan(_plan_text()))
+    good = formats.plan_from_document(doc).steps[0].vertices
     cycles = doc["steps"][0]["vertices"]
     label = cycles[0][0]
     # the other end of the first edge gets the first end's sign
@@ -164,8 +195,9 @@ def test_label_twice_with_one_sign_fails_the_literal():
     assert message == (f"edge {label[:-1]!r} appears twice with the same "
                        "sign; use '#0'/'#1' occurrence tags")
     # the build's literal only, and the malformed one parsed on each run
-    info = synthesis._literal.cache_info()
-    assert info.currsize == 1 and info.misses == 3
+    bad = plan.steps[0].vertices
+    assert list(synthesis._literals) == [good]
+    assert [v for v in parsed if v in (good, bad)] == [good, bad, bad]
 
 
 def test_plan_file_cut_short_fails_to_parse(tmp_path, capsys):
@@ -180,3 +212,23 @@ def test_plan_file_cut_short_fails_to_parse(tmp_path, capsys):
     assert cli.main(["replay", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"cannot read {path}: {message}"] * 2
+
+
+@pytest.mark.parametrize("at, field, value", [(1, "famly", "g2"),
+                                              (2, "lft", 7)])
+def test_unknown_step_field_fails_to_parse(tmp_path, capsys, at, field,
+                                           value):
+    # a misspelt field would otherwise be dropped, and its step read
+    # with the default
+    doc = json.loads(_plan_text())
+    doc["steps"][at][field] = value
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc))
+    message = _raises_alike_twice(lambda: formats.read_plan(path),
+                                  formats.FormatError)
+    op = doc["steps"][at]["op"]
+    assert message == f"step {at} ({op}) has unknown field {field!r}"
+    capsys.readouterr()
+    assert cli.main(["replay", str(path)]) == cli.EXIT_INPUT == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"cannot read {path}: {message}"]

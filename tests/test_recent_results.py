@@ -19,7 +19,7 @@ from collections import OrderedDict
 import pytest
 from helpers import dumbbells, grid_plans, grid_targets, relabeled
 
-from fillgraph import families, formats, oracle, ops
+from fillgraph import core, families, formats, oracle, ops
 from fillgraph.core import FatGraph, FatGraphError, InvariantError
 from fillgraph.ops import (OperationError, OperationInvariantError,
                            connected_sum, join, plumbing)
@@ -93,7 +93,7 @@ def test_grid_results_equal_fresh_graphs(registered):
     # once (a sum that disconnects is rejected before any entry is made)
     missed = [r.sigma0 for r, held in registered
               if not held and r.is_connected]
-    assert len(missed) == len(set(missed)) < ops._MEMO_SIZE
+    assert len(missed) == len(set(missed)) < core._TABLE_SIZE
     for result, held in registered:
         if held:
             assert shares(result, entry(result))
@@ -138,7 +138,7 @@ def test_one_rotation_under_two_names():
 
 
 def test_memo_keeps_the_bound_oldest_first(monkeypatch):
-    monkeypatch.setattr(ops, "_MEMO_SIZE", 8)
+    monkeypatch.setattr(core, "_TABLE_SIZE", 8)
     rng = random.Random(5)
     graphs = [families.build(families.TORUS_PAIR),
               families.build(families.G1)]
@@ -425,7 +425,7 @@ def test_hit_past_256_darts_equals_cold_build():
 
 
 def test_constructions_keep_the_bound_oldest_first(monkeypatch):
-    monkeypatch.setattr(ops, "_MEMO_SIZE", 8)
+    monkeypatch.setattr(core, "_TABLE_SIZE", 8)
     rng = random.Random(5)
     graphs = [member(families.TORUS_PAIR), member(families.G1)]
     model = OrderedDict()  # the calls the table should hold, oldest first

@@ -1,12 +1,12 @@
 import functools
 import hashlib
 import sys
-from collections import OrderedDict
 
 import pytest
-from helpers import (dumbbells, first_matching_graph, full_scan_code,
-                     grid_plans, grid_targets, pair_search_reference,
-                     reference_pair_candidates, tuple_face_screen)
+from helpers import (cycles, dumbbells, face_cycles, first_matching_graph,
+                     full_scan_code, grid_plans, grid_targets,
+                     pair_search_reference, reference_pair_candidates,
+                     reference_replay, tuple_curves, tuple_face_screen)
 
 from fillgraph import core, families, formats, ops, oracle, synthesis
 from fillgraph.analysis import intersection_graph
@@ -334,6 +334,22 @@ class TestPlans:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
             "d2d6bab0944204bf4a784af3d1d46ed1a6a362ec10a60d61ca57ebb2d1f0ce9a")
 
+    def test_plans_replay_as_the_token_reference(self):
+        # the synth-grid plans, a join chain past 256 darts and a tight
+        # plan at genus 6, each replayed from the tables their builds
+        # filled and checked step by step against the label-token
+        # surgeries, which share no code with ops; the reference's last
+        # graph has the target (g, b, s) by the tests' own cycle walks
+        plans = [*grid_plans(10, 8, 6), filling(2, 300, 301),
+                 tight_omega_filling(6, lower_bound(6))]
+        for plan in plans:
+            differs, final = reference_replay(plan)
+            assert differs is None, (plan.target, differs)
+            V, E = len(cycles(final.sigma0)), final.num_edges
+            b, s = len(face_cycles(final)), len(tuple_curves(final))
+            assert (2 - V + E - b, b, s) == (2 * plan.target[0],
+                                             *plan.target[1:])
+
     @pytest.mark.parametrize("plans, count, digest", [
         (lambda: (max_filling(g, b) for g in range(1, 11)
                   for b in range(1, 9)), 80,
@@ -374,7 +390,7 @@ def _literal_plan(target, *steps):
 
 class TestLiteralMemo:
     """A graph step copies the graph its vertex tuple parsed to once per
-    process (``synthesis._literal``), as a family step copies its
+    process (``synthesis._literals``), as a family step copies its
     validated member."""
 
     def test_one_parse_per_distinct_literal(self, monkeypatch):
@@ -409,7 +425,7 @@ class TestLiteralMemo:
         assert a._key is b._key and a._walk is b._walk
         assert a._face_orbits is b._face_orbits
         assert a._signature is b._signature is not None
-        assert synthesis._literal.cache_info().currsize == 1
+        assert len(synthesis._literals) == 1
 
     def test_join_of_one_literal_twice_replays(self):
         want = ops.join(families.build(families.TORUS_PAIR),
@@ -450,12 +466,12 @@ class TestLiteralMemo:
                                match="appears twice with the same sign"):
                 synthesis._run_step(bad, graphs, [])
         assert len(graphs) == 1
-        assert synthesis._literal.cache_info().currsize == 0
+        assert len(synthesis._literals) == 0
 
 
-class _Table(OrderedDict):
-    """A sub-plan table that counts its probes (``get`` calls), the probes
-    that find an entry, and the entries stored."""
+class _Counting(core._Table):
+    """A table that counts its probes (``get`` calls), the probes that
+    find an entry, and the entries stored."""
 
     probes = hits = stores = 0
 
@@ -478,7 +494,7 @@ class _Table(OrderedDict):
 def memo(monkeypatch):
     """An empty sub-plan table for one test; the process table comes back
     afterwards."""
-    fresh = _Table()
+    fresh = _Counting()
     monkeypatch.setattr(synthesis, "_subplans", fresh)
     return fresh
 
@@ -489,7 +505,7 @@ MEMO_GRID = list(grid_targets(6, 4, 5))
 def _cold_text(build, *args):
     """The plan text of ``build(*args)`` from an empty sub-plan table."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(synthesis, "_subplans", _Table())
+        m.setattr(synthesis, "_subplans", _Counting())
         return formats.dumps_plan(build(*args))
 
 
@@ -628,24 +644,25 @@ class TestSubplanMemo:
         assert text == cold_texts[filling, (6, 2, 5)]
 
     def test_evicts_past_the_bound(self, memo, cold_texts):
-        bound = synthesis._SUBPLAN_SIZE
+        bound = core._TABLE_SIZE
         assert bound == 2048
         for build, args in MEMO_GRID:
             build(*args)
         # cheap entries push out every grid entry and the first three
-        # fillers, least recently used first
+        # fillers, oldest first
         bld = synthesis._Builder(SynthesisPlan(target=(1, 1, 2)))
         for i in range(bound + 3):
             _torus_seed(bld, i)
         assert len(memo) == bound
         assert all(key[1] is _torus for key in memo)
         assert _torus_key(2) not in memo
-        _torus_seed(bld, 3)  # a hit makes filler 3 the most recent
         stores = memo.stores
+        _torus_seed(bld, 3)  # a hit leaves filler 3 the oldest
+        assert memo.stores == stores and next(iter(memo)) == _torus_key(3)
         _torus_seed(bld, 0)
         assert memo.stores == stores + 1
-        assert _torus_key(3) in memo
-        assert _torus_key(4) not in memo
+        assert _torus_key(3) not in memo
+        assert _torus_key(4) in memo and list(memo)[-1] == _torus_key(0)
         for build, args in MEMO_GRID:
             text = formats.dumps_plan(build(*args))
             assert text == cold_texts[build, args], (build, args)
@@ -783,7 +800,7 @@ def test_each_construction_walked_once(monkeypatch):
     # that misses walks, and stores its construction; a table that holds
     # every store, none pushed out by the bound, walked each distinct
     # construction once
-    table = _Table()
+    table = _Counting()
     monkeypatch.setattr(ops, "_constructions", table)
     plans = []
     for build, args in MEMO_GRID:
@@ -792,7 +809,7 @@ def test_each_construction_walked_once(monkeypatch):
         plans.append(plan)
     # 596 surgeries, of 160 distinct constructions
     assert table.stores == len(table) == table.probes - table.hits == 160
-    assert table.probes == 596 and len(table) < ops._MEMO_SIZE
+    assert table.probes == 596 and len(table) < core._TABLE_SIZE
     # a second replay of every plan, 434 surgeries, walks none
     for plan in plans:
         plan.replay()
